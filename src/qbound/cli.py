@@ -8,7 +8,6 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -18,66 +17,62 @@ import numpy as np
 
 from . import bounds, optimize, verify
 from .errors import QBoundError
-from .special import q
+from .special import SQRT_2PI, mills_ratio, q
 
 CSV_FIELDS = ("x", "kappa", "q_ref", "g_lower", "boyd_lower_q", "chernoff_upper", "rel_gap")
 
-
-@dataclasses.dataclass(frozen=True)
-class OutputRecord:
-    x: float
-    kappa: float
-    q_ref: float
-    g_lower: float
-    boyd_lower_q: float
-    chernoff_upper: float
-    rel_gap: float
+# One output row per template.  A formatted float never needs CSV quoting,
+# and repr is how json spells a float.
+_CSV_ROW = ",".join(["%.17g"] * len(CSV_FIELDS)) + "\n"
+_TEXT_ROW = "".join(f"{f} = %.17g\n" for f in CSV_FIELDS)
+_JSON_ROW = "  {\n" + ",\n".join(f'    "{f}": %r' for f in CSV_FIELDS) + "\n  }"
 
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def make_record(x: float, kappa: float) -> OutputRecord:
-    """One comparison row; the x < 0 columns that only exist for x >= 0
-    (Boyd on Q-scale, Chernoff upper) are reported as NaN."""
+def make_record(xs, kappa) -> np.ndarray:
+    """Comparison rows for an x array at one kappa, one column per CSV field.
+
+    The columns that only exist for x >= 0 (Boyd on Q-scale, Chernoff upper)
+    are NaN for negative x.  Where Q underflows to 0 (x > ~38.6), rel_gap is
+    evaluated as 1 - r/R = 1 - alpha*exp(-(kappa-1)*x**2/2)/(R/sqrt(2*pi)),
+    in which nothing underflows.
+    """
     k = bounds.as_kappa(kappa)
-    qx = q(x)
-    gx = bounds.g_lower(x, k)
-    if x >= 0.0:
-        boyd_q = bounds.boyd_lower_q(x)
-        cher = bounds.chernoff_upper(x)
-    else:
-        boyd_q = math.nan
-        cher = math.nan
-    return OutputRecord(
-        x=x,
-        kappa=k.kappa,
-        q_ref=qx,
-        g_lower=gx,
-        boyd_lower_q=boyd_q,
-        chernoff_upper=cher,
-        rel_gap=(qx - gx) / qx,
-    )
+    xs = np.array(xs, dtype=float, ndmin=1)
+    qx = q(xs)
+    gx = bounds.g_lower(xs, k)
+    rows = np.full((xs.size, len(CSV_FIELDS)), math.nan)
+    rows[:, 0] = xs
+    rows[:, 1] = k.kappa
+    rows[:, 2] = qx
+    rows[:, 3] = gx
+    pos = xs >= 0.0
+    rows[pos, 4] = bounds.boyd_lower_q(xs[pos])
+    rows[pos, 5] = bounds.chernoff_upper(xs[pos])
+    ok = qx > 0.0
+    rows[ok, 6] = (qx[ok] - gx[ok]) / qx[ok]
+    if not ok.all():
+        xu = xs[~ok]
+        r = bounds.alpha_coeff(k) * np.exp(-0.5 * k.kappa_minus_1 * xu * xu)
+        rows[~ok, 6] = 1.0 - r / (mills_ratio(xu) / SQRT_2PI)
+    return rows
 
 
-def _record_dict(rec: OutputRecord) -> dict:
-    return {f: getattr(rec, f) for f in CSV_FIELDS}
-
-
-def _emit_records(records, fmt: str, out) -> None:
+def _emit_records(rows, fmt: str, out) -> None:
+    """Write rows of floats, one per record, in the CSV_FIELDS order."""
     if fmt == "json":
-        out.write(json.dumps([_record_dict(r) for r in records], indent=2))
-        out.write("\n")
+        body = ",\n".join([_JSON_ROW % tuple(r) for r in rows])
+        # Field names and finite reprs hold neither "nan" nor "inf".
+        body = body.replace("nan", "NaN").replace("inf", "Infinity")
+        out.write(f"[\n{body}\n]\n")
     elif fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_FIELDS)
-        for r in records:
-            writer.writerow([_fmt(getattr(r, f)) for f in CSV_FIELDS])
+        out.write(",".join(CSV_FIELDS) + "\n")
+        out.write("".join([_CSV_ROW % tuple(r) for r in rows]))
     else:  # text
-        for r in records:
-            for f in CSV_FIELDS:
-                out.write(f"{f} = {_fmt(getattr(r, f))}\n")
+        out.write("".join([_TEXT_ROW % tuple(r) for r in rows]))
 
 
 def _grid_from_args(args) -> verify.EvaluationGrid:
@@ -108,17 +103,16 @@ def _print_report(r: verify.VerificationReport, out) -> None:
 
 
 def cmd_eval(args, out) -> int:
-    rec = make_record(args.x, args.kappa)
-    _emit_records([rec], args.format, out)
+    _emit_records(make_record([args.x], args.kappa).tolist(), args.format, out)
     return 0
 
 
 def cmd_table(args, out) -> int:
     grid = _grid_from_args(args)
-    records = [
-        make_record(float(x), k.kappa) for x in grid.xs() for k in grid.kappas
-    ]
-    _emit_records(records, args.format, out)
+    xs = grid.xs()
+    # x-major, then kappa: stack the per-kappa blocks as (x, kappa, field).
+    rows = np.stack([make_record(xs, k) for k in grid.kappas], axis=1)
+    _emit_records(rows.reshape(-1, len(CSV_FIELDS)).tolist(), args.format, out)
     return 0
 
 

@@ -8,11 +8,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bounds import alpha_coeff, as_kappa, g_lower, x1_point
 from .errors import DomainError
-from .special import mills_ratio, q
+from .special import SQRT_2PI, mills_ratio, q
 
 #: Search ceiling for kappa; the optimum drifts toward 1 for large x and
 #: toward infinity as x -> 0.
@@ -27,7 +26,9 @@ class OptimizationResult:
 
     argument is the optimal kappa or x depending on the operation; gap is
     the relative looseness (Q - g)/Q at the optimum where that is
-    meaningful, else None.
+    meaningful, else None.  iterations counts golden-section steps for
+    kappa_star and interval_kappa, and slope evaluations of the bisection
+    for max_weight.
     """
 
     argument: float
@@ -131,34 +132,30 @@ def max_weight(k) -> OptimizationResult:
     """Empirical maximal admissible weight for order kappa/2:
     alpha_max(kappa) = inf over x of Q(x) * exp(kappa * x**2 / 2).
 
-    The infimum sits at the root of kappa*x*R(x) = 1, which lies in (0, x1]
-    by the sign structure of the proof; the objective is minimized through
-    its logarithm to avoid overflow.  alpha_max >= alpha(kappa) always; a
-    violation would contradict the theorem and is raised as fatal.
+    The infimum sits at the root of slope(x) = kappa*x*R(x) - 1 in (0, x1]:
+    slope(0) = -1, slope(x1) >= 0 by the sign structure of the proof, and
+    x*R(x) is increasing, so the root is unique and bisection finds it to
+    adjacent doubles.  The objective is minimized through its logarithm
+    log(R(x)/sqrt(2*pi)) + (kappa-1)*x**2/2, in which nothing underflows.
+    alpha_max >= alpha(kappa) always; a violation would contradict the
+    theorem and is raised as fatal.
     """
     k = as_kappa(k)
     if k.kappa <= 1.0:
         raise DomainError("max_weight requires kappa > 1")
-    x1 = x1_point(k)
-
-    def slope(x: float) -> float:
-        # d/dx [ln Q + kappa x^2/2] = kappa*x - 1/R(x)
-        return k.kappa * x * mills_ratio(x) - 1.0
-
-    # Bracket the stationary point from x1 downward; slope(0) = -1 < 0 and
-    # slope(x1) >= 0 by the Mills-ratio relation at x1.
-    grid = np.linspace(0.0, x1, 257)
-    sl = np.array([slope(g) for g in grid])
-    idx = np.nonzero(np.diff(np.sign(sl)) != 0)[0]
-    best_x, best_phi = x1, math.log(q(x1)) + 0.5 * k.kappa * x1 * x1
-    iters = 0
-    for i in idx:
-        root = brentq(slope, grid[i], grid[i + 1], xtol=1e-14, rtol=8.9e-16)
-        iters += 1
-        phi = math.log(q(root)) + 0.5 * k.kappa * root * root
-        if phi < best_phi:
-            best_x, best_phi = root, phi
-    alpha_max = math.exp(best_phi)
+    lo, hi = 0.0, x1_point(k)
+    evals = 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        evals += 1
+        if k.kappa * mid * mills_ratio(mid) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    phi = math.log(mills_ratio(mid) / SQRT_2PI) + 0.5 * k.kappa_minus_1 * mid * mid
+    alpha_max = math.exp(phi)
     alpha = alpha_coeff(k)
     if alpha_max < alpha * (1.0 - 1e-12):
         raise RuntimeError(
@@ -166,11 +163,11 @@ def max_weight(k) -> OptimizationResult:
             f"falls below the proven coefficient {alpha} at kappa={k.kappa}"
         )
     return OptimizationResult(
-        argument=best_x,
+        argument=mid,
         objective=alpha_max,
         gap=None,
-        iterations=iters,
-        converged=len(idx) > 0,
+        iterations=evals,
+        converged=True,
     )
 
 

@@ -3,9 +3,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import qbound
 from qbound import bounds, q
 from qbound.cli import CSV_FIELDS, main
 
@@ -44,6 +50,14 @@ class TestEval:
         assert rec["q_ref"] == q(2.5)
         assert rec["g_lower"] == bounds.g_lower(2.5, 3.0)
 
+    def test_rel_gap_where_q_underflows(self):
+        # Q(40) underflows to 0; the gap is 1 - r/R, frozen from mpmath
+        code, text = run_cli("eval", "--x", "40", "--kappa", "1.0001", "--format", "json")
+        assert code == 0
+        rec = json.loads(text)[0]
+        assert rec["q_ref"] == 0.0
+        assert rec["rel_gap"] == pytest.approx(0.39089626811354, rel=1e-13)
+
 
 class TestTable:
     def test_row_count(self):
@@ -55,23 +69,48 @@ class TestTable:
         assert lines[0] == ",".join(CSV_FIELDS)
         assert len(lines) == 7  # header + 6 rows
 
+    # 0.5 steps over [-4, 4]: negative x (the nan columns), x = 0 and kappa = 1
+    GRID = ("--x-min", "-4", "--x-max", "4", "--x-count", "17",
+            "--kappa", "1", "--kappa", "1.5", "--kappa", "3")
+
+    @staticmethod
+    def scalar_rows():
+        """The GRID table, row by row from the scalar API."""
+        rows = []
+        for x in np.linspace(-4.0, 4.0, 17).tolist():
+            for kappa in (1.0, 1.5, 3.0):
+                qx, gx = q(x), bounds.g_lower(x, kappa)
+                pos = x >= 0.0
+                rows.append({
+                    "x": x,
+                    "kappa": kappa,
+                    "q_ref": qx,
+                    "g_lower": gx,
+                    "boyd_lower_q": bounds.boyd_lower_q(x) if pos else math.nan,
+                    "chernoff_upper": bounds.chernoff_upper(x) if pos else math.nan,
+                    "rel_gap": (qx - gx) / qx,
+                })
+        return rows
+
     def test_csv_round_trip_bit_for_bit(self):
-        code, text = run_cli(
-            "table",
-            "--x-min", "0.25", "--x-max", "4", "--x-count", "16",
-            "--kappa", "1.5", "--kappa", "3",
-        )
+        code, text = run_cli("table", *self.GRID)
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(text)))
-        assert len(rows) == 32
-        for row in rows:
-            x = float(row["x"])
-            kappa = float(row["kappa"])
-            assert float(row["q_ref"]) == q(x)
-            assert float(row["g_lower"]) == bounds.g_lower(x, kappa)
-            assert float(row["boyd_lower_q"]) == bounds.boyd_lower_q(x)
-            assert float(row["chernoff_upper"]) == bounds.chernoff_upper(x)
-            assert float(row["rel_gap"]) == (q(x) - bounds.g_lower(x, kappa)) / q(x)
+        expected = self.scalar_rows()
+        assert len(rows) == len(expected) == 51
+        assert any(float(row["x"]) == 0.0 for row in rows)
+        for row, want in zip(rows, expected):
+            for field in CSV_FIELDS:
+                got = float(row[field])
+                if math.isnan(want[field]):
+                    assert math.isnan(got), field
+                else:
+                    assert got == want[field], field
+
+    def test_json_same_bytes_as_json_module(self):
+        code, text = run_cli("table", *self.GRID, "--format", "json")
+        assert code == 0
+        assert text == json.dumps(self.scalar_rows(), indent=2) + "\n"
 
     def test_ordering_bounds_on_rows(self):
         _, text = run_cli(
@@ -145,6 +184,25 @@ class TestOptimizeCommand:
     def test_interval_bad_lo_exits_2(self):
         code, _ = run_cli("optimize", "interval", "--x-lo", "0", "--x-hi", "2")
         assert code == 2
+
+
+class TestImportCost:
+    def test_scipy_optimize_never_imported(self):
+        # scipy.optimize costs ~0.3 s of every cold start and is not needed
+        script = (
+            "import sys, io, qbound\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "from qbound.cli import main\n"
+            "main(['optimize', 'weight', '--kappa', '2'], out=io.StringIO())\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        src = str(Path(qbound.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]
 
 
 class TestRootsCommand:

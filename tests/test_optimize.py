@@ -93,6 +93,36 @@ class TestMaxWeight:
         with pytest.raises(DomainError):
             max_weight(1.0)
 
+    def test_near_one_matches_mpmath(self):
+        # Q(root) underflows here, so the objective must be taken in log space
+        mp = pytest.importorskip("mpmath")
+        kappa = 1.0 + 1e-6
+        with mp.workdps(40):
+            k = mp.mpf(kappa)
+
+            def scaled(x):  # Q(x) * exp(kappa * x**2 / 2)
+                return mp.erfc(x / mp.sqrt(2)) / 2 * mp.exp(k * x * x / 2)
+
+            def slope(x):  # kappa*x*R(x) - 1
+                return k * x * mp.sqrt(2 * mp.pi) * scaled(x) * mp.exp(-(k - 1) * x * x / 2) - 1
+
+            root = mp.findroot(slope, mp.mpf(1000))
+            expected = float(scaled(root))
+        res = max_weight(kappa)
+        assert res.converged
+        assert res.objective == pytest.approx(expected, rel=1e-9)
+
+    def test_iterations_count_slope_evaluations(self, monkeypatch):
+        import qbound.optimize as opt
+
+        calls = []
+        real = opt.mills_ratio
+        monkeypatch.setattr(opt, "mills_ratio", lambda x: calls.append(x) or real(x))
+        res = opt.max_weight(2.0)
+        # every call but the last (the objective at the root) is a slope evaluation
+        assert res.iterations == len(calls) - 1
+        assert 40 <= res.iterations <= 64
+
 
 class TestIntervalKappa:
     def test_degenerate_equals_pointwise(self):
