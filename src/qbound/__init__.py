@@ -12,7 +12,6 @@ good kappa values.
 
 from .bounds import (
     CriticalPoints,
-    GaussianBoundSpec,
     KappaParam,
     alpha_coeff,
     boyd_lower,
@@ -60,7 +59,6 @@ __all__ = [
     "DEFAULT_KAPPAS",
     "DomainError",
     "EvaluationGrid",
-    "GaussianBoundSpec",
     "KappaParam",
     "LambertBranch",
     "OptimizationResult",

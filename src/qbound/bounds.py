@@ -12,14 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .special import (
-    SQRT_2PI,
-    LambertBranch,
-    h,
-    lambert_w,
-    mills_ratio,
-    q,
-)
+from .special import SQRT_2PI, LambertBranch, elementwise, lambert_w, mills_ratio
 
 _PI = math.pi
 
@@ -62,37 +55,6 @@ def _require_strict(k: KappaParam, op: str) -> KappaParam:
 
 
 @dataclass(frozen=True)
-class GaussianBoundSpec:
-    """A bound of the form weight * exp(-order * x**2), on one side of Q."""
-
-    weight: float
-    order: float
-    side: str  # "lower" or "upper"
-
-    def __post_init__(self):
-        if self.side not in ("lower", "upper"):
-            raise DomainError(f"side must be 'lower' or 'upper', got {self.side!r}")
-        if not (self.weight >= 0.0 and self.order > 0.0):
-            raise DomainError("need weight >= 0 and order > 0")
-
-    @classmethod
-    def from_kappa(cls, k) -> "GaussianBoundSpec":
-        """The theorem's lower-bound family member: alpha(kappa)*exp(-kappa*x^2/2)."""
-        k = as_kappa(k)
-        return cls(weight=alpha_coeff(k), order=0.5 * k.kappa, side="lower")
-
-    @classmethod
-    def chernoff(cls) -> "GaussianBoundSpec":
-        """The tightest Chernoff-type upper bound, weight = order = 1/2."""
-        return cls(weight=0.5, order=0.5, side="upper")
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = self.weight * np.exp(-self.order * x * x)
-        return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
 class CriticalPoints:
     """The pair (x1, x2) where kappa*x*r(x,kappa) = 1, with Lambert data.
 
@@ -114,28 +76,17 @@ def alpha_coeff(k) -> float:
     return math.exp(1.0 / c) / (2.0 * k.kappa) * math.sqrt(k.kappa_minus_1 * c / _PI)
 
 
+@elementwise()
 def g_lower(x, k):
     """The lower bound g(x, kappa) = alpha(kappa) * exp(-kappa * x**2 / 2).
 
     Even in x; g <= Q everywhere for every kappa >= 1.
     """
     k = as_kappa(k)
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise DomainError("x must be finite")
-    out = alpha_coeff(k) * np.exp(-0.5 * k.kappa * x * x)
-    return float(out) if out.ndim == 0 else out
+    return alpha_coeff(k) * np.exp(-0.5 * k.kappa * x * x)
 
 
-def _check_nonneg(x):
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise DomainError("x must be finite")
-    if np.any(x < 0.0):
-        raise DomainError("x must be >= 0")
-    return x
-
-
+@elementwise(sign=1)
 def r_scaled(x, k):
     """r(x, kappa) = sqrt(2*pi) * g(x, kappa) * exp(x**2 / 2), x >= 0.
 
@@ -143,17 +94,14 @@ def r_scaled(x, k):
     the literal product overflows for x beyond ~38.
     """
     k = _require_strict(as_kappa(k), "r_scaled")
-    x = _check_nonneg(x)
-    out = SQRT_2PI * alpha_coeff(k) * np.exp(-0.5 * k.kappa_minus_1 * x * x)
-    return float(out) if out.ndim == 0 else out
+    return SQRT_2PI * alpha_coeff(k) * np.exp(-0.5 * k.kappa_minus_1 * x * x)
 
 
+@elementwise(sign=1)
 def f_diff(x, k):
     """f(x, kappa) = r(x, kappa) - R(x); the bound holds iff f <= 0."""
     k = _require_strict(as_kappa(k), "f_diff")
-    x = _check_nonneg(x)
-    out = r_scaled(x, k) - mills_ratio(x)
-    return float(out) if np.ndim(out) == 0 else out
+    return r_scaled(x, k) - mills_ratio(x)
 
 
 def x1_point(k) -> float:
@@ -223,60 +171,52 @@ def critical_points(k) -> CriticalPoints:
     )
 
 
+@elementwise(sign=1)
 def crossing_condition(x, k):
     """Signed residual of the crossing relation: h(x**2*(1-kappa)) - h(w1).
 
     Nonpositive exactly on [x1, x2], zero exactly at x1 and x2.
     """
     k = _require_strict(as_kappa(k), "crossing_condition")
-    x = _check_nonneg(x)
     u = x * x * (1.0 - k.kappa)
-    out = u * np.exp(u) - _rhs_z(k)
-    return float(out) if np.ndim(out) == 0 else out
+    return u * np.exp(u) - _rhs_z(k)
 
 
+@elementwise(sign=1)
 def lemma1_relation(x, k):
     """kappa * x * r(x, kappa) - 1: >= 0 exactly on [x1, x2], 0 at the ends."""
     k = _require_strict(as_kappa(k), "lemma1_relation")
-    x = _check_nonneg(x)
-    out = k.kappa * x * r_scaled(x, k) - 1.0
-    return float(out) if np.ndim(out) == 0 else out
+    return k.kappa * x * r_scaled(x, k) - 1.0
 
 
+@elementwise(sign=1)
 def df_dx_identity(x, k):
     """Closed form of df/dx: x*f(x,kappa) + 1 - kappa*x*r(x,kappa)."""
     k = _require_strict(as_kappa(k), "df_dx_identity")
-    x = _check_nonneg(x)
-    out = x * f_diff(x, k) + 1.0 - k.kappa * x * r_scaled(x, k)
-    return float(out) if np.ndim(out) == 0 else out
+    return x * f_diff(x, k) + 1.0 - k.kappa * x * r_scaled(x, k)
 
 
+@elementwise(sign=1)
 def boyd_lower(x):
     """Boyd's lower bound for the scaled Mills ratio:
     R(x) >= pi / ((pi-1)*x + sqrt(x**2 + 2*pi)), exact at x = 0."""
-    x = _check_nonneg(x)
-    out = _PI / ((_PI - 1.0) * x + np.sqrt(x * x + 2.0 * _PI))
-    return float(out) if np.ndim(out) == 0 else out
+    return _PI / ((_PI - 1.0) * x + np.sqrt(x * x + 2.0 * _PI))
 
 
+@elementwise(sign=1)
 def chernoff_upper(x):
     """The tightest Chernoff-type upper bound Q(x) <= 0.5*exp(-x**2/2), x >= 0."""
-    x = _check_nonneg(x)
-    out = 0.5 * np.exp(-0.5 * x * x)
-    return float(out) if np.ndim(out) == 0 else out
+    return 0.5 * np.exp(-0.5 * x * x)
 
 
+@elementwise(sign=1)
 def boyd_lower_q(x):
     """Boyd's bound mapped to Q-scale: boyd_lower(x) * exp(-x**2/2) / sqrt(2*pi)."""
-    x = _check_nonneg(x)
-    out = boyd_lower(x) * np.exp(-0.5 * x * x) / SQRT_2PI
-    return float(out) if np.ndim(out) == 0 else out
+    return boyd_lower(x) * np.exp(-0.5 * x * x) / SQRT_2PI
 
 
-# Re-exported here for callers that want the whole bound story in one module.
 __all__ = [
     "KappaParam",
-    "GaussianBoundSpec",
     "CriticalPoints",
     "as_kappa",
     "alpha_coeff",
@@ -292,6 +232,4 @@ __all__ = [
     "boyd_lower",
     "chernoff_upper",
     "boyd_lower_q",
-    "q",
-    "h",
 ]

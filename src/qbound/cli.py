@@ -27,6 +27,8 @@ _CSV_ROW = ",".join(["%.17g"] * len(CSV_FIELDS)) + "\n"
 _TEXT_ROW = "".join(f"{f} = %.17g\n" for f in CSV_FIELDS)
 _JSON_ROW = "  {\n" + ",\n".join(f'    "{f}": %r' for f in CSV_FIELDS) + "\n  }"
 
+_TINY = np.finfo(float).tiny  # the smallest normal double
+
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
@@ -36,9 +38,10 @@ def make_record(xs, kappa) -> np.ndarray:
     """Comparison rows for an x array at one kappa, one column per CSV field.
 
     The columns that only exist for x >= 0 (Boyd on Q-scale, Chernoff upper)
-    are NaN for negative x.  Where Q underflows to 0 (x > ~38.6), rel_gap is
-    evaluated as 1 - r/R = 1 - alpha*exp(-(kappa-1)*x**2/2)/(R/sqrt(2*pi)),
-    in which nothing underflows.
+    are NaN for negative x.  Where Q is subnormal or 0 (x > ~37.5), (Q-g)/Q
+    has lost its significant bits, so rel_gap is evaluated as
+    1 - r/R = 1 - alpha*exp(-(kappa-1)*x**2/2)/(R/sqrt(2*pi)), in which
+    nothing underflows.
     """
     k = bounds.as_kappa(kappa)
     xs = np.array(xs, dtype=float, ndmin=1)
@@ -52,7 +55,7 @@ def make_record(xs, kappa) -> np.ndarray:
     pos = xs >= 0.0
     rows[pos, 4] = bounds.boyd_lower_q(xs[pos])
     rows[pos, 5] = bounds.chernoff_upper(xs[pos])
-    ok = qx > 0.0
+    ok = qx >= _TINY
     rows[ok, 6] = (qx[ok] - gx[ok]) / qx[ok]
     if not ok.all():
         xu = xs[~ok]
@@ -117,41 +120,14 @@ def cmd_table(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    grid = _grid_from_args(args)
-    infl = args.inflate_weight
-    tol = args.tolerance
-    reports = []
-    if args.suite in ("theorem", "all"):
-        kwargs = {"weight_inflation": infl}
-        if tol is not None:
-            kwargs["tolerance"] = tol
-        reports.append(verify.verify_theorem(grid, **kwargs))
-    # kappa = 1 is skipped in the lemma suites when running the default
-    # sweep; an explicit --kappa 1 request is a domain error (exit 2).
-    explicit = args.kappa is not None
-    if args.suite in ("lemma1", "all"):
-        for k in grid.kappas:
-            if k.kappa <= 1.0 and not explicit:
-                continue
-            reports.append(verify.verify_lemma1(k))
-    if args.suite in ("lemma2", "all"):
-        for k in grid.kappas:
-            if k.kappa <= 1.0 and not explicit:
-                continue
-            reports.append(verify.verify_lemma2(k, count=2000))
-    if args.suite in ("derivative", "all"):
-        strict = tuple(k for k in grid.kappas if k.kappa > 1.0)
-        if args.suite == "derivative" and (explicit or not strict):
-            strict = grid.kappas  # let verify_derivative raise the usage error
-        if strict:
-            dgrid = verify.EvaluationGrid(
-                grid.x_min, grid.x_max, grid.x_count, grid.spacing, strict
-            )
-            reports.append(verify.verify_derivative(dgrid))
-    if args.suite in ("chernoff", "all"):
-        cgrid = grid if args.suite == "chernoff" else None
-        reports.append(verify.verify_chernoff(cgrid))
-
+    # an explicit --kappa 1 is a domain error in the lemma suites (exit 2)
+    reports = verify.run_suites(
+        verify.SUITE_NAMES if args.suite == "all" else (args.suite,),
+        _grid_from_args(args),
+        explicit=args.kappa is not None,
+        tolerance=args.tolerance,
+        weight_inflation=args.inflate_weight,
+    )
     if args.format == "json":
         out.write(json.dumps([_report_dict(r) for r in reports], indent=2))
         out.write("\n")
@@ -243,11 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument(
-        "suite", choices=("theorem", "lemma1", "lemma2", "derivative", "chernoff", "all")
-    )
+    p.add_argument("suite", choices=verify.SUITE_NAMES + ("all",))
     add_grid_flags(p)
-    p.add_argument("--tolerance", type=float, default=None)
+    p.add_argument("--tolerance", type=float, default=verify.REL_TOL)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--inflate-weight", type=float, default=1.0, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import alpha_coeff, as_kappa, g_lower, x1_point
-from .errors import DomainError
+from .errors import DomainError, QBoundError
 from .special import SQRT_2PI, mills_ratio, q
 
 #: Search ceiling for kappa; the optimum drifts toward 1 for large x and
@@ -138,7 +138,7 @@ def max_weight(k) -> OptimizationResult:
     adjacent doubles.  The objective is minimized through its logarithm
     log(R(x)/sqrt(2*pi)) + (kappa-1)*x**2/2, in which nothing underflows.
     alpha_max >= alpha(kappa) always; a violation would contradict the
-    theorem and is raised as fatal.
+    theorem and is raised as a QBoundError.
     """
     k = as_kappa(k)
     if k.kappa <= 1.0:
@@ -158,7 +158,7 @@ def max_weight(k) -> OptimizationResult:
     alpha_max = math.exp(phi)
     alpha = alpha_coeff(k)
     if alpha_max < alpha * (1.0 - 1e-12):
-        raise RuntimeError(
+        raise QBoundError(
             f"fatal inconsistency: measured maximal weight {alpha_max} "
             f"falls below the proven coefficient {alpha} at kappa={k.kappa}"
         )

@@ -7,6 +7,7 @@ elementwise wherever the operation is naturally vectorizable.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,11 +44,34 @@ class QValue:
     accuracy: float
 
 
-def _check_finite(x, name="x"):
-    if not np.all(np.isfinite(x)):
-        raise DomainError(f"{name} must be finite, got {x!r}")
+def elementwise(sign=0, name="x"):
+    """Decorator for a kernel fn(x, *args) that is evaluated elementwise in x.
+
+    The kernel receives x as a float array, checked to be finite and, for
+    sign = +1 or -1, to satisfy sign*x >= 0.  A 0-d result comes back as a
+    Python float, an array result as the array.
+    """
+    outside = {1: np.less, -1: np.greater}.get(sign)
+
+    def decorate(fn):
+        bound = f"{fn.__name__} requires {name} {'>=' if sign > 0 else '<='} 0"
+
+        @functools.wraps(fn)
+        def kernel(x, *args):
+            x = np.asarray(x, dtype=float)
+            if not np.isfinite(x).all():
+                raise DomainError(f"{name} must be finite, got {x!r}")
+            if outside is not None and outside(x, 0.0).any():
+                raise DomainError(bound)
+            out = fn(x, *args)
+            return float(out) if x.ndim == 0 else out
+
+        return kernel
+
+    return decorate
 
 
+@elementwise()
 def q(x):
     """Gaussian tail probability Q(x) = P(Z > x), elementwise.
 
@@ -55,12 +79,9 @@ def q(x):
     keeps full relative accuracy far into the tail (down to the underflow
     threshold near x ~ 38.6).
     """
-    x = np.asarray(x, dtype=float)
-    _check_finite(x)
     ax = np.abs(x)
     tail = 0.5 * _sp.erfcx(ax / _SQRT2) * np.exp(-0.5 * ax * ax)
-    out = np.where(x >= 0.0, tail, 1.0 - tail)
-    return float(out) if out.ndim == 0 else out
+    return np.where(x >= 0.0, tail, 1.0 - tail)
 
 
 def q_ref(x: float) -> QValue:
@@ -70,9 +91,7 @@ def q_ref(x: float) -> QValue:
     value is a normal double, degrading to the representable precision once
     the result falls into the subnormal range.
     """
-    x = float(x)
-    _check_finite(x)
-    value = q(x)
+    value = q(float(x))
     if value <= 0.0:
         acc = math.inf
     else:
@@ -80,32 +99,24 @@ def q_ref(x: float) -> QValue:
     return QValue(value=value, accuracy=acc)
 
 
+@elementwise(sign=1)
 def mills_ratio(x):
     """Scaled Mills ratio R(x) = sqrt(2*pi) * Q(x) * exp(x**2 / 2), x >= 0.
 
     Computed as sqrt(pi/2) * erfcx(x / sqrt(2)); the naive product overflows
     for x beyond ~38 while this form is stable on [0, 1e8] and beyond.
     """
-    x = np.asarray(x, dtype=float)
-    _check_finite(x)
-    if np.any(x < 0.0):
-        raise DomainError("mills_ratio requires x >= 0")
-    out = SQRT_HALF_PI * _sp.erfcx(x / _SQRT2)
-    return float(out) if out.ndim == 0 else out
+    return SQRT_HALF_PI * _sp.erfcx(x / _SQRT2)
 
 
+@elementwise(sign=-1, name="w")
 def h(w):
     """h(w) = w * exp(w) for w <= 0.
 
     Strictly decreasing on (-inf, -1), strictly increasing on (-1, 0), with
     unique minimum h(-1) = -1/e and h -> 0 at both ends.
     """
-    w = np.asarray(w, dtype=float)
-    _check_finite(w, "w")
-    if np.any(w > 0.0):
-        raise DomainError("h is defined for w <= 0")
-    out = w * np.exp(w)
-    return float(out) if out.ndim == 0 else out
+    return w * np.exp(w)
 
 
 def _halley(z: float, w: float, tol: float) -> float:
@@ -148,7 +159,8 @@ def lambert_w(z: float, branch: LambertBranch = LambertBranch.PRINCIPAL) -> floa
     below 1e-14 * max(|z|, 1e-300) wherever double precision permits.
     """
     z = float(z)
-    _check_finite(z, "z")
+    if not math.isfinite(z):
+        raise DomainError(f"z must be finite, got {z!r}")
     principal = branch is LambertBranch.PRINCIPAL
     if z < BRANCH_POINT:
         raise DomainError(f"no real Lambert W for z = {z!r} < -1/e")

@@ -4,6 +4,7 @@ Chernoff upper bound on configurable grids, emitting structured reports.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -19,11 +20,10 @@ from .bounds import (
     f_diff,
     g_lower,
     lemma1_relation,
-    mills_ratio,
     x1_point,
 )
 from .errors import DomainError, UsageError
-from .special import q
+from .special import mills_ratio, q
 
 #: Default kappa sweep: trivial, near-degenerate, moderate, and asymptotic.
 DEFAULT_KAPPAS = (1.0, 1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 100.0)
@@ -86,30 +86,32 @@ class VerificationReport:
     worst_lhs: float = math.nan
     worst_rhs: float = math.nan
 
-    @classmethod
-    def build(cls, suite, points, violations, xs, kappa, tol, lhs, rhs):
-        i = int(np.argmax(violations))
-        return cls(
-            suite=suite,
-            points_checked=int(points),
-            worst_violation=float(violations[i]),
-            worst_point=(float(xs[i]), float(kappa)),
-            tolerance=tol,
-            passed=bool(violations[i] <= tol),
-            worst_lhs=float(lhs[i]),
-            worst_rhs=float(rhs[i]),
-        )
+
+def _merge(suite: str, parts, tolerance: float) -> VerificationReport:
+    """One report over parts (xs, kappa, violations, lhs, rhs), all arrays
+    but kappa.  A part's worst point is the argmax of its violations; across
+    parts the first strictly greater violation wins, so a nan in a later
+    part does not displace an earlier worst."""
+    points, worst = 0, None
+    for xs, kappa, viol, lhs, rhs in parts:
+        i = int(np.argmax(viol))
+        points += xs.size
+        if worst is None or viol[i] > worst[0]:
+            worst = (float(viol[i]), (float(xs[i]), float(kappa)), float(lhs[i]), float(rhs[i]))
+    if worst is None:
+        raise UsageError(f"the {suite} suite has no point to check on this grid")
+    v, point, lhs_i, rhs_i = worst
+    return VerificationReport(
+        suite, points, v, point, tolerance, bool(v <= tolerance), lhs_i, rhs_i
+    )
 
 
-def _worse(a: VerificationReport | None, b: VerificationReport) -> VerificationReport:
-    if a is None or b.worst_violation > a.worst_violation:
-        return b
-    return a
-
-
-def _degenerate_xs(k: KappaParam, count: int) -> np.ndarray:
-    pivot = 1.0 / math.sqrt(k.kappa_minus_1)
-    return pivot * np.geomspace(1e-3, 1e3, count)
+def _kappa_xs(grid: EvaluationGrid, k: KappaParam) -> np.ndarray:
+    """The grid's x values, or for kappa - 1 <= DEGENERATE_EPS a multiplicative
+    grid of the same size around the pivot 1/sqrt(kappa-1)."""
+    if 0.0 < k.kappa_minus_1 <= DEGENERATE_EPS:
+        return (1.0 / math.sqrt(k.kappa_minus_1)) * np.geomspace(1e-3, 1e3, grid.x_count)
+    return grid.xs()
 
 
 def verify_theorem(
@@ -123,12 +125,9 @@ def verify_theorem(
     suite must detect a corrupted bound, not merely avoid crashing.
     """
     grid = grid or EvaluationGrid()
-    worst = None
-    points = 0
+    parts = []
     for k in grid.kappas:
-        xs = grid.xs()
-        if 0.0 < k.kappa_minus_1 <= DEGENERATE_EPS:
-            xs = _degenerate_xs(k, grid.x_count)
+        xs = _kappa_xs(grid, k)
         qs = q(xs)
         gs = weight_inflation * g_lower(xs, k)
         # deep-tail points where Q underflows to 0: the bound must have
@@ -137,23 +136,8 @@ def verify_theorem(
         viol = np.where(
             qs > 0.0, (gs - qs) / safe, np.where(gs > 0.0, math.inf, -1.0)
         )
-        points += xs.size
-        worst = _worse(
-            worst,
-            VerificationReport.build(
-                "theorem", points, viol, xs, k.kappa, tolerance, gs, qs
-            ),
-        )
-    return VerificationReport(
-        suite="theorem",
-        points_checked=points,
-        worst_violation=worst.worst_violation,
-        worst_point=worst.worst_point,
-        tolerance=tolerance,
-        passed=worst.worst_violation <= tolerance,
-        worst_lhs=worst.worst_lhs,
-        worst_rhs=worst.worst_rhs,
-    )
+        parts.append((xs, k.kappa, viol, gs, qs))
+    return _merge("theorem", parts, tolerance)
 
 
 def verify_lemma1(
@@ -181,51 +165,21 @@ def verify_lemma1(
         )
 
     # Region interiors; endpoints are tested separately for equality.
-    inner = np.linspace(cp.x1, cp.x2, n + 2)[1:-1]
     regions = [
         # expected sign: negative below x1, nonnegative inside, negative above
-        ("below", np.linspace(0.0, cp.x1, n, endpoint=False), +1.0),
-        ("inside", inner, -1.0),
-        ("above", np.geomspace(cp.x2, 10.0 * cp.x2, n + 1)[1:], +1.0),
+        (np.linspace(0.0, cp.x1, n, endpoint=False), +1.0),
+        (np.linspace(cp.x1, cp.x2, n + 2)[1:-1], -1.0),
+        (np.geomspace(cp.x2, 10.0 * cp.x2, n + 1)[1:], +1.0),
     ]
-    worst = None
-    points = 0
-    for _, xs, orient in regions:
+    parts = []
+    for xs, orient in regions:
         rel = lemma1_relation(xs, k)
-        viol = orient * rel  # positive where the expected sign is violated
-        points += xs.size
-        worst = _worse(
-            worst,
-            VerificationReport.build(
-                "lemma1", points, viol, xs, k.kappa, tolerance, rel, np.zeros_like(rel)
-            ),
-        )
+        # positive where the expected sign is violated
+        parts.append((xs, k.kappa, orient * rel, rel, np.zeros_like(rel)))
     for x_end in (cp.x1, cp.x2):
-        resid = abs(lemma1_relation(x_end, k))
-        worst = _worse(
-            worst,
-            VerificationReport.build(
-                "lemma1",
-                points + 1,
-                np.array([resid]),
-                np.array([x_end]),
-                k.kappa,
-                tolerance,
-                np.array([resid]),
-                np.array([0.0]),
-            ),
-        )
-        points += 1
-    return VerificationReport(
-        suite="lemma1",
-        points_checked=points,
-        worst_violation=worst.worst_violation,
-        worst_point=worst.worst_point,
-        tolerance=tolerance,
-        passed=worst.worst_violation <= tolerance,
-        worst_lhs=worst.worst_lhs,
-        worst_rhs=worst.worst_rhs,
-    )
+        resid = np.array([abs(lemma1_relation(x_end, k))])
+        parts.append((np.array([x_end]), k.kappa, resid, resid, np.zeros(1)))
+    return _merge("lemma1", parts, tolerance)
 
 
 def verify_lemma2(
@@ -244,9 +198,7 @@ def verify_lemma2(
     lhs_boyd = k.kappa * xs * boyd_lower(xs)
     viol = np.maximum(1.0 - lhs_mills, 1.0 - lhs_boyd)
     lhs = np.minimum(lhs_mills, lhs_boyd)
-    return VerificationReport.build(
-        "lemma2", xs.size, viol, xs, k.kappa, tolerance, lhs, np.ones_like(lhs)
-    )
+    return _merge("lemma2", [(xs, k.kappa, viol, lhs, np.ones_like(lhs))], tolerance)
 
 
 def verify_derivative(
@@ -261,35 +213,17 @@ def verify_derivative(
     for k in grid.kappas:
         if k.kappa <= 1.0:
             raise UsageError("verify_derivative requires kappa entries > 1")
-    worst = None
-    points = 0
+    parts = []
     for k in grid.kappas:
-        xs = grid.xs()
-        if 0.0 < k.kappa_minus_1 <= DEGENERATE_EPS:
-            xs = _degenerate_xs(k, grid.x_count)
+        xs = _kappa_xs(grid, k)
         xs = xs[xs >= h_step]  # f is defined for x >= 0 only
         if xs.size == 0:
             continue
         ident = df_dx_identity(xs, k)
         fd = (f_diff(xs + h_step, k) - f_diff(xs - h_step, k)) / (2.0 * h_step)
         err = np.abs(ident - fd) / np.maximum(1.0, np.abs(ident))
-        points += xs.size
-        worst = _worse(
-            worst,
-            VerificationReport.build(
-                "derivative", points, err, xs, k.kappa, tolerance, ident, fd
-            ),
-        )
-    return VerificationReport(
-        suite="derivative",
-        points_checked=points,
-        worst_violation=worst.worst_violation,
-        worst_point=worst.worst_point,
-        tolerance=tolerance,
-        passed=worst.worst_violation <= tolerance,
-        worst_lhs=worst.worst_lhs,
-        worst_rhs=worst.worst_rhs,
-    )
+        parts.append((xs, k.kappa, err, ident, fd))
+    return _merge("derivative", parts, tolerance)
 
 
 def verify_chernoff(
@@ -302,26 +236,49 @@ def verify_chernoff(
     xs = grid.xs()
     qs = q(xs)
     ch = chernoff_upper(xs)
-    viol = (qs - ch) / ch
-    return VerificationReport.build(
-        "chernoff", xs.size, viol, xs, math.nan, tolerance, qs, ch
-    )
+    return _merge("chernoff", [(xs, math.nan, (qs - ch) / ch, qs, ch)], tolerance)
+
+
+#: Every suite, in the order run_all and `qbound verify all` report them.
+SUITE_NAMES = ("theorem", "lemma1", "lemma2", "derivative", "chernoff")
+
+
+def run_suites(
+    names,
+    grid: EvaluationGrid,
+    explicit: bool = False,
+    tolerance: float = REL_TOL,
+    weight_inflation: float = 1.0,
+) -> list[VerificationReport]:
+    """The suite registry: reports of the named suites, in SUITE_NAMES order.
+
+    lemma1 and lemma2 run once per kappa, derivative once over all kappas.
+    These three are undefined at kappa = 1: unless the kappas were given
+    explicitly they skip it, otherwise it is a domain or usage error.
+    lemma2 checks 2000 points per kappa.  tolerance and weight_inflation
+    reach the theorem suite only.  chernoff runs on the grid only when it
+    is the one suite named, else on its own default grid.
+    """
+    kappas = grid.kappas if explicit else tuple(k for k in grid.kappas if k.kappa > 1.0)
+    reports = []
+    if "theorem" in names:
+        reports.append(verify_theorem(grid, tolerance, weight_inflation))
+    if "lemma1" in names:
+        reports += [verify_lemma1(k) for k in kappas]
+    if "lemma2" in names:
+        reports += [verify_lemma2(k, count=2000) for k in kappas]
+    if "derivative" in names and kappas:
+        reports.append(verify_derivative(dataclasses.replace(grid, kappas=kappas)))
+    if "chernoff" in names:
+        reports.append(verify_chernoff(grid if len(names) == 1 else None))
+    return reports
 
 
 def run_all(
     grid: EvaluationGrid | None = None, weight_inflation: float = 1.0
 ) -> list[VerificationReport]:
-    """Run every suite with its defaults; lemma suites run per kappa > 1."""
-    grid = grid or EvaluationGrid()
-    reports = [verify_theorem(grid, weight_inflation=weight_inflation)]
-    strict = [k for k in grid.kappas if k.kappa > 1.0]
-    for k in strict:
-        reports.append(verify_lemma1(k))
-        reports.append(verify_lemma2(k, count=2000))
-    if strict:
-        dgrid = EvaluationGrid(
-            grid.x_min, grid.x_max, grid.x_count, grid.spacing, tuple(strict)
-        )
-        reports.append(verify_derivative(dgrid))
-    reports.append(verify_chernoff())
-    return reports
+    """Run every suite through run_suites, skipping kappa = 1 where a suite
+    needs kappa > 1; the reports come in `qbound verify all` order."""
+    return run_suites(
+        SUITE_NAMES, grid or EvaluationGrid(), weight_inflation=weight_inflation
+    )

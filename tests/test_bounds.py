@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import oracles
 from qbound import (
     DomainError,
-    GaussianBoundSpec,
     KappaParam,
     alpha_coeff,
     boyd_lower,
@@ -45,23 +44,6 @@ class TestKappaParam:
 
     def test_boundary_accepted(self):
         assert KappaParam(1.0).kappa_minus_1 == 0.0
-
-
-class TestGaussianBoundSpec:
-    def test_family_member(self):
-        spec = GaussianBoundSpec.from_kappa(2.0)
-        assert spec.side == "lower"
-        assert spec.order == 1.0
-        assert 0.0 <= spec.weight < 0.5
-        assert spec(1.0) == pytest.approx(g_lower(1.0, 2.0), rel=1e-15)
-
-    def test_chernoff_member(self):
-        spec = GaussianBoundSpec.chernoff()
-        assert (spec.weight, spec.order, spec.side) == (0.5, 0.5, "upper")
-
-    def test_rejects_bad_side(self):
-        with pytest.raises(DomainError):
-            GaussianBoundSpec(0.1, 0.5, "sideways")
 
 
 class TestAlphaCoeff:

@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, deterministic output, CSV/JSON schema."""
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -51,12 +52,17 @@ class TestEval:
         assert rec["g_lower"] == bounds.g_lower(2.5, 3.0)
 
     def test_rel_gap_where_q_underflows(self):
-        # Q(40) underflows to 0; the gap is 1 - r/R, frozen from mpmath
-        code, text = run_cli("eval", "--x", "40", "--kappa", "1.0001", "--format", "json")
-        assert code == 0
-        rec = json.loads(text)[0]
-        assert rec["q_ref"] == 0.0
-        assert rec["rel_gap"] == pytest.approx(0.39089626811354, rel=1e-13)
+        # below the smallest normal double the gap is 1 - r/R, frozen from mpmath
+        for x, gap in [
+            ("38.0", 0.41678109871715955),  # Q subnormal, ~21 significant bits
+            ("38.4", 0.41155022073879299),  # Q subnormal, 4 significant bits
+            ("40", 0.39089626811354069),  # Q underflows to 0
+        ]:
+            code, text = run_cli("eval", "--x", x, "--kappa", "1.0001", "--format", "json")
+            assert code == 0
+            rec = json.loads(text)[0]
+            assert rec["q_ref"] < sys.float_info.min
+            assert rec["rel_gap"] == pytest.approx(gap, rel=1e-13), x
 
 
 class TestTable:
@@ -149,8 +155,27 @@ class TestVerifyCommand:
         assert "FAIL" in text
 
     def test_lemma1_with_kappa_one_exits_2(self):
-        code, _ = run_cli("verify", "lemma1", "--kappa", "1")
-        assert code == 2
+        # and every other suite that needs kappa > 1
+        for suite in ("lemma1", "lemma2", "derivative", "all"):
+            code, _ = run_cli("verify", suite, "--kappa", "1")
+            assert code == 2, suite
+
+    def test_all_matches_run_all(self):
+        # one suite registry: same reports, same order
+        code, text = run_cli("verify", "all", "--format", "json")
+        assert code == 0
+        want = [dataclasses.asdict(r) for r in qbound.run_all()]
+        for r in want:
+            r["worst_point"] = list(r["worst_point"])
+        assert text == json.dumps(want, indent=2) + "\n"
+
+    def test_chernoff_alone_uses_the_given_grid(self):
+        code, text = run_cli(
+            "verify", "chernoff", "--x-min", "0", "--x-max", "5", "--x-count", "11",
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(text)[0]["points_checked"] == 11
 
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -180,6 +205,14 @@ class TestOptimizeCommand:
         assert code == 0
         res = json.loads(text)
         assert res["objective"] == pytest.approx(0.39306, abs=1e-4)
+
+    def test_weight_inconsistency_exits_2(self, monkeypatch, capsys):
+        # a measured weight below the proven alpha is an error, not a traceback
+        monkeypatch.setattr(qbound.optimize, "alpha_coeff", lambda k: 1.0)
+        code, text = run_cli("optimize", "weight", "--kappa", "2")
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err.startswith("error: fatal inconsistency")
 
     def test_interval_bad_lo_exits_2(self):
         code, _ = run_cli("optimize", "interval", "--x-lo", "0", "--x-hi", "2")

@@ -144,6 +144,12 @@ class TestVerifyDerivative:
         with pytest.raises(UsageError):
             verify_derivative(g, h_step=1e-2)
 
+    def test_rejects_grid_without_positive_x(self):
+        # the closed form needs x >= h_step; no such point is a usage error
+        g = EvaluationGrid(x_min=-10.0, x_max=0.0, kappas=(2.0,))
+        with pytest.raises(UsageError):
+            verify_derivative(g)
+
 
 class TestVerifyChernoff:
     def test_default_passes(self):
