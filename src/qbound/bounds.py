@@ -70,10 +70,19 @@ class CriticalPoints:
 
 
 def alpha_coeff(k) -> float:
-    """Weight alpha(kappa) of the lower bound; 0 at kappa = 1, < 1/2 always."""
+    """Weight alpha(kappa) of the lower bound; 0 at kappa = 1, < 1/2 always.
+
+    (kappa-1)*c overflows past kappa ~ 7.5e153; only there is the weight
+    taken in the scaled form exp(1/c)/2 * sqrt(s*(s + 2/(pi*kappa))) with
+    s = (kappa-1)/kappa, in which nothing overflows up to the largest double.
+    """
     k = as_kappa(k)
     c = k.c
-    return math.exp(1.0 / c) / (2.0 * k.kappa) * math.sqrt(k.kappa_minus_1 * c / _PI)
+    prod = k.kappa_minus_1 * c
+    if prod < math.inf:
+        return math.exp(1.0 / c) / (2.0 * k.kappa) * math.sqrt(prod / _PI)
+    s = k.kappa_minus_1 / k.kappa
+    return 0.5 * math.exp(1.0 / c) * math.sqrt(s * (s + 2.0 / (_PI * k.kappa)))
 
 
 @elementwise()

@@ -1,23 +1,23 @@
 """Parameter selection for the bound family: best kappa at a point, the
 empirical maximal weight for a fixed order, and the best single kappa over
-an interval.  All searches are deterministic.
+an interval.  Each is an exact one-dimensional solve by bisection on an
+analytic slope; all are deterministic.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bounds import alpha_coeff, as_kappa, g_lower, x1_point
 from .errors import DomainError, QBoundError
-from .special import SQRT_2PI, mills_ratio, q
+from .special import SQRT_2PI, mills_ratio
 
 #: Search ceiling for kappa; the optimum drifts toward 1 for large x and
 #: toward infinity as x -> 0.
 KAPPA_MAX = 1e6
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: Search floor for kappa; the weight vanishes at kappa = 1.
+_KAPPA_MIN = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,8 @@ class OptimizationResult:
 
     argument is the optimal kappa or x depending on the operation; gap is
     the relative looseness (Q - g)/Q at the optimum where that is
-    meaningful, else None.  iterations counts golden-section steps for
-    kappa_star and interval_kappa, and slope evaluations of the bisection
-    for max_weight.
+    meaningful, else None.  iterations counts the steps of the bisection
+    behind each optimizer (for interval_kappa, of both endpoint solves).
     """
 
     argument: float
@@ -39,58 +38,59 @@ class OptimizationResult:
     message: str = ""
 
 
-def _golden_max(fn, a: float, b: float, tol: float):
-    """Golden-section maximization of fn on [a, b] to bracket width tol."""
-    h_w = b - a
-    if h_w <= tol:
-        m = 0.5 * (a + b)
-        return m, fn(m), 0
-    n = int(math.ceil(math.log(tol / h_w) / math.log(_INV_PHI)))
-    c = b - _INV_PHI * h_w
-    d = a + _INV_PHI * h_w
-    fc, fd = fn(c), fn(d)
-    for _ in range(n):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            h_w *= _INV_PHI
-            c = b - _INV_PHI * h_w
-            fc = fn(c)
+def _bisect(below, lo: float, hi: float):
+    """The point where the predicate below turns from true (at lo) to false
+    (at hi), bisected until the midpoint equals an endpoint.  Returns the
+    last midpoint and the number of predicate evaluations."""
+    evals = 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid, evals
+        evals += 1
+        if below(mid):
+            lo = mid
         else:
-            a, c, fc = c, d, fd
-            h_w *= _INV_PHI
-            d = a + _INV_PHI * h_w
-            fd = fn(d)
-    if fc > fd:
-        return c, fc, n
-    return d, fd, n
+            hi = mid
 
 
-def _coarse_then_golden(fn, lo: float, hi: float, n_coarse: int, tol: float):
-    """Log-spaced coarse scan over [lo, hi], then golden refinement of every
-    bracket where the discrete slope changes sign (the objective is only
-    assumed unimodal after the scan confirms it)."""
-    grid = np.geomspace(lo, hi, n_coarse)
-    vals = np.array([fn(g) for g in grid])
-    i_best = int(np.argmax(vals))
-    slope = np.sign(np.diff(vals))
-    brackets = [
-        i
-        for i in range(1, n_coarse - 1)
-        if slope[i - 1] > 0 and slope[i] < 0
-    ]
-    if i_best not in brackets:
-        brackets.append(i_best)
-    best = (grid[i_best], vals[i_best], 0)
-    iters = 0
-    for i in brackets:
-        a = grid[max(i - 1, 0)]
-        b = grid[min(i + 1, n_coarse - 1)]
-        arg, val, it = _golden_max(fn, a, b, tol)
-        iters += it
-        if val > best[1]:
-            best = (arg, val, iters)
-    at_edge = i_best in (0, n_coarse - 1)
-    return best[0], best[1], iters, at_edge
+def _gap(x: float, k) -> float:
+    """(Q - g)/Q at x > 0, as 1 - r/R with log(r/R) = log(sqrt(2*pi)*alpha)
+    - (kappa-1)*x**2/2 - log R(x), so neither Q nor g underflows."""
+    k = as_kappa(k)
+    log_ratio = (
+        math.log(SQRT_2PI * alpha_coeff(k))
+        - 0.5 * k.kappa_minus_1 * x * x
+        - math.log(mills_ratio(x))
+    )
+    return -math.expm1(log_ratio)
+
+
+def _kappa_root(x: float):
+    """(kappa, iterations, converged): the maximizer of g(x, kappa) over
+    [_KAPPA_MIN, KAPPA_MAX] for x > 0.
+
+    It is the root of the slope d/dkappa ln g = -pi/c**2 - 1/kappa +
+    1/(2(kappa-1)) + pi/(2c) - x**2/2, which changes sign once, from + to
+    -; bisection runs on log(kappa-1).  When the slope has one sign on the
+    whole range, the maximizer is the endpoint it points to and is reported
+    as not converged.
+    """
+
+    def slope(km1: float) -> float:
+        c = math.pi * km1 + 2.0
+        return (
+            -math.pi / (c * c) - 1.0 / (1.0 + km1) + 0.5 / km1 + 0.5 * math.pi / c
+            - 0.5 * x * x
+        )
+
+    lo, hi = _KAPPA_MIN - 1.0, KAPPA_MAX - 1.0
+    if slope(lo) <= 0.0:
+        return _KAPPA_MIN, 0, False
+    if slope(hi) >= 0.0:
+        return KAPPA_MAX, 0, False
+    t, evals = _bisect(lambda t: slope(math.exp(t)) > 0.0, math.log(lo), math.log(hi))
+    return 1.0 + math.exp(t), evals, True
 
 
 def kappa_star(x: float) -> OptimizationResult:
@@ -111,20 +111,13 @@ def kappa_star(x: float) -> OptimizationResult:
             converged=False,
             message="supremum at x=0 is approached only as kappa -> inf",
         )
-
-    def objective(kap: float) -> float:
-        return g_lower(x, kap)
-
-    arg, val, iters, at_edge = _coarse_then_golden(
-        objective, 1.0 + 1e-9, KAPPA_MAX, 600, 1e-8
-    )
-    qx = q(x)
+    kappa, iters, converged = _kappa_root(x)
     return OptimizationResult(
-        argument=arg,
-        objective=val,
-        gap=(qx - val) / qx,
+        argument=kappa,
+        objective=g_lower(x, kappa),
+        gap=_gap(x, kappa),
         iterations=iters,
-        converged=not at_edge,
+        converged=converged,
     )
 
 
@@ -143,17 +136,9 @@ def max_weight(k) -> OptimizationResult:
     k = as_kappa(k)
     if k.kappa <= 1.0:
         raise DomainError("max_weight requires kappa > 1")
-    lo, hi = 0.0, x1_point(k)
-    evals = 0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        evals += 1
-        if k.kappa * mid * mills_ratio(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
+    mid, evals = _bisect(
+        lambda x: k.kappa * x * mills_ratio(x) < 1.0, 0.0, x1_point(k)
+    )
     phi = math.log(mills_ratio(mid) / SQRT_2PI) + 0.5 * k.kappa_minus_1 * mid * mid
     alpha_max = math.exp(phi)
     alpha = alpha_coeff(k)
@@ -171,35 +156,37 @@ def max_weight(k) -> OptimizationResult:
     )
 
 
-def interval_kappa(x_lo: float, x_hi: float, n_grid: int = 512) -> OptimizationResult:
+def interval_kappa(x_lo: float, x_hi: float) -> OptimizationResult:
     """The single kappa minimizing the worst relative gap
     sup over [x_lo, x_hi] of (Q(x) - g(x, kappa))/Q(x).
 
-    The inner sup runs over a log-spaced grid of at least 512 points; the
-    outer minimization is a coarse scan plus golden-section refinement.
+    The sup is exact and attained at an endpoint: the gap grows with
+    h(x) = (kappa-1)*x**2/2 + log R(x), and h'(x) = (kappa*x*R(x) - 1)/R(x)
+    changes sign once, from - to +, so h has no interior maximum.  The two
+    endpoint gaps cross at kc = 1 + 2*(log R(x_lo) - log R(x_hi)) /
+    (x_hi**2 - x_lo**2); each is minimized at its own kappa_star, so the
+    minimax kappa is kc clipped to [kappa_star(x_hi), kappa_star(x_lo)].
     """
     x_lo, x_hi = float(x_lo), float(x_hi)
     if not (math.isfinite(x_lo) and math.isfinite(x_hi)):
         raise DomainError("interval endpoints must be finite")
     if x_lo <= 0.0 or x_hi < x_lo:
         raise DomainError(f"need 0 < x_lo <= x_hi, got [{x_lo}, {x_hi}]")
-    n_grid = max(int(n_grid), 512)
-    xs = np.geomspace(x_lo, x_hi, n_grid)
-    qs = q(xs)
-
-    def worst_gap(kap: float) -> float:
-        return float(np.max((qs - g_lower(xs, kap)) / qs))
-
-    def objective(kap: float) -> float:
-        return -worst_gap(kap)
-
-    arg, neg_val, iters, at_edge = _coarse_then_golden(
-        objective, 1.0 + 1e-9, KAPPA_MAX, 400, 1e-8
-    )
+    kappa, iters, converged = _kappa_root(x_lo)  # the upper clip
+    if x_hi > x_lo:
+        k_hi, iters_hi, conv_hi = _kappa_root(x_hi)
+        iters += iters_hi
+        log_drop = math.log(mills_ratio(x_lo)) - math.log(mills_ratio(x_hi))
+        kc = 1.0 + 2.0 * log_drop / ((x_hi - x_lo) * (x_hi + x_lo))
+        if kc <= k_hi:
+            kappa, converged = k_hi, conv_hi
+        elif kc < kappa:
+            kappa, converged = kc, True
+    worst = max(_gap(x_lo, kappa), _gap(x_hi, kappa))
     return OptimizationResult(
-        argument=arg,
-        objective=-neg_val,
-        gap=-neg_val,
+        argument=kappa,
+        objective=worst,
+        gap=worst,
         iterations=iters,
-        converged=not at_edge,
+        converged=converged,
     )

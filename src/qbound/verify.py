@@ -89,15 +89,16 @@ class VerificationReport:
 
 def _merge(suite: str, parts, tolerance: float) -> VerificationReport:
     """One report over parts (xs, kappa, violations, lhs, rhs), all arrays
-    but kappa.  A part's worst point is the argmax of its violations; across
-    parts the first strictly greater violation wins, so a nan in a later
-    part does not displace an earlier worst."""
+    but kappa.  A part's worst point is the argmax of its violations, which
+    is its first nan if it has one; across parts a nan is worse than any
+    number, and otherwise the first strictly greater violation wins."""
     points, worst = 0, None
     for xs, kappa, viol, lhs, rhs in parts:
         i = int(np.argmax(viol))
         points += xs.size
-        if worst is None or viol[i] > worst[0]:
-            worst = (float(viol[i]), (float(xs[i]), float(kappa)), float(lhs[i]), float(rhs[i]))
+        v = float(viol[i])
+        if worst is None or v > worst[0] or (math.isnan(v) and not math.isnan(worst[0])):
+            worst = (v, (float(xs[i]), float(kappa)), float(lhs[i]), float(rhs[i]))
     if worst is None:
         raise UsageError(f"the {suite} suite has no point to check on this grid")
     v, point, lhs_i, rhs_i = worst

@@ -72,6 +72,16 @@ class TestAlphaCoeff:
         with pytest.raises(DomainError):
             alpha_coeff(0.99)
 
+    def test_huge_kappa_matches_mpmath(self):
+        # (kappa-1)*c overflows past kappa ~ 7.5e153 and c itself past ~5.7e307
+        mp = pytest.importorskip("mpmath")
+        for kappa in (1e200, 1e300, 1.7976931348623157e308):
+            with mp.workdps(40):
+                k = mp.mpf(kappa)
+                c = mp.pi * (k - 1) + 2
+                expected = float(mp.exp(1 / c) / (2 * k) * mp.sqrt((k - 1) * c / mp.pi))
+            assert alpha_coeff(kappa) == pytest.approx(expected, rel=1e-15)
+
 
 class TestGLower:
     def test_trivial_kappa(self):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from qbound import (
@@ -12,8 +14,38 @@ from qbound import (
     interval_kappa,
     kappa_star,
     max_weight,
+    mills_ratio,
     q,
 )
+
+SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def tail_gaps(xs, kappa):
+    """(Q - g)/Q at xs > 0, as 1 - r/R through logarithms, where neither Q
+    nor g underflows."""
+    log_ratio = (
+        math.log(SQRT_2PI * alpha_coeff(kappa))
+        - 0.5 * (kappa - 1.0) * xs * xs
+        - np.log(mills_ratio(xs))
+    )
+    return -np.expm1(log_ratio)
+
+
+def g_lower_call_ndims(monkeypatch):
+    """The list the ndim of x of every call to g_lower from qbound.optimize
+    is recorded in."""
+    import qbound.optimize as opt
+
+    calls = []
+    real = opt.g_lower
+
+    def counted(x, k):
+        calls.append(np.ndim(x))
+        return real(x, k)
+
+    monkeypatch.setattr(opt, "g_lower", counted)
+    return calls
 
 
 class TestKappaStar:
@@ -66,6 +98,20 @@ class TestKappaStar:
         with pytest.raises(DomainError):
             kappa_star(-1.0)
 
+    def test_deep_tail_matches_mpmath(self):
+        # Q(50) and g underflow; frozen from mpmath at 40 digits: the root
+        # of the kappa-slope of ln g and 1 - r/R there
+        res = kappa_star(50.0)
+        assert res.converged
+        assert res.argument == pytest.approx(1.0003996805407757076, rel=1e-14)
+        assert res.gap == pytest.approx(6.0991300580838724e-08, abs=1e-15)
+        assert res.objective == 0.0
+
+    def test_cost_is_one_bisection(self, monkeypatch):
+        calls = g_lower_call_ndims(monkeypatch)
+        assert kappa_star(1.0).iterations <= 64
+        assert calls == [0]  # the objective at the optimum, nothing else
+
 
 class TestMaxWeight:
     def test_anchor_at_two(self):
@@ -92,6 +138,11 @@ class TestMaxWeight:
     def test_rejects_kappa_one(self):
         with pytest.raises(DomainError):
             max_weight(1.0)
+
+    def test_huge_kappa(self):
+        # (kappa-1)*c overflows here; alpha_max -> 1/2 as kappa -> inf
+        for kappa in (1e200, 1e300):
+            assert max_weight(kappa).objective == pytest.approx(0.5, rel=1e-15)
 
     def test_near_one_matches_mpmath(self):
         # Q(root) underflows here, so the objective must be taken in log space
@@ -154,3 +205,36 @@ class TestIntervalKappa:
             interval_kappa(0.0, 1.0)
         with pytest.raises(DomainError):
             interval_kappa(2.0, 1.0)
+
+    def test_deep_tail_matches_mpmath(self):
+        # frozen from mpmath at 40 digits: the endpoint gaps cross at kc,
+        # inside [kappa_star(60), kappa_star(30)], where both equal the value
+        res = interval_kappa(30.0, 60.0)
+        assert res.converged
+        assert res.argument == pytest.approx(1.0005128272031288456, rel=1e-14)
+        assert res.objective == pytest.approx(0.11020586743738304, abs=1e-12)
+
+    def test_no_array_evaluations(self, monkeypatch):
+        calls = g_lower_call_ndims(monkeypatch)
+        interval_kappa(0.5, 3.0)
+        assert max(calls, default=0) == 0
+
+    @given(
+        st.floats(min_value=-3.0, max_value=2.0),
+        st.floats(min_value=-2.0, max_value=1.0),
+        st.floats(min_value=-6.0, max_value=3.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_grid_sup_is_at_an_endpoint(self, lo_log10, width_log10, km1_log10):
+        x_lo = 10.0**lo_log10
+        xs = np.geomspace(x_lo, x_lo * (1.0 + 10.0**width_log10), 512)
+        gaps = tail_gaps(xs, 1.0 + 10.0**km1_log10)
+        assert gaps.max() == pytest.approx(max(gaps[0], gaps[-1]), abs=1e-14)
+
+    @pytest.mark.parametrize("x_lo, x_hi", [(0.05, 0.2), (0.5, 3.0), (2.0, 8.0), (30.0, 60.0)])
+    def test_dense_scan_dominance(self, x_lo, x_hi):
+        res = interval_kappa(x_lo, x_hi)
+        xs = np.geomspace(x_lo, x_hi, 512)
+        kappas = 1.0 + np.geomspace(1e-5, 1e3, 4001)
+        scan = [tail_gaps(xs, kappa).max() for kappa in kappas]
+        assert res.objective <= min(scan) + 1e-12

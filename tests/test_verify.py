@@ -17,6 +17,7 @@ from qbound import (
     verify_theorem,
     x1_point,
 )
+from qbound import verify
 
 
 class TestEvaluationGrid:
@@ -76,6 +77,23 @@ class TestVerifyTheorem:
         r = verify_theorem(g, weight_inflation=1.0 + 1e-6)
         assert not r.passed
         assert r.worst_violation > r.tolerance
+
+    def test_report_independent_of_kappa_order(self):
+        # at kappa = 1e200, (kappa-1)*c overflows inside alpha_coeff
+        a = verify_theorem(EvaluationGrid(kappas=(2.0, 1e200)))
+        b = verify_theorem(EvaluationGrid(kappas=(1e200, 2.0)))
+        assert a == b
+        assert a.passed
+
+    def test_nan_in_any_part_is_the_worst(self):
+        xs = np.array([0.0, 1.0])
+        finite = (xs, 2.0, np.array([-0.5, 0.25]), xs, xs)
+        with_nan = (xs, 3.0, np.array([-1.0, math.nan]), xs, xs)
+        for parts in ([finite, with_nan], [with_nan, finite]):
+            r = verify._merge("theorem", parts, verify.REL_TOL)
+            assert math.isnan(r.worst_violation)
+            assert not r.passed
+            assert r.worst_point == (1.0, 3.0)
 
     def test_detection_floor_on_default_sweep(self):
         # on the default kappas the thinnest gap is ~3.5e-4, so 1e-6
