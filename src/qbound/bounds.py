@@ -89,10 +89,17 @@ def alpha_coeff(k) -> float:
 def g_lower(x, k):
     """The lower bound g(x, kappa) = alpha(kappa) * exp(-kappa * x**2 / 2).
 
-    Even in x; g <= Q everywhere for every kappa >= 1.
+    Even in x; g <= Q everywhere for every kappa >= 1.  Where kappa*x*x
+    overflows, g is 0 without a warning: past kappa*x**2/2 = 750 the
+    exponential is already 0, so a scalar |x| is capped there, and on
+    arrays the overflow is ignored (it only ever makes the exponent -inf).
     """
     k = as_kappa(k)
-    return alpha_coeff(k) * np.exp(-0.5 * k.kappa * x * x)
+    if x.ndim == 0:
+        x = min(abs(x), math.sqrt(1500.0 / k.kappa))
+        return alpha_coeff(k) * np.exp(-0.5 * k.kappa * x * x)
+    with np.errstate(over="ignore"):
+        return alpha_coeff(k) * np.exp(-0.5 * k.kappa * x * x)
 
 
 @elementwise(sign=1)
@@ -114,9 +121,18 @@ def f_diff(x, k):
 
 
 def x1_point(k) -> float:
-    """Closed-form smaller critical point x1 = sqrt(2) / sqrt((kappa-1)*c)."""
+    """Closed-form smaller critical point x1 = sqrt(2) / sqrt((kappa-1)*c).
+
+    Where (kappa-1)*c overflows (kappa > ~7.5e153), x1 is taken as
+    sqrt(2/(pi + 2/(kappa-1))) / (kappa-1), the same value scaled by
+    kappa-1, in which nothing overflows up to the largest double.
+    """
     k = _require_strict(as_kappa(k), "x1_point")
-    return math.sqrt(2.0 / (k.kappa_minus_1 * k.c))
+    m = k.kappa_minus_1
+    prod = m * k.c
+    if prod < math.inf:
+        return math.sqrt(2.0 / prod)
+    return math.sqrt(2.0 / (_PI + 2.0 / m)) / m
 
 
 def _t_param(k: KappaParam) -> float:

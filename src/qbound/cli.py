@@ -27,7 +27,8 @@ _CSV_ROW = ",".join(["%.17g"] * len(CSV_FIELDS)) + "\n"
 _TEXT_ROW = "".join(f"{f} = %.17g\n" for f in CSV_FIELDS)
 _JSON_ROW = "  {\n" + ",\n".join(f'    "{f}": %r' for f in CSV_FIELDS) + "\n  }"
 
-_TINY = np.finfo(float).tiny  # the smallest normal double
+#: rel_gap is 1 - r/R past this x and (Q - g)/Q up to it.
+_GAP_SPLIT = 20.0
 
 
 def _fmt(v: float) -> str:
@@ -38,10 +39,11 @@ def make_record(xs, kappa) -> np.ndarray:
     """Comparison rows for an x array at one kappa, one column per CSV field.
 
     The columns that only exist for x >= 0 (Boyd on Q-scale, Chernoff upper)
-    are NaN for negative x.  Where Q is subnormal or 0 (x > ~37.5), (Q-g)/Q
-    has lost its significant bits, so rel_gap is evaluated as
+    are NaN for negative x.  For x > _GAP_SPLIT, rel_gap is evaluated as
     1 - r/R = 1 - alpha*exp(-(kappa-1)*x**2/2)/(R/sqrt(2*pi)), in which
-    nothing underflows.
+    nothing underflows; (Q-g)/Q carries the rounding of x*x in both
+    exponentials there (~1.4e-13 relative at x = 37.5), and Q itself is
+    subnormal past ~37.5 and 0 past ~38.6.
     """
     k = bounds.as_kappa(kappa)
     xs = np.array(xs, dtype=float, ndmin=1)
@@ -55,12 +57,12 @@ def make_record(xs, kappa) -> np.ndarray:
     pos = xs >= 0.0
     rows[pos, 4] = bounds.boyd_lower_q(xs[pos])
     rows[pos, 5] = bounds.chernoff_upper(xs[pos])
-    ok = qx >= _TINY
-    rows[ok, 6] = (qx[ok] - gx[ok]) / qx[ok]
-    if not ok.all():
-        xu = xs[~ok]
-        r = bounds.alpha_coeff(k) * np.exp(-0.5 * k.kappa_minus_1 * xu * xu)
-        rows[~ok, 6] = 1.0 - r / (mills_ratio(xu) / SQRT_2PI)
+    tail = xs > _GAP_SPLIT
+    rows[~tail, 6] = (qx[~tail] - gx[~tail]) / qx[~tail]
+    if tail.any():
+        xt = xs[tail]
+        r = bounds.alpha_coeff(k) * np.exp(-0.5 * k.kappa_minus_1 * xt * xt)
+        rows[tail, 6] = 1.0 - r / (mills_ratio(xt) / SQRT_2PI)
     return rows
 
 

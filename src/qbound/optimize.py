@@ -1,7 +1,8 @@
 """Parameter selection for the bound family: best kappa at a point, the
 empirical maximal weight for a fixed order, and the best single kappa over
-an interval.  Each is an exact one-dimensional solve by bisection on an
-analytic slope; all are deterministic.
+an interval.  Each is an exact one-dimensional solve on an analytic slope:
+Newton on ln F for the best kappa, bisection for the weight; all are
+deterministic.
 """
 from __future__ import annotations
 
@@ -19,6 +20,9 @@ KAPPA_MAX = 1e6
 #: Search floor for kappa; the weight vanishes at kappa = 1.
 _KAPPA_MIN = 1.0 + 1e-9
 
+#: One ulp of 1.0.
+_EPS = 2.0**-52
+
 
 @dataclass(frozen=True)
 class OptimizationResult:
@@ -26,8 +30,10 @@ class OptimizationResult:
 
     argument is the optimal kappa or x depending on the operation; gap is
     the relative looseness (Q - g)/Q at the optimum where that is
-    meaningful, else None.  iterations counts the steps of the bisection
-    behind each optimizer (for interval_kappa, of both endpoint solves).
+    meaningful, else None.  iterations counts the slope evaluations of the
+    solve behind each optimizer: Newton steps for kappa_star and
+    interval_kappa (of both endpoint solves), bisection steps for
+    max_weight.
     """
 
     argument: float
@@ -66,30 +72,63 @@ def _gap(x: float, k) -> float:
     return -math.expm1(log_ratio)
 
 
+#: The kappa-slope of ln g is F(kappa-1) - x**2/2, with c = pi*m + 2 and
+#: F(m) = N(m) / (2m(1+m)c**2), N(m) = _N2*m**2 + _N1*m + 4.
+_N2 = 2.0 * math.pi * (math.pi - 2.0)
+_N1 = 4.0 * (math.pi - 1.0)
+
+
+def _f(m: float):
+    """(F(m), d ln F / d ln m).  Every term of either is positive, so
+    neither cancels; the log-derivative lies in (-2, -1)."""
+    c = math.pi * m + 2.0
+    n = (_N2 * m + _N1) * m + 4.0
+    f = n / (2.0 * m * (1.0 + m) * c * c)
+    return f, m * (2.0 * _N2 * m + _N1) / n - 1.0 - m / (1.0 + m) - 2.0 * math.pi * m / c
+
+
 def _kappa_root(x: float):
     """(kappa, iterations, converged): the maximizer of g(x, kappa) over
     [_KAPPA_MIN, KAPPA_MAX] for x > 0.
 
-    It is the root of the slope d/dkappa ln g = -pi/c**2 - 1/kappa +
-    1/(2(kappa-1)) + pi/(2c) - x**2/2, which changes sign once, from + to
-    -; bisection runs on log(kappa-1).  When the slope has one sign on the
-    whole range, the maximizer is the endpoint it points to and is reported
-    as not converged.
+    It is the root of the slope d/dkappa ln g = F(kappa-1) - x**2/2.  F
+    falls from inf to 0, so the slope changes sign once, from + to -.
+    Newton solves ln F(e**t) = ln(x**2/2) in t = ln(kappa-1), from the
+    asymptotes F ~ 1/(2m) for small m and F ~ (pi-2)/(pi*m**2) for large m.
+    The root stays bracketed: a step that would leave the bracket bisects
+    it instead.  The solve stops when the step or the bracket is a few ulps
+    of t wide, never on a step count; iterations counts the Newton steps.
+    When the slope has one sign on the whole range, the maximizer is the
+    endpoint it points to and is reported as not converged.
     """
-
-    def slope(km1: float) -> float:
-        c = math.pi * km1 + 2.0
-        return (
-            -math.pi / (c * c) - 1.0 / (1.0 + km1) + 0.5 / km1 + 0.5 * math.pi / c
-            - 0.5 * x * x
-        )
-
-    lo, hi = _KAPPA_MIN - 1.0, KAPPA_MAX - 1.0
-    if slope(lo) <= 0.0:
+    y = 0.5 * x * x
+    if _f(_KAPPA_MIN - 1.0)[0] <= y:
         return _KAPPA_MIN, 0, False
-    if slope(hi) >= 0.0:
+    if _f(KAPPA_MAX - 1.0)[0] >= y:
         return KAPPA_MAX, 0, False
-    t, evals = _bisect(lambda t: slope(math.exp(t)) > 0.0, math.log(lo), math.log(hi))
+    lo, hi = math.log(_KAPPA_MIN - 1.0), math.log(KAPPA_MAX - 1.0)
+    ln_y = math.log(y)
+    guess = min(-math.log(2.0 * y), 0.5 * math.log((math.pi - 2.0) / (math.pi * y)))
+    t, evals = min(max(guess, lo), hi), 0
+    while True:
+        f, dlnf = _f(math.exp(t))
+        evals += 1
+        phi = math.log(f) - ln_y
+        if phi == 0.0:
+            break
+        if phi > 0.0:
+            lo = t
+        else:
+            hi = t
+        t_new = t - phi / dlnf
+        tol = 4.0 * _EPS * max(1.0, abs(t))
+        if abs(t_new - t) <= tol:
+            if lo <= t_new <= hi:
+                t = t_new
+            break
+        if hi - lo <= tol:
+            break
+        t = t_new if lo < t_new < hi else 0.5 * (lo + hi)
     return 1.0 + math.exp(t), evals, True
 
 

@@ -94,7 +94,7 @@ def _merge(suite: str, parts, tolerance: float) -> VerificationReport:
     number, and otherwise the first strictly greater violation wins."""
     points, worst = 0, None
     for xs, kappa, viol, lhs, rhs in parts:
-        i = int(np.argmax(viol))
+        i = int(viol.argmax())
         points += xs.size
         v = float(viol[i])
         if worst is None or v > worst[0] or (math.isnan(v) and not math.isnan(worst[0])):
@@ -107,12 +107,12 @@ def _merge(suite: str, parts, tolerance: float) -> VerificationReport:
     )
 
 
-def _kappa_xs(grid: EvaluationGrid, k: KappaParam) -> np.ndarray:
-    """The grid's x values, or for kappa - 1 <= DEGENERATE_EPS a multiplicative
-    grid of the same size around the pivot 1/sqrt(kappa-1)."""
+def _kappa_xs(xs: np.ndarray, k: KappaParam) -> np.ndarray:
+    """The grid's x values xs, or for kappa - 1 <= DEGENERATE_EPS a
+    multiplicative grid of the same size around the pivot 1/sqrt(kappa-1)."""
     if 0.0 < k.kappa_minus_1 <= DEGENERATE_EPS:
-        return (1.0 / math.sqrt(k.kappa_minus_1)) * np.geomspace(1e-3, 1e3, grid.x_count)
-    return grid.xs()
+        return (1.0 / math.sqrt(k.kappa_minus_1)) * np.geomspace(1e-3, 1e3, xs.size)
+    return xs
 
 
 def verify_theorem(
@@ -126,19 +126,30 @@ def verify_theorem(
     suite must detect a corrupted bound, not merely avoid crashing.
     """
     grid = grid or EvaluationGrid()
+    grid_xs = grid.xs()
+    shared = _q_terms(grid_xs)  # one Q pass for every kappa that keeps the grid
     parts = []
     for k in grid.kappas:
-        xs = _kappa_xs(grid, k)
-        qs = q(xs)
+        xs = _kappa_xs(grid_xs, k)
+        qs, safe, zero = shared if xs is grid_xs else _q_terms(xs)
         gs = weight_inflation * g_lower(xs, k)
-        # deep-tail points where Q underflows to 0: the bound must have
-        # underflowed too (g <= Q); count them as full margin, not 0/0
-        safe = np.where(qs > 0.0, qs, 1.0)
-        viol = np.where(
-            qs > 0.0, (gs - qs) / safe, np.where(gs > 0.0, math.inf, -1.0)
-        )
+        viol = (gs - qs) / safe
+        if zero is not None:
+            # deep-tail points where Q underflows to 0: the bound must have
+            # underflowed too (g <= Q); count them as full margin, not 0/0
+            viol[zero] = np.where(gs[zero] > 0.0, math.inf, -1.0)
         parts.append((xs, k.kappa, viol, gs, qs))
     return _merge("theorem", parts, tolerance)
+
+
+def _q_terms(xs: np.ndarray):
+    """(Q(xs), Q with its zeros replaced by 1, the mask of those zeros or
+    None if there is none): what the theorem check divides by."""
+    qs = q(xs)
+    zero = qs <= 0.0
+    if not zero.any():
+        return qs, qs, None
+    return qs, np.where(zero, 1.0, qs), zero
 
 
 def verify_lemma1(
@@ -214,9 +225,10 @@ def verify_derivative(
     for k in grid.kappas:
         if k.kappa <= 1.0:
             raise UsageError("verify_derivative requires kappa entries > 1")
+    grid_xs = grid.xs()
     parts = []
     for k in grid.kappas:
-        xs = _kappa_xs(grid, k)
+        xs = _kappa_xs(grid_xs, k)
         xs = xs[xs >= h_step]  # f is defined for x >= 0 only
         if xs.size == 0:
             continue

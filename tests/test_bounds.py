@@ -106,6 +106,13 @@ class TestGLower:
         qx = q(x)
         assert g_lower(x, kappa) - qx <= 1e-13 * qx
 
+    def test_zero_without_warning_where_exponent_overflows(self):
+        # kappa*x*x overflows here; Tier-1 turns a RuntimeWarning into an error
+        for x, kappa in [(1e155, 2.0), (-1e200, 2.0), (1.7e308, 1.5), (10.0, 1e307)]:
+            assert g_lower(x, kappa) == 0.0
+            assert g_lower(np.array([x, 1.0]), kappa)[0] == 0.0
+        assert g_lower(np.array([1e155, 1.0]), 2.0)[1] == g_lower(1.0, 2.0)
+
 
 class TestRScaled:
     def test_at_origin(self):
@@ -176,6 +183,15 @@ class TestCriticalPoints:
         assert x1 == pytest.approx(math.sqrt(2.0 / (math.pi + 2.0)), rel=1e-15)
         # w1 = x1^2*(1-kappa) solves the crossing relation with equality
         assert abs(crossing_condition(x1, 2.0)) < 1e-14
+
+    def test_x1_huge_kappa_matches_mpmath(self):
+        # frozen from mpmath at 50 digits; (kappa-1)*c overflows past ~7.5e153
+        for kappa, x1 in [
+            (1e200, 7.978845608028653800e-201),
+            (1e300, 7.978845608028653140e-301),
+            (1.7976931348623157e308, 4.438380195872388862e-309),  # subnormal
+        ]:
+            assert x1_point(kappa) == pytest.approx(x1, rel=1e-15, abs=5e-324)
 
     def test_x1_near_degenerate_leading_term(self):
         kappa = 1.0 + 1e-6

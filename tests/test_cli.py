@@ -65,6 +65,16 @@ class TestEval:
             assert rec["rel_gap"] == pytest.approx(gap, rel=1e-13), x
 
 
+    def test_rel_gap_in_the_normal_tail(self):
+        # Q is normal at 37.5, but (Q - g)/Q carries the rounding of x*x in
+        # both exponentials (1.4e-13 off); frozen from mpmath
+        code, text = run_cli("eval", "--x", "37.5", "--kappa", "1.0001", "--format", "json")
+        assert code == 0
+        rec = json.loads(text)[0]
+        assert rec["q_ref"] > sys.float_info.min
+        assert rec["rel_gap"] == pytest.approx(0.42335698215619147, rel=1e-14, abs=0.0)
+
+
 class TestTable:
     def test_row_count(self):
         code, text = run_cli(

@@ -107,6 +107,23 @@ class TestKappaStar:
         assert res.gap == pytest.approx(6.0991300580838724e-08, abs=1e-15)
         assert res.objective == 0.0
 
+    def test_small_x_matches_mpmath(self):
+        # frozen from bench/reference.kappa_star_ref at 40 digits; here the
+        # slope's terms are ~1/kappa and cancel to ~1/kappa**2
+        for x, expected in [(1e-4, 8525.485210949692354), (1e-3, 852.96325525689440946)]:
+            res = kappa_star(x)
+            assert res.converged
+            assert res.argument == pytest.approx(expected, rel=1e-13)
+
+    def test_newton_steps_on_a_log_sweep(self):
+        solved = 0
+        for x in np.geomspace(1e-4, 1e8, 241):
+            res = kappa_star(float(x))
+            if res.converged:  # else the root is clipped to an end
+                solved += 1
+                assert res.iterations <= 8, x
+        assert solved > 150
+
     def test_cost_is_one_bisection(self, monkeypatch):
         calls = g_lower_call_ndims(monkeypatch)
         assert kappa_star(1.0).iterations <= 64
@@ -162,6 +179,12 @@ class TestMaxWeight:
         res = max_weight(kappa)
         assert res.converged
         assert res.objective == pytest.approx(expected, rel=1e-9)
+
+    def test_huge_kappa_argument(self):
+        # x1 no longer underflows to 0 there, so the root is bisected
+        res = max_weight(1e200)
+        assert res.argument == pytest.approx(7.978845608028654e-201, rel=1e-14, abs=0.0)
+        assert 40 <= res.iterations <= 64
 
     def test_iterations_count_slope_evaluations(self, monkeypatch):
         import qbound.optimize as opt

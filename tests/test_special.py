@@ -1,12 +1,14 @@
 """Tests for the special-function kernels."""
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from qbound import bounds, special
 from qbound import (
     BRANCH_POINT,
     DomainError,
@@ -19,6 +21,36 @@ from qbound import (
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+# Every kernel behind special.elementwise, and whether it takes a kappa.
+ELEMENTWISE = [
+    (special.q, False),
+    (special.mills_ratio, False),
+    (special.h, False),
+    (bounds.g_lower, True),
+    (bounds.r_scaled, True),
+    (bounds.f_diff, True),
+    (bounds.crossing_condition, True),
+    (bounds.lemma1_relation, True),
+    (bounds.df_dx_identity, True),
+    (bounds.boyd_lower, False),
+    (bounds.chernoff_upper, False),
+    (bounds.boyd_lower_q, False),
+]
+
+
+def _outcome(fn, x, args, one):
+    """(value bits or exception type and message, warning categories) of
+    fn(x, *args); one picks the single element out of an array result."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn(x, *args)
+            value = np.float64(one(out)).tobytes()
+        except Exception as exc:  # compared by type and message below
+            value = (type(exc), str(exc))
+    return value, sorted({w.category.__name__ for w in caught})
 
 
 class TestQRef:
@@ -165,3 +197,40 @@ class TestLambertW:
     def test_residual_property_principal(self, z):
         w = lambert_w(z, LambertBranch.PRINCIPAL)
         assert abs(w * math.exp(w) - z) <= 1e-14 * max(abs(z), 1e-300)
+
+
+class TestElementwiseGuard:
+    @given(
+        st.one_of(
+            st.floats(min_value=-40.0, max_value=40.0),
+            st.floats(allow_nan=True, allow_infinity=True),  # the tail and non-finite x
+        ),
+        st.one_of(
+            st.floats(min_value=-12.0, max_value=300.0).map(lambda e: 1.0 + 10.0**e),
+            st.floats(min_value=0.5, max_value=1e300),  # kappa < 1 is a domain error
+            st.just(1.0),
+        ),
+    )
+    @example(math.nan, 2.0)
+    @example(-math.inf, 2.0)
+    @example(-1.0, 2.0)
+    @example(1e155, 2.0)
+    @example(1e300, 1e300)
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_0d_and_1d_agree(self, x, kappa):
+        # a 0-d x takes the scalar branch of the guard, a 1-element array
+        # the array branch: same bits, exception and warning category
+        for fn, takes_kappa in ELEMENTWISE:
+            args = (kappa,) if takes_kappa else ()
+            scalar = _outcome(fn, x, args, lambda out: out)
+            assert _outcome(fn, np.array(x), args, lambda out: out) == scalar, fn.__name__
+            one = _outcome(fn, np.array([x]), args, lambda out: out[0])
+            assert one == scalar, fn.__name__
+
+    def test_scalar_result_is_a_python_float(self):
+        for fn, takes_kappa in ELEMENTWISE:
+            args = (2.0,) if takes_kappa else ()
+            x = -0.5 if fn is special.h else 0.5
+            assert type(fn(x, *args)) is float
+            assert type(fn(np.float64(x), *args)) is float
+            assert fn(np.array([x]), *args).shape == (1,)

@@ -85,6 +85,16 @@ class TestVerifyTheorem:
         assert a == b
         assert a.passed
 
+    def test_one_q_pass_for_the_shared_grid(self, monkeypatch):
+        sizes = []
+        real = verify.q
+        monkeypatch.setattr(verify, "q", lambda xs: sizes.append(xs.size) or real(xs))
+        grid = EvaluationGrid(x_count=101, kappas=(1.0, 1.5, 1.0 + 1e-10, 2.0, 10.0))
+        report = verify_theorem(grid)
+        # one pass over the grid, one over the near-degenerate kappa's own grid
+        assert sizes == [101, 101]
+        assert report.points_checked == 5 * 101
+
     def test_nan_in_any_part_is_the_worst(self):
         xs = np.array([0.0, 1.0])
         finite = (xs, 2.0, np.array([-0.5, 0.25]), xs, xs)
