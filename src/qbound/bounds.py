@@ -12,9 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .special import SQRT_2PI, LambertBranch, elementwise, lambert_w, mills_ratio
+from .special import SQRT_2PI, LambertBranch, elementwise, gauss, h, lambert_w, mills_ratio
 
 _PI = math.pi
+
+# Unguarded bodies for checked x, bound once: a tracer may swap the globals.
+_mills = mills_ratio.__wrapped__
+_h = h.__wrapped__
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,9 @@ def as_kappa(k) -> KappaParam:
     return KappaParam(float(k))
 
 
-def _require_strict(k: KappaParam, op: str) -> KappaParam:
+def strict_kappa(k, op: str) -> KappaParam:
+    """as_kappa(k), further requiring kappa > 1, which op needs."""
+    k = as_kappa(k)
     if k.kappa <= 1.0:
         raise DomainError(f"{op} requires kappa > 1, got {k.kappa}")
     return k
@@ -89,35 +95,30 @@ def alpha_coeff(k) -> float:
 def g_lower(x, k):
     """The lower bound g(x, kappa) = alpha(kappa) * exp(-kappa * x**2 / 2).
 
-    Even in x; g <= Q everywhere for every kappa >= 1.  Where kappa*x*x
-    overflows, g is 0 without a warning: past kappa*x**2/2 = 750 the
-    exponential is already 0, so a scalar |x| is capped there, and on
-    arrays the overflow is ignored (it only ever makes the exponent -inf).
+    Even in x; g <= Q everywhere for every kappa >= 1, and 0 without a
+    warning where kappa*x*x overflows.
     """
     k = as_kappa(k)
-    if x.ndim == 0:
-        x = min(abs(x), math.sqrt(1500.0 / k.kappa))
-        return alpha_coeff(k) * np.exp(-0.5 * k.kappa * x * x)
-    with np.errstate(over="ignore"):
-        return alpha_coeff(k) * np.exp(-0.5 * k.kappa * x * x)
+    return alpha_coeff(k) * gauss(x, k.kappa)
+
+
+def _r(x, k: KappaParam):
+    """r(x, kappa) of a checked x >= 0 and kappa > 1, in the collapsed form
+    sqrt(2*pi)*alpha(kappa)*exp(-(kappa-1)*x**2/2); the literal product
+    overflows for x beyond ~38."""
+    return SQRT_2PI * alpha_coeff(k) * gauss(x, k.kappa_minus_1)
 
 
 @elementwise(sign=1)
 def r_scaled(x, k):
-    """r(x, kappa) = sqrt(2*pi) * g(x, kappa) * exp(x**2 / 2), x >= 0.
-
-    Evaluated in the collapsed form sqrt(2*pi)*alpha(kappa)*exp(-(kappa-1)*x**2/2);
-    the literal product overflows for x beyond ~38.
-    """
-    k = _require_strict(as_kappa(k), "r_scaled")
-    return SQRT_2PI * alpha_coeff(k) * np.exp(-0.5 * k.kappa_minus_1 * x * x)
+    """r(x, kappa) = sqrt(2*pi) * g(x, kappa) * exp(x**2 / 2), x >= 0."""
+    return _r(x, strict_kappa(k, "r_scaled"))
 
 
 @elementwise(sign=1)
 def f_diff(x, k):
     """f(x, kappa) = r(x, kappa) - R(x); the bound holds iff f <= 0."""
-    k = _require_strict(as_kappa(k), "f_diff")
-    return r_scaled(x, k) - mills_ratio(x)
+    return _r(x, strict_kappa(k, "f_diff")) - _mills(x)
 
 
 def x1_point(k) -> float:
@@ -127,7 +128,7 @@ def x1_point(k) -> float:
     sqrt(2/(pi + 2/(kappa-1))) / (kappa-1), the same value scaled by
     kappa-1, in which nothing overflows up to the largest double.
     """
-    k = _require_strict(as_kappa(k), "x1_point")
+    k = strict_kappa(k, "x1_point")
     m = k.kappa_minus_1
     prod = m * k.c
     if prod < math.inf:
@@ -169,7 +170,7 @@ def _conjugate_s(t: float, s0: float) -> float:
 def x2_point(k) -> float:
     """Larger critical point x2 = sqrt(w2 / (1 - kappa)), w2 on the negative
     Lambert branch, polished so the crossing relation holds to ~1e-15."""
-    k = _require_strict(as_kappa(k), "x2_point")
+    k = strict_kappa(k, "x2_point")
     t = _t_param(k)
     if t < 0.05:
         # Near kappa = 1 the Lambert argument sits too close to -1/e for
@@ -184,7 +185,7 @@ def x2_point(k) -> float:
 
 def critical_points(k) -> CriticalPoints:
     """Both critical points together with their Lambert preimages."""
-    k = _require_strict(as_kappa(k), "critical_points")
+    k = strict_kappa(k, "critical_points")
     x1 = x1_point(k)
     x2 = x2_point(k)
     return CriticalPoints(
@@ -202,23 +203,23 @@ def crossing_condition(x, k):
 
     Nonpositive exactly on [x1, x2], zero exactly at x1 and x2.
     """
-    k = _require_strict(as_kappa(k), "crossing_condition")
-    u = x * x * (1.0 - k.kappa)
-    return u * np.exp(u) - _rhs_z(k)
+    k = strict_kappa(k, "crossing_condition")
+    return _h(x * x * (1.0 - k.kappa)) - _rhs_z(k)
 
 
 @elementwise(sign=1)
 def lemma1_relation(x, k):
     """kappa * x * r(x, kappa) - 1: >= 0 exactly on [x1, x2], 0 at the ends."""
-    k = _require_strict(as_kappa(k), "lemma1_relation")
-    return k.kappa * x * r_scaled(x, k) - 1.0
+    k = strict_kappa(k, "lemma1_relation")
+    return k.kappa * x * _r(x, k) - 1.0
 
 
 @elementwise(sign=1)
 def df_dx_identity(x, k):
     """Closed form of df/dx: x*f(x,kappa) + 1 - kappa*x*r(x,kappa)."""
-    k = _require_strict(as_kappa(k), "df_dx_identity")
-    return x * f_diff(x, k) + 1.0 - k.kappa * x * r_scaled(x, k)
+    k = strict_kappa(k, "df_dx_identity")
+    r = _r(x, k)
+    return x * (r - _mills(x)) + 1.0 - k.kappa * x * r
 
 
 @elementwise(sign=1)
@@ -228,16 +229,19 @@ def boyd_lower(x):
     return _PI / ((_PI - 1.0) * x + np.sqrt(x * x + 2.0 * _PI))
 
 
+_boyd = boyd_lower.__wrapped__
+
+
 @elementwise(sign=1)
 def chernoff_upper(x):
     """The tightest Chernoff-type upper bound Q(x) <= 0.5*exp(-x**2/2), x >= 0."""
-    return 0.5 * np.exp(-0.5 * x * x)
+    return 0.5 * gauss(x, 1.0)
 
 
 @elementwise(sign=1)
 def boyd_lower_q(x):
     """Boyd's bound mapped to Q-scale: boyd_lower(x) * exp(-x**2/2) / sqrt(2*pi)."""
-    return boyd_lower(x) * np.exp(-0.5 * x * x) / SQRT_2PI
+    return _boyd(x) * gauss(x, 1.0) / SQRT_2PI
 
 
 __all__ = [

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bounds, optimize, verify
 from .errors import QBoundError
-from .special import SQRT_2PI, mills_ratio, q
+from .special import SQRT_2PI, gauss, mills_ratio, q
 
 CSV_FIELDS = ("x", "kappa", "q_ref", "g_lower", "boyd_lower_q", "chernoff_upper", "rel_gap")
 
@@ -61,7 +61,7 @@ def make_record(xs, kappa) -> np.ndarray:
     rows[~tail, 6] = (qx[~tail] - gx[~tail]) / qx[~tail]
     if tail.any():
         xt = xs[tail]
-        r = bounds.alpha_coeff(k) * np.exp(-0.5 * k.kappa_minus_1 * xt * xt)
+        r = bounds.alpha_coeff(k) * gauss(xt, k.kappa_minus_1)
         rows[tail, 6] = 1.0 - r / (mills_ratio(xt) / SQRT_2PI)
     return rows
 
@@ -80,21 +80,16 @@ def _emit_records(rows, fmt: str, out) -> None:
         out.write("".join([_TEXT_ROW % tuple(r) for r in rows]))
 
 
-def _grid_from_args(args) -> verify.EvaluationGrid:
+def _grid_from_args(args, x_min: float = -10.0) -> verify.EvaluationGrid:
+    """The grid of the --x-* and --kappa flags; x_min defaults --x-min."""
     kappas = tuple(args.kappa) if args.kappa else verify.DEFAULT_KAPPAS
     return verify.EvaluationGrid(
-        x_min=args.x_min,
+        x_min=x_min if args.x_min is None else args.x_min,
         x_max=args.x_max,
         x_count=args.x_count,
         spacing=args.spacing,
         kappas=kappas,
     )
-
-
-def _report_dict(r: verify.VerificationReport) -> dict:
-    d = dataclasses.asdict(r)
-    d["worst_point"] = list(r.worst_point)
-    return d
 
 
 def _print_report(r: verify.VerificationReport, out) -> None:
@@ -122,16 +117,17 @@ def cmd_table(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    # an explicit --kappa 1 is a domain error in the lemma suites (exit 2)
+    # an explicit --kappa 1 is a domain error in the lemma suites (exit 2);
+    # chernoff alone is defined for x >= 0 only: its --x-min defaults to 0
     reports = verify.run_suites(
         verify.SUITE_NAMES if args.suite == "all" else (args.suite,),
-        _grid_from_args(args),
+        _grid_from_args(args, 0.0 if args.suite == "chernoff" else -10.0),
         explicit=args.kappa is not None,
         tolerance=args.tolerance,
         weight_inflation=args.inflate_weight,
     )
     if args.format == "json":
-        out.write(json.dumps([_report_dict(r) for r in reports], indent=2))
+        out.write(json.dumps([dataclasses.asdict(r) for r in reports], indent=2))
         out.write("\n")
     else:
         for r in reports:
@@ -200,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_grid_flags(p):
-        p.add_argument("--x-min", type=float, default=-10.0)
+        p.add_argument("--x-min", type=float, default=None)
         p.add_argument("--x-max", type=float, default=10.0)
         p.add_argument("--x-count", type=int, default=2001)
         p.add_argument("--spacing", choices=("linear", "log"), default="linear")

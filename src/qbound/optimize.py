@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import alpha_coeff, as_kappa, g_lower, x1_point
+from .bounds import alpha_coeff, as_kappa, g_lower, strict_kappa, x1_point
 from .errors import DomainError, QBoundError
 from .special import SQRT_2PI, mills_ratio
 
@@ -42,22 +42,6 @@ class OptimizationResult:
     iterations: int
     converged: bool
     message: str = ""
-
-
-def _bisect(below, lo: float, hi: float):
-    """The point where the predicate below turns from true (at lo) to false
-    (at hi), bisected until the midpoint equals an endpoint.  Returns the
-    last midpoint and the number of predicate evaluations."""
-    evals = 0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            return mid, evals
-        evals += 1
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
 
 
 def _gap(x: float, k) -> float:
@@ -172,12 +156,17 @@ def max_weight(k) -> OptimizationResult:
     alpha_max >= alpha(kappa) always; a violation would contradict the
     theorem and is raised as a QBoundError.
     """
-    k = as_kappa(k)
-    if k.kappa <= 1.0:
-        raise DomainError("max_weight requires kappa > 1")
-    mid, evals = _bisect(
-        lambda x: k.kappa * x * mills_ratio(x) < 1.0, 0.0, x1_point(k)
-    )
+    k = strict_kappa(k, "max_weight")
+    lo, hi, evals = 0.0, x1_point(k), 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        evals += 1
+        if k.kappa * mid * mills_ratio(mid) < 1.0:
+            lo = mid
+        else:
+            hi = mid
     phi = math.log(mills_ratio(mid) / SQRT_2PI) + 0.5 * k.kappa_minus_1 * mid * mid
     alpha_max = math.exp(phi)
     alpha = alpha_coeff(k)

@@ -86,6 +86,19 @@ def elementwise(sign=0, name="x"):
     return decorate
 
 
+def gauss(x, a):
+    """exp(-a*x*x/2) of a checked x (a > 0 for a scalar x): the Gaussian
+    factor of every bound kernel, 0 without a warning where a*x*x overflows.
+    A scalar |x| is capped where a*x**2/2 = 750, past which the factor is
+    already 0; arrays ignore the overflow instead, as a capped exponent
+    takes np.exp's slow underflow path."""
+    if x.ndim == 0:
+        x = min(abs(x), math.sqrt(1500.0 / a))
+        return np.exp(-0.5 * a * x * x)
+    with np.errstate(over="ignore"):
+        return np.exp(-0.5 * a * x * x)
+
+
 @elementwise()
 def q(x):
     """Gaussian tail probability Q(x) = P(Z > x), elementwise.
@@ -95,7 +108,7 @@ def q(x):
     threshold near x ~ 38.6).
     """
     ax = np.abs(x)
-    tail = 0.5 * _sp.erfcx(ax / _SQRT2) * np.exp(-0.5 * ax * ax)
+    tail = 0.5 * _sp.erfcx(ax / _SQRT2) * gauss(ax, 1.0)
     return np.where(x >= 0.0, tail, 1.0 - tail)
 
 

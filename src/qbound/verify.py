@@ -20,9 +20,10 @@ from .bounds import (
     f_diff,
     g_lower,
     lemma1_relation,
+    strict_kappa,
     x1_point,
 )
-from .errors import DomainError, UsageError
+from .errors import UsageError
 from .special import mills_ratio, q
 
 #: Default kappa sweep: trivial, near-degenerate, moderate, and asymptotic.
@@ -158,9 +159,7 @@ def verify_lemma1(
     """Check the sign pattern of kappa*x*r(x) - 1 on the three regions split
     by the critical points, the endpoint equalities, and the ordering
     x1 < 1/sqrt(kappa-1) < x2."""
-    k = as_kappa(k)
-    if k.kappa <= 1.0:
-        raise DomainError("verify_lemma1 requires kappa > 1")
+    k = strict_kappa(k, "verify_lemma1")
     n = int(points_per_region)
     if n < 2:
         raise UsageError("points_per_region must be >= 2")
@@ -199,9 +198,7 @@ def verify_lemma2(
 ) -> VerificationReport:
     """Check kappa*x*R(x) >= 1 on [x1, x_hi], plus the sufficient condition
     pi*kappa*x / ((pi-1)*x + sqrt(x**2 + 2*pi)) >= 1 on the same range."""
-    k = as_kappa(k)
-    if k.kappa <= 1.0:
-        raise DomainError("verify_lemma2 requires kappa > 1")
+    k = strict_kappa(k, "verify_lemma2")
     x1 = x1_point(k)
     if not x_hi > x1:
         raise UsageError(f"x_hi must exceed x1 = {x1}")

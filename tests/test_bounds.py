@@ -1,5 +1,6 @@
 """Tests for the bound family and the proof-level functions."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,46 @@ class TestGLower:
             assert g_lower(x, kappa) == 0.0
             assert g_lower(np.array([x, 1.0]), kappa)[0] == 0.0
         assert g_lower(np.array([1e155, 1.0]), 2.0)[1] == g_lower(1.0, 2.0)
+
+
+class TestTailWithoutWarnings:
+    """Where x*x or (kappa-1)*x*x overflows, the kernels give the values
+    frozen here, from before they shared one Gaussian factor, and no
+    warning, which Tier-1 turns into an error."""
+
+    CASES = [
+        (q, (), 1e155, 0.0),
+        (q, (), 1e300, 0.0),
+        (g_lower, (2.0,), 1e155, 0.0),
+        (g_lower, (2.0,), 1e300, 0.0),
+        (r_scaled, (2.0,), 1e155, 0.0),
+        (r_scaled, (2.0,), 1e300, 0.0),
+        (f_diff, (2.0,), 1e155, -1e-155),
+        (f_diff, (2.0,), 1e300, -9.999999999999999e-301),
+        (lemma1_relation, (2.0,), 1e155, -1.0),
+        (lemma1_relation, (2.0,), 1e300, -1.0),
+        (df_dx_identity, (2.0,), 1e155, 0.0),
+        (df_dx_identity, (2.0,), 1e300, 1.1102230246251565e-16),
+        (chernoff_upper, (), 1e155, 0.0),
+        (chernoff_upper, (), 1e300, 0.0),
+        (r_scaled, (3.7e294,), 10.0, 0.0),
+        (r_scaled, (3.7e294,), 1e8, 0.0),
+        (f_diff, (3.7e294,), 10.0, -0.09902859647173191),
+        (f_diff, (3.7e294,), 1e8, -1e-08),
+        (lemma1_relation, (3.7e294,), 10.0, -1.0),
+        (lemma1_relation, (3.7e294,), 1e8, -1.0),
+        (df_dx_identity, (3.7e294,), 10.0, 0.009714035282680888),
+        (df_dx_identity, (3.7e294,), 1e8, 0.0),
+    ]
+
+    @pytest.mark.parametrize(
+        "fn, args, x, want", CASES, ids=[f"{c[0].__name__}-{c[1]}-{c[2]}" for c in CASES]
+    )
+    def test_frozen_value_on_both_paths(self, fn, args, x, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fn(x, *args) == want
+            assert fn(np.array([x, 1.0]), *args)[0] == want
 
 
 class TestRScaled:

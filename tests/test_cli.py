@@ -187,6 +187,19 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(text)[0]["points_checked"] == 11
 
+    def test_chernoff_alone_defaults_to_x_from_zero(self):
+        # without --x-min the grid is [0, --x-max]; a negative one is an error
+        code, text = run_cli("verify", "chernoff", "--kappa", "2", "--format", "json")
+        assert code == 0
+        report = json.loads(text)[0]
+        assert report["points_checked"] == 2001 and report["passed"]
+        assert run_cli("verify", "chernoff", "--x-min", "-1")[0] == 2
+        # verify all keeps chernoff's own 10001-point grid
+        code, text = run_cli("verify", "all", "--kappa", "2", "--x-count", "11",
+                             "--format", "json")
+        assert code == 0
+        assert json.loads(text)[-1]["points_checked"] == 10001
+
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("verify", "nonsense")

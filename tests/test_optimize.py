@@ -153,7 +153,7 @@ class TestMaxWeight:
         assert 0.49 < res.objective < 0.5
 
     def test_rejects_kappa_one(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="max_weight requires kappa > 1, got 1.0"):
             max_weight(1.0)
 
     def test_huge_kappa(self):

@@ -199,23 +199,48 @@ class TestLambertW:
         assert abs(w * math.exp(w) - z) <= 1e-14 * max(abs(z), 1e-300)
 
 
+# The draws of the elementwise property tests: bulk, tail and non-finite x;
+# kappa - 1 log-uniform in [1e-12, 1e300], kappa < 1 and kappa = 1.
+X_DRAWS = st.one_of(
+    st.floats(min_value=-40.0, max_value=40.0),
+    st.floats(allow_nan=True, allow_infinity=True),  # the tail and non-finite x
+)
+KAPPA_DRAWS = st.one_of(
+    st.floats(min_value=-12.0, max_value=300.0).map(lambda e: 1.0 + 10.0**e),
+    st.floats(min_value=0.5, max_value=1e300),  # kappa < 1 is a domain error
+    st.just(1.0),
+)
+
+
+def _tail_examples(test):
+    """Points where x*x or (kappa-1)*x*x overflows, and their neighbours."""
+    for x, kappa in [(1e155, 2.0), (1e300, 1e300), (10.0, 3.7e294), (1e8, 3.7e294)]:
+        test = example(x, kappa)(test)
+    return test
+
+
+# Each composite kernel with its defining expression in the public kernels.
+# crossing_condition(0, kappa) = h(0) - h(w1) = -h(w1).
+COMPOSITES = [
+    (bounds.f_diff, lambda x, k: bounds.r_scaled(x, k) - special.mills_ratio(x)),
+    (bounds.lemma1_relation, lambda x, k: k * x * bounds.r_scaled(x, k) - 1.0),
+    (
+        bounds.df_dx_identity,
+        lambda x, k: x * bounds.f_diff(x, k) + 1.0 - k * x * bounds.r_scaled(x, k),
+    ),
+    (
+        bounds.crossing_condition,
+        lambda x, k: special.h(x * x * (1.0 - k)) + bounds.crossing_condition(0.0, k),
+    ),
+]
+
+
 class TestElementwiseGuard:
-    @given(
-        st.one_of(
-            st.floats(min_value=-40.0, max_value=40.0),
-            st.floats(allow_nan=True, allow_infinity=True),  # the tail and non-finite x
-        ),
-        st.one_of(
-            st.floats(min_value=-12.0, max_value=300.0).map(lambda e: 1.0 + 10.0**e),
-            st.floats(min_value=0.5, max_value=1e300),  # kappa < 1 is a domain error
-            st.just(1.0),
-        ),
-    )
+    @given(X_DRAWS, KAPPA_DRAWS)
     @example(math.nan, 2.0)
     @example(-math.inf, 2.0)
     @example(-1.0, 2.0)
-    @example(1e155, 2.0)
-    @example(1e300, 1e300)
+    @_tail_examples
     @settings(max_examples=300, deadline=None)
     def test_scalar_0d_and_1d_agree(self, x, kappa):
         # a 0-d x takes the scalar branch of the guard, a 1-element array
@@ -226,6 +251,21 @@ class TestElementwiseGuard:
             assert _outcome(fn, np.array(x), args, lambda out: out) == scalar, fn.__name__
             one = _outcome(fn, np.array([x]), args, lambda out: out[0])
             assert one == scalar, fn.__name__
+
+    @given(X_DRAWS, KAPPA_DRAWS)
+    @_tail_examples
+    @settings(max_examples=300, deadline=None)
+    def test_composites_equal_their_definitions(self, x, kappa):
+        # bit for bit, on the scalar and the array path, wherever the
+        # composite is defined (the test above covers its domain errors)
+        for xv, one in ((x, lambda out: out), (np.array([x]), lambda out: out[0])):
+            for fn, define in COMPOSITES:
+                got = _outcome(fn, xv, (kappa,), one)[0]
+                if not isinstance(got, bytes):
+                    continue
+                if fn is bounds.crossing_condition and not math.isfinite(x * x * (1.0 - kappa)):
+                    continue  # h is defined for finite w only
+                assert _outcome(define, xv, (kappa,), one)[0] == got, fn.__name__
 
     def test_scalar_result_is_a_python_float(self):
         for fn, takes_kappa in ELEMENTWISE:

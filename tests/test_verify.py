@@ -125,7 +125,7 @@ class TestVerifyLemma1:
         assert verify_lemma1(1.0 + 1e-3).passed
 
     def test_rejects_kappa_one(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="verify_lemma1 requires kappa > 1, got 1.0"):
             verify_lemma1(1.0)
 
 
@@ -144,7 +144,7 @@ class TestVerifyLemma2:
         assert cond < 1.0
 
     def test_rejects_kappa_one(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="verify_lemma2 requires kappa > 1, got 1.0"):
             verify_lemma2(1.0)
 
     def test_rejects_bad_range(self):
