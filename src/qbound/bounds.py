@@ -7,6 +7,7 @@ bound.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,11 +208,18 @@ def crossing_condition(x, k):
     return _h(x * x * (1.0 - k.kappa)) - _rhs_z(k)
 
 
+def _kxr(x, k: KappaParam, r):
+    """kappa*x*r for r = r(x, kappa), with x capped where kappa*x would pass
+    half the largest double: r is exactly 0 there (its exponent
+    (kappa-1)*x**2/2 is past 1e300), so the product is 0, not inf*0."""
+    return k.kappa * np.minimum(x, 0.5 * sys.float_info.max / k.kappa) * r
+
+
 @elementwise(sign=1)
 def lemma1_relation(x, k):
     """kappa * x * r(x, kappa) - 1: >= 0 exactly on [x1, x2], 0 at the ends."""
     k = strict_kappa(k, "lemma1_relation")
-    return k.kappa * x * _r(x, k) - 1.0
+    return _kxr(x, k, _r(x, k)) - 1.0
 
 
 @elementwise(sign=1)
@@ -219,14 +227,23 @@ def df_dx_identity(x, k):
     """Closed form of df/dx: x*f(x,kappa) + 1 - kappa*x*r(x,kappa)."""
     k = strict_kappa(k, "df_dx_identity")
     r = _r(x, k)
-    return x * (r - _mills(x)) + 1.0 - k.kappa * x * r
+    return x * (r - _mills(x)) + 1.0 - _kxr(x, k, r)
 
 
 @elementwise(sign=1)
 def boyd_lower(x):
     """Boyd's lower bound for the scaled Mills ratio:
-    R(x) >= pi / ((pi-1)*x + sqrt(x**2 + 2*pi)), exact at x = 0."""
-    return _PI / ((_PI - 1.0) * x + np.sqrt(x * x + 2.0 * _PI))
+    R(x) >= pi / ((pi-1)*x + sqrt(x**2 + 2*pi)), exact at x = 0.
+
+    Where x*x overflows (x > ~1.3e154), 2*pi is far below its rounding and
+    the bound, divided through by x, is 1/x to rounding.
+    """
+    with np.errstate(over="ignore"):
+        b = _PI / ((_PI - 1.0) * x + np.sqrt(x * x + 2.0 * _PI))
+    over = b == 0.0  # only where x*x overflowed
+    if over.any():
+        b = np.divide(1.0, x, out=np.asarray(b), where=over)
+    return b
 
 
 _boyd = boyd_lower.__wrapped__
@@ -245,20 +262,7 @@ def boyd_lower_q(x):
 
 
 __all__ = [
-    "KappaParam",
-    "CriticalPoints",
-    "as_kappa",
-    "alpha_coeff",
-    "g_lower",
-    "r_scaled",
-    "f_diff",
-    "x1_point",
-    "x2_point",
-    "critical_points",
-    "crossing_condition",
-    "lemma1_relation",
-    "df_dx_identity",
-    "boyd_lower",
-    "chernoff_upper",
-    "boyd_lower_q",
+    "KappaParam", "CriticalPoints", "alpha_coeff", "g_lower", "r_scaled", "f_diff",
+    "x1_point", "x2_point", "critical_points", "crossing_condition", "lemma1_relation",
+    "df_dx_identity", "boyd_lower", "chernoff_upper", "boyd_lower_q",
 ]

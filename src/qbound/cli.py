@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -80,16 +81,13 @@ def _emit_records(rows, fmt: str, out) -> None:
         out.write("".join([_TEXT_ROW % tuple(r) for r in rows]))
 
 
-def _grid_from_args(args, x_min: float = -10.0) -> verify.EvaluationGrid:
-    """The grid of the --x-* and --kappa flags; x_min defaults --x-min."""
-    kappas = tuple(args.kappa) if args.kappa else verify.DEFAULT_KAPPAS
-    return verify.EvaluationGrid(
-        x_min=x_min if args.x_min is None else args.x_min,
-        x_max=args.x_max,
-        x_count=args.x_count,
-        spacing=args.spacing,
-        kappas=kappas,
-    )
+def _grid_from_args(args, **defaults) -> verify.EvaluationGrid:
+    """The grid of the --x-* and --kappa flags that were given; the others
+    take the values in defaults, else EvaluationGrid's."""
+    flags = {"x_min": args.x_min, "x_max": args.x_max, "x_count": args.x_count,
+             "spacing": args.spacing, "kappas": args.kappa}
+    given = {f: v for f, v in flags.items() if v is not None}
+    return verify.EvaluationGrid(**{**defaults, **given})
 
 
 def _print_report(r: verify.VerificationReport, out) -> None:
@@ -119,12 +117,13 @@ def cmd_table(args, out) -> int:
 def cmd_verify(args, out) -> int:
     # an explicit --kappa 1 is a domain error in the lemma suites (exit 2);
     # chernoff alone is defined for x >= 0 only: its --x-min defaults to 0
-    reports = verify.run_suites(
-        verify.SUITE_NAMES if args.suite == "all" else (args.suite,),
-        _grid_from_args(args, 0.0 if args.suite == "chernoff" else -10.0),
+    alone = {"x_min": 0.0} if args.suite == "chernoff" else {}
+    reports = verify.run_all(
+        _grid_from_args(args, **alone),
+        args.inflate_weight,
+        names=verify.SUITE_NAMES if args.suite == "all" else (args.suite,),
         explicit=args.kappa is not None,
         tolerance=args.tolerance,
-        weight_inflation=args.inflate_weight,
     )
     if args.format == "json":
         out.write(json.dumps([dataclasses.asdict(r) for r in reports], indent=2))
@@ -187,8 +186,20 @@ def cmd_roots(args, out) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes every negative number for a value, so
+    that `--x -1e300` parses like `--x=-1e300`.  argparse's own pattern
+    (Python 3.11) knows only the forms -1 and -1.5, and reads -1e300 or
+    -1e1 as an option string."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # -1, -1., -1.5 or -.5, each with an optional exponent
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qbound",
         description="Exponential lower bound for the Gaussian Q-function: "
         "evaluation, verification, and parameter selection.",
@@ -196,12 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_grid_flags(p):
-        p.add_argument("--x-min", type=float, default=None)
-        p.add_argument("--x-max", type=float, default=10.0)
-        p.add_argument("--x-count", type=int, default=2001)
-        p.add_argument("--spacing", choices=("linear", "log"), default="linear")
+        # an omitted flag (None) takes the EvaluationGrid default
+        p.add_argument("--x-min", type=float)
+        p.add_argument("--x-max", type=float)
+        p.add_argument("--x-count", type=int)
+        p.add_argument("--spacing", choices=("linear", "log"))
         p.add_argument(
-            "--kappa", type=float, action="append", default=None,
+            "--kappa", type=float, action="append",
             help="kappa value (repeatable); defaults to the standard sweep",
         )
 

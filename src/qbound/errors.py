@@ -11,3 +11,6 @@ class DomainError(QBoundError, ValueError):
 
 class UsageError(QBoundError, ValueError):
     """A structurally invalid request (bad grid, bad flag combination)."""
+
+
+__all__ = ["QBoundError", "DomainError", "UsageError"]

@@ -218,3 +218,6 @@ def interval_kappa(x_lo: float, x_hi: float) -> OptimizationResult:
         iterations=iters,
         converged=converged,
     )
+
+
+__all__ = ["OptimizationResult", "kappa_star", "max_weight", "interval_kappa"]

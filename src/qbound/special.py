@@ -230,3 +230,9 @@ def lambert_w(z: float, branch: LambertBranch = LambertBranch.PRINCIPAL) -> floa
     if not principal and w > -1.0:
         w = -1.0
     return w
+
+
+__all__ = [
+    "BRANCH_POINT", "LambertBranch", "QValue", "q", "q_ref", "mills_ratio", "h",
+    "lambert_w",
+]

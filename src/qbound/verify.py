@@ -30,10 +30,14 @@ from .special import mills_ratio, q
 DEFAULT_KAPPAS = (1.0, 1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 100.0)
 
 #: Default tolerances: relative for inequalities, absolute for endpoint
-#: equalities, and the finite-difference matching tolerance.
+#: equalities, lemma 2's, and the finite-difference matching tolerance.
 REL_TOL = 1e-13
 ENDPOINT_TOL = 1e-10
+LEMMA2_TOL = 1e-12
 FD_TOL = 1e-6
+
+#: Interior points in each of lemma 1's three regions.
+LEMMA1_POINTS = 400
 
 #: kappa - 1 below this uses a multiplicative grid around 1/sqrt(kappa-1);
 #: fixed global grids miss the interval [x1, x2] entirely in that regime.
@@ -153,29 +157,19 @@ def _q_terms(xs: np.ndarray):
     return qs, np.where(zero, 1.0, qs), zero
 
 
-def verify_lemma1(
-    k, points_per_region: int = 400, tolerance: float = ENDPOINT_TOL
-) -> VerificationReport:
+def verify_lemma1(k) -> VerificationReport:
     """Check the sign pattern of kappa*x*r(x) - 1 on the three regions split
-    by the critical points, the endpoint equalities, and the ordering
-    x1 < 1/sqrt(kappa-1) < x2."""
+    by the critical points (LEMMA1_POINTS interior points each), the endpoint
+    equalities to ENDPOINT_TOL, and the ordering x1 < 1/sqrt(kappa-1) < x2."""
     k = strict_kappa(k, "verify_lemma1")
-    n = int(points_per_region)
-    if n < 2:
-        raise UsageError("points_per_region must be >= 2")
     cp = critical_points(k)
-
     if not (cp.x1 < cp.pivot < cp.x2):
         return VerificationReport(
-            suite="lemma1",
-            points_checked=0,
-            worst_violation=math.inf,
-            worst_point=(cp.pivot, k.kappa),
-            tolerance=tolerance,
-            passed=False,
+            "lemma1", 0, math.inf, (cp.pivot, k.kappa), ENDPOINT_TOL, False
         )
 
     # Region interiors; endpoints are tested separately for equality.
+    n = LEMMA1_POINTS
     regions = [
         # expected sign: negative below x1, nonnegative inside, negative above
         (np.linspace(0.0, cp.x1, n, endpoint=False), +1.0),
@@ -190,14 +184,13 @@ def verify_lemma1(
     for x_end in (cp.x1, cp.x2):
         resid = np.array([abs(lemma1_relation(x_end, k))])
         parts.append((np.array([x_end]), k.kappa, resid, resid, np.zeros(1)))
-    return _merge("lemma1", parts, tolerance)
+    return _merge("lemma1", parts, ENDPOINT_TOL)
 
 
-def verify_lemma2(
-    k, x_hi: float = 1000.0, count: int = 10000, tolerance: float = 1e-12
-) -> VerificationReport:
+def verify_lemma2(k, x_hi: float = 1000.0, count: int = 10000) -> VerificationReport:
     """Check kappa*x*R(x) >= 1 on [x1, x_hi], plus the sufficient condition
-    pi*kappa*x / ((pi-1)*x + sqrt(x**2 + 2*pi)) >= 1 on the same range."""
+    pi*kappa*x / ((pi-1)*x + sqrt(x**2 + 2*pi)) >= 1 on the same range, to
+    LEMMA2_TOL."""
     k = strict_kappa(k, "verify_lemma2")
     x1 = x1_point(k)
     if not x_hi > x1:
@@ -207,15 +200,14 @@ def verify_lemma2(
     lhs_boyd = k.kappa * xs * boyd_lower(xs)
     viol = np.maximum(1.0 - lhs_mills, 1.0 - lhs_boyd)
     lhs = np.minimum(lhs_mills, lhs_boyd)
-    return _merge("lemma2", [(xs, k.kappa, viol, lhs, np.ones_like(lhs))], tolerance)
+    return _merge("lemma2", [(xs, k.kappa, viol, lhs, np.ones_like(lhs))], LEMMA2_TOL)
 
 
 def verify_derivative(
-    grid: EvaluationGrid | None = None,
-    h_step: float = 1e-5,
-    tolerance: float = FD_TOL,
+    grid: EvaluationGrid | None = None, h_step: float = 1e-5
 ) -> VerificationReport:
-    """Check the closed form of df/dx against central finite differences."""
+    """Check the closed form of df/dx against central finite differences, to
+    FD_TOL."""
     grid = grid or EvaluationGrid()
     if not (1e-7 <= h_step <= 1e-3):
         raise UsageError("h_step must lie in [1e-7, 1e-3]")
@@ -233,32 +225,31 @@ def verify_derivative(
         fd = (f_diff(xs + h_step, k) - f_diff(xs - h_step, k)) / (2.0 * h_step)
         err = np.abs(ident - fd) / np.maximum(1.0, np.abs(ident))
         parts.append((xs, k.kappa, err, ident, fd))
-    return _merge("derivative", parts, tolerance)
+    return _merge("derivative", parts, FD_TOL)
 
 
-def verify_chernoff(
-    grid: EvaluationGrid | None = None, tolerance: float = REL_TOL
-) -> VerificationReport:
-    """Check Q(x) <= 0.5*exp(-x**2/2)*(1 + tolerance) on the grid (x >= 0)."""
+def verify_chernoff(grid: EvaluationGrid | None = None) -> VerificationReport:
+    """Check Q(x) <= 0.5*exp(-x**2/2)*(1 + REL_TOL) on the grid (x >= 0)."""
     grid = grid or EvaluationGrid(x_min=0.0, x_max=10.0, x_count=10001)
     if grid.x_min < 0.0:
         raise UsageError("the Chernoff upper bound requires x >= 0")
     xs = grid.xs()
     qs = q(xs)
     ch = chernoff_upper(xs)
-    return _merge("chernoff", [(xs, math.nan, (qs - ch) / ch, qs, ch)], tolerance)
+    return _merge("chernoff", [(xs, math.nan, (qs - ch) / ch, qs, ch)], REL_TOL)
 
 
 #: Every suite, in the order run_all and `qbound verify all` report them.
 SUITE_NAMES = ("theorem", "lemma1", "lemma2", "derivative", "chernoff")
 
 
-def run_suites(
-    names,
-    grid: EvaluationGrid,
+def run_all(
+    grid: EvaluationGrid | None = None,
+    weight_inflation: float = 1.0,
+    *,
+    names=SUITE_NAMES,
     explicit: bool = False,
     tolerance: float = REL_TOL,
-    weight_inflation: float = 1.0,
 ) -> list[VerificationReport]:
     """The suite registry: reports of the named suites, in SUITE_NAMES order.
 
@@ -269,6 +260,7 @@ def run_suites(
     reach the theorem suite only.  chernoff runs on the grid only when it
     is the one suite named, else on its own default grid.
     """
+    grid = grid or EvaluationGrid()
     kappas = grid.kappas if explicit else tuple(k for k in grid.kappas if k.kappa > 1.0)
     reports = []
     if "theorem" in names:
@@ -284,11 +276,7 @@ def run_suites(
     return reports
 
 
-def run_all(
-    grid: EvaluationGrid | None = None, weight_inflation: float = 1.0
-) -> list[VerificationReport]:
-    """Run every suite through run_suites, skipping kappa = 1 where a suite
-    needs kappa > 1; the reports come in `qbound verify all` order."""
-    return run_suites(
-        SUITE_NAMES, grid or EvaluationGrid(), weight_inflation=weight_inflation
-    )
+__all__ = [
+    "DEFAULT_KAPPAS", "EvaluationGrid", "VerificationReport", "verify_theorem",
+    "verify_lemma1", "verify_lemma2", "verify_derivative", "verify_chernoff", "run_all",
+]

@@ -13,6 +13,7 @@ from qbound import (
     KappaParam,
     alpha_coeff,
     boyd_lower,
+    boyd_lower_q,
     chernoff_upper,
     critical_points,
     crossing_condition,
@@ -118,7 +119,9 @@ class TestGLower:
 class TestTailWithoutWarnings:
     """Where x*x or (kappa-1)*x*x overflows, the kernels give the values
     frozen here, from before they shared one Gaussian factor, and no
-    warning, which Tier-1 turns into an error."""
+    warning, which Tier-1 turns into an error.  Where kappa*x overflows,
+    r is exactly 0, and lemma1_relation and df_dx_identity give -1 and
+    1 - x*R(x)."""
 
     CASES = [
         (q, (), 1e155, 0.0),
@@ -143,6 +146,11 @@ class TestTailWithoutWarnings:
         (lemma1_relation, (3.7e294,), 1e8, -1.0),
         (df_dx_identity, (3.7e294,), 10.0, 0.009714035282680888),
         (df_dx_identity, (3.7e294,), 1e8, 0.0),
+        (lemma1_relation, (1e300,), 1e10, -1.0),
+        (lemma1_relation, (2.0,), 1.7976931348623157e308, -1.0),
+        (df_dx_identity, (1e300,), 1e10, 1.0 - 1e10 * mills_ratio(1e10)),
+        (df_dx_identity, (1e200,), 1e200, 1.0 - 1e200 * mills_ratio(1e200)),
+        (df_dx_identity, (2.0,), 1.7976931348623157e308, 1.1102230246251565e-16),
     ]
 
     @pytest.mark.parametrize(
@@ -362,6 +370,22 @@ class TestBoydLower:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             boyd_lower(-1.0)
+
+    def test_matches_mpmath_where_x_squared_overflows(self):
+        # ~1/x past x ~ 1.3e154, on both paths and without a warning; the
+        # Q-scale bound underflows to 0 there
+        mp = pytest.importorskip("mpmath")
+        for x in (1.3407807929942597e154, 1e155, 1e300, 1.7976931348623157e308):
+            with mp.workdps(40):
+                X = mp.mpf(x)
+                expected = float(mp.pi / ((mp.pi - 1) * X + mp.sqrt(X * X + 2 * mp.pi)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert boyd_lower(x) == pytest.approx(expected, rel=1e-13, abs=0.0)
+                arr = boyd_lower(np.array([0.0, x]))
+                assert arr[1] == pytest.approx(expected, rel=1e-13, abs=0.0)
+                assert arr[0] == boyd_lower(0.0)
+                assert boyd_lower_q(x) == 0.0
 
 
 class TestChernoffUpper:

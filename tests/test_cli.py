@@ -242,6 +242,56 @@ class TestOptimizeCommand:
         assert code == 2
 
 
+class TestNegativeValues:
+    """A negative value in exponent form is a value, not an option string:
+    `--flag -1e1` gives what `--flag=-1e1` gives."""
+
+    ARGVS = [
+        ("eval", "--x", "-1e300", "--kappa", "2"),
+        ("eval", "--x", "-1.5E-3", "--kappa", "2", "--format", "json"),
+        ("eval", "--x", "1", "--kappa", "-2e0"),
+        ("table", "--x-min", "-1e1", "--x-max", "1", "--x-count", "3", "--kappa", "2"),
+        ("table", "--x-min", "-2e1", "--x-max", "-1E1", "--x-count", "3"),
+        ("verify", "theorem", "--x-min", "-1.5e1", "--x-count", "11", "--kappa", "2",
+         "--tolerance", "-1e-300"),
+        ("verify", "theorem", "--x-count", "11", "--inflate-weight", "-1e0"),
+        ("optimize", "pointwise", "--x", "-1e-1"),
+        ("optimize", "interval", "--x-lo", "-1e-1", "--x-hi", "1"),
+        ("optimize", "weight", "--kappa", "-2e0"),
+        ("roots", "--kappa", "-1e0"),
+    ]
+
+    @staticmethod
+    def outcome(argv):
+        """(exit code, stdout), with argparse's exit 2 as (2, "")."""
+        try:
+            return run_cli(*argv)
+        except SystemExit as exc:
+            return exc.code, ""
+
+    @staticmethod
+    def equals_form(argv):
+        joined = []
+        for a in argv:
+            if a.startswith("-") and a[1:2].isdigit():  # a negative value
+                joined[-1] += "=" + a
+            else:
+                joined.append(a)
+        return joined
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=["_".join(a) for a in ARGVS])
+    def test_space_form_equals_the_equals_form(self, argv):
+        assert self.outcome(argv) == self.outcome(self.equals_form(argv))
+
+    def test_exponent_values_are_evaluated(self):
+        code, text = run_cli("eval", "--x", "-1e300", "--kappa", "2")
+        assert code == 0
+        assert text.startswith("x = -1.0000000000000001e+300\n")
+        code, text = run_cli(*self.ARGVS[3])
+        assert code == 0
+        assert text.splitlines()[1].startswith("-10,2,")
+
+
 class TestImportCost:
     def test_scipy_optimize_never_imported(self):
         # scipy.optimize costs ~0.3 s of every cold start and is not needed
