@@ -230,20 +230,26 @@ def df_dx_identity(x, k):
     return x * (r - _mills(x)) + 1.0 - _kxr(x, k, r)
 
 
+_SQUARE_OVER = 2.0**512  # the least double whose square overflows
+
+
 @elementwise(sign=1)
 def boyd_lower(x):
     """Boyd's lower bound for the scaled Mills ratio:
     R(x) >= pi / ((pi-1)*x + sqrt(x**2 + 2*pi)), exact at x = 0.
 
-    Where x*x overflows (x > ~1.3e154), 2*pi is far below its rounding and
-    the bound, divided through by x, is 1/x to rounding.
+    Where x*x overflows (x >= 2**512, ~1.3e154), 2*pi is far below its
+    rounding and the bound, divided through by x, is 1/x to rounding.  A
+    scalar is tested with a plain comparison and an array by its maximum,
+    so only an array that holds such an x builds a mask.
     """
-    with np.errstate(over="ignore"):
-        b = _PI / ((_PI - 1.0) * x + np.sqrt(x * x + 2.0 * _PI))
-    over = b == 0.0  # only where x*x overflowed
-    if over.any():
-        b = np.divide(1.0, x, out=np.asarray(b), where=over)
-    return b
+    if x.ndim == 0:
+        if x >= _SQUARE_OVER:
+            return 1.0 / x
+    elif x.max(initial=0.0) >= _SQUARE_OVER:
+        over = x >= _SQUARE_OVER
+        return np.divide(1.0, x, out=_boyd(np.where(over, 0.0, x)), where=over)
+    return _PI / ((_PI - 1.0) * x + np.sqrt(x * x + 2.0 * _PI))
 
 
 _boyd = boyd_lower.__wrapped__
@@ -262,7 +268,19 @@ def boyd_lower_q(x):
 
 
 __all__ = [
-    "KappaParam", "CriticalPoints", "alpha_coeff", "g_lower", "r_scaled", "f_diff",
-    "x1_point", "x2_point", "critical_points", "crossing_condition", "lemma1_relation",
-    "df_dx_identity", "boyd_lower", "chernoff_upper", "boyd_lower_q",
+    "KappaParam",
+    "CriticalPoints",
+    "alpha_coeff",
+    "g_lower",
+    "r_scaled",
+    "f_diff",
+    "x1_point",
+    "x2_point",
+    "critical_points",
+    "crossing_condition",
+    "lemma1_relation",
+    "df_dx_identity",
+    "boyd_lower",
+    "chernoff_upper",
+    "boyd_lower_q",
 ]

@@ -190,7 +190,9 @@ class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that takes every negative number for a value, so
     that `--x -1e300` parses like `--x=-1e300`.  argparse's own pattern
     (Python 3.11) knows only the forms -1 and -1.5, and reads -1e300 or
-    -1e1 as an option string."""
+    -1e1 as an option string.  The pattern is argparse's private attribute
+    _negative_number_matcher; tests/test_cli.py::TestNegativeValues guards
+    the override on every Python the CI matrix runs."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)

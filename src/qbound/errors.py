@@ -13,4 +13,8 @@ class UsageError(QBoundError, ValueError):
     """A structurally invalid request (bad grid, bad flag combination)."""
 
 
-__all__ = ["QBoundError", "DomainError", "UsageError"]
+__all__ = [
+    "QBoundError",
+    "DomainError",
+    "UsageError",
+]

@@ -220,4 +220,9 @@ def interval_kappa(x_lo: float, x_hi: float) -> OptimizationResult:
     )
 
 
-__all__ = ["OptimizationResult", "kappa_star", "max_weight", "interval_kappa"]
+__all__ = [
+    "OptimizationResult",
+    "kappa_star",
+    "max_weight",
+    "interval_kappa",
+]

@@ -233,6 +233,12 @@ def lambert_w(z: float, branch: LambertBranch = LambertBranch.PRINCIPAL) -> floa
 
 
 __all__ = [
-    "BRANCH_POINT", "LambertBranch", "QValue", "q", "q_ref", "mills_ratio", "h",
+    "BRANCH_POINT",
+    "LambertBranch",
+    "QValue",
+    "q",
+    "q_ref",
+    "mills_ratio",
+    "h",
     "lambert_w",
 ]

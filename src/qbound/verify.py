@@ -277,6 +277,13 @@ def run_all(
 
 
 __all__ = [
-    "DEFAULT_KAPPAS", "EvaluationGrid", "VerificationReport", "verify_theorem",
-    "verify_lemma1", "verify_lemma2", "verify_derivative", "verify_chernoff", "run_all",
+    "DEFAULT_KAPPAS",
+    "EvaluationGrid",
+    "VerificationReport",
+    "verify_theorem",
+    "verify_lemma1",
+    "verify_lemma2",
+    "verify_derivative",
+    "verify_chernoff",
+    "run_all",
 ]

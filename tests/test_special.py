@@ -234,6 +234,13 @@ COMPOSITES = [
     ),
 ]
 
+# the definitions of the two composites with kappa*x*r, where kappa*x
+# overflows and r = 0 makes that term 0
+WITHOUT_KXR = {
+    bounds.lemma1_relation: lambda x, k: np.full_like(x, -1.0, dtype=float),
+    bounds.df_dx_identity: lambda x, k: x * bounds.f_diff(x, k) + 1.0,
+}
+
 
 class TestElementwiseGuard:
     @given(X_DRAWS, KAPPA_DRAWS)
@@ -265,12 +272,11 @@ class TestElementwiseGuard:
                     continue
                 if fn is bounds.crossing_condition and not math.isfinite(x * x * (1.0 - kappa)):
                     continue  # h is defined for finite w only
-                kxr = fn in (bounds.lemma1_relation, bounds.df_dx_identity)
-                if kxr and math.isinf(kappa * x):
-                    # the definition's kappa*x*r is inf*0, yet r is exactly 0
-                    # there (TestTailWithoutWarnings pins the composites)
+                if fn in WITHOUT_KXR and math.isinf(kappa * x):
+                    # the definition's kappa*x*r is inf*0, yet r is exactly
+                    # +0 there: compare with the definition less that term
                     assert _outcome(bounds.r_scaled, xv, (kappa,), one)[0] == bytes(8)
-                    continue
+                    define = WITHOUT_KXR[fn]
                 assert _outcome(define, xv, (kappa,), one)[0] == got, fn.__name__
 
     def test_scalar_result_is_a_python_float(self):
