@@ -122,6 +122,15 @@ def f_diff(x, k):
     return _r(x, strict_kappa(k, "f_diff")) - _mills(x)
 
 
+def rel_gap(x, k):
+    """The bound's relative looseness (Q - g)/Q = 1 - r/R at a checked
+    x >= 0, as 1 - alpha*exp(-(kappa-1)*x**2/2)/(R/sqrt(2*pi)).  Neither Q
+    nor g is formed, so it stays finite where they underflow (Q is
+    subnormal past x ~37.5 and 0 past ~38.6)."""
+    k = as_kappa(k)
+    return 1.0 - alpha_coeff(k) * gauss(x, k.kappa_minus_1) / (_mills(x) / SQRT_2PI)
+
+
 def x1_point(k) -> float:
     """Closed-form smaller critical point x1 = sqrt(2) / sqrt((kappa-1)*c).
 
@@ -205,14 +214,24 @@ def crossing_condition(x, k):
     Nonpositive exactly on [x1, x2], zero exactly at x1 and x2.
     """
     k = strict_kappa(k, "crossing_condition")
-    return _h(x * x * (1.0 - k.kappa)) - _rhs_z(k)
+    with np.errstate(over="ignore"):
+        w = x * x * (1.0 - k.kappa)
+    # h(w) is -0 for every w below -745, -inf aside, where it is -inf*0 =
+    # nan: an overflowed w is taken as the most negative double instead
+    w = np.maximum(w, -sys.float_info.max, out=w if w.ndim else None)
+    return _h(w) - _rhs_z(k)
+
+
+#: The double below the largest: kappa*(_KX_MAX/kappa) rounds to a finite value.
+_KX_MAX = math.nextafter(sys.float_info.max, 0.0)
 
 
 def _kxr(x, k: KappaParam, r):
-    """kappa*x*r for r = r(x, kappa), with x capped where kappa*x would pass
-    half the largest double: r is exactly 0 there (its exponent
-    (kappa-1)*x**2/2 is past 1e300), so the product is 0, not inf*0."""
-    return k.kappa * np.minimum(x, 0.5 * sys.float_info.max / k.kappa) * r
+    """kappa*x*r for r = r(x, kappa) or R(x), with x capped where kappa*x
+    would overflow.  Past the cap, r is exactly 0 (its exponent
+    (kappa-1)*x**2/2 is past 1e300), so the product is 0, not inf*0; and
+    R(x) ~ 1/x, so the product is ~_KX_MAX/x >= 1 - 2**-52, not inf."""
+    return k.kappa * np.minimum(x, _KX_MAX / k.kappa) * r
 
 
 @elementwise(sign=1)

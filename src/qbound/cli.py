@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bounds, optimize, verify
 from .errors import QBoundError
-from .special import SQRT_2PI, gauss, mills_ratio, q
+from .special import q
 
 CSV_FIELDS = ("x", "kappa", "q_ref", "g_lower", "boyd_lower_q", "chernoff_upper", "rel_gap")
 
@@ -40,11 +40,10 @@ def make_record(xs, kappa) -> np.ndarray:
     """Comparison rows for an x array at one kappa, one column per CSV field.
 
     The columns that only exist for x >= 0 (Boyd on Q-scale, Chernoff upper)
-    are NaN for negative x.  For x > _GAP_SPLIT, rel_gap is evaluated as
-    1 - r/R = 1 - alpha*exp(-(kappa-1)*x**2/2)/(R/sqrt(2*pi)), in which
-    nothing underflows; (Q-g)/Q carries the rounding of x*x in both
-    exponentials there (~1.4e-13 relative at x = 37.5), and Q itself is
-    subnormal past ~37.5 and 0 past ~38.6.
+    are NaN for negative x.  For x > _GAP_SPLIT, rel_gap is bounds.rel_gap,
+    1 - r/R, in which nothing underflows; (Q-g)/Q carries the rounding of
+    x*x in both exponentials there (~1.4e-13 relative at x = 37.5), and Q
+    itself is subnormal past ~37.5 and 0 past ~38.6.
     """
     k = bounds.as_kappa(kappa)
     xs = np.array(xs, dtype=float, ndmin=1)
@@ -61,9 +60,7 @@ def make_record(xs, kappa) -> np.ndarray:
     tail = xs > _GAP_SPLIT
     rows[~tail, 6] = (qx[~tail] - gx[~tail]) / qx[~tail]
     if tail.any():
-        xt = xs[tail]
-        r = bounds.alpha_coeff(k) * gauss(xt, k.kappa_minus_1)
-        rows[tail, 6] = 1.0 - r / (mills_ratio(xt) / SQRT_2PI)
+        rows[tail, 6] = bounds.rel_gap(xs[tail], k)
     return rows
 
 
@@ -188,16 +185,20 @@ def cmd_roots(args, out) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that takes every negative number for a value, so
-    that `--x -1e300` parses like `--x=-1e300`.  argparse's own pattern
-    (Python 3.11) knows only the forms -1 and -1.5, and reads -1e300 or
-    -1e1 as an option string.  The pattern is argparse's private attribute
-    _negative_number_matcher; tests/test_cli.py::TestNegativeValues guards
-    the override on every Python the CI matrix runs."""
+    that `--x -1e300` or `--x -inf` parses like `--x=-1e300` or `--x=-inf`.
+    argparse's own pattern (Python 3.11) knows only the forms -1 and -1.5,
+    and reads -1e300, -1e1 or -inf as an option string.  The pattern is
+    argparse's private attribute _negative_number_matcher;
+    tests/test_cli.py::TestNegativeValues guards the override on every
+    Python the CI matrix runs."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # -1, -1., -1.5 or -.5, each with an optional exponent
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # -1, -1., -1.5 or -.5, each with an optional exponent, or what
+        # float() reads as -inf or nan, in any case
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import alpha_coeff, as_kappa, g_lower, strict_kappa, x1_point
+from .bounds import alpha_coeff, g_lower, rel_gap, strict_kappa, x1_point
 from .errors import DomainError, QBoundError
 from .special import SQRT_2PI, mills_ratio
 
@@ -44,18 +44,6 @@ class OptimizationResult:
     message: str = ""
 
 
-def _gap(x: float, k) -> float:
-    """(Q - g)/Q at x > 0, as 1 - r/R with log(r/R) = log(sqrt(2*pi)*alpha)
-    - (kappa-1)*x**2/2 - log R(x), so neither Q nor g underflows."""
-    k = as_kappa(k)
-    log_ratio = (
-        math.log(SQRT_2PI * alpha_coeff(k))
-        - 0.5 * k.kappa_minus_1 * x * x
-        - math.log(mills_ratio(x))
-    )
-    return -math.expm1(log_ratio)
-
-
 #: The kappa-slope of ln g is F(kappa-1) - x**2/2, with c = pi*m + 2 and
 #: F(m) = N(m) / (2m(1+m)c**2), N(m) = _N2*m**2 + _N1*m + 4.
 _N2 = 2.0 * math.pi * (math.pi - 2.0)
@@ -73,7 +61,7 @@ def _f(m: float):
 
 def _kappa_root(x: float):
     """(kappa, iterations, converged): the maximizer of g(x, kappa) over
-    [_KAPPA_MIN, KAPPA_MAX] for x > 0.
+    [_KAPPA_MIN, KAPPA_MAX] for x >= 0.
 
     It is the root of the slope d/dkappa ln g = F(kappa-1) - x**2/2.  F
     falls from inf to 0, so the slope changes sign once, from + to -.
@@ -125,22 +113,14 @@ def kappa_star(x: float) -> OptimizationResult:
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"kappa_star requires x > 0, got {x}")
-    if x == 0.0:
-        return OptimizationResult(
-            argument=KAPPA_MAX,
-            objective=g_lower(0.0, KAPPA_MAX),
-            gap=(0.5 - g_lower(0.0, KAPPA_MAX)) / 0.5,
-            iterations=0,
-            converged=False,
-            message="supremum at x=0 is approached only as kappa -> inf",
-        )
     kappa, iters, converged = _kappa_root(x)
     return OptimizationResult(
         argument=kappa,
         objective=g_lower(x, kappa),
-        gap=_gap(x, kappa),
+        gap=float(rel_gap(x, kappa)),
         iterations=iters,
         converged=converged,
+        message="supremum at x=0 is approached only as kappa -> inf" if x == 0.0 else "",
     )
 
 
@@ -210,7 +190,7 @@ def interval_kappa(x_lo: float, x_hi: float) -> OptimizationResult:
             kappa, converged = k_hi, conv_hi
         elif kc < kappa:
             kappa, converged = kc, True
-    worst = max(_gap(x_lo, kappa), _gap(x_hi, kappa))
+    worst = float(max(rel_gap(x_lo, kappa), rel_gap(x_hi, kappa)))
     return OptimizationResult(
         argument=kappa,
         objective=worst,

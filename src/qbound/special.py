@@ -87,14 +87,9 @@ def elementwise(sign=0, name="x"):
 
 
 def gauss(x, a):
-    """exp(-a*x*x/2) of a checked x (a > 0 for a scalar x): the Gaussian
-    factor of every bound kernel, 0 without a warning where a*x*x overflows.
-    A scalar |x| is capped where a*x**2/2 = 750, past which the factor is
-    already 0; arrays ignore the overflow instead, as a capped exponent
-    takes np.exp's slow underflow path."""
-    if x.ndim == 0:
-        x = min(abs(x), math.sqrt(1500.0 / a))
-        return np.exp(-0.5 * a * x * x)
+    """exp(-a*x*x/2) of a checked x, a Python float, NumPy scalar or array:
+    the Gaussian factor of every bound kernel, 0 without a warning where
+    a*x*x overflows."""
     with np.errstate(over="ignore"):
         return np.exp(-0.5 * a * x * x)
 

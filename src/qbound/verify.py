@@ -12,6 +12,7 @@ import numpy as np
 
 from .bounds import (
     KappaParam,
+    _kxr,
     as_kappa,
     boyd_lower,
     chernoff_upper,
@@ -196,8 +197,8 @@ def verify_lemma2(k, x_hi: float = 1000.0, count: int = 10000) -> VerificationRe
     if not x_hi > x1:
         raise UsageError(f"x_hi must exceed x1 = {x1}")
     xs = np.geomspace(x1, x_hi, int(count))
-    lhs_mills = k.kappa * xs * mills_ratio(xs)
-    lhs_boyd = k.kappa * xs * boyd_lower(xs)
+    lhs_mills = _kxr(xs, k, mills_ratio(xs))
+    lhs_boyd = _kxr(xs, k, boyd_lower(xs))
     viol = np.maximum(1.0 - lhs_mills, 1.0 - lhs_boyd)
     lhs = np.minimum(lhs_mills, lhs_boyd)
     return _merge("lemma2", [(xs, k.kappa, viol, lhs, np.ones_like(lhs))], LEMMA2_TOL)

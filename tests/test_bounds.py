@@ -27,6 +27,7 @@ from qbound import (
     x1_point,
     x2_point,
 )
+from qbound.bounds import rel_gap
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 KAPPA_GRID = (1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 100.0)
@@ -121,7 +122,8 @@ class TestTailWithoutWarnings:
     frozen here, from before they shared one Gaussian factor, and no
     warning, which Tier-1 turns into an error.  Where kappa*x overflows,
     r is exactly 0, and lemma1_relation and df_dx_identity give -1 and
-    1 - x*R(x)."""
+    1 - x*R(x).  Where x*x*(kappa-1) overflows, h(w) is -0, so
+    crossing_condition gives its value at x = 0, where h(w) is 0."""
 
     CASES = [
         (q, (), 1e155, 0.0),
@@ -151,6 +153,10 @@ class TestTailWithoutWarnings:
         (df_dx_identity, (1e300,), 1e10, 1.0 - 1e10 * mills_ratio(1e10)),
         (df_dx_identity, (1e200,), 1e200, 1.0 - 1e200 * mills_ratio(1e200)),
         (df_dx_identity, (2.0,), 1.7976931348623157e308, 1.1102230246251565e-16),
+        (crossing_condition, (2.0,), 1e155, crossing_condition(0.0, 2.0)),
+        (crossing_condition, (2.0,), 1.7976931348623157e308, crossing_condition(0.0, 2.0)),
+        (crossing_condition, (1e300,), 1e10, crossing_condition(0.0, 1e300)),
+        (crossing_condition, (1e300,), 1e8, crossing_condition(0.0, 1e300)),
     ]
 
     @pytest.mark.parametrize(
@@ -223,6 +229,40 @@ class TestFDiff:
             f_sign = f_diff(x, kappa) <= 0.0
             g_sign = g_lower(x, kappa) <= q(x) * (1.0 + 1e-13)
             assert f_sign == g_sign
+
+
+class TestRelGap:
+    @given(
+        st.floats(min_value=-6.0, max_value=8.0),
+        st.floats(min_value=-12.0, max_value=300.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_mpmath(self, x_log10, m_log10):
+        """1 - r/R at 50 digits, to 2e-15 plus the error that rounding the
+        exponent E = (kappa-1)*x**2/2 to a double must cause, (r/R)*E*2**-53."""
+        mp = pytest.importorskip("mpmath")
+        x, kappa = 10.0**x_log10, 1.0 + 10.0**m_log10
+        with mp.workdps(50):
+            xm, m = mp.mpf(x), mp.mpf(kappa) - 1
+            c = mp.pi * m + 2
+            alpha = mp.exp(1 / c) / (2 * (m + 1)) * mp.sqrt(m * c / mp.pi)
+            log_r = mp.log(mp.sqrt(2 * mp.pi) * alpha) - m * xm * xm / 2
+            log_mills = mp.log(mp.sqrt(mp.pi / 2) * mp.erfc(xm / mp.sqrt(2))) + xm * xm / 2
+            ratio = mp.exp(log_r - log_mills)
+            want, ratio = float(1 - ratio), float(ratio)
+        tol = 2e-15 + ratio * (kappa - 1.0) * x * x / 2.0 * 2.0**-53
+        got = rel_gap(x, kappa)
+        assert abs(got - want) <= tol
+        assert rel_gap(np.array([x, 1.0]), kappa)[0] == got
+
+    def test_is_the_table_tail_gap(self):
+        # the table's x > 20 column, operation for operation: no table byte moves
+        xs = np.array([20.5, 37.5, 45.0, 300.0])
+        k = KappaParam(1.0001)
+        want = 1.0 - alpha_coeff(k) * np.exp(-0.5 * k.kappa_minus_1 * xs * xs) / (
+            mills_ratio(xs) / SQRT_2PI
+        )
+        assert np.array_equal(rel_gap(xs, k), want)
 
 
 class TestCriticalPoints:

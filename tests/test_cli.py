@@ -283,6 +283,32 @@ class TestNegativeValues:
     def test_space_form_equals_the_equals_form(self, argv):
         assert self.outcome(argv) == self.outcome(self.equals_form(argv))
 
+    NONFINITE = [
+        ("eval", "--x", "-inf", "--kappa", "2"),
+        ("eval", "--x", "-Infinity", "--kappa", "2", "--format", "json"),
+        ("eval", "--x", "-nan", "--kappa", "2"),
+        ("eval", "--x", "1", "--kappa", "-INF"),
+        ("table", "--x-min", "-NaN", "--x-max", "1", "--x-count", "3"),
+        ("optimize", "pointwise", "--x", "-inf"),
+        ("roots", "--kappa", "-nan"),
+    ]
+
+    @pytest.mark.parametrize("argv", NONFINITE, ids=["_".join(a) for a in NONFINITE])
+    def test_nonfinite_space_form_equals_the_equals_form(self, argv, capsys):
+        """-inf and -nan, in any case, reach the library as values: exit
+        code, stdout and stderr are the `=` form's."""
+        joined = []
+        for a in argv:
+            if a[:2].lower() in ("-i", "-n"):
+                joined[-1] += "=" + a
+            else:
+                joined.append(a)
+        outcomes = []
+        for form in (argv, joined):
+            outcomes.append((self.outcome(form), capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1].startswith("error: ")
+
     def test_exponent_values_are_evaluated(self):
         code, text = run_cli("eval", "--x", "-1e300", "--kappa", "2")
         assert code == 0

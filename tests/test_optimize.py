@@ -17,6 +17,7 @@ from qbound import (
     mills_ratio,
     q,
 )
+from qbound.bounds import rel_gap
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -128,6 +129,24 @@ class TestKappaStar:
         calls = g_lower_call_ndims(monkeypatch)
         assert kappa_star(1.0).iterations <= 64
         assert calls == [0]  # the objective at the optimum, nothing else
+
+
+class TestGapIsRelGap:
+    """Both optimizers report the looseness bounds.rel_gap gives at the
+    returned kappa, bit for bit, as a Python float."""
+
+    @pytest.mark.parametrize("x", [0.0, 1e-4, 0.5, 1.0, 3.0, 50.0, 1e8])
+    def test_kappa_star(self, x):
+        res = kappa_star(x)
+        assert type(res.gap) is float
+        assert res.gap == rel_gap(x, res.argument)
+
+    @pytest.mark.parametrize("x_lo, x_hi", [(0.05, 0.2), (0.5, 3.0), (1.0, 1.0), (30.0, 60.0)])
+    def test_interval_kappa(self, x_lo, x_hi):
+        res = interval_kappa(x_lo, x_hi)
+        assert type(res.objective) is float
+        assert res.objective == res.gap
+        assert res.objective == max(rel_gap(x_lo, res.argument), rel_gap(x_hi, res.argument))
 
 
 class TestMaxWeight:

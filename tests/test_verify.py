@@ -1,5 +1,7 @@
 """Tests for the verification-suite engine."""
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +152,12 @@ class TestVerifyLemma2:
     def test_rejects_bad_range(self):
         with pytest.raises(UsageError):
             verify_lemma2(2.0, x_hi=0.1)
+
+    @pytest.mark.parametrize("kappa, x_hi", [(sys.float_info.max, 1000.0), (2.0, 1e308)])
+    def test_passes_without_warning_where_kappa_x_overflows(self, kappa, x_hi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert verify_lemma2(kappa, x_hi=x_hi).passed
 
 
 class TestVerifyDerivative:
