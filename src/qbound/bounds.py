@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .special import SQRT_2PI, LambertBranch, elementwise, gauss, h, lambert_w, mills_ratio
+from .special import SQRT_2PI, elementwise, gauss, h, mills_ratio
 
 _PI = math.pi
 
@@ -146,50 +146,39 @@ def x1_point(k) -> float:
     return math.sqrt(2.0 / (_PI + 2.0 / m)) / m
 
 
-def _t_param(k: KappaParam) -> float:
-    """t = pi*(kappa-1)/c = 1 + w1, the distance of w1 from the branch point."""
-    return _PI * k.kappa_minus_1 / k.c
-
-
-def _rhs_z(k: KappaParam) -> float:
-    """z = (-2/c) * exp(-2/c) = h(w1), the right-hand side of the crossing
-    relation.  Computed as -(1-t)*exp(t-1), which has no cancellation."""
-    t = _t_param(k)
-    return -(1.0 - t) * math.exp(t - 1.0)
-
-
-def _conjugate_s(t: float, s0: float) -> float:
-    """Solve psi(s) = psi(t) for s < 0, where psi(u) = u + log1p(-u).
-
-    This is the well-conditioned form of h(-1+s) = h(-1+t); it recovers the
-    negative-branch preimage w2 = -1 + s without the catastrophic
-    cancellation that h's branch-point flatness causes in z-space.
-    """
-    target = t + math.log1p(-t)
-    s = s0
-    for _ in range(60):
-        g = s + math.log1p(-s) - target
-        # psi'(s) = -s / (1 - s)
-        step = g * (1.0 - s) / s
-        s += step
-        if abs(step) <= 4e-16 * abs(s):
-            break
-    return s
-
-
 def x2_point(k) -> float:
-    """Larger critical point x2 = sqrt(w2 / (1 - kappa)), w2 on the negative
-    Lambert branch, polished so the crossing relation holds to ~1e-15."""
+    """Larger critical point x2 = sqrt((1 - s)/(kappa - 1)), where
+    w2 = -1 + s on the negative Lambert branch meets w1 = -1 + t,
+    t = pi*(kappa-1)/c, in h(w2) = h(w1).
+
+    s < 0 solves psi(s) = psi(t), psi(u) = u + log1p(-u), the form of that
+    relation that h's flatness at the branch point does not spoil, by
+    Newton's method from a closed-form start.  Where 1 - t rounds to 0
+    (at some kappa past ~5.7e15, at all past ~1.15e16), psi(t) is -inf and
+    x2 is a DomainError.
+    """
     k = strict_kappa(k, "x2_point")
-    t = _t_param(k)
-    if t < 0.05:
-        # Near kappa = 1 the Lambert argument sits too close to -1/e for
-        # z-space inversion to retain any accuracy; solve in s-space instead.
-        s0 = -t * (1.0 + 2.0 * t / 3.0)
-    else:
-        s0 = lambert_w(_rhs_z(k), LambertBranch.NEGATIVE) + 1.0
-    s = _conjugate_s(t, s0)
-    # w2 = -1 + s, x2**2 = w2/(1-kappa) = (1 - s)/(kappa - 1)
+    c = k.c
+    t = _PI * k.kappa_minus_1 / c
+    if not t < 1.0:
+        cause = "c = pi*(kappa-1) + 2 overflows" if c == math.inf else "1 - t rounds to 0"
+        raise DomainError(
+            f"x2_point: at kappa = {k.kappa}, {cause}, where t = pi*(kappa-1)/c; "
+            f"this happens at some kappa past ~5.7e15 and at every one past ~1.15e16"
+        )
+    target = t + math.log1p(-t)
+    # the series of s about the branch point, or one fixed-point step of
+    # s = target - log1p(-s) from s = target; on a log sweep of kappa - 1
+    # over [1e-12, 1e16], at most 6 Newton steps follow
+    s = -t * (1.0 + 2.0 * t / 3.0) if t < 0.7 else target - math.log1p(-target)
+    step = math.inf
+    for _ in range(60):
+        # Newton on psi(s) - target, psi'(s) = -s/(1 - s); a step that is 0
+        # or no smaller than the last is rounding noise and ends the solve
+        new = (s + math.log1p(-s) - target) * (1.0 - s) / s
+        if not 0.0 < abs(new) < abs(step):
+            break
+        s, step = s + new, new
     return math.sqrt((1.0 - s) / k.kappa_minus_1)
 
 
@@ -215,11 +204,13 @@ def crossing_condition(x, k):
     """
     k = strict_kappa(k, "crossing_condition")
     with np.errstate(over="ignore"):
-        w = x * x * (1.0 - k.kappa)
+        w = (1.0 - k.kappa) * x * x  # x*x alone goes subnormal before w does
     # h(w) is -0 for every w below -745, -inf aside, where it is -inf*0 =
     # nan: an overflowed w is taken as the most negative double instead
     w = np.maximum(w, -sys.float_info.max, out=w if w.ndim else None)
-    return _h(w) - _rhs_z(k)
+    # h(w1) = -a*exp(-a) with a = -w1 = 2/c, in a form finite at every kappa
+    a = (2.0 / _PI) / (k.kappa_minus_1 + 2.0 / _PI)
+    return _h(w) + a * math.exp(-a)
 
 
 #: The double below the largest: kappa*(_KX_MAX/kappa) rounds to a finite value.

@@ -1,10 +1,11 @@
 """Tests for the bound family and the proof-level functions."""
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -312,7 +313,73 @@ class TestCriticalPoints:
                 fn(1.0)
 
 
+class TestX2NewtonSolve:
+    """x2 comes from one Newton solve of psi(s) = psi(t); where 1 - t rounds
+    to 0 or c overflows, it is a DomainError."""
+
+    @pytest.mark.parametrize(
+        "kappa, cause",
+        [
+            (1.2e16, "1 - t rounds to 0"),
+            (1e100, "1 - t rounds to 0"),
+            (5.8e307, "c = pi\\*\\(kappa-1\\) \\+ 2 overflows"),
+            (sys.float_info.max, "c = pi\\*\\(kappa-1\\) \\+ 2 overflows"),
+        ],
+    )
+    def test_domain_error_past_the_limit_names_its_cause(self, kappa, cause):
+        with pytest.raises(DomainError, match=f"x2_point: at kappa = .*, {cause}"):
+            x2_point(kappa)
+
+    def test_at_most_ten_newton_steps(self, monkeypatch):
+        # each x2_point evaluates log1p once for its target, at most once
+        # for its start and once per Newton step, plus the step that ends
+        # the solve: more than 12 calls would mean more than 10 steps
+        calls = []
+        log1p = math.log1p
+
+        def counted(v):
+            calls.append(v)
+            return log1p(v)
+
+        monkeypatch.setattr(math, "log1p", counted)
+        most = 0
+        for m in np.geomspace(1e-12, 1e16, 20000):
+            calls.clear()
+            try:
+                x2_point(1.0 + float(m))
+            except DomainError:  # 1 - t rounds to 0, at some m past 5.7e15
+                assert m > 5.7e15
+            most = max(most, len(calls))
+        assert 2 <= most <= 12
+
+
 class TestCrossingCondition:
+    @given(
+        st.floats(min_value=-160.0, max_value=8.0).map(lambda e: 10.0**e),
+        st.floats(min_value=-12.0, max_value=math.log10(sys.float_info.max) - 1e-12).map(
+            lambda e: 1.0 + 10.0**e
+        ),
+    )
+    @example(8.695287148348957, 7.587616060873651e139)
+    @example(1.0, 5.8e307)
+    @example(1.0, sys.float_info.max)
+    @example(1e-160, 1e200)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_mpmath(self, x, kappa):
+        """h(w) - h(w1) at 60 digits, to 8 units of 2**-53 in the size of its
+        terms, |h(w)| + |h(w1)|, times 1 + |w| for the rounding of w."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            w = mp.mpf(x) ** 2 * (1 - mp.mpf(kappa))
+            a = 2 / (mp.pi * (mp.mpf(kappa) - 1) + 2)
+            hw, z = w * mp.exp(w), -a * mp.exp(-a)
+            want = hw - z
+            tol = 8 * mp.mpf(2) ** -53 * (abs(hw) + abs(z)) * (1 + abs(w))
+        got = crossing_condition(x, kappa)
+        assert math.isfinite(got)
+        assert abs(got - want) <= tol
+        assert crossing_condition(np.array([x, 1.0]), kappa)[0] == got
+
     def test_zero_at_both_roots(self):
         for kappa in KAPPA_GRID:
             assert abs(crossing_condition(x1_point(kappa), kappa)) < 1e-12

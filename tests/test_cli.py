@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,24 @@ class TestVerifyCommand:
         assert reports[0]["suite"] == "theorem"
         assert reports[0]["passed"] is True
 
+    @pytest.mark.parametrize("argv", [("--x-max", "40"), ("--x-max", "1e300", "--x-count", "50")])
+    def test_chernoff_passes_where_q_underflows(self, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run_cli("verify", "chernoff", *argv)
+        assert code == 0
+        assert text.startswith("PASS chernoff: ") and "worst_violation=0 " in text
+
+    @pytest.mark.parametrize("command", [("table",), ("verify", "theorem")])
+    def test_grid_span_that_overflows_exits_2(self, command, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run_cli(*command, "--x-min", "-1.7e308", "--x-max", "1.7e308")
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: the grid span x_max - x_min overflows for [-1.7e+308, 1.7e+308]\n"
+        )
+
 
 class TestOptimizeCommand:
     def test_pointwise(self):
@@ -351,6 +370,13 @@ class TestRootsCommand:
     def test_kappa_one_exits_2(self):
         code, _ = run_cli("roots", "--kappa", "1")
         assert code == 2
+
+    def test_past_the_x2_limit_exits_2_with_the_cause(self, capsys):
+        code, text = run_cli("roots", "--kappa", "4.4e232")
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err.startswith(
+            "error: x2_point: at kappa = 4.4e+232, 1 - t rounds to 0"
+        )
 
     def test_near_degenerate_ordering(self):
         code, text = run_cli("roots", "--kappa", "1.001", "--format", "json")

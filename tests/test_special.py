@@ -220,7 +220,9 @@ def _tail_examples(test):
 
 
 # Each composite kernel with its defining expression in the public kernels.
-# crossing_condition(0, kappa) = h(0) - h(w1) = -h(w1).
+# crossing_condition(0, kappa) = h(0) - h(w1) = -h(w1).  Its w is
+# (1 - kappa)*x*x: x*x alone goes subnormal first (at x = 1e-160 and
+# kappa = 1e200, x*x*(1 - kappa) is 1.1e-5 off, relative).
 COMPOSITES = [
     (bounds.f_diff, lambda x, k: bounds.r_scaled(x, k) - special.mills_ratio(x)),
     (bounds.lemma1_relation, lambda x, k: k * x * bounds.r_scaled(x, k) - 1.0),
@@ -230,7 +232,7 @@ COMPOSITES = [
     ),
     (
         bounds.crossing_condition,
-        lambda x, k: special.h(x * x * (1.0 - k)) + bounds.crossing_condition(0.0, k),
+        lambda x, k: special.h((1.0 - k) * x * x) + bounds.crossing_condition(0.0, k),
     ),
 ]
 
@@ -270,7 +272,7 @@ class TestElementwiseGuard:
                 got = _outcome(fn, xv, (kappa,), one)[0]
                 if not isinstance(got, bytes):
                     continue
-                if fn is bounds.crossing_condition and not math.isfinite(x * x * (1.0 - kappa)):
+                if fn is bounds.crossing_condition and not math.isfinite((1.0 - kappa) * x * x):
                     continue  # h is defined for finite w only
                 if fn in WITHOUT_KXR and math.isinf(kappa * x):
                     # the definition's kappa*x*r is inf*0, yet r is exactly

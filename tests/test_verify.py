@@ -43,6 +43,23 @@ class TestEvaluationGrid:
         with pytest.raises(UsageError):
             EvaluationGrid(spacing="cubic")
 
+    def test_span_that_overflows_is_a_usage_error(self):
+        # np.linspace would give nan: x_max - x_min is inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UsageError, match=r"span x_max - x_min overflows"):
+                EvaluationGrid(x_min=-1.7e308, x_max=1.7e308)
+            xs = EvaluationGrid(x_min=-8e307, x_max=8e307, x_count=3).xs()
+        assert list(xs) == [-8e307, 0.0, 8e307]
+
+    def test_log_spacing_to_the_largest_double_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = EvaluationGrid(x_min=1.0, x_max=sys.float_info.max, spacing="log")
+            xs = g.xs()
+        assert xs[0] == 1.0 and xs[-1] == sys.float_info.max
+        assert np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0.0)
+
 
 class TestVerifyTheorem:
     def test_default_grid_passes(self):
@@ -153,7 +170,10 @@ class TestVerifyLemma2:
         with pytest.raises(UsageError):
             verify_lemma2(2.0, x_hi=0.1)
 
-    @pytest.mark.parametrize("kappa, x_hi", [(sys.float_info.max, 1000.0), (2.0, 1e308)])
+    @pytest.mark.parametrize(
+        "kappa, x_hi",
+        [(sys.float_info.max, 1000.0), (2.0, 1e308), (2.0, sys.float_info.max)],
+    )
     def test_passes_without_warning_where_kappa_x_overflows(self, kappa, x_hi):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -200,6 +220,15 @@ class TestVerifyChernoff:
     def test_rejects_negative_x(self):
         with pytest.raises(UsageError):
             verify_chernoff(EvaluationGrid(x_min=-1.0, x_max=1.0, kappas=(2.0,)))
+
+    @pytest.mark.parametrize("x_max, count", [(40.0, 2001), (1e300, 50)])
+    def test_passes_where_q_and_the_bound_underflow(self, x_max, count):
+        # past x ~38.6 both sides are 0; the violation Q/ch - 1 stays finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = verify_chernoff(EvaluationGrid(x_min=0.0, x_max=x_max, x_count=count))
+        assert r.passed and r.worst_violation == 0.0
+        assert r.worst_lhs == r.worst_rhs == 0.5
 
 
 class TestRunAll:
