@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .special import SQRT_2PI, elementwise, gauss, h, mills_ratio
+from .special import SQRT_2PI, SQRT_HALF_PI, elementwise, gauss, h, mills_ratio
 
 _PI = math.pi
 
@@ -248,6 +248,12 @@ def boyd_lower(x):
     """Boyd's lower bound for the scaled Mills ratio:
     R(x) >= pi / ((pi-1)*x + sqrt(x**2 + 2*pi)), exact at x = 0.
 
+    It is taken as sqrt(pi/2) * (sqrt(2*pi) / ((pi-1)*x + sqrt(x**2 + 2*pi))),
+    whose value at x = 0 is exactly sqrt(pi/2) = R(0), where the quotient
+    pi/sqrt(2*pi) rounds one ulp above R(0).  The product of the two
+    rounded roots is ~1.7e-16 below pi, so the bound leans low, as a lower
+    bound may.
+
     Where x*x overflows (x >= 2**512, ~1.3e154), 2*pi is far below its
     rounding and the bound, divided through by x, is 1/x to rounding.  A
     scalar is tested with a plain comparison and an array by its maximum,
@@ -259,7 +265,7 @@ def boyd_lower(x):
     elif x.max(initial=0.0) >= _SQUARE_OVER:
         over = x >= _SQUARE_OVER
         return np.divide(1.0, x, out=_boyd(np.where(over, 0.0, x)), where=over)
-    return _PI / ((_PI - 1.0) * x + np.sqrt(x * x + 2.0 * _PI))
+    return SQRT_HALF_PI * (SQRT_2PI / ((_PI - 1.0) * x + np.sqrt(x * x + 2.0 * _PI)))
 
 
 _boyd = boyd_lower.__wrapped__

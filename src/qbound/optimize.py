@@ -1,8 +1,8 @@
 """Parameter selection for the bound family: best kappa at a point, the
 empirical maximal weight for a fixed order, and the best single kappa over
 an interval.  Each is an exact one-dimensional solve on an analytic slope:
-Newton on ln F for the best kappa, bisection for the weight; all are
-deterministic.
+Newton on ln F for the best kappa, on the slope kappa*x*R(x) - 1 for
+the weight; all are deterministic.
 """
 from __future__ import annotations
 
@@ -32,8 +32,7 @@ class OptimizationResult:
     the relative looseness (Q - g)/Q at the optimum where that is
     meaningful, else None.  iterations counts the slope evaluations of the
     solve behind each optimizer: Newton steps for kappa_star and
-    interval_kappa (of both endpoint solves), bisection steps for
-    max_weight.
+    interval_kappa (of both endpoint solves) and max_weight.
     """
 
     argument: float
@@ -130,24 +129,52 @@ def max_weight(k) -> OptimizationResult:
 
     The infimum sits at the root of slope(x) = kappa*x*R(x) - 1 in (0, x1]:
     slope(0) = -1, slope(x1) >= 0 by the sign structure of the proof, and
-    x*R(x) is increasing, so the root is unique and bisection finds it to
-    adjacent doubles.  The objective is minimized through its logarithm
-    log(R(x)/sqrt(2*pi)) + (kappa-1)*x**2/2, in which nothing underflows.
-    alpha_max >= alpha(kappa) always; a violation would contradict the
-    theorem and is raised as a QBoundError.
+    x*R(x) is increasing, so the root is unique.  Newton solves it from x1,
+    with slope' = kappa*R''(x) = kappa*(R*(1 + x*x) - x) from the Mills
+    equation R' = x*R - 1; the root stays bracketed, and a step that would
+    leave the bracket bisects it instead.  The solve stops when a step is a
+    few ulps of x, or is at least half the one before: Newton's steps shrink
+    quadratically, so that step is the slope's rounding.  The objective is
+    minimized through its logarithm log(R(x)/sqrt(2*pi)) + (kappa-1)*x**2/2,
+    in which nothing underflows.  alpha_max >= alpha(kappa) always; a
+    violation would contradict the theorem and is raised as a QBoundError.
     """
     k = strict_kappa(k, "max_weight")
-    lo, hi, evals = 0.0, x1_point(k), 0
+    kappa, m = k.kappa, k.kappa_minus_1
+    lo, hi = 0.0, x1_point(k)
+    x, step, evals = hi, math.inf, 0
     while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
         evals += 1
-        if k.kappa * mid * mills_ratio(mid) < 1.0:
-            lo = mid
+        if x < 512.0:
+            r = mills_ratio(x)
+            slope, d = kappa * x * r - 1.0, r * (1.0 + x * x) - x
         else:
-            hi = mid
-    phi = math.log(mills_ratio(mid) / SQRT_2PI) + 0.5 * k.kappa_minus_1 * mid * mid
+            # Both forms above cancel here (relative error ~eps*x**4 in d).
+            # Sum 1 - x*R(x) and R''(x) from their asymptotic series in
+            # s = 1/x**2, whose next terms are below 1e-18 of the sum.
+            s = 1.0 / (x * x)
+            slope = m - kappa * s * (1.0 - s * (3.0 - s * (15.0 - 105.0 * s)))
+            d = 2.0 * s / x * (1.0 - s * (6.0 - s * (45.0 - 420.0 * s)))
+        if slope < 0.0:
+            lo = x
+        elif slope > 0.0:
+            hi = x
+        else:
+            break
+        x_new = x - slope / kappa / d
+        new_step = abs(x_new - x)
+        if new_step <= 4.0 * _EPS * x:
+            x = x_new
+            break
+        if new_step >= 0.5 * step:  # the slope's rounding has taken over
+            break
+        if lo < x_new < hi:
+            x, step = x_new, new_step
+        elif lo < 0.5 * (lo + hi) < hi:
+            x = 0.5 * (lo + hi)
+        else:
+            break
+    phi = math.log(mills_ratio(x) / SQRT_2PI) + 0.5 * m * x * x
     alpha_max = math.exp(phi)
     alpha = alpha_coeff(k)
     if alpha_max < alpha * (1.0 - 1e-12):
@@ -156,7 +183,7 @@ def max_weight(k) -> OptimizationResult:
             f"falls below the proven coefficient {alpha} at kappa={k.kappa}"
         )
     return OptimizationResult(
-        argument=mid,
+        argument=x,
         objective=alpha_max,
         gap=None,
         iterations=evals,

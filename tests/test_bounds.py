@@ -143,11 +143,11 @@ class TestTailWithoutWarnings:
         (chernoff_upper, (), 1e300, 0.0),
         (r_scaled, (3.7e294,), 10.0, 0.0),
         (r_scaled, (3.7e294,), 1e8, 0.0),
-        (f_diff, (3.7e294,), 10.0, -0.09902859647173191),
+        (f_diff, (3.7e294,), 10.0, -0.0990285964717319),
         (f_diff, (3.7e294,), 1e8, -1e-08),
         (lemma1_relation, (3.7e294,), 10.0, -1.0),
         (lemma1_relation, (3.7e294,), 1e8, -1.0),
-        (df_dx_identity, (3.7e294,), 10.0, 0.009714035282680888),
+        (df_dx_identity, (3.7e294,), 10.0, 0.009714035282681),
         (df_dx_identity, (3.7e294,), 1e8, 0.0),
         (lemma1_relation, (1e300,), 1e10, -1.0),
         (lemma1_relation, (2.0,), 1.7976931348623157e308, -1.0),
@@ -460,6 +460,15 @@ class TestBoydLower:
     def test_dominated_by_mills_everywhere(self):
         xs = np.geomspace(1e-6, 1e4, 5000)
         assert np.all(boyd_lower(xs) <= mills_ratio(xs) * (1.0 + 1e-14))
+
+    def test_equals_mills_at_zero_on_both_scales(self):
+        assert boyd_lower(0.0) == mills_ratio(0.0)
+        assert boyd_lower_q(0.0) == q(0.0) == 0.5
+        assert boyd_lower(np.zeros(2)).tolist() == [mills_ratio(0.0)] * 2
+
+    def test_below_mills_without_slack(self):
+        xs = np.linspace(1e-12, 50.0, 100_000)
+        assert np.all(boyd_lower(xs) <= mills_ratio(xs))
 
     def test_quadrature_comparison_at_ten(self):
         assert boyd_lower(10.0) <= oracles.mills_quad(10.0)

@@ -338,14 +338,16 @@ class TestNegativeValues:
 
 
 class TestImportCost:
-    def test_scipy_optimize_never_imported(self):
-        # scipy.optimize costs ~0.3 s of every cold start and is not needed
+    def test_scipy_never_imported(self):
+        # import scipy.special alone costs ~0.35 s of every cold start;
+        # qbound needs no scipy module at run time
         script = (
-            "import sys, io, qbound\n"
-            "print('scipy.optimize' in sys.modules)\n"
-            "from qbound.cli import main\n"
-            "main(['optimize', 'weight', '--kappa', '2'], out=io.StringIO())\n"
-            "print('scipy.optimize' in sys.modules)\n"
+            "import sys, io, qbound.cli\n"
+            "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))\n"
+            "for argv in (['eval', '--x', '1', '--kappa', '2'], ['verify', 'all'],\n"
+            "             ['optimize', 'weight', '--kappa', '2']):\n"
+            "    qbound.cli.main(argv, out=io.StringIO())\n"
+            "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))\n"
         )
         src = str(Path(qbound.__file__).resolve().parents[1])
         proc = subprocess.run(

@@ -200,10 +200,10 @@ class TestMaxWeight:
         assert res.objective == pytest.approx(expected, rel=1e-9)
 
     def test_huge_kappa_argument(self):
-        # x1 no longer underflows to 0 there, so the root is bisected
+        # x1 no longer underflows to 0 there, so the root is solved for
         res = max_weight(1e200)
         assert res.argument == pytest.approx(7.978845608028654e-201, rel=1e-14, abs=0.0)
-        assert 40 <= res.iterations <= 64
+        assert 1 <= res.iterations <= 8
 
     def test_iterations_count_slope_evaluations(self, monkeypatch):
         import qbound.optimize as opt
@@ -214,7 +214,30 @@ class TestMaxWeight:
         res = opt.max_weight(2.0)
         # every call but the last (the objective at the root) is a slope evaluation
         assert res.iterations == len(calls) - 1
-        assert 40 <= res.iterations <= 64
+        assert 1 <= res.iterations <= 8
+
+    def test_newton_takes_at_most_eight_evaluations(self):
+        for m in np.geomspace(1e-12, 1e300, 2000):
+            res = max_weight(1.0 + m)
+            assert res.converged
+            assert 1 <= res.iterations <= 8, m
+
+    @pytest.mark.parametrize("m", [1e-12, 1e-6, 1.0, 1e6, 1e200])
+    def test_argument_matches_mpmath(self, m):
+        # past x = 512 the slope is summed from its asymptotic series, so
+        # the root holds at kappa - 1 = 1e-12, where kappa*x*R(x) - 1 cancels
+        mp = pytest.importorskip("mpmath")
+        res = max_weight(1.0 + m)
+        with mp.workdps(50):
+            k = mp.mpf(1.0 + m)
+
+            def mills(x):
+                return mp.sqrt(mp.pi / 2) * mp.erfc(x / mp.sqrt(2)) * mp.exp(x * x / 2)
+
+            root = mp.findroot(lambda x: k * x * mills(x) - 1, mp.mpf(res.argument))
+            objective = mp.exp((k - 1) * root * root / 2) * mills(root) / mp.sqrt(2 * mp.pi)
+        assert res.argument == pytest.approx(float(root), rel=1e-15, abs=0.0)
+        assert res.objective == pytest.approx(float(objective), rel=4e-15, abs=0.0)
 
 
 class TestIntervalKappa:

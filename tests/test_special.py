@@ -1,5 +1,6 @@
 """Tests for the special-function kernels."""
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -288,3 +289,71 @@ class TestElementwiseGuard:
             assert type(fn(x, *args)) is float
             assert type(fn(np.float64(x), *args)) is float
             assert fn(np.array([x]), *args).shape == (1,)
+
+
+def _erfcx_mp(mp, z):
+    """erfcx(z) at mpmath's working precision.  Past z = 100 it is summed
+    from its asymptotic series, since mpmath's erfc cannot take z past
+    ~1e154."""
+    z = mp.mpf(z)
+    if z <= 100:
+        return mp.erfc(z) * mp.exp(z * z)
+    total, term, n = mp.mpf(0), mp.mpf(1), 0
+    while abs(term) > mp.mpf(10) ** -mp.mp.dps:
+        total += term
+        n += 1
+        term *= -(2 * n - 1) / (2 * z * z)
+    return total / (z * mp.sqrt(mp.pi))
+
+
+class TestErfcx:
+    """The native erfcx behind q and mills_ratio: one frozen table, one
+    formula for every finite z >= 0, the same bits on both paths."""
+
+    LARGEST = sys.float_info.max
+
+    def test_one_at_zero_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert special._erfcx(0.0) == 1.0
+            assert special._erfcx(np.float64(0.0)) == 1.0
+            assert special._erfcx(np.zeros(3)).tolist() == [1.0, 1.0, 1.0]
+            assert special._erfcx(np.array(0.0)) == 1.0
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(0.0, 0.5), (0.5, 4.0), (4.0, 50.0), (50.0, 1e300)]
+    )
+    def test_matches_mpmath(self, lo, hi):
+        # the accuracy gate of tools/fit_erfcx.py, on 2,000 points a range
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(int(hi))
+        if hi > 1e3:
+            z = np.exp(rng.uniform(math.log(lo), math.log(hi), 2000))
+        else:
+            z = rng.uniform(lo, hi, 2000)
+        got = special._erfcx(z)
+        worst = 0.0
+        with mp.workdps(30):
+            for zi, gi in zip(z, got):
+                want = _erfcx_mp(mp, float(zi))
+                worst = max(worst, float(abs((mp.mpf(float(gi)) - want) / want)))
+        assert worst <= 4.0 * 2.0**-53
+
+    def test_scalar_equals_array_bit_for_bit(self):
+        rng = np.random.default_rng(20261018)
+        z = np.concatenate([
+            [0.0, 5e-324, 50.0, 1e154, self.LARGEST],
+            [128.0 / j - 1.0 for j in range(1, 129)],  # every piece boundary
+            rng.uniform(0.0, 4.0, 4000),
+            np.exp(rng.uniform(math.log(4.0), math.log(1e300), 4000)),
+            np.exp(rng.uniform(-745.0, math.log(self.LARGEST), 2000)),
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            array = special._erfcx(z)
+            scalar = [special._erfcx(float(v)) for v in z]
+        assert all(type(v) is float for v in scalar)
+        assert np.array(scalar).tobytes() == array.tobytes()
+        assert np.all(np.isfinite(array)) and np.all(array > 0.0)
+        # four copies span three blocks: no block depends on another
+        assert special._erfcx(np.tile(z, 4)).tobytes() == np.tile(array, 4).tobytes()
