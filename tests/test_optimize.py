@@ -219,8 +219,26 @@ class TestMaxWeight:
     def test_newton_takes_at_most_eight_evaluations(self):
         for m in np.geomspace(1e-12, 1e300, 2000):
             res = max_weight(1.0 + m)
-            assert res.converged
             assert 1 <= res.iterations <= 8, m
+
+    def test_newton_lands_on_the_root(self):
+        # On the same sweep the true slope kappa*x*R(x) - 1 at the argument
+        # is as small as the slope's own rounding allows: ~eps below x = 512,
+        # where kappa*x*R ~ 1, and ~eps*(kappa-1) past it, where the slope is
+        # summed as (kappa-1) minus a series of the same size.  A solve that
+        # stops before Newton's quadratic phase leaves far more than that.
+        mp = pytest.importorskip("mpmath")
+        worst = 0.0
+        for m in np.geomspace(1e-12, 1e300, 2000):
+            kappa = 1.0 + m
+            x = max_weight(kappa).argument
+            with mp.workdps(60):
+                k, xm = mp.mpf(kappa), mp.mpf(x)
+                mills = mp.sqrt(mp.pi / 2) * mp.erfc(xm / mp.sqrt(2)) * mp.exp(xm * xm / 2)
+                slope = float(abs(k * xm * mills - 1))
+            scale = 1.0 if x < 512.0 else kappa - 1.0
+            worst = max(worst, slope / (np.finfo(float).eps * scale))
+        assert worst <= 4.0
 
     @pytest.mark.parametrize("m", [1e-12, 1e-6, 1.0, 1e6, 1e200])
     def test_argument_matches_mpmath(self, m):

@@ -1,7 +1,9 @@
 """Tests for the special-function kernels."""
+import importlib.util
 import math
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,19 +293,14 @@ class TestElementwiseGuard:
             assert fn(np.array([x]), *args).shape == (1,)
 
 
-def _erfcx_mp(mp, z):
-    """erfcx(z) at mpmath's working precision.  Past z = 100 it is summed
-    from its asymptotic series, since mpmath's erfc cannot take z past
-    ~1e154."""
-    z = mp.mpf(z)
-    if z <= 100:
-        return mp.erfc(z) * mp.exp(z * z)
-    total, term, n = mp.mpf(0), mp.mpf(1), 0
-    while abs(term) > mp.mpf(10) ** -mp.mp.dps:
-        total += term
-        n += 1
-        term *= -(2 * n - 1) / (2 * z * z)
-    return total / (z * mp.sqrt(mp.pi))
+def _fit_erfcx():
+    """tools/fit_erfcx.py, whose mpmath erfcx is the reference here too."""
+    pytest.importorskip("mpmath")
+    path = Path(__file__).resolve().parents[1] / "tools" / "fit_erfcx.py"
+    spec = importlib.util.spec_from_file_location("fit_erfcx", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestErfcx:
@@ -325,7 +322,7 @@ class TestErfcx:
     )
     def test_matches_mpmath(self, lo, hi):
         # the accuracy gate of tools/fit_erfcx.py, on 2,000 points a range
-        mp = pytest.importorskip("mpmath")
+        tool = _fit_erfcx()
         rng = np.random.default_rng(int(hi))
         if hi > 1e3:
             z = np.exp(rng.uniform(math.log(lo), math.log(hi), 2000))
@@ -333,10 +330,10 @@ class TestErfcx:
             z = rng.uniform(lo, hi, 2000)
         got = special._erfcx(z)
         worst = 0.0
-        with mp.workdps(30):
+        with tool.mp.workdps(30):
             for zi, gi in zip(z, got):
-                want = _erfcx_mp(mp, float(zi))
-                worst = max(worst, float(abs((mp.mpf(float(gi)) - want) / want)))
+                want = tool.erfcx_mp(float(zi))
+                worst = max(worst, float(abs((tool.mp.mpf(float(gi)) - want) / want)))
         assert worst <= 4.0 * 2.0**-53
 
     def test_scalar_equals_array_bit_for_bit(self):
