@@ -176,31 +176,37 @@ def verify_lemma1(k) -> VerificationReport:
             "lemma1", 0, math.inf, (cp.pivot, k.kappa), ENDPOINT_TOL, False
         )
 
-    # Region interiors; endpoints are tested separately for equality.
+    # Region interiors, then the two endpoints, which are tested for
+    # equality: one kernel call on all of them, split into parts after it.
     n = LEMMA1_POINTS
-    regions = [
+    xs = np.concatenate([
         # expected sign: negative below x1, nonnegative inside, negative above
-        (np.linspace(0.0, cp.x1, n, endpoint=False), +1.0),
-        (np.linspace(cp.x1, cp.x2, n + 2)[1:-1], -1.0),
-        (np.geomspace(cp.x2, 10.0 * cp.x2, n + 1)[1:], +1.0),
-    ]
+        np.linspace(0.0, cp.x1, n, endpoint=False),
+        np.linspace(cp.x1, cp.x2, n + 2)[1:-1],
+        np.geomspace(cp.x2, 10.0 * cp.x2, n + 1)[1:],
+        [cp.x1, cp.x2],
+    ])
+    rel = lemma1_relation(xs, k)
     parts = []
-    for xs, orient in regions:
-        rel = lemma1_relation(xs, k)
+    for start, stop, orient in ((0, n, +1.0), (n, 2 * n, -1.0), (2 * n, 3 * n, +1.0)):
         # positive where the expected sign is violated
-        parts.append((xs, k.kappa, orient * rel, rel, np.zeros_like(rel)))
-    for x_end in (cp.x1, cp.x2):
-        resid = np.array([abs(lemma1_relation(x_end, k))])
-        parts.append((np.array([x_end]), k.kappa, resid, resid, np.zeros(1)))
+        r = rel[start:stop]
+        parts.append((xs[start:stop], k.kappa, orient * r, r, np.zeros_like(r)))
+    for i in (3 * n, 3 * n + 1):
+        resid = np.abs(rel[i:i + 1])
+        parts.append((xs[i:i + 1], k.kappa, resid, resid, np.zeros(1)))
     return _merge("lemma1", parts, ENDPOINT_TOL)
 
 
-def verify_lemma2(k, x_hi: float = 1000.0, count: int = 10000) -> VerificationReport:
+def verify_lemma2(k, x_hi: float | None = None, count: int = 10000) -> VerificationReport:
     """Check kappa*x*R(x) >= 1 on [x1, x_hi], plus the sufficient condition
     pi*kappa*x / ((pi-1)*x + sqrt(x**2 + 2*pi)) >= 1 on the same range, to
-    LEMMA2_TOL."""
+    LEMMA2_TOL.  x_hi defaults to max(1000, 10*x1): 1000 unless x1 > 100,
+    where kappa - 1 is below ~1e-4."""
     k = strict_kappa(k, "verify_lemma2")
     x1 = x1_point(k)
+    if x_hi is None:
+        x_hi = max(1000.0, 10.0 * x1)
     if not x_hi > x1:
         raise UsageError(f"x_hi must exceed x1 = {x1}")
     with np.errstate(over="ignore"):  # as in EvaluationGrid.xs
@@ -247,7 +253,14 @@ def verify_chernoff(grid: EvaluationGrid | None = None) -> VerificationReport:
         raise UsageError("the Chernoff upper bound requires x >= 0")
     xs = grid.xs()
     viol = mills_ratio(xs) / SQRT_HALF_PI - 1.0
-    return _merge("chernoff", [(xs, math.nan, viol, q(xs), chernoff_upper(xs))], REL_TOL)
+    # a report keeps Q and ch at the worst point only, so only there are
+    # they evaluated: a 1-point array gives the same bits as that point in
+    # the whole grid, on every array path (small, masked exp, blocked)
+    i = int(viol.argmax())
+    at = slice(i, i + 1)
+    x = xs[at]
+    report = _merge("chernoff", [(x, math.nan, viol[at], q(x), chernoff_upper(x))], REL_TOL)
+    return dataclasses.replace(report, points_checked=xs.size)
 
 
 #: Every suite, in the order run_all and `qbound verify all` report them.
@@ -267,9 +280,10 @@ def run_all(
     lemma1 and lemma2 run once per kappa, derivative once over all kappas.
     These three are undefined at kappa = 1: unless the kappas were given
     explicitly they skip it, otherwise it is a domain or usage error.
-    lemma2 checks 2000 points per kappa.  tolerance and weight_inflation
-    reach the theorem suite only.  chernoff runs on the grid only when it
-    is the one suite named, else on its own default grid.
+    lemma2 checks 2000 points per kappa on [x1, max(1000, 10*x1)].
+    tolerance and weight_inflation reach the theorem suite only.  chernoff
+    runs on the grid only when it is the one suite named, else on its own
+    default grid.
     """
     grid = grid or EvaluationGrid()
     kappas = grid.kappas if explicit else tuple(k for k in grid.kappas if k.kappa > 1.0)

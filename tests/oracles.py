@@ -2,9 +2,12 @@
 
 These deliberately avoid the production code paths: Q comes from adaptive
 quadrature of the Gaussian density, Lambert W values come from bisection,
-and optimizer answers come from dense scans.
+and optimizer answers come from dense scans.  A kernel's blocked array path
+is checked against the same kernel on chunks of at most one block.
 """
+import itertools
 import math
+import sys
 
 import numpy as np
 from scipy.integrate import quad
@@ -102,3 +105,46 @@ def weight_scan(kappa: float, x_hi: float = 3.0, n: int = 200001):
     vals2 = np.array([q_quad(x) * math.exp(0.5 * kappa * x * x) for x in xs2])
     j = int(np.argmin(vals2))
     return float(xs2[j]), float(vals2[j])
+
+
+def blocked_xs(sign: int, seed: int = 11) -> np.ndarray:
+    """3 blocks and 7 points of the array kernels' block size, shuffled:
+    -0.0 and 0, bulk values, x where Q is subnormal ([37.5, 38.6]), x in
+    [700, 760], where h(-x) crosses exp's underflow, the tail past it, and
+    x past 2**512, where x*x overflows.  sign = 0 gives random signs, -1
+    all values <= 0, +1 all values >= 0."""
+    from qbound import special
+
+    rng = np.random.default_rng(seed)
+    n = 3 * special._BLOCK + 7
+    fixed = np.array([-0.0, 0.0, 2.0**512, 1e300, sys.float_info.max])
+    pools = [
+        rng.uniform(0.0, 10.0, n),
+        rng.uniform(37.5, 38.6, n),
+        rng.uniform(700.0, 760.0, n),  # h's w = -x across exp's underflow
+        10.0 ** rng.uniform(1.0, 8.0, n),
+        10.0 ** rng.uniform(154.0, 300.0, n),
+    ]
+    draw = np.stack(pools)[rng.integers(0, len(pools), n), np.arange(n)]
+    x = np.concatenate([fixed, draw[fixed.size:]])
+    rng.shuffle(x)
+    if sign < 0:
+        return -np.abs(x)
+    if sign == 0:
+        x *= np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    return x
+
+
+def chunked(fn, x: np.ndarray, *args) -> np.ndarray:
+    """fn on x in chunks of 1, 1000, 5000 and one block less one point, in
+    turn: each at most one block, below and above the size at which the
+    kernels switch to their masked forms."""
+    from qbound import special
+
+    flat, out, start = x.reshape(-1), [], 0
+    for size in itertools.cycle((1, 1000, 5000, special._BLOCK - 1)):
+        if start >= flat.size:
+            break
+        out.append(fn(flat[start:start + size], *args))
+        start += size
+    return np.concatenate(out).reshape(x.shape)

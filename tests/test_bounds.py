@@ -551,3 +551,26 @@ class TestTheoremSweep:
         for kappa in (1.0,) + KAPPA_GRID:
             gs = g_lower(xs, kappa)
             assert np.all(gs - qs <= 1e-13 * qs), f"kappa={kappa}"
+
+
+class TestBlockedPath:
+    """Every bound kernel on an array of more than one block gives the same
+    bytes as on chunks of at most one block, and keeps the input's shape."""
+
+    WITH_KAPPA = [g_lower, r_scaled, f_diff, crossing_condition, lemma1_relation,
+                  df_dx_identity]
+    KERNELS = WITH_KAPPA + [boyd_lower, chernoff_upper, boyd_lower_q]
+
+    @pytest.mark.parametrize("fn", KERNELS, ids=lambda fn: fn.__name__)
+    def test_blocked_equals_chunked(self, fn):
+        x = oracles.blocked_xs(0 if fn is g_lower else 1)
+        kappas = (1.0 + 1e-12, 2.0, 1e200) if fn in self.WITH_KAPPA else (None,)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kappa in kappas:
+                args = () if kappa is None else (kappa,)
+                got = fn(x, *args)
+                assert got.tobytes() == oracles.chunked(fn, x, *args).tobytes(), kappa
+                grid = x.reshape(11, -1)
+                assert fn(grid, *args).shape == grid.shape
+                assert fn(grid, *args).tobytes() == got.tobytes(), kappa

@@ -165,6 +165,20 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in text
 
+    def test_all_near_degenerate_kappa_passes(self):
+        # x1 = 3162.3 here: lemma 2's range reaches past it, to 10*x1
+        code, text = run_cli("verify", "all", "--kappa", "1.0000001")
+        assert code == 0
+        assert [line.split(":")[0] for line in text.splitlines()] == [
+            f"PASS {suite}" for suite in qbound.verify.SUITE_NAMES
+        ]
+        assert text.splitlines()[2].startswith("PASS lemma2: points=2000 ")
+
+    def test_lemma2_with_kappa_one_names_the_suite(self, capsys):
+        code, _ = run_cli("verify", "lemma2", "--kappa", "1")
+        assert code == 2
+        assert capsys.readouterr().err == "error: verify_lemma2 requires kappa > 1, got 1.0\n"
+
     def test_lemma1_with_kappa_one_exits_2(self):
         # and every other suite that needs kappa > 1
         for suite in ("lemma1", "lemma2", "derivative", "all"):

@@ -354,3 +354,55 @@ class TestErfcx:
         assert np.all(np.isfinite(array)) and np.all(array > 0.0)
         # four copies span three blocks: no block depends on another
         assert special._erfcx(np.tile(z, 4)).tobytes() == np.tile(array, 4).tobytes()
+
+
+class TestBlockedPath:
+    """An array of more than one block runs the kernel body block by block,
+    with np.exp's underflowing lanes masked: the same bytes as the kernel
+    on chunks of at most one block, and the same shape as the input."""
+
+    @pytest.mark.parametrize("fn", [special.q, special.mills_ratio, special.h],
+                             ids=lambda fn: fn.__name__)
+    def test_blocked_equals_chunked(self, fn):
+        x = oracles.blocked_xs({special.q: 0, special.h: -1}.get(fn, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fn(x)
+            assert got.tobytes() == oracles.chunked(fn, x).tobytes()
+            grid = x.reshape(11, -1)
+            assert fn(grid).tobytes() == got.tobytes() and fn(grid).shape == grid.shape
+            assert fn(grid.T).tobytes() == fn(grid).T.copy().tobytes()
+
+    def test_exp_equals_np_exp(self):
+        # across the underflow threshold, the subnormal results, -inf, and
+        # normal values: with over half the lanes masked, with a few masked
+        # lanes among many normal ones, on a small array and on scalars
+        rng = np.random.default_rng(7)
+        edge = special._EXP_ZERO
+        y = np.concatenate([
+            [-math.inf, -sys.float_info.max, edge, math.nextafter(edge, 0.0),
+             math.nextafter(edge, -math.inf), -745.1332191019411, -0.0, 0.0],
+            rng.uniform(-800.0, -700.0, 3 * special._BLOCK),
+            rng.uniform(-700.0, 700.0, special._BLOCK),
+        ])
+        rng.shuffle(y)
+        sparse = np.concatenate([y[:99], rng.uniform(-700.0, 700.0, special._BLOCK)])
+        small = y[:special._MASK_MIN - 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for arr in (y, sparse, small):
+                before = arr.copy()
+                assert special._exp(arr).tobytes() == np.exp(arr).tobytes()
+                assert arr.tobytes() == before.tobytes()  # the input is not written to
+            for v in y[:50]:
+                assert np.float64(special._exp(float(v))).tobytes() == np.exp(v).tobytes()
+
+    def test_q_sign_on_both_paths(self):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-12.0, 12.0, 2 * special._BLOCK + 5)
+        x[[0, 17, -1]] = -0.0
+        got = q(x)
+        for i in np.concatenate([[0, 17, x.size - 1], rng.integers(0, x.size, 300)]):
+            assert np.float64(q(float(x[i]))).tobytes() == got[i].tobytes()
+        assert q(-0.0) == 0.5 and got[0] == 0.5 and got[-1] == 0.5
+        assert q(np.array([-0.0, 1.0]))[0] == 0.5
