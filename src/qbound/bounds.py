@@ -122,11 +122,13 @@ def f_diff(x, k):
     return _r(x, strict_kappa(k, "f_diff")) - _mills(x)
 
 
+@elementwise(sign=1)
 def rel_gap(x, k):
-    """The bound's relative looseness (Q - g)/Q = 1 - r/R at a checked
-    x >= 0, as 1 - alpha*exp(-(kappa-1)*x**2/2)/(R/sqrt(2*pi)).  Neither Q
-    nor g is formed, so it stays finite where they underflow (Q is
-    subnormal past x ~37.5 and 0 past ~38.6)."""
+    """The bound's relative looseness (Q - g)/Q = 1 - r/R, x >= 0, as
+    1 - alpha*exp(-(kappa-1)*x**2/2)/(R/sqrt(2*pi)).  Neither Q nor g is
+    formed, so it stays finite where they underflow (Q is subnormal past
+    x ~37.5 and 0 past ~38.6).  Like every kernel, it is checked and an
+    array is blocked by elementwise alone."""
     k = as_kappa(k)
     return 1.0 - alpha_coeff(k) * gauss(x, k.kappa_minus_1) / (_mills(x) / SQRT_2PI)
 

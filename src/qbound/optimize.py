@@ -116,7 +116,7 @@ def kappa_star(x: float) -> OptimizationResult:
     return OptimizationResult(
         argument=kappa,
         objective=g_lower(x, kappa),
-        gap=float(rel_gap(x, kappa)),
+        gap=rel_gap(x, kappa),
         iterations=iters,
         converged=converged,
         message="supremum at x=0 is approached only as kappa -> inf" if x == 0.0 else "",
@@ -217,7 +217,7 @@ def interval_kappa(x_lo: float, x_hi: float) -> OptimizationResult:
             kappa, converged = k_hi, conv_hi
         elif kc < kappa:
             kappa, converged = kc, True
-    worst = float(max(rel_gap(x_lo, kappa), rel_gap(x_hi, kappa)))
+    worst = max(rel_gap(x_lo, kappa), rel_gap(x_hi, kappa))
     return OptimizationResult(
         argument=kappa,
         objective=worst,

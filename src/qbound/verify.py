@@ -177,7 +177,7 @@ def verify_lemma1(k) -> VerificationReport:
         )
 
     # Region interiors, then the two endpoints, which are tested for
-    # equality: one kernel call on all of them, split into parts after it.
+    # equality: one kernel call and one part for all of them.
     n = LEMMA1_POINTS
     xs = np.concatenate([
         # expected sign: negative below x1, nonnegative inside, negative above
@@ -187,15 +187,11 @@ def verify_lemma1(k) -> VerificationReport:
         [cp.x1, cp.x2],
     ])
     rel = lemma1_relation(xs, k)
-    parts = []
-    for start, stop, orient in ((0, n, +1.0), (n, 2 * n, -1.0), (2 * n, 3 * n, +1.0)):
-        # positive where the expected sign is violated
-        r = rel[start:stop]
-        parts.append((xs[start:stop], k.kappa, orient * r, r, np.zeros_like(r)))
-    for i in (3 * n, 3 * n + 1):
-        resid = np.abs(rel[i:i + 1])
-        parts.append((xs[i:i + 1], k.kappa, resid, resid, np.zeros(1)))
-    return _merge("lemma1", parts, ENDPOINT_TOL)
+    # positive where the expected sign is violated; at the endpoints, the
+    # residual itself
+    lhs = np.concatenate([rel[:3 * n], np.abs(rel[3 * n:])])
+    viol = np.concatenate([rel[:n], -rel[n:2 * n], lhs[2 * n:]])
+    return _merge("lemma1", [(xs, k.kappa, viol, lhs, np.zeros_like(lhs))], ENDPOINT_TOL)
 
 
 def verify_lemma2(k, x_hi: float | None = None, count: int = 10000) -> VerificationReport:

@@ -265,6 +265,13 @@ class TestRelGap:
         )
         assert np.array_equal(rel_gap(xs, k), want)
 
+    def test_checks_x_like_every_kernel(self):
+        for x in (-1.0, -math.inf, math.nan, np.array([2.0, -0.5]), np.array([2.0, math.inf])):
+            with pytest.raises(DomainError):
+                rel_gap(x, 2.0)
+        assert type(rel_gap(25.0, 2.0)) is float
+        assert type(rel_gap(np.float64(25.0), 2.0)) is float
+
 
 class TestCriticalPoints:
     def test_x1_closed_form_at_two(self):
@@ -557,7 +564,7 @@ class TestBlockedPath:
     """Every bound kernel on an array of more than one block gives the same
     bytes as on chunks of at most one block, and keeps the input's shape."""
 
-    WITH_KAPPA = [g_lower, r_scaled, f_diff, crossing_condition, lemma1_relation,
+    WITH_KAPPA = [g_lower, r_scaled, f_diff, rel_gap, crossing_condition, lemma1_relation,
                   df_dx_identity]
     KERNELS = WITH_KAPPA + [boyd_lower, chernoff_upper, boyd_lower_q]
 

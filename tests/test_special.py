@@ -34,6 +34,7 @@ ELEMENTWISE = [
     (bounds.g_lower, True),
     (bounds.r_scaled, True),
     (bounds.f_diff, True),
+    (bounds.rel_gap, True),
     (bounds.crossing_condition, True),
     (bounds.lemma1_relation, True),
     (bounds.df_dx_identity, True),
@@ -80,6 +81,19 @@ class TestQRef:
         v = q_ref(3.0)
         assert 0.0 < v.value < 1.0
         assert v.accuracy <= 1e-14 + 1e-20
+
+    def test_accuracy_tag_holds_against_mpmath(self):
+        # rounding x*x in exp(-x*x/2) alone costs up to x*x/2 units of
+        # 2**-53 (5.7e-14 at x = 32.4), past a fixed 1e-14 tag
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20261018)
+        xs = np.concatenate([[-38.0, 0.0, 32.4, 37.5], rng.uniform(-38.0, 37.5, 2000)])
+        with mp.workdps(40):
+            for x in xs:
+                got = q_ref(float(x))
+                want = mp.erfc(mp.mpf(float(x)) / mp.sqrt(2)) / 2
+                err = float(abs((mp.mpf(got.value) - want) / want))
+                assert err <= got.accuracy, x
 
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
@@ -352,7 +366,7 @@ class TestErfcx:
         assert all(type(v) is float for v in scalar)
         assert np.array(scalar).tobytes() == array.tobytes()
         assert np.all(np.isfinite(array)) and np.all(array > 0.0)
-        # four copies span three blocks: no block depends on another
+        # one call on four copies: no point depends on another
         assert special._erfcx(np.tile(z, 4)).tobytes() == np.tile(array, 4).tobytes()
 
 
@@ -406,3 +420,6 @@ class TestBlockedPath:
             assert np.float64(q(float(x[i]))).tobytes() == got[i].tobytes()
         assert q(-0.0) == 0.5 and got[0] == 0.5 and got[-1] == 0.5
         assert q(np.array([-0.0, 1.0]))[0] == 0.5
+        # one form at every size, the same bits as in the whole array
+        for n in (1, 1023, 1024, 4097):
+            assert q(x[:n]).tobytes() == got[:n].tobytes(), n

@@ -1,4 +1,5 @@
 """Tests for the verification-suite engine."""
+import dataclasses
 import math
 import sys
 import warnings
@@ -142,6 +143,23 @@ class TestVerifyLemma1:
 
     def test_near_degenerate(self):
         assert verify_lemma1(1.0 + 1e-3).passed
+
+    @pytest.mark.parametrize("end, scale", [("x1", 1.0 - 1e-6), ("x1", 1.0 + 1e-6),
+                                            ("x2", 1.0 + 1e-6)])
+    def test_an_endpoint_off_its_root_fails_on_either_side(self, monkeypatch, end, scale):
+        # the relation is negative just outside [x1, x2] and positive just
+        # inside: the endpoint check takes the residual's size, not its sign
+        real = verify.critical_points
+
+        def shifted(k):
+            cp = real(k)
+            return dataclasses.replace(cp, **{end: scale * getattr(cp, end)})
+
+        monkeypatch.setattr(verify, "critical_points", shifted)
+        r = verify_lemma1(2.0)
+        assert not r.passed
+        assert r.worst_point[0] == getattr(shifted(2.0), end)
+        assert r.worst_lhs == r.worst_violation > 1e-10
 
     def test_rejects_kappa_one(self):
         with pytest.raises(DomainError, match="verify_lemma1 requires kappa > 1, got 1.0"):
