@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .special import SQRT_2PI, SQRT_HALF_PI, elementwise, gauss, h, mills_ratio
+from .special import SQRT_2PI, SQRT_HALF_PI, elementwise, gauss, h, mills_ratio, newton
 
 _PI = math.pi
 
@@ -173,14 +173,8 @@ def x2_point(k) -> float:
     # s = target - log1p(-s) from s = target; on a log sweep of kappa - 1
     # over [1e-12, 1e16], at most 6 Newton steps follow
     s = -t * (1.0 + 2.0 * t / 3.0) if t < 0.7 else target - math.log1p(-target)
-    step = math.inf
-    for _ in range(60):
-        # Newton on psi(s) - target, psi'(s) = -s/(1 - s); a step that is 0
-        # or no smaller than the last is rounding noise and ends the solve
-        new = (s + math.log1p(-s) - target) * (1.0 - s) / s
-        if not 0.0 < abs(new) < abs(step):
-            break
-        s, step = s + new, new
+    # Newton on psi(s) - target, psi'(s) = -s/(1 - s)
+    s = newton(lambda s: (s + math.log1p(-s) - target) * (s - 1.0) / s, s)
     return math.sqrt((1.0 - s) / k.kappa_minus_1)
 
 

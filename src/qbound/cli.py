@@ -262,7 +262,7 @@ def main(argv=None, out=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args, out)
-    except (QBoundError, ValueError) as exc:
+    except (QBoundError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -247,6 +247,15 @@ class TestVerifyCommand:
             "error: the grid span x_max - x_min overflows for [-1.7e+308, 1.7e+308]\n"
         )
 
+    @pytest.mark.parametrize("command", [("table",), ("verify", "theorem")])
+    def test_grid_too_large_to_allocate_exits_2(self, command, capsys):
+        # 1e17 points need 711 PiB, past any x86-64 address space, so the
+        # allocation fails at once whatever the overcommit setting
+        code, text = run_cli(*command, "--x-count", "100000000000000000")
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
 
 class TestOptimizeCommand:
     def test_pointwise(self):

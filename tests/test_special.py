@@ -215,6 +215,57 @@ class TestLambertW:
         w = lambert_w(z, LambertBranch.PRINCIPAL)
         assert abs(w * math.exp(w) - z) <= 1e-14 * max(abs(z), 1e-300)
 
+    @staticmethod
+    def worst_units(zs, branch):
+        """The largest relative error of lambert_w on zs against mpmath (40
+        digits), in units of 2**-53.  Relative error, not the residual: past
+        w ~200, the residual of a correctly rounded w exceeds 1e-14*|z|."""
+        mp = pytest.importorskip("mpmath")
+        k = 0 if branch is LambertBranch.PRINCIPAL else -1
+        worst = 0.0
+        with mp.workdps(40):
+            for z in zs:
+                ref = mp.lambertw(mp.mpf(z), k).real
+                err = abs((mp.mpf(lambert_w(z, branch)) - ref) / ref)
+                worst = max(worst, float(err) * 2.0**53)
+        return worst
+
+    def test_negative_branch_deep_tail_against_mpmath(self):
+        # |z| <= 1e-300, subnormals included: exp(w) is subnormal or 0 where
+        # w < -708, and w*exp(w) - z cannot be formed there
+        rng = np.random.default_rng(20261018)
+        zs = [-5e-324, -sys.float_info.min, -1e-300]
+        zs += (-np.exp(rng.uniform(math.log(5e-324), math.log(1e-300), 1000))).tolist()
+        assert self.worst_units(zs, LambertBranch.NEGATIVE) <= 4.0
+
+    def test_principal_branch_up_to_the_largest_double_against_mpmath(self):
+        # w*exp(w) overflows long before z does; w ~703 at the largest double
+        rng = np.random.default_rng(20261019)
+        zs = [1e6, sys.float_info.max]
+        zs += np.exp(rng.uniform(math.log(1e6), math.log(sys.float_info.max), 1000)).tolist()
+        assert self.worst_units(zs, LambertBranch.PRINCIPAL) <= 4.0
+
+    def test_subnormal_z_on_both_branches(self):
+        # each power of two below the smallest normal double, its neighbours
+        # and random mantissas: a finite w on the branch's side of -1
+        rng = np.random.default_rng(7)
+        powers = [math.ldexp(1.0, e) for e in range(-1074, -1022)]
+        tiny = [v for t in powers for v in (math.nextafter(t, 0.0), t, math.nextafter(t, 1.0))]
+        tiny = [t for t in tiny if t > 0.0] + (rng.integers(1, 2**52, 1000) * 5e-324).tolist()
+        for t in tiny:
+            assert 0.0 < t < sys.float_info.min
+            for z, branch in (
+                (t, LambertBranch.PRINCIPAL),
+                (-t, LambertBranch.PRINCIPAL),
+                (-t, LambertBranch.NEGATIVE),
+            ):
+                w = lambert_w(z, branch)
+                assert math.isfinite(w), (z, branch)
+                if branch is LambertBranch.PRINCIPAL:
+                    assert w >= -1.0, (z, branch)
+                else:
+                    assert w <= -1.0, (z, branch)
+
 
 # The draws of the elementwise property tests: bulk, tail and non-finite x;
 # kappa - 1 log-uniform in [1e-12, 1e300], kappa < 1 and kappa = 1.
@@ -297,6 +348,29 @@ class TestElementwiseGuard:
                     assert _outcome(bounds.r_scaled, xv, (kappa,), one)[0] == bytes(8)
                     define = WITHOUT_KXR[fn]
                 assert _outcome(define, xv, (kappa,), one)[0] == got, fn.__name__
+
+    @pytest.mark.parametrize(
+        "x, first", [([0.0, math.nan, math.inf], "nan"), ([0.0, -math.inf, math.nan], "-inf")]
+    )
+    def test_array_message_names_the_first_non_finite_value(self, x, first):
+        for fn, takes_kappa in ELEMENTWISE:
+            args = (2.0,) if takes_kappa else ()
+            with pytest.raises(DomainError, match=f"must be finite, got {first}$"):
+                fn(np.array(x), *args)
+
+    def test_signed_zeros_pass_every_kernel(self):
+        # -0.0 >= 0 for the sign=+1 kernels, and +0.0 <= 0 for h
+        x = np.array([-0.0, 0.0, -0.0])
+        for fn, takes_kappa in ELEMENTWISE:
+            args = (2.0,) if takes_kappa else ()
+            assert fn(x, *args).shape == (3,), fn.__name__
+            fn(-0.0, *args)
+
+    def test_empty_array_gives_an_empty_array(self):
+        for fn, takes_kappa in ELEMENTWISE:
+            args = (2.0,) if takes_kappa else ()
+            for shape in ((0,), (0, 3)):
+                assert fn(np.empty(shape), *args).shape == shape, fn.__name__
 
     def test_scalar_result_is_a_python_float(self):
         for fn, takes_kappa in ELEMENTWISE:

@@ -1,0 +1,130 @@
+"""Print sha256 digests of qbound's outputs, to compare two source trees
+bit for bit.
+
+    python tools/bit_digest.py SRC
+
+SRC is the directory that holds the qbound package (`src` in a checkout).
+Run it from the root of a checkout on two trees, on one machine, and
+compare the lines.  Three kinds of output are digested:
+
+- arrays: the ten array kernels of the tail_arrays benchmark workload on
+  its first BATCHES seeded batches (bench/workloads.py, imported from this
+  checkout, so both trees see the same inputs), and bounds.rel_gap on |x|
+  of the same batches, for each seed in SEEDS;
+- kappa: x1_point, x2_point and alpha_coeff at KAPPA_POINTS log-spaced
+  kappa - 1 in [1e-12, 1e16], each value as its float.hex() or an
+  exception as its type and message;
+- cli: stdout and exit code of CLI_COMMANDS, run in-process through
+  qbound.cli.main (stderr is discarded).
+
+The digests depend on the platform's exp and log, so they compare trees
+on one machine; they are no fixed reference.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import itertools
+import sys
+from pathlib import Path
+
+SEEDS = (1, 2)
+BATCHES = 16
+KAPPA_POINTS = 20001
+
+CLI_COMMANDS = (
+    "table",
+    "table --format json",
+    "table --x-min -40 --x-max 40 --x-count 5001",
+    "table --x-min 1e-3 --x-max 1e8 --x-count 20001 --spacing log",
+    "table --x-min 1 --x-max 1e300 --x-count 2001 --spacing log --kappa 1.0001 --kappa 2 --kappa 1e8",
+    "table --x-min 0 --x-max 40 --x-count 40001 --kappa 1.5",
+    "verify all",
+    "verify all --format json",
+    "verify all --x-count 20001",
+    "verify chernoff --x-max 40",
+    "verify chernoff --x-min 1 --x-max 1e300 --x-count 4001 --spacing log",
+    "verify lemma1 --kappa 1e8",
+    "verify lemma1 --kappa 1.000000000001 --kappa 3 --kappa 1e15 --format json",
+    "verify theorem --x-count 40001",
+    "eval --x 1 --kappa 2",
+    "eval --x -3.5 --kappa 1.0001 --format json",
+    "eval --x 37.9 --kappa 1.5",
+    "eval --x 1e300 --kappa 1e200",
+    "eval --x -1 --kappa 2 --format json",
+    "optimize pointwise --x 1.5",
+    "optimize pointwise --x 25 --format json",
+    "optimize weight --kappa 2",
+    "optimize interval --x-lo 0.5 --x-hi 30",
+    "optimize interval --x-lo 21 --x-hi 38 --format json",
+    "roots --kappa 2",
+    "roots --kappa 4.4e232",
+)
+
+
+def arrays(seed: int):
+    import numpy as np
+    import workloads as wl
+
+    import qbound
+    from qbound import bounds
+
+    kernels, gap = hashlib.sha256(), hashlib.sha256()
+    for kappa, x in itertools.islice(wl.array_batches(seed), BATCHES):
+        for name, takes_kappa in wl.ARRAY_FUNCS:
+            arg = x if name in wl.SIGNED_FUNCS else np.abs(x)
+            out = getattr(qbound, name)(*((arg, kappa) if takes_kappa else (arg,)))
+            kernels.update(out.tobytes())
+        gap.update(bounds.rel_gap(np.abs(x), kappa).tobytes())
+    n = len(wl.ARRAY_FUNCS)
+    print(f"arrays seed {seed}: {BATCHES} batches x {n} kernels  {kernels.hexdigest()}")
+    print(f"arrays seed {seed}: {BATCHES} batches, rel_gap on |x|  {gap.hexdigest()}")
+
+
+def kappa_functions():
+    import numpy as np
+
+    from qbound import bounds
+
+    kappas = [1.0 + m for m in np.geomspace(1e-12, 1e16, KAPPA_POINTS).tolist()]
+    for fn in (bounds.x1_point, bounds.x2_point, bounds.alpha_coeff):
+        digest, errors = hashlib.sha256(), 0
+        for kappa in kappas:
+            try:
+                line = fn(kappa).hex()
+            except (ArithmeticError, ValueError) as exc:  # DomainError is a ValueError
+                line, errors = f"{type(exc).__name__}: {exc}", errors + 1
+            digest.update(line.encode() + b"\n")
+        print(f"kappa {fn.__name__}: {len(kappas)} kappas, {errors} errors  {digest.hexdigest()}")
+
+
+def cli():
+    from qbound.cli import main
+
+    digest, codes = hashlib.sha256(), []
+    for command in CLI_COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main(command.split(), out=out)
+        codes.append(code)
+        digest.update(f"{command}\n{code}\n{out.getvalue()}\n".encode())
+    exits = ", ".join(f"{codes.count(c)} x {c}" for c in sorted(set(codes)))
+    print(f"cli: {len(CLI_COMMANDS)} commands (exit {exits})  {digest.hexdigest()}")
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    sys.path[:0] = [str(Path(argv[0]).resolve()), str(Path(__file__).resolve().parents[1] / "bench")]
+    for seed in SEEDS:
+        arrays(seed)
+    kappa_functions()
+    cli()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
