@@ -3,6 +3,12 @@ empirical maximal weight for a fixed order, and the best single kappa over
 an interval.  Each is an exact one-dimensional solve on an analytic slope:
 Newton on ln F for the best kappa, on the slope kappa*x*R(x) - 1 for
 the weight; all are deterministic.
+
+Both solves run through one loop, _bracketed_newton: Newton steps inside a
+bracket that every step narrows, with bisection where a step would leave
+it.  It stops on a step of a few ulps (which it takes), on a step at least
+half the last one taken, or on a bracket a few ulps wide; never on a step
+count.
 """
 from __future__ import annotations
 
@@ -58,19 +64,56 @@ def _f(m: float):
     return f, m * (2.0 * _N2 * m + _N1) / n - 1.0 - m / (1.0 + m) - 2.0 * math.pi * m / c
 
 
+def _bracketed_newton(step, x: float, lo: float, hi: float, scale: float):
+    """(root, evaluations): the one safeguarded Newton loop, which
+    _kappa_root and max_weight share (Numerical Recipes, 9.4, rtsafe).
+
+    step(x) is the Newton step, whose sign is that of x - root; a positive
+    step sets hi = x, a negative one lo = x, and 0 or nan stops the loop.
+    A step no larger than 4*eps*max(scale, |x|) is taken and returned, even
+    if it leaves the bracket.  Otherwise the loop stops when the step is at
+    least half the last one taken (Newton's steps shrink quadratically, so
+    that step is the slope's rounding) or when the bracket is that narrow,
+    never on a step count.  Otherwise it takes the step if it stays strictly
+    inside the bracket, bisects if the midpoint does, and stops if neither
+    does.  evaluations counts the calls of step.
+    """
+    last, evals = math.inf, 0
+    while True:
+        dx = step(x)
+        evals += 1
+        if dx > 0.0:
+            hi = x
+        elif dx < 0.0:
+            lo = x
+        else:
+            return x, evals
+        x_new = x - dx
+        size, tol = abs(x_new - x), 4.0 * _EPS * max(scale, abs(x))
+        if size <= tol:
+            return x_new, evals
+        if size >= 0.5 * last or hi - lo <= tol:
+            return x, evals
+        if lo < x_new < hi:
+            x, last = x_new, size
+        elif lo < 0.5 * (lo + hi) < hi:
+            x = 0.5 * (lo + hi)
+        else:
+            return x, evals
+
+
 def _kappa_root(x: float):
     """(kappa, iterations, converged): the maximizer of g(x, kappa) over
     [_KAPPA_MIN, KAPPA_MAX] for x >= 0.
 
     It is the root of the slope d/dkappa ln g = F(kappa-1) - x**2/2.  F
     falls from inf to 0, so the slope changes sign once, from + to -.
-    Newton solves ln F(e**t) = ln(x**2/2) in t = ln(kappa-1), from the
-    asymptotes F ~ 1/(2m) for small m and F ~ (pi-2)/(pi*m**2) for large m.
-    The root stays bracketed: a step that would leave the bracket bisects
-    it instead.  The solve stops when the step or the bracket is a few ulps
-    of t wide, never on a step count; iterations counts the Newton steps.
-    When the slope has one sign on the whole range, the maximizer is the
-    endpoint it points to and is reported as not converged.
+    _bracketed_newton solves ln F(e**t) = ln(x**2/2) in t = ln(kappa-1),
+    from the asymptotes F ~ 1/(2m) for small m and F ~ (pi-2)/(pi*m**2)
+    for large m, with its tolerance in units of max(1, |t|); iterations
+    counts the Newton steps.  When the slope has one sign on the whole
+    range, the maximizer is the endpoint it points to and is reported as
+    not converged.
     """
     y = 0.5 * x * x
     if _f(_KAPPA_MIN - 1.0)[0] <= y:
@@ -80,26 +123,12 @@ def _kappa_root(x: float):
     lo, hi = math.log(_KAPPA_MIN - 1.0), math.log(KAPPA_MAX - 1.0)
     ln_y = math.log(y)
     guess = min(-math.log(2.0 * y), 0.5 * math.log((math.pi - 2.0) / (math.pi * y)))
-    t, evals = min(max(guess, lo), hi), 0
-    while True:
+
+    def step(t):
         f, dlnf = _f(math.exp(t))
-        evals += 1
-        phi = math.log(f) - ln_y
-        if phi == 0.0:
-            break
-        if phi > 0.0:
-            lo = t
-        else:
-            hi = t
-        t_new = t - phi / dlnf
-        tol = 4.0 * _EPS * max(1.0, abs(t))
-        if abs(t_new - t) <= tol:
-            if lo <= t_new <= hi:
-                t = t_new
-            break
-        if hi - lo <= tol:
-            break
-        t = t_new if lo < t_new < hi else 0.5 * (lo + hi)
+        return (math.log(f) - ln_y) / dlnf
+
+    t, evals = _bracketed_newton(step, min(max(guess, lo), hi), lo, hi, 1.0)
     return 1.0 + math.exp(t), evals, True
 
 
@@ -129,22 +158,17 @@ def max_weight(k) -> OptimizationResult:
 
     The infimum sits at the root of slope(x) = kappa*x*R(x) - 1 in (0, x1]:
     slope(0) = -1, slope(x1) >= 0 by the sign structure of the proof, and
-    x*R(x) is increasing, so the root is unique.  Newton solves it from x1,
-    with slope' = kappa*R''(x) = kappa*(R*(1 + x*x) - x) from the Mills
-    equation R' = x*R - 1; the root stays bracketed, and a step that would
-    leave the bracket bisects it instead.  The solve stops when a step is a
-    few ulps of x, or is at least half the one before: Newton's steps shrink
-    quadratically, so that step is the slope's rounding.  The objective is
-    minimized through its logarithm log(R(x)/sqrt(2*pi)) + (kappa-1)*x**2/2,
-    in which nothing underflows.  alpha_max >= alpha(kappa) always; a
+    x*R(x) is increasing, so the root is unique.  _bracketed_newton solves
+    it from x1, with slope' = kappa*R''(x) = kappa*(R*(1 + x*x) - x) from
+    the Mills equation R' = x*R - 1, and its tolerance in units of x.  The
+    objective is minimized through its logarithm
+    log(R(x)/sqrt(2*pi)) + (kappa-1)*x**2/2, in which nothing underflows.  alpha_max >= alpha(kappa) always; a
     violation would contradict the theorem and is raised as a QBoundError.
     """
     k = strict_kappa(k, "max_weight")
     kappa, m = k.kappa, k.kappa_minus_1
-    lo, hi = 0.0, x1_point(k)
-    x, step, evals = hi, math.inf, 0
-    while True:
-        evals += 1
+
+    def step(x):
         if x < 512.0:
             r = mills_ratio(x)
             slope, d = kappa * x * r - 1.0, r * (1.0 + x * x) - x
@@ -155,25 +179,10 @@ def max_weight(k) -> OptimizationResult:
             s = 1.0 / (x * x)
             slope = m - kappa * s * (1.0 - s * (3.0 - s * (15.0 - 105.0 * s)))
             d = 2.0 * s / x * (1.0 - s * (6.0 - s * (45.0 - 420.0 * s)))
-        if slope < 0.0:
-            lo = x
-        elif slope > 0.0:
-            hi = x
-        else:
-            break
-        x_new = x - slope / kappa / d
-        new_step = abs(x_new - x)
-        if new_step <= 4.0 * _EPS * x:
-            x = x_new
-            break
-        if new_step >= 0.5 * step:  # the slope's rounding has taken over
-            break
-        if lo < x_new < hi:
-            x, step = x_new, new_step
-        elif lo < 0.5 * (lo + hi) < hi:
-            x = 0.5 * (lo + hi)
-        else:
-            break
+        return slope / kappa / d
+
+    x1 = x1_point(k)
+    x, evals = _bracketed_newton(step, x1, 0.0, x1, 0.0)
     phi = math.log(mills_ratio(x) / SQRT_2PI) + 0.5 * m * x * x
     alpha_max = math.exp(phi)
     alpha = alpha_coeff(k)
