@@ -133,14 +133,14 @@ def _kappa_root(x: float):
 
 
 def kappa_star(x: float) -> OptimizationResult:
-    """The kappa maximizing g(x, kappa) at a fixed point x > 0.
+    """The kappa maximizing g(x, kappa) at a fixed point x >= 0.
 
     At x = 0 the supremum 1/2 is approached only as kappa -> inf; that case
     is reported as non-converged with the search ceiling as argument.
     """
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"kappa_star requires x > 0, got {x}")
+        raise DomainError(f"kappa_star requires a finite x >= 0, got {x}")
     kappa, iters, converged = _kappa_root(x)
     return OptimizationResult(
         argument=kappa,
@@ -217,11 +217,14 @@ def interval_kappa(x_lo: float, x_hi: float) -> OptimizationResult:
     if x_lo <= 0.0 or x_hi < x_lo:
         raise DomainError(f"need 0 < x_lo <= x_hi, got [{x_lo}, {x_hi}]")
     kappa, iters, converged = _kappa_root(x_lo)  # the upper clip
-    if x_hi > x_lo:
+    span = (x_hi - x_lo) * (x_hi + x_lo)
+    # span underflows to 0 only below x_hi ~1.5e-154, where kappa_star is
+    # KAPPA_MAX at both ends, so the upper clip is the answer
+    if span > 0.0:
         k_hi, iters_hi, conv_hi = _kappa_root(x_hi)
         iters += iters_hi
         log_drop = math.log(mills_ratio(x_lo)) - math.log(mills_ratio(x_hi))
-        kc = 1.0 + 2.0 * log_drop / ((x_hi - x_lo) * (x_hi + x_lo))
+        kc = 1.0 + 2.0 * log_drop / span
         if kc <= k_hi:
             kappa, converged = k_hi, conv_hi
         elif kc < kappa:

@@ -18,9 +18,9 @@ from .bounds import (
     chernoff_upper,
     critical_points,
     df_dx_identity,
-    f_diff,
     g_lower,
     lemma1_relation,
+    r_scaled,
     strict_kappa,
     x1_point,
 )
@@ -218,7 +218,14 @@ def verify_derivative(
     grid: EvaluationGrid | None = None, h_step: float = 1e-5
 ) -> VerificationReport:
     """Check the closed form of df/dx against central finite differences, to
-    FD_TOL."""
+    FD_TOL.
+
+    f = r - R, and each term is differenced on its own scale: R varies on
+    the scale 1 and takes the step h_step; r varies on the scale
+    1/sqrt(kappa - 1) and takes h_step*min(1, 1/sqrt(kappa - 1)).  One
+    step for both fails either way at large kappa: h_step leaves r's
+    truncation error, ~h_step**2*(kappa - 1) relative, and the smaller step
+    leaves R's rounding, ~eps/h."""
     grid = grid or EvaluationGrid()
     if not (1e-7 <= h_step <= 1e-3):
         raise UsageError("h_step must lie in [1e-7, 1e-3]")
@@ -233,7 +240,10 @@ def verify_derivative(
         if xs.size == 0:
             continue
         ident = df_dx_identity(xs, k)
-        fd = (f_diff(xs + h_step, k) - f_diff(xs - h_step, k)) / (2.0 * h_step)
+        h = h_step * min(1.0, 1.0 / math.sqrt(k.kappa_minus_1))
+        fd = (r_scaled(xs + h, k) - r_scaled(xs - h, k)) / (2.0 * h) - (
+            mills_ratio(xs + h_step) - mills_ratio(xs - h_step)
+        ) / (2.0 * h_step)
         err = np.abs(ident - fd) / np.maximum(1.0, np.abs(ident))
         parts.append((xs, k.kappa, err, ident, fd))
     return _merge("derivative", parts, FD_TOL)

@@ -174,6 +174,14 @@ class TestVerifyCommand:
         ]
         assert text.splitlines()[2].startswith("PASS lemma2: points=2000 ")
 
+    def test_derivative_step_scales_with_kappa(self):
+        # f varies on the scale 1/sqrt(kappa - 1) ~ 8e-4 here, so a step of
+        # 1e-5 in x would leave a difference-quotient error of ~7e-4
+        code, text = run_cli("verify", "derivative", "--kappa", "1551070.2964298625",
+                             "--x-min", "-0.0538", "--x-max", "0.0538", "--x-count", "201")
+        assert code == 0
+        assert text.startswith("PASS derivative: points=100 ")
+
     def test_lemma2_with_kappa_one_names_the_suite(self, capsys):
         code, _ = run_cli("verify", "lemma2", "--kappa", "1")
         assert code == 2
@@ -282,6 +290,15 @@ class TestOptimizeCommand:
     def test_interval_bad_lo_exits_2(self):
         code, _ = run_cli("optimize", "interval", "--x-lo", "0", "--x-hi", "2")
         assert code == 2
+
+    def test_interval_whose_span_underflows(self):
+        # (x_hi - x_lo)*(x_hi + x_lo) is 0 here; both ends' kappa_star is the ceiling
+        code, text = run_cli("optimize", "interval", "--x-lo", "1e-320", "--x-hi", "1e-300",
+                             "--format", "json")
+        assert code == 0
+        res = json.loads(text)
+        assert res["argument"] == qbound.optimize.KAPPA_MAX
+        assert (res["iterations"], res["converged"]) == (0, False)
 
 
 class TestNegativeValues:

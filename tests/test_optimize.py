@@ -1,9 +1,11 @@
 """Tests for the parameter-selection searches."""
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -17,7 +19,8 @@ from qbound import (
     mills_ratio,
     q,
 )
-from qbound.bounds import rel_gap
+from qbound.bounds import rel_gap, x1_point
+from qbound.optimize import _KAPPA_MIN, KAPPA_MAX
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -98,6 +101,11 @@ class TestKappaStar:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             kappa_star(-1.0)
+
+    @pytest.mark.parametrize("x", [-1.0, -5e-324, math.inf, math.nan])
+    def test_message_names_the_domain(self, x):
+        with pytest.raises(DomainError, match=rf"^kappa_star requires a finite x >= 0, got {x}$"):
+            kappa_star(x)
 
     def test_deep_tail_matches_mpmath(self):
         # Q(50) and g underflow; frozen from mpmath at 40 digits: the root
@@ -321,3 +329,61 @@ class TestIntervalKappa:
         kappas = 1.0 + np.geomspace(1e-5, 1e3, 4001)
         scan = [tail_gaps(xs, kappa).max() for kappa in kappas]
         assert res.objective <= min(scan) + 1e-12
+
+
+def checked(fn, *args):
+    """fn(*args) with every warning an error, and every field finite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fn(*args)
+    assert all(math.isfinite(v) for v in (res.argument, res.objective, res.gap or 0.0)), res
+    assert res.iterations >= 0
+    return res
+
+
+LARGEST = sys.float_info.max
+
+
+def pow2(e):
+    """2**e for e in [-1074, 1024], with e = 1024 standing for the largest
+    double."""
+    return LARGEST if e >= 1024.0 else 2.0**e
+
+
+class TestWholeDoubleRange:
+    """Every optimizer over the whole double range: finite fields, an
+    argument inside its search range, a gap in [0, 1] and no warning."""
+
+    @given(st.floats(min_value=0.0, max_value=LARGEST))
+    @example(0.0)
+    @example(5e-324)
+    @example(LARGEST)
+    @settings(max_examples=300, deadline=None)
+    def test_kappa_star(self, x):
+        res = checked(kappa_star, x)
+        assert _KAPPA_MIN <= res.argument <= KAPPA_MAX
+        assert 0.0 <= res.gap <= 1.0
+
+    @given(st.floats(min_value=-52.0, max_value=1024.0))
+    @example(-52.0)
+    @example(1024.0)
+    @settings(max_examples=300, deadline=None)
+    def test_max_weight(self, log2_m):
+        kappa = 1.0 + pow2(log2_m)
+        res = checked(max_weight, kappa)
+        # the root lies in (0, x1]; the solve's last step, of at most
+        # 4*eps*x, is taken even where it crosses the rounded x1
+        x1 = x1_point(kappa)
+        assert 0.0 < res.argument <= x1 + 4.0 * 2.0**-52 * x1
+        assert res.gap is None
+
+    @given(st.floats(min_value=-1074.0, max_value=1024.0),
+           st.floats(min_value=-1074.0, max_value=1024.0))
+    @example(math.log2(1e-320), math.log2(1e-300))
+    @example(1024.0, 1024.0)
+    @settings(max_examples=300, deadline=None)
+    def test_interval_kappa(self, log2_a, log2_b):
+        x_lo, x_hi = sorted(pow2(e) for e in (log2_a, log2_b))
+        res = checked(interval_kappa, x_lo, x_hi)
+        assert _KAPPA_MIN <= res.argument <= KAPPA_MAX
+        assert 0.0 <= res.gap <= 1.0

@@ -209,6 +209,16 @@ class TestVerifyDerivative:
         r = verify_derivative(EvaluationGrid(kappas=(1.001,)))
         assert r.passed
 
+    @pytest.mark.parametrize("m", [1e-12, 1.0, 1551069.2964298625, 1e10, 1e16, 1e100,
+                                   sys.float_info.max])
+    @pytest.mark.parametrize("x_min, x_max", [(-10.0, 10.0), (0.0, 1e-2)])
+    def test_passes_at_every_kappa(self, m, x_min, x_max):
+        # r varies on the scale 1/sqrt(kappa - 1) and R on the scale 1; one
+        # step for both fails near x = 0 at large kappa, or past it
+        g = EvaluationGrid(x_min=x_min, x_max=x_max, x_count=1001, kappas=(1.0 + m,))
+        r = verify_derivative(g)
+        assert r.passed, r.worst_violation
+
     def test_rejects_kappa_one(self):
         with pytest.raises(UsageError):
             verify_derivative(EvaluationGrid(kappas=(1.0, 2.0)))

@@ -14,6 +14,13 @@ compare the lines.  Three kinds of output are digested:
 - kappa: x1_point, x2_point and alpha_coeff at KAPPA_POINTS log-spaced
   kappa - 1 in [1e-12, 1e16], each value as its float.hex() or an
   exception as its type and message;
+- optimize: kappa_star at OPT_POINTS log-spaced x in [1e-8, 1e8] and at
+  the STAR_GRID_POINTS x of a grid on [0, 40], max_weight at OPT_POINTS
+  log-spaced kappa - 1 in [1e-12, 1e300], and interval_kappa on every pair
+  x_lo <= x_hi of INTERVAL_ENDS log-spaced ends in [1e-300, 1e300], plus
+  each end with its next 2**-40 relative neighbour; every field of each
+  result as its float.hex(), int or string, or an exception as its type
+  and message;
 - cli: stdout and exit code of CLI_COMMANDS, run in-process through
   qbound.cli.main (stderr is discarded).
 
@@ -32,6 +39,9 @@ from pathlib import Path
 SEEDS = (1, 2)
 BATCHES = 16
 KAPPA_POINTS = 20001
+OPT_POINTS = 20001
+STAR_GRID_POINTS = 4001
+INTERVAL_ENDS = 121
 
 CLI_COMMANDS = (
     "table",
@@ -99,6 +109,34 @@ def kappa_functions():
         print(f"kappa {fn.__name__}: {len(kappas)} kappas, {errors} errors  {digest.hexdigest()}")
 
 
+def _digest(label, fn, args):
+    digest, errors = hashlib.sha256(), 0
+    for arg in args:
+        try:
+            r = fn(*arg)
+            gap = "None" if r.gap is None else r.gap.hex()
+            line = f"{r.argument.hex()} {r.objective.hex()} {gap} {r.iterations} {int(r.converged)} {r.message}"
+        except (ArithmeticError, ValueError) as exc:  # DomainError is a ValueError
+            line, errors = f"{type(exc).__name__}: {exc}", errors + 1
+        digest.update(line.encode() + b"\n")
+    print(f"optimize {label}: {len(args)} calls, {errors} errors  {digest.hexdigest()}")
+
+
+def optimizers():
+    import numpy as np
+
+    from qbound import optimize
+
+    xs = np.geomspace(1e-8, 1e8, OPT_POINTS).tolist() + np.linspace(0.0, 40.0, STAR_GRID_POINTS).tolist()
+    _digest("kappa_star", optimize.kappa_star, [(x,) for x in xs])
+    kappas = [1.0 + m for m in np.geomspace(1e-12, 1e300, OPT_POINTS).tolist()]
+    _digest("max_weight", optimize.max_weight, [(kappa,) for kappa in kappas])
+    ends = np.geomspace(1e-300, 1e300, INTERVAL_ENDS).tolist()
+    pairs = [(lo, hi) for i, lo in enumerate(ends) for hi in ends[i:]]
+    pairs += [(x, x * (1.0 + 2.0**-40)) for x in ends]
+    _digest("interval_kappa", optimize.interval_kappa, pairs)
+
+
 def cli():
     from qbound.cli import main
 
@@ -122,6 +160,7 @@ def main(argv=None) -> int:
     for seed in SEEDS:
         arrays(seed)
     kappa_functions()
+    optimizers()
     cli()
     return 0
 
