@@ -162,8 +162,9 @@ def max_weight(k) -> OptimizationResult:
     it from x1, with slope' = kappa*R''(x) = kappa*(R*(1 + x*x) - x) from
     the Mills equation R' = x*R - 1, and its tolerance in units of x.  The
     objective is minimized through its logarithm
-    log(R(x)/sqrt(2*pi)) + (kappa-1)*x**2/2, in which nothing underflows.  alpha_max >= alpha(kappa) always; a
-    violation would contradict the theorem and is raised as a QBoundError.
+    log(R(x)/sqrt(2*pi)) + (kappa-1)*x**2/2, in which nothing underflows.
+    alpha_max >= alpha(kappa) always; a violation would contradict the
+    theorem and is raised as a QBoundError.
     """
     k = strict_kappa(k, "max_weight")
     kappa, m = k.kappa, k.kappa_minus_1

@@ -175,7 +175,7 @@ class TestVerifyCommand:
         assert text.splitlines()[2].startswith("PASS lemma2: points=2000 ")
 
     def test_derivative_step_scales_with_kappa(self):
-        # f varies on the scale 1/sqrt(kappa - 1) ~ 8e-4 here, so a step of
+        # r varies on the scale 1/sqrt(kappa - 1) ~ 8e-4 here, so a step of
         # 1e-5 in x would leave a difference-quotient error of ~7e-4
         code, text = run_cli("verify", "derivative", "--kappa", "1551070.2964298625",
                              "--x-min", "-0.0538", "--x-max", "0.0538", "--x-count", "201")

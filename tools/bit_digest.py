@@ -5,7 +5,7 @@ bit for bit.
 
 SRC is the directory that holds the qbound package (`src` in a checkout).
 Run it from the root of a checkout on two trees, on one machine, and
-compare the lines.  Three kinds of output are digested:
+compare the lines.  Four kinds of output are digested:
 
 - arrays: the ten array kernels of the tail_arrays benchmark workload on
   its first BATCHES seeded batches (bench/workloads.py, imported from this
@@ -115,7 +115,8 @@ def _digest(label, fn, args):
         try:
             r = fn(*arg)
             gap = "None" if r.gap is None else r.gap.hex()
-            line = f"{r.argument.hex()} {r.objective.hex()} {gap} {r.iterations} {int(r.converged)} {r.message}"
+            line = (f"{r.argument.hex()} {r.objective.hex()} {gap} {r.iterations} "
+                    f"{int(r.converged)} {r.message}")
         except (ArithmeticError, ValueError) as exc:  # DomainError is a ValueError
             line, errors = f"{type(exc).__name__}: {exc}", errors + 1
         digest.update(line.encode() + b"\n")
@@ -127,7 +128,8 @@ def optimizers():
 
     from qbound import optimize
 
-    xs = np.geomspace(1e-8, 1e8, OPT_POINTS).tolist() + np.linspace(0.0, 40.0, STAR_GRID_POINTS).tolist()
+    xs = np.geomspace(1e-8, 1e8, OPT_POINTS).tolist()
+    xs += np.linspace(0.0, 40.0, STAR_GRID_POINTS).tolist()
     _digest("kappa_star", optimize.kappa_star, [(x,) for x in xs])
     kappas = [1.0 + m for m in np.geomspace(1e-12, 1e300, OPT_POINTS).tolist()]
     _digest("max_weight", optimize.max_weight, [(kappa,) for kappa in kappas])
