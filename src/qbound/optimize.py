@@ -160,7 +160,9 @@ def max_weight(k) -> OptimizationResult:
     slope(0) = -1, slope(x1) >= 0 by the sign structure of the proof, and
     x*R(x) is increasing, so the root is unique.  _bracketed_newton solves
     it from x1, with slope' = kappa*R''(x) = kappa*(R*(1 + x*x) - x) from
-    the Mills equation R' = x*R - 1, and its tolerance in units of x.  The
+    the Mills equation R' = x*R - 1, and its tolerance in units of x.  Its
+    last step, of a few ulps, may cross the rounded x1 where the root is x1
+    to rounding (kappa above ~1e14), so the root is capped at x1.  The
     objective is minimized through its logarithm
     log(R(x)/sqrt(2*pi)) + (kappa-1)*x**2/2, in which nothing underflows.
     alpha_max >= alpha(kappa) always; a violation would contradict the
@@ -184,6 +186,7 @@ def max_weight(k) -> OptimizationResult:
 
     x1 = x1_point(k)
     x, evals = _bracketed_newton(step, x1, 0.0, x1, 0.0)
+    x = min(x, x1)
     phi = math.log(mills_ratio(x) / SQRT_2PI) + 0.5 * m * x * x
     alpha_max = math.exp(phi)
     alpha = alpha_coeff(k)

@@ -225,7 +225,9 @@ def verify_derivative(
     1/sqrt(kappa - 1) and takes h_step*min(1, 1/sqrt(kappa - 1)).  One
     step for both fails either way at large kappa: h_step leaves r's
     truncation error, ~h_step**2*(kappa - 1) relative, and the smaller step
-    leaves R's rounding, ~eps/h."""
+    leaves R's rounding, ~eps/h.  Each kappa makes one r_scaled call on
+    both sides' points; R's quotient is one mills_ratio call, shared by
+    every kappa that keeps the grid's x values."""
     grid = grid or EvaluationGrid()
     if not (1e-7 <= h_step <= 1e-3):
         raise UsageError("h_step must lie in [1e-7, 1e-3]")
@@ -233,20 +235,31 @@ def verify_derivative(
         if k.kappa <= 1.0:
             raise UsageError("verify_derivative requires kappa entries > 1")
     grid_xs = grid.xs()
+    kept = grid_xs[grid_xs >= h_step]  # f is defined for x >= 0 only
+    shared = _quotient(mills_ratio, kept, h_step)
     parts = []
     for k in grid.kappas:
         xs = _kappa_xs(grid_xs, k)
-        xs = xs[xs >= h_step]  # f is defined for x >= 0 only
+        if xs is grid_xs:
+            xs, mills_fd = kept, shared
+        else:
+            xs = xs[xs >= h_step]
+            mills_fd = _quotient(mills_ratio, xs, h_step)
         if xs.size == 0:
             continue
         ident = df_dx_identity(xs, k)
         h = h_step * min(1.0, 1.0 / math.sqrt(k.kappa_minus_1))
-        fd = (r_scaled(xs + h, k) - r_scaled(xs - h, k)) / (2.0 * h) - (
-            mills_ratio(xs + h_step) - mills_ratio(xs - h_step)
-        ) / (2.0 * h_step)
+        fd = _quotient(r_scaled, xs, h, k) - mills_fd
         err = np.abs(ident - fd) / np.maximum(1.0, np.abs(ident))
         parts.append((xs, k.kappa, err, ident, fd))
     return _merge("derivative", parts, FD_TOL)
+
+
+def _quotient(fn, xs: np.ndarray, h: float, *args) -> np.ndarray:
+    """(fn(xs + h) - fn(xs - h))/(2*h) from one call of the kernel fn on
+    both sides' points: each point gets the operations of two calls."""
+    both = fn(np.concatenate([xs + h, xs - h]), *args)
+    return (both[:xs.size] - both[xs.size:]) / (2.0 * h)
 
 
 def verify_chernoff(grid: EvaluationGrid | None = None) -> VerificationReport:

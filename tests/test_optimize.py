@@ -248,6 +248,14 @@ class TestMaxWeight:
             worst = max(worst, slope / (np.finfo(float).eps * scale))
         assert worst <= 4.0
 
+    @pytest.mark.parametrize("m", [1e15, 1e16, 1e100, 1e300, 1e308, sys.float_info.max])
+    def test_argument_at_most_x1(self, m):
+        # here the root is x1 to rounding, and the solve's last step, of a
+        # few ulps, is taken even where it crosses the rounded x1 (at 1e16,
+        # 1e300 and 1e308 it does)
+        res = max_weight(1.0 + m)
+        assert 0.0 < res.argument <= x1_point(1.0 + m)
+
     @pytest.mark.parametrize("m", [1e-12, 1e-6, 1.0, 1e6, 1e200])
     def test_argument_matches_mpmath(self, m):
         # past x = 512 the slope is summed from its asymptotic series, so
@@ -371,10 +379,7 @@ class TestWholeDoubleRange:
     def test_max_weight(self, log2_m):
         kappa = 1.0 + pow2(log2_m)
         res = checked(max_weight, kappa)
-        # the root lies in (0, x1]; the solve's last step, of at most
-        # 4*eps*x, is taken even where it crosses the rounded x1
-        x1 = x1_point(kappa)
-        assert 0.0 < res.argument <= x1 + 4.0 * 2.0**-52 * x1
+        assert 0.0 < res.argument <= x1_point(kappa)
         assert res.gap is None
 
     @given(st.floats(min_value=-1074.0, max_value=1024.0),

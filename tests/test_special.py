@@ -485,6 +485,47 @@ class TestBlockedPath:
             for v in y[:50]:
                 assert np.float64(special._exp(float(v))).tobytes() == np.exp(v).tobytes()
 
+    @pytest.mark.parametrize("n", [special._MASK_MIN, special._BLOCK])
+    def test_exp_of_wholly_underflowed_array(self, n):
+        # every lane underflows: np.exp's bytes, +0.0 with no sign bit in
+        # every lane; one lane that does not underflow, or a nan lane,
+        # still takes the mask path
+        rng = np.random.default_rng(n)
+        y = rng.uniform(-1e4, -745.3, n)
+        y[:3] = [-math.inf, -sys.float_info.max, math.nextafter(special._EXP_ZERO, -math.inf)]
+        rng.shuffle(y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            before = y.copy()
+            got = special._exp(y)
+            assert got.tobytes() == np.exp(y).tobytes() == bytes(8 * n)
+            assert got.shape == y.shape
+            assert y.tobytes() == before.tobytes()  # the input is not written to
+            for lane in (special._EXP_ZERO, -700.0, math.nan):
+                z = y.copy()
+                z[n // 2] = lane
+                assert special._exp(z).tobytes() == np.exp(z).tobytes(), lane
+
+    @pytest.mark.parametrize("fn", [bounds.g_lower, bounds.crossing_condition],
+                             ids=lambda fn: fn.__name__)
+    def test_blocks_that_wholly_underflow(self, fn):
+        # at kappa = 1e300, exp underflows for every x above ~4e-149: the
+        # first block keeps lanes, the other two underflow whole
+        rng = np.random.default_rng(13)
+        x = np.concatenate([
+            rng.uniform(0.0, 1e-150, special._BLOCK),
+            10.0 ** rng.uniform(-140.0, 8.0, 2 * special._BLOCK),
+        ])
+        if fn is bounds.g_lower:
+            x *= np.where(rng.random(x.size) < 0.5, -1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fn(x, 1e300)
+            assert got.tobytes() == oracles.chunked(fn, x, 1e300).tobytes()
+        # exp's term varies in the first block and is 0 past it
+        assert np.unique(got[:special._BLOCK]).size > 1
+        assert np.unique(got[special._BLOCK:]).size == 1
+
     def test_q_sign_on_both_paths(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(-12.0, 12.0, 2 * special._BLOCK + 5)

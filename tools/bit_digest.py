@@ -5,12 +5,18 @@ bit for bit.
 
 SRC is the directory that holds the qbound package (`src` in a checkout).
 Run it from the root of a checkout on two trees, on one machine, and
-compare the lines.  Four kinds of output are digested:
+compare the lines.  Five kinds of output are digested:
 
 - arrays: the ten array kernels of the tail_arrays benchmark workload on
   its first BATCHES seeded batches (bench/workloads.py, imported from this
   checkout, so both trees see the same inputs), and bounds.rel_gap on |x|
   of the same batches, for each seed in SEEDS;
+- small: the same ten kernels on the two grid sizes of the select_certify
+  workload's suites, for SMALL_DRAWS seeded draws of kappa and x_max per
+  seed: the SMALL_GRID_COUNT points of [-x_max, x_max] and the
+  LEMMA2_COUNT log-spaced points of [x1, max(1000, 10*x1)].  These arrays
+  take the kernels' one-shot path, below one block and below the size at
+  which exp's underflowing lanes are masked;
 - kappa: x1_point, x2_point and alpha_coeff at KAPPA_POINTS log-spaced
   kappa - 1 in [1e-12, 1e16], each value as its float.hex() or an
   exception as its type and message;
@@ -38,6 +44,7 @@ from pathlib import Path
 
 SEEDS = (1, 2)
 BATCHES = 16
+SMALL_DRAWS = 64
 KAPPA_POINTS = 20001
 OPT_POINTS = 20001
 STAR_GRID_POINTS = 4001
@@ -73,23 +80,51 @@ CLI_COMMANDS = (
 )
 
 
-def arrays(seed: int):
+def _update(digest, x, kappa):
+    """Feed the ten kernels' outputs on x (|x| where they need x >= 0)."""
     import numpy as np
     import workloads as wl
 
     import qbound
+
+    for name, takes_kappa in wl.ARRAY_FUNCS:
+        arg = x if name in wl.SIGNED_FUNCS else np.abs(x)
+        out = getattr(qbound, name)(*((arg, kappa) if takes_kappa else (arg,)))
+        digest.update(out.tobytes())
+
+
+def arrays(seed: int):
+    import numpy as np
+    import workloads as wl
+
     from qbound import bounds
 
     kernels, gap = hashlib.sha256(), hashlib.sha256()
     for kappa, x in itertools.islice(wl.array_batches(seed), BATCHES):
-        for name, takes_kappa in wl.ARRAY_FUNCS:
-            arg = x if name in wl.SIGNED_FUNCS else np.abs(x)
-            out = getattr(qbound, name)(*((arg, kappa) if takes_kappa else (arg,)))
-            kernels.update(out.tobytes())
+        _update(kernels, x, kappa)
         gap.update(bounds.rel_gap(np.abs(x), kappa).tobytes())
     n = len(wl.ARRAY_FUNCS)
     print(f"arrays seed {seed}: {BATCHES} batches x {n} kernels  {kernels.hexdigest()}")
     print(f"arrays seed {seed}: {BATCHES} batches, rel_gap on |x|  {gap.hexdigest()}")
+
+
+def small_arrays(seed: int):
+    import random
+
+    import numpy as np
+    import workloads as wl
+
+    from qbound import bounds
+
+    draws, digest = wl.Draws(random.Random(seed)), hashlib.sha256()
+    for _ in range(SMALL_DRAWS):
+        kappa, x_max = draws.kappa(), draws.x_pos()
+        x1 = bounds.x1_point(kappa)
+        _update(digest, np.linspace(-x_max, x_max, wl.SMALL_GRID_COUNT), kappa)
+        _update(digest, np.geomspace(x1, max(1000.0, 10.0 * x1), wl.LEMMA2_COUNT), kappa)
+    sizes = f"{wl.SMALL_GRID_COUNT} and {wl.LEMMA2_COUNT} points"
+    print(f"small seed {seed}: {SMALL_DRAWS} draws x {sizes} x {len(wl.ARRAY_FUNCS)} kernels"
+          f"  {digest.hexdigest()}")
 
 
 def kappa_functions():
@@ -161,6 +196,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(Path(argv[0]).resolve()), str(Path(__file__).resolve().parents[1] / "bench")]
     for seed in SEEDS:
         arrays(seed)
+        small_arrays(seed)
     kappa_functions()
     optimizers()
     cli()
