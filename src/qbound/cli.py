@@ -97,6 +97,25 @@ def _print_report(r: verify.VerificationReport, out) -> None:
     )
 
 
+def _print_fields(fields: dict, fmt: str, out) -> None:
+    """Write one record of named fields: JSON, or text lines `key = value`
+    with floats as %.17g, bools in lower case, None as nan, and an empty
+    string left out."""
+    if fmt == "json":
+        out.write(json.dumps(fields, indent=2) + "\n")
+        return
+    for key, val in fields.items():
+        if val is None:  # an optimizer's gap where it has no meaning
+            val = math.nan
+        if isinstance(val, bool):
+            val = str(val).lower()
+        elif isinstance(val, float):
+            val = _fmt(val)
+        elif val == "":
+            continue
+        out.write(f"{key} = {val}\n")
+
+
 def cmd_eval(args, out) -> int:
     _emit_records(make_record([args.x], args.kappa).tolist(), args.format, out)
     return 0
@@ -144,42 +163,18 @@ def cmd_optimize(args, out) -> int:
         if args.x_lo is None or args.x_hi is None:
             raise QBoundError("interval mode requires --x-lo and --x-hi")
         res = optimize.interval_kappa(args.x_lo, args.x_hi)
-    if args.format == "json":
-        out.write(json.dumps(dataclasses.asdict(res), indent=2))
-        out.write("\n")
-    else:
-        out.write(f"argument = {_fmt(res.argument)}\n")
-        out.write(f"objective = {_fmt(res.objective)}\n")
-        gap = math.nan if res.gap is None else res.gap
-        out.write(f"gap = {_fmt(gap)}\n")
-        out.write(f"iterations = {res.iterations}\n")
-        out.write(f"converged = {str(res.converged).lower()}\n")
-        if res.message:
-            out.write(f"message = {res.message}\n")
+    _print_fields(dataclasses.asdict(res), args.format, out)
     return 0
 
 
 def cmd_roots(args, out) -> int:
     cp = bounds.critical_points(args.kappa)
     k = bounds.as_kappa(args.kappa)
-    res1 = bounds.crossing_condition(cp.x1, k)
-    res2 = bounds.crossing_condition(cp.x2, k)
-    data = {
-        "kappa": k.kappa,
-        "x1": cp.x1,
-        "x2": cp.x2,
-        "pivot": cp.pivot,
-        "w1": cp.w1,
-        "w2": cp.w2,
-        "residual_x1": res1,
-        "residual_x2": res2,
-    }
-    if args.format == "json":
-        out.write(json.dumps(data, indent=2))
-        out.write("\n")
-    else:
-        for key, val in data.items():
-            out.write(f"{key} = {_fmt(val)}\n")
+    fields = {"kappa": k.kappa, "x1": cp.x1, "x2": cp.x2, "pivot": cp.pivot,
+              "w1": cp.w1, "w2": cp.w2,
+              "residual_x1": bounds.crossing_condition(cp.x1, k),
+              "residual_x2": bounds.crossing_condition(cp.x2, k)}
+    _print_fields(fields, args.format, out)
     return 0
 
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
-    KappaParam,
     _kxr,
     as_kappa,
     boyd_lower,
@@ -101,31 +100,45 @@ class VerificationReport:
 
 
 def _merge(suite: str, parts, tolerance: float) -> VerificationReport:
-    """One report over parts (xs, kappa, violations, lhs, rhs), all arrays
-    but kappa.  A part's worst point is the argmax of its violations, which
-    is its first nan if it has one; across parts a nan is worse than any
-    number, and otherwise the first strictly greater violation wins."""
+    """One report over parts (xs, kappa, viol, sides): points, their kappa,
+    their violations, and sides(i), the (lhs, rhs) at index i.  A part's
+    worst point is the argmax of its violations, which is its first nan if
+    it has one; across parts a nan is worse than any number, and otherwise
+    the first strictly greater violation wins.  Only there is sides called."""
     points, worst = 0, None
-    for xs, kappa, viol, lhs, rhs in parts:
+    for xs, kappa, viol, sides in parts:
         i = int(viol.argmax())
         points += xs.size
         v = float(viol[i])
         if worst is None or v > worst[0] or (math.isnan(v) and not math.isnan(worst[0])):
-            worst = (v, (float(xs[i]), float(kappa)), float(lhs[i]), float(rhs[i]))
+            worst = (v, i, xs, kappa, sides)
     if worst is None:
         raise UsageError(f"the {suite} suite has no point to check on this grid")
-    v, point, lhs_i, rhs_i = worst
-    return VerificationReport(
-        suite, points, v, point, tolerance, bool(v <= tolerance), lhs_i, rhs_i
-    )
+    v, i, xs, kappa, sides = worst
+    lhs, rhs = sides(i)
+    return VerificationReport(suite, points, v, (float(xs[i]), float(kappa)), tolerance,
+                              bool(v <= tolerance), float(lhs), float(rhs))
 
 
-def _kappa_xs(xs: np.ndarray, k: KappaParam) -> np.ndarray:
-    """The grid's x values xs, or for kappa - 1 <= DEGENERATE_EPS a
-    multiplicative grid of the same size around the pivot 1/sqrt(kappa-1)."""
-    if 0.0 < k.kappa_minus_1 <= DEGENERATE_EPS:
-        return (1.0 / math.sqrt(k.kappa_minus_1)) * np.geomspace(1e-3, 1e3, xs.size)
-    return xs
+def _pair(lhs: np.ndarray, rhs: np.ndarray):
+    """sides of a part whose lhs and rhs are arrays."""
+    return lambda i: (lhs[i], rhs[i])
+
+
+def _per_kappa(grid: EvaluationGrid, term):
+    """(k, term(xs)) for each of the grid's kappas, in order.  xs is the
+    grid's x values, or for 0 < kappa - 1 <= DEGENERATE_EPS a multiplicative
+    grid of the same size around the pivot 1/sqrt(kappa-1).  term runs once
+    on the grid's x values, shared by every kappa that keeps them, and not
+    at all if none does."""
+    xs, shared = grid.xs(), None
+    for k in grid.kappas:
+        if 0.0 < k.kappa_minus_1 <= DEGENERATE_EPS:
+            yield k, term((1.0 / math.sqrt(k.kappa_minus_1)) * np.geomspace(1e-3, 1e3, xs.size))
+        else:
+            if shared is None:
+                shared = term(xs)
+            yield k, shared
 
 
 def verify_theorem(
@@ -133,42 +146,37 @@ def verify_theorem(
     tolerance: float = REL_TOL,
     weight_inflation: float = 1.0,
 ) -> VerificationReport:
-    """Check g(x, kappa) <= Q(x) * (1 + tolerance) over the whole grid.
+    """Check g(x, kappa) <= Q(x) * (1 + tolerance) over the whole grid: one
+    part per kappa, with lhs g and rhs Q.  Q is evaluated once per x grid.
 
     weight_inflation is a test hook that multiplies the bound's weight; the
     suite must detect a corrupted bound, not merely avoid crashing.
     """
-    grid = grid or EvaluationGrid()
-    grid_xs = grid.xs()
-    shared = _q_terms(grid_xs)  # one Q pass for every kappa that keeps the grid
+
+    def q_terms(xs):
+        # Q, what the check divides by (Q with its zeros replaced by 1), and
+        # the mask of those zeros, or None if there is none
+        qs = q(xs)
+        zero = qs <= 0.0
+        return (xs, qs, np.where(zero, 1.0, qs), zero) if zero.any() else (xs, qs, qs, None)
+
     parts = []
-    for k in grid.kappas:
-        xs = _kappa_xs(grid_xs, k)
-        qs, safe, zero = shared if xs is grid_xs else _q_terms(xs)
+    for k, (xs, qs, safe, zero) in _per_kappa(grid or EvaluationGrid(), q_terms):
         gs = weight_inflation * g_lower(xs, k)
         viol = (gs - qs) / safe
         if zero is not None:
             # deep-tail points where Q underflows to 0: the bound must have
             # underflowed too (g <= Q); count them as full margin, not 0/0
             viol[zero] = np.where(gs[zero] > 0.0, math.inf, -1.0)
-        parts.append((xs, k.kappa, viol, gs, qs))
+        parts.append((xs, k.kappa, viol, _pair(gs, qs)))
     return _merge("theorem", parts, tolerance)
-
-
-def _q_terms(xs: np.ndarray):
-    """(Q(xs), Q with its zeros replaced by 1, the mask of those zeros or
-    None if there is none): what the theorem check divides by."""
-    qs = q(xs)
-    zero = qs <= 0.0
-    if not zero.any():
-        return qs, qs, None
-    return qs, np.where(zero, 1.0, qs), zero
 
 
 def verify_lemma1(k) -> VerificationReport:
     """Check the sign pattern of kappa*x*r(x) - 1 on the three regions split
     by the critical points (LEMMA1_POINTS interior points each), the endpoint
-    equalities to ENDPOINT_TOL, and the ordering x1 < 1/sqrt(kappa-1) < x2."""
+    equalities to ENDPOINT_TOL, and the ordering x1 < 1/sqrt(kappa-1) < x2.
+    One part: lhs is the relation, absolute at the endpoints, rhs 0."""
     k = strict_kappa(k, "verify_lemma1")
     cp = critical_points(k)
     if not (cp.x1 < cp.pivot < cp.x2):
@@ -189,16 +197,17 @@ def verify_lemma1(k) -> VerificationReport:
     rel = lemma1_relation(xs, k)
     # positive where the expected sign is violated; at the endpoints, the
     # residual itself
-    lhs = np.concatenate([rel[:3 * n], np.abs(rel[3 * n:])])
-    viol = np.concatenate([rel[:n], -rel[n:2 * n], lhs[2 * n:]])
-    return _merge("lemma1", [(xs, k.kappa, viol, lhs, np.zeros_like(lhs))], ENDPOINT_TOL)
+    viol = np.concatenate([rel[:n], -rel[n:2 * n], rel[2 * n:3 * n], np.abs(rel[3 * n:])])
+    sides = lambda i: (abs(rel[i]) if i >= 3 * n else rel[i], 0.0)  # noqa: E731
+    return _merge("lemma1", [(xs, k.kappa, viol, sides)], ENDPOINT_TOL)
 
 
 def verify_lemma2(k, x_hi: float | None = None, count: int = 10000) -> VerificationReport:
     """Check kappa*x*R(x) >= 1 on [x1, x_hi], plus the sufficient condition
     pi*kappa*x / ((pi-1)*x + sqrt(x**2 + 2*pi)) >= 1 on the same range, to
     LEMMA2_TOL.  x_hi defaults to max(1000, 10*x1): 1000 unless x1 > 100,
-    where kappa - 1 is below ~1e-4."""
+    where kappa - 1 is below ~1e-4.  One part: lhs is the smaller of the
+    two left sides, rhs 1."""
     k = strict_kappa(k, "verify_lemma2")
     x1 = x1_point(k)
     if x_hi is None:
@@ -207,18 +216,16 @@ def verify_lemma2(k, x_hi: float | None = None, count: int = 10000) -> Verificat
         raise UsageError(f"x_hi must exceed x1 = {x1}")
     with np.errstate(over="ignore"):  # as in EvaluationGrid.xs
         xs = np.geomspace(x1, x_hi, int(count))
-    lhs_mills = _kxr(xs, k, mills_ratio(xs))
-    lhs_boyd = _kxr(xs, k, boyd_lower(xs))
-    viol = np.maximum(1.0 - lhs_mills, 1.0 - lhs_boyd)
-    lhs = np.minimum(lhs_mills, lhs_boyd)
-    return _merge("lemma2", [(xs, k.kappa, viol, lhs, np.ones_like(lhs))], LEMMA2_TOL)
+    lhs = np.minimum(_kxr(xs, k, mills_ratio(xs)), _kxr(xs, k, boyd_lower(xs)))
+    return _merge("lemma2", [(xs, k.kappa, 1.0 - lhs, lambda i: (lhs[i], 1.0))], LEMMA2_TOL)
 
 
 def verify_derivative(
     grid: EvaluationGrid | None = None, h_step: float = 1e-5
 ) -> VerificationReport:
     """Check the closed form of df/dx against central finite differences, to
-    FD_TOL.
+    FD_TOL: one part per kappa, with lhs the closed form and rhs the
+    differences.
 
     f = r - R, and each term is differenced on its own scale: R varies on
     the scale 1 and takes the step h_step; r varies on the scale
@@ -226,32 +233,27 @@ def verify_derivative(
     step for both fails either way at large kappa: h_step leaves r's
     truncation error, ~h_step**2*(kappa - 1) relative, and the smaller step
     leaves R's rounding, ~eps/h.  Each kappa makes one r_scaled call on
-    both sides' points; R's quotient is one mills_ratio call, shared by
-    every kappa that keeps the grid's x values."""
+    both sides' points; R's quotient is one mills_ratio call per x grid."""
     grid = grid or EvaluationGrid()
     if not (1e-7 <= h_step <= 1e-3):
         raise UsageError("h_step must lie in [1e-7, 1e-3]")
     for k in grid.kappas:
         if k.kappa <= 1.0:
             raise UsageError("verify_derivative requires kappa entries > 1")
-    grid_xs = grid.xs()
-    kept = grid_xs[grid_xs >= h_step]  # f is defined for x >= 0 only
-    shared = _quotient(mills_ratio, kept, h_step)
+
+    def mills_terms(xs):
+        xs = xs[xs >= h_step]  # f is defined for x >= 0 only
+        return xs, _quotient(mills_ratio, xs, h_step)
+
     parts = []
-    for k in grid.kappas:
-        xs = _kappa_xs(grid_xs, k)
-        if xs is grid_xs:
-            xs, mills_fd = kept, shared
-        else:
-            xs = xs[xs >= h_step]
-            mills_fd = _quotient(mills_ratio, xs, h_step)
+    for k, (xs, mills_fd) in _per_kappa(grid, mills_terms):
         if xs.size == 0:
             continue
         ident = df_dx_identity(xs, k)
         h = h_step * min(1.0, 1.0 / math.sqrt(k.kappa_minus_1))
         fd = _quotient(r_scaled, xs, h, k) - mills_fd
         err = np.abs(ident - fd) / np.maximum(1.0, np.abs(ident))
-        parts.append((xs, k.kappa, err, ident, fd))
+        parts.append((xs, k.kappa, err, _pair(ident, fd)))
     return _merge("derivative", parts, FD_TOL)
 
 
@@ -266,20 +268,17 @@ def verify_chernoff(grid: EvaluationGrid | None = None) -> VerificationReport:
     """Check Q(x) <= 0.5*exp(-x**2/2)*(1 + REL_TOL) on the grid (x >= 0).
 
     The violation is Q/ch - 1 = R(x)/sqrt(pi/2) - 1, which stays finite
-    past x ~38.6, where Q and ch both underflow to 0."""
+    past x ~38.6, where Q and ch both underflow to 0.  One part, whose lhs
+    Q and rhs ch are evaluated at the worst point only."""
     grid = grid or EvaluationGrid(x_min=0.0, x_max=10.0, x_count=10001)
     if grid.x_min < 0.0:
         raise UsageError("the Chernoff upper bound requires x >= 0")
     xs = grid.xs()
     viol = mills_ratio(xs) / SQRT_HALF_PI - 1.0
-    # a report keeps Q and ch at the worst point only, so only there are
-    # they evaluated: a 1-point array gives the same bits as that point in
-    # the whole grid, on every array path (small, masked exp, blocked)
-    i = int(viol.argmax())
-    at = slice(i, i + 1)
-    x = xs[at]
-    report = _merge("chernoff", [(x, math.nan, viol[at], q(x), chernoff_upper(x))], REL_TOL)
-    return dataclasses.replace(report, points_checked=xs.size)
+    # a 1-point array gives the same bits as that point in the whole grid,
+    # on every array path (small, masked exp, blocked)
+    sides = lambda i: (q(xs[i:i + 1])[0], chernoff_upper(xs[i:i + 1])[0])  # noqa: E731
+    return _merge("chernoff", [(xs, math.nan, viol, sides)], REL_TOL)
 
 
 #: Every suite, in the order run_all and `qbound verify all` report them.

@@ -117,8 +117,8 @@ class TestVerifyTheorem:
 
     def test_nan_in_any_part_is_the_worst(self):
         xs = np.array([0.0, 1.0])
-        finite = (xs, 2.0, np.array([-0.5, 0.25]), xs, xs)
-        with_nan = (xs, 3.0, np.array([-1.0, math.nan]), xs, xs)
+        finite = (xs, 2.0, np.array([-0.5, 0.25]), lambda i: (xs[i], xs[i]))
+        with_nan = (xs, 3.0, np.array([-1.0, math.nan]), lambda i: (xs[i], xs[i]))
         for parts in ([finite, with_nan], [with_nan, finite]):
             r = verify._merge("theorem", parts, verify.REL_TOL)
             assert math.isnan(r.worst_violation)
@@ -218,6 +218,22 @@ class TestVerifyDerivative:
         g = EvaluationGrid(x_min=x_min, x_max=x_max, x_count=1001, kappas=(1.0 + m,))
         r = verify_derivative(g)
         assert r.passed, r.worst_violation
+
+    @pytest.mark.parametrize("kappas, sizes, points", [
+        # the grid's 50 points x >= h_step, both sides in one call, once for
+        # 1.5, 2 and 10; each near-degenerate kappa's own 101-point grid
+        ((1.5, 1.0 + 1e-10, 2.0, 1.0 + 1e-12, 10.0), [100, 202, 202], 3 * 50 + 2 * 101),
+        # no kappa keeps the grid: no call on it
+        ((1.0 + 1e-10, 1.0 + 1e-12), [202, 202], 2 * 101),
+    ])
+    def test_one_mills_pass_for_the_shared_grid(self, monkeypatch, kappas, sizes, points):
+        calls = []
+        real = verify.mills_ratio
+        monkeypatch.setattr(verify, "mills_ratio", lambda xs: calls.append(xs.size) or real(xs))
+        report = verify_derivative(EvaluationGrid(x_count=101, kappas=kappas))
+        assert calls == sizes
+        assert report.points_checked == points
+        assert report.passed
 
     def test_rejects_kappa_one(self):
         with pytest.raises(UsageError):

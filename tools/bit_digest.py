@@ -5,7 +5,7 @@ bit for bit.
 
 SRC is the directory that holds the qbound package (`src` in a checkout).
 Run it from the root of a checkout on two trees, on one machine, and
-compare the lines.  Five kinds of output are digested:
+compare the lines.  Six kinds of output are digested:
 
 - arrays: the ten array kernels of the tail_arrays benchmark workload on
   its first BATCHES seeded batches (bench/workloads.py, imported from this
@@ -27,6 +27,11 @@ compare the lines.  Five kinds of output are digested:
   each end with its next 2**-40 relative neighbour; every field of each
   result as its float.hex(), int or string, or an exception as its type
   and message;
+- reports: the repr of each verify suite's report, or an exception as its
+  type and message: lemma1 and lemma2 at REPORT_KAPPAS log-spaced
+  kappa - 1 in [1e-12, 1e300], and theorem, run_all, derivative and
+  chernoff on REPORT_GRIDS, whose kappas include 1, near-degenerate ones
+  (kappa - 1 <= 1e-9) and 1e200;
 - cli: stdout and exit code of CLI_COMMANDS, run in-process through
   qbound.cli.main (stderr is discarded).
 
@@ -49,6 +54,24 @@ KAPPA_POINTS = 20001
 OPT_POINTS = 20001
 STAR_GRID_POINTS = 4001
 INTERVAL_ENDS = 121
+REPORT_KAPPAS = 101
+
+# EvaluationGrid keywords.  Kappa 1 makes the derivative suite a usage
+# error and a negative x_min the chernoff suite, so each grid also runs
+# those two suites without kappa 1 and on x >= 0.
+_KAPPAS = (1.0, 1.0 + 1e-10, 1.5, 2.0, 1e200)
+_DEGENERATE = (1.0 + 1e-12, 1.0 + 1e-10, 1.0 + 1e-9)
+REPORT_GRIDS = (
+    {"kappas": _KAPPAS},
+    {"x_count": 201, "kappas": _DEGENERATE},
+    {"x_count": 201, "kappas": _DEGENERATE + (3.0,)},
+    # lemma1 raises past kappa ~5.7e15, and with it run_all: here it reports
+    {"x_count": 401, "kappas": (1.0, 1.0 + 1e-10, 10.0, 1e15)},
+    {"x_min": 0.0, "x_max": 40.0, "x_count": 4001, "kappas": _KAPPAS},
+    {"x_min": 1e-3, "x_max": 1e8, "x_count": 2001, "spacing": "log", "kappas": _KAPPAS},
+    {"x_min": 0.0, "x_max": 1e-6, "x_count": 101, "kappas": (2.0, 1e200)},
+    {"x_min": 30.0, "x_max": 45.0, "x_count": 20001, "kappas": (1.0, 1.0 + 5e-10, 1e200)},
+)
 
 CLI_COMMANDS = (
     "table",
@@ -174,6 +197,41 @@ def optimizers():
     _digest("interval_kappa", optimize.interval_kappa, pairs)
 
 
+def _report(fn, *args):
+    """The repr of fn's report (a list of them for run_all), or of its
+    exception's type and message."""
+    try:
+        return repr(fn(*args))
+    except (ArithmeticError, ValueError) as exc:  # DomainError, UsageError
+        return f"{type(exc).__name__}: {exc}"
+
+
+def reports():
+    import dataclasses
+
+    import numpy as np
+
+    from qbound import verify
+
+    lines = []
+    for m in np.geomspace(1e-12, 1e300, REPORT_KAPPAS).tolist():
+        lines += [_report(verify.verify_lemma1, 1.0 + m), _report(verify.verify_lemma2, 1.0 + m)]
+    for keywords in REPORT_GRIDS:
+        grid = verify.EvaluationGrid(**keywords)
+        above_1 = tuple(k for k in grid.kappas if k.kappa > 1.0)
+        lines += [
+            _report(verify.verify_theorem, grid),
+            _report(verify.run_all, grid),
+            _report(verify.verify_derivative, grid),
+            _report(verify.verify_derivative, dataclasses.replace(grid, kappas=above_1)),
+            _report(verify.verify_chernoff, grid),
+            _report(verify.verify_chernoff, dataclasses.replace(grid, x_min=max(grid.x_min, 0.0))),
+        ]
+    errors = sum(not line.startswith(("VerificationReport(", "[")) for line in lines)
+    digest = hashlib.sha256("\n".join(lines).encode())
+    print(f"reports: {len(lines)} reports or errors, {errors} errors  {digest.hexdigest()}")
+
+
 def cli():
     from qbound.cli import main
 
@@ -199,6 +257,7 @@ def main(argv=None) -> int:
         small_arrays(seed)
     kappa_functions()
     optimizers()
+    reports()
     cli()
     return 0
 
