@@ -83,7 +83,13 @@ def alpha_coeff(k) -> float:
     taken in the scaled form exp(1/c)/2 * sqrt(s*(s + 2/(pi*kappa))) with
     s = (kappa-1)/kappa, in which nothing overflows up to the largest double.
     """
-    k = as_kappa(k)
+    return _alpha(as_kappa(k))
+
+
+def _alpha(k: KappaParam) -> float:
+    """alpha_coeff of a checked kappa: the kernel bodies call this, not
+    alpha_coeff, as a tracer may swap alpha_coeff for a wrapper that is not
+    safe to enter from the threads that run an array's blocks."""
     c = k.c
     prod = k.kappa_minus_1 * c
     if prod < math.inf:
@@ -100,14 +106,14 @@ def g_lower(x, k):
     warning where kappa*x*x overflows.
     """
     k = as_kappa(k)
-    return alpha_coeff(k) * gauss(x, k.kappa)
+    return _alpha(k) * gauss(x, k.kappa)
 
 
 def _r(x, k: KappaParam):
     """r(x, kappa) of a checked x >= 0 and kappa > 1, in the collapsed form
     sqrt(2*pi)*alpha(kappa)*exp(-(kappa-1)*x**2/2); the literal product
     overflows for x beyond ~38."""
-    return SQRT_2PI * alpha_coeff(k) * gauss(x, k.kappa_minus_1)
+    return SQRT_2PI * _alpha(k) * gauss(x, k.kappa_minus_1)
 
 
 @elementwise(sign=1)
@@ -130,7 +136,7 @@ def rel_gap(x, k):
     x ~37.5 and 0 past ~38.6).  Like every kernel, it is checked and an
     array is blocked by elementwise alone."""
     k = as_kappa(k)
-    return 1.0 - alpha_coeff(k) * gauss(x, k.kappa_minus_1) / (_mills(x) / SQRT_2PI)
+    return 1.0 - _alpha(k) * gauss(x, k.kappa_minus_1) / (_mills(x) / SQRT_2PI)
 
 
 def x1_point(k) -> float:

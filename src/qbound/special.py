@@ -10,7 +10,9 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,8 +299,12 @@ _ERFCX_COEFFS = np.array(_ERFCX_PIECES).T.copy()
 #: array is split, runs a kernel body on at most this many points, so its
 #: temporaries, _erfcx's (7, n) coefficient gather among them, stay in L2
 #: cache, and _exp answers a block whose every lane underflows with zeros
-#: alone.  4,096 to 65,536 measure alike; at 262,144, _erfcx takes twice
-#: as long.
+#: alone.  The ten tail_arrays kernels take, per 1e6 points in ms, with
+#: blocks of 4,096 / 8,192 / 16,384 / 32,768 / 65,536 / 131,072 / 262,144
+#: points, 59 / 50 / 46 / 46 / 46 / 51 / 63 on one thread and
+#: 68 / 47 / 35 / 30 / 29 / 34 / 44 on two (median of 5 runs, 2-core VM):
+#: the threads wait on the interpreter lock between numpy passes, more
+#: often the smaller the block.
 _BLOCK = 16384
 
 #: exp(y) is +0.0 for every y below this, -inf included: exp(-745.14) is
@@ -390,7 +396,9 @@ def elementwise(sign=0, name="x"):
     gets the same operations, and the same bits, as in one whole call.
     This is the one place an array is split: every body, and every helper
     it calls (_erfcx, _exp), runs once on the at most _BLOCK points it is
-    given.
+    given.  The blocks run on _WORKERS threads (see _run_blocks);
+    numpy releases the interpreter lock inside each pass, so the threads
+    overlap.  Smaller arrays and scalars never start a thread.
     """
     def decorate(fn):
         bound = f"{fn.__name__} requires {name} {'>=' if sign > 0 else '<='} 0"
@@ -412,10 +420,7 @@ def elementwise(sign=0, name="x"):
                     if x.size <= _BLOCK:
                         return fn(x, *args)
                     out = np.empty(x.shape)
-                    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
-                    for start in range(0, flat_x.size, _BLOCK):
-                        stop = start + _BLOCK
-                        flat_out[start:stop] = fn(flat_x[start:stop], *args)
+                    _run_blocks(fn, x.reshape(-1), out.reshape(-1), args)
                     return out
                 x = x[()]
             if not math.isfinite(x):
@@ -427,6 +432,82 @@ def elementwise(sign=0, name="x"):
         return kernel
 
     return decorate
+
+
+#: Threads that run the blocks of one array: the CPUs this process may run
+#: on.  There is no setting; on one CPU no thread is ever started.
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # os.sched_getaffinity is Linux-only
+    _WORKERS = os.cpu_count() or 1
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _block_pool():
+    """The _WORKERS - 1 threads that run blocks beside the calling thread,
+    started on first use.  concurrent.futures is imported here: importing
+    it costs ~2 ms of every cold CLI call, which never needs it."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="qbound-block")
+        return _pool
+
+
+def _forget_pool():
+    """In a forked child the parent's pool threads do not exist, so a block
+    submitted to that pool would never run: the child starts its own."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_blocks(fn, x, out, args):
+    """out[b] = fn(x[b], *args) for every _BLOCK-point block b of the flat
+    arrays x and out, on min(_WORKERS, blocks) threads: the calling thread
+    and _block_pool's.  Each thread takes the next block not yet taken, so
+    a thread slowed by another process leaves its share to the others.
+    Each runs under the caller's np.errstate, as a new thread starts with
+    numpy's defaults.  Every thread is waited for before the call returns
+    or raises, so none writes into out once it has ended; an error ends
+    its thread's run, and the others finish the blocks left.  fn is a
+    kernel body, which calls only unguarded helpers, so a pool thread
+    never submits to the pool.
+    """
+    starts = range(0, x.size, _BLOCK)
+    blocks = iter(starts)
+    n = min(_WORKERS, len(starts))
+    state = np.geterr()
+    lock = threading.Lock()
+
+    def run():
+        with np.errstate(**state):
+            while True:
+                with lock:
+                    start = next(blocks, None)
+                if start is None:
+                    return
+                stop = start + _BLOCK
+                out[start:stop] = fn(x[start:stop], *args)
+
+    futures = []
+    if n > 1:
+        pool = _block_pool()
+        futures = [pool.submit(run) for _ in range(n - 1)]
+    try:
+        run()
+    finally:
+        for f in futures:
+            f.exception()  # waits for the thread, whether or not it raised
+    for f in futures:
+        f.result()  # raises a pool thread's error
 
 
 def _exp(y):

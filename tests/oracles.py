@@ -3,8 +3,10 @@
 These deliberately avoid the production code paths: Q comes from adaptive
 quadrature of the Gaussian density, Lambert W values come from bisection,
 and optimizer answers come from dense scans.  A kernel's blocked array path
-is checked against the same kernel on chunks of at most one block.
+is checked against the same kernel on chunks of at most one block, which
+take the direct path and start no thread.
 """
+import contextlib
 import itertools
 import math
 import sys
@@ -148,3 +150,23 @@ def chunked(fn, x: np.ndarray, *args) -> np.ndarray:
         out.append(fn(flat[start:start + size], *args))
         start += size
     return np.concatenate(out).reshape(x.shape)
+
+
+#: Thread counts the blocked path is checked with: the calling thread alone,
+#: as on one CPU, and with a pool of one and of two threads beside it.
+WORKER_COUNTS = (1, 2, 3)
+
+
+@contextlib.contextmanager
+def block_workers(monkeypatch, n: int):
+    """special's blocks run on n threads, from a pool made for them, which
+    is shut down on exit; monkeypatch restores the process's own."""
+    from qbound import special
+
+    monkeypatch.setattr(special, "_WORKERS", n)
+    monkeypatch.setattr(special, "_pool", None)
+    try:
+        yield
+    finally:
+        if special._pool is not None:
+            special._pool.shutdown()

@@ -1,6 +1,9 @@
 """Tests for the bound family and the proof-level functions."""
+import functools
+import inspect
 import math
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -569,15 +572,53 @@ class TestBlockedPath:
     KERNELS = WITH_KAPPA + [boyd_lower, chernoff_upper, boyd_lower_q]
 
     @pytest.mark.parametrize("fn", KERNELS, ids=lambda fn: fn.__name__)
-    def test_blocked_equals_chunked(self, fn):
+    def test_blocked_equals_chunked(self, fn, monkeypatch):
         x = oracles.blocked_xs(0 if fn is g_lower else 1)
         kappas = (1.0 + 1e-12, 2.0, 1e200) if fn in self.WITH_KAPPA else (None,)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for kappa in kappas:
                 args = () if kappa is None else (kappa,)
-                got = fn(x, *args)
-                assert got.tobytes() == oracles.chunked(fn, x, *args).tobytes(), kappa
-                grid = x.reshape(11, -1)
-                assert fn(grid, *args).shape == grid.shape
-                assert fn(grid, *args).tobytes() == got.tobytes(), kappa
+                want = oracles.chunked(fn, x, *args).tobytes()
+                for n in oracles.WORKER_COUNTS:
+                    with oracles.block_workers(monkeypatch, n):
+                        assert fn(x, *args).tobytes() == want, (kappa, n)
+                        grid = x.reshape(11, -1)
+                        assert fn(grid, *args).shape == grid.shape
+                        assert fn(grid, *args).tobytes() == want, (kappa, n)
+
+    def test_public_functions_entered_from_the_calling_thread(self, monkeypatch):
+        # As bench/spans.py's tracer does, every function in the __all__ of
+        # bounds and special is swapped, in every namespace, for a wrapper
+        # that is not safe to enter from a pool thread: no kernel body may
+        # call one.  Each kernel is called through its wrapper.
+        import qbound
+        from qbound import bounds, cli, optimize, special, verify
+
+        entered = []
+
+        def wrap(fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                entered.append((fn.__name__, threading.get_ident()))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        wrappers = {fn: wrap(fn) for mod in (bounds, special)
+                    for fn in map(mod.__dict__.get, mod.__all__) if inspect.isfunction(fn)}
+        for mod in (qbound, special, bounds, optimize, verify, cli):
+            for attr, value in list(vars(mod).items()):
+                if inspect.isfunction(value) and value in wrappers:
+                    monkeypatch.setattr(mod, attr, wrappers[value])
+        k = (2.0,)
+        calls = [(special.q, ()), (special.mills_ratio, ()), (bounds.g_lower, k),
+                 (bounds.r_scaled, k), (bounds.f_diff, k), (bounds.df_dx_identity, k),
+                 (bounds.boyd_lower_q, ()), (bounds.chernoff_upper, ()),
+                 (bounds.crossing_condition, k), (bounds.lemma1_relation, k),
+                 (bounds.rel_gap, k)]  # rel_gap is not in __all__: not wrapped itself
+        x = oracles.blocked_xs(1)
+        with oracles.block_workers(monkeypatch, 3):
+            for fn, args in calls:
+                assert fn(x, *args).tobytes() == oracles.chunked(fn, x, *args).tobytes()
+        assert {name for name, _ in entered} == {fn.__name__ for fn, _ in calls[:-1]}
+        assert {ident for _, ident in entered} == {threading.get_ident()}

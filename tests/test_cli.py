@@ -397,6 +397,25 @@ class TestImportCost:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "False"]
 
+    def test_no_thread_pool(self):
+        # importing concurrent.futures costs ~2 ms; only an array kernel
+        # called on more than one block of points needs it, and the CLI's
+        # default grids are each at most one block
+        script = (
+            "import sys, io, qbound, qbound.cli\n"
+            "print('concurrent.futures' in sys.modules)\n"
+            "for argv in (['table'], ['verify', 'all'], ['optimize', 'weight', '--kappa', '2']):\n"
+            "    qbound.cli.main(argv, out=io.StringIO())\n"
+            "print('concurrent.futures' in sys.modules, qbound.special._pool)\n"
+        )
+        src = str(Path(qbound.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False", "None"]
+
 
 class TestRootsCommand:
     def test_kappa_two(self):

@@ -1,7 +1,11 @@
 """Tests for the special-function kernels."""
 import importlib.util
 import math
+import os
+import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -451,15 +455,18 @@ class TestBlockedPath:
 
     @pytest.mark.parametrize("fn", [special.q, special.mills_ratio, special.h],
                              ids=lambda fn: fn.__name__)
-    def test_blocked_equals_chunked(self, fn):
+    def test_blocked_equals_chunked(self, fn, monkeypatch):
         x = oracles.blocked_xs({special.q: 0, special.h: -1}.get(fn, 1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = fn(x)
-            assert got.tobytes() == oracles.chunked(fn, x).tobytes()
-            grid = x.reshape(11, -1)
-            assert fn(grid).tobytes() == got.tobytes() and fn(grid).shape == grid.shape
-            assert fn(grid.T).tobytes() == fn(grid).T.copy().tobytes()
+            want = oracles.chunked(fn, x).tobytes()
+            for n in oracles.WORKER_COUNTS:
+                with oracles.block_workers(monkeypatch, n):
+                    got = fn(x)
+                    assert got.tobytes() == want, n
+                    grid = x.reshape(11, -1)
+                    assert fn(grid).tobytes() == want and fn(grid).shape == grid.shape, n
+                    assert fn(grid.T).tobytes() == fn(grid).T.copy().tobytes(), n
 
     def test_exp_equals_np_exp(self):
         # across the underflow threshold, the subnormal results, -inf, and
@@ -538,3 +545,120 @@ class TestBlockedPath:
         # one form at every size, the same bits as in the whole array
         for n in (1, 1023, 1024, 4097):
             assert q(x[:n]).tobytes() == got[:n].tobytes(), n
+
+
+class TestBlockThreads:
+    """The blocks of an array run on special._WORKERS threads, the calling
+    thread and a pool's: each block under the caller's floating-point error
+    state, an error raised only once every block started has finished, one
+    pool for every caller, and a forked child's blocks on a pool of its
+    own."""
+
+    def test_caller_errstate_reaches_every_block(self, monkeypatch):
+        runs = []
+
+        @special.elementwise()
+        def record(x, ready):
+            ready.wait()  # every block waits for the others: one per thread
+            runs.append((threading.get_ident(), np.geterr()["under"]))
+            return x
+
+        # exp underflows at x = 38 alone, which is in block 1
+        x = np.ones(3 * special._BLOCK)
+        x[special._BLOCK + 5] = 38.0
+        for n in oracles.WORKER_COUNTS:
+            runs.clear()
+            with oracles.block_workers(monkeypatch, n):
+                assert 0.0 < q(x)[special._BLOCK + 5] < sys.float_info.min
+                with np.errstate(under="raise"):
+                    with pytest.raises(FloatingPointError):
+                        q(x)
+                    record(np.zeros(n * special._BLOCK), threading.Barrier(n, timeout=30))
+                assert (special._pool is None) == (n == 1)
+            assert len({thread for thread, _ in runs}) == n
+            assert {under for _, under in runs} == {"raise"}
+
+    def test_error_raised_after_every_block(self, monkeypatch):
+        started, finished = set(), set()
+
+        @special.elementwise()
+        def fails_in_block_2(x, ready):
+            block = int(x[0]) // special._BLOCK
+            started.add(block)
+            try:
+                if block == 2:
+                    raise ValueError("block 2")
+                ready.wait()  # blocks 0 and 1 run at once, where there are threads
+                time.sleep(0.1 * block)  # block 1 outlasts block 2's error
+                return x
+            finally:
+                finished.add(block)
+
+        x = np.arange(3.0 * special._BLOCK)
+        y = oracles.blocked_xs(0)
+        want = oracles.chunked(q, y).tobytes()
+        for n in oracles.WORKER_COUNTS:
+            started.clear()
+            finished.clear()
+            with oracles.block_workers(monkeypatch, n):
+                with pytest.raises(ValueError, match="block 2"):
+                    fails_in_block_2(x, threading.Barrier(min(n, 2), timeout=30))
+                assert started == finished == {0, 1, 2}, n
+                assert q(y).tobytes() == want, n
+
+    def test_concurrent_callers_share_one_pool(self, monkeypatch):
+        import concurrent.futures
+
+        made = []
+
+        class SlowPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                time.sleep(0.01)  # widens the race between test and set
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SlowPool)
+        x = oracles.blocked_xs(1)
+        want = oracles.chunked(mills_ratio, x).tobytes()
+        results, ready = [], threading.Barrier(8)
+
+        def call():
+            ready.wait(timeout=60)  # all at once, to race for the first pool
+            results.append(mills_ratio(x).tobytes())
+
+        callers = [threading.Thread(target=call) for _ in range(ready.parties)]
+        interval = sys.getswitchinterval()
+        with oracles.block_workers(monkeypatch, 3):
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in callers:
+                    t.start()
+                for t in callers:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in callers)
+            assert results == [want] * len(callers)
+            assert made == [special._pool]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    def test_forked_child_after_the_parent_used_the_pool(self):
+        script = (
+            "import os, signal, sys\n"
+            "import numpy as np\n"
+            "from qbound import special\n"
+            "special._WORKERS = 3\n"
+            "x = np.linspace(0.0, 40.0, 3 * special._BLOCK + 7)\n"
+            "parent = special.mills_ratio(x).tobytes()\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(30)  # a child that hangs is killed\n"
+            "    os._exit(0 if special.mills_ratio(x).tobytes() == parent else 1)\n"
+            "sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+        )
+        src = str(Path(special.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
