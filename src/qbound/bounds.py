@@ -24,7 +24,11 @@ _h = h.__wrapped__
 
 @dataclass(frozen=True)
 class KappaParam:
-    """The bound parameter kappa >= 1 with its derived quantities."""
+    """The bound parameter kappa >= 1 with its derived quantities.
+
+    (kappa-1)*c overflows past kappa ~ 7.5e153; only there are alpha and x1
+    taken in scaled forms, in which nothing overflows up to the largest double.
+    """
 
     kappa: float
 
@@ -45,18 +49,33 @@ class KappaParam:
         """c = pi*(kappa - 1) + 2, always >= 2."""
         return _PI * self.kappa_minus_1 + 2.0
 
+    @property
+    def alpha(self) -> float:
+        """Weight alpha(kappa) of the lower bound; 0 at kappa = 1, < 1/2 always.
+        Scaled: exp(1/c)/2 * sqrt(s*(s + 2/(pi*kappa))), s = (kappa-1)/kappa."""
+        m, c = self.kappa_minus_1, self.c
+        prod = m * c
+        if prod < math.inf:
+            return math.exp(1.0 / c) / (2.0 * self.kappa) * math.sqrt(prod / _PI)
+        s = m / self.kappa
+        return 0.5 * math.exp(1.0 / c) * math.sqrt(s * (s + 2.0 / (_PI * self.kappa)))
 
-def as_kappa(k) -> KappaParam:
-    """Coerce a float or KappaParam to KappaParam, validating kappa >= 1."""
-    if isinstance(k, KappaParam):
-        return k
-    return KappaParam(float(k))
+    @property
+    def x1(self) -> float:
+        """Closed-form smaller critical point x1 = sqrt(2) / sqrt((kappa-1)*c),
+        kappa > 1.  Scaled: sqrt(2/(pi + 2/(kappa-1))) / (kappa-1)."""
+        m = as_kappa(self, "x1").kappa_minus_1
+        prod = m * self.c
+        if prod < math.inf:
+            return math.sqrt(2.0 / prod)
+        return math.sqrt(2.0 / (_PI + 2.0 / m)) / m
 
 
-def strict_kappa(k, op: str) -> KappaParam:
-    """as_kappa(k), further requiring kappa > 1, which op needs."""
-    k = as_kappa(k)
-    if k.kappa <= 1.0:
+def as_kappa(k, op: str | None = None) -> KappaParam:
+    """Coerce a float or KappaParam to KappaParam, validating kappa >= 1,
+    and kappa > 1 as well where op, which needs it, is named."""
+    k = k if isinstance(k, KappaParam) else KappaParam(float(k))
+    if op is not None and k.kappa <= 1.0:
         raise DomainError(f"{op} requires kappa > 1, got {k.kappa}")
     return k
 
@@ -77,25 +96,8 @@ class CriticalPoints:
 
 
 def alpha_coeff(k) -> float:
-    """Weight alpha(kappa) of the lower bound; 0 at kappa = 1, < 1/2 always.
-
-    (kappa-1)*c overflows past kappa ~ 7.5e153; only there is the weight
-    taken in the scaled form exp(1/c)/2 * sqrt(s*(s + 2/(pi*kappa))) with
-    s = (kappa-1)/kappa, in which nothing overflows up to the largest double.
-    """
-    return _alpha(as_kappa(k))
-
-
-def _alpha(k: KappaParam) -> float:
-    """alpha_coeff of a checked kappa: the kernel bodies call this, not
-    alpha_coeff, as a tracer may swap alpha_coeff for a wrapper that is not
-    safe to enter from the threads that run an array's blocks."""
-    c = k.c
-    prod = k.kappa_minus_1 * c
-    if prod < math.inf:
-        return math.exp(1.0 / c) / (2.0 * k.kappa) * math.sqrt(prod / _PI)
-    s = k.kappa_minus_1 / k.kappa
-    return 0.5 * math.exp(1.0 / c) * math.sqrt(s * (s + 2.0 / (_PI * k.kappa)))
+    """Weight alpha(kappa) of the lower bound: KappaParam.alpha."""
+    return as_kappa(k).alpha
 
 
 @elementwise()
@@ -106,26 +108,26 @@ def g_lower(x, k):
     warning where kappa*x*x overflows.
     """
     k = as_kappa(k)
-    return _alpha(k) * gauss(x, k.kappa)
+    return k.alpha * gauss(x, k.kappa)
 
 
 def _r(x, k: KappaParam):
     """r(x, kappa) of a checked x >= 0 and kappa > 1, in the collapsed form
     sqrt(2*pi)*alpha(kappa)*exp(-(kappa-1)*x**2/2); the literal product
     overflows for x beyond ~38."""
-    return SQRT_2PI * _alpha(k) * gauss(x, k.kappa_minus_1)
+    return SQRT_2PI * k.alpha * gauss(x, k.kappa_minus_1)
 
 
 @elementwise(sign=1)
 def r_scaled(x, k):
     """r(x, kappa) = sqrt(2*pi) * g(x, kappa) * exp(x**2 / 2), x >= 0."""
-    return _r(x, strict_kappa(k, "r_scaled"))
+    return _r(x, as_kappa(k, "r_scaled"))
 
 
 @elementwise(sign=1)
 def f_diff(x, k):
     """f(x, kappa) = r(x, kappa) - R(x); the bound holds iff f <= 0."""
-    return _r(x, strict_kappa(k, "f_diff")) - _mills(x)
+    return _r(x, as_kappa(k, "f_diff")) - _mills(x)
 
 
 @elementwise(sign=1)
@@ -136,22 +138,12 @@ def rel_gap(x, k):
     x ~37.5 and 0 past ~38.6).  Like every kernel, it is checked and an
     array is blocked by elementwise alone."""
     k = as_kappa(k)
-    return 1.0 - _alpha(k) * gauss(x, k.kappa_minus_1) / (_mills(x) / SQRT_2PI)
+    return 1.0 - k.alpha * gauss(x, k.kappa_minus_1) / (_mills(x) / SQRT_2PI)
 
 
 def x1_point(k) -> float:
-    """Closed-form smaller critical point x1 = sqrt(2) / sqrt((kappa-1)*c).
-
-    Where (kappa-1)*c overflows (kappa > ~7.5e153), x1 is taken as
-    sqrt(2/(pi + 2/(kappa-1))) / (kappa-1), the same value scaled by
-    kappa-1, in which nothing overflows up to the largest double.
-    """
-    k = strict_kappa(k, "x1_point")
-    m = k.kappa_minus_1
-    prod = m * k.c
-    if prod < math.inf:
-        return math.sqrt(2.0 / prod)
-    return math.sqrt(2.0 / (_PI + 2.0 / m)) / m
+    """Smaller critical point x1 of kappa > 1: KappaParam.x1."""
+    return as_kappa(k, "x1_point").x1
 
 
 def x2_point(k) -> float:
@@ -165,7 +157,7 @@ def x2_point(k) -> float:
     (at some kappa past ~5.7e15, at all past ~1.15e16), psi(t) is -inf and
     x2 is a DomainError.
     """
-    k = strict_kappa(k, "x2_point")
+    k = as_kappa(k, "x2_point")
     c = k.c
     t = _PI * k.kappa_minus_1 / c
     if not t < 1.0:
@@ -186,7 +178,7 @@ def x2_point(k) -> float:
 
 def critical_points(k) -> CriticalPoints:
     """Both critical points together with their Lambert preimages."""
-    k = strict_kappa(k, "critical_points")
+    k = as_kappa(k, "critical_points")
     x1 = x1_point(k)
     x2 = x2_point(k)
     return CriticalPoints(
@@ -204,7 +196,7 @@ def crossing_condition(x, k):
 
     Nonpositive exactly on [x1, x2], zero exactly at x1 and x2.
     """
-    k = strict_kappa(k, "crossing_condition")
+    k = as_kappa(k, "crossing_condition")
     with np.errstate(over="ignore"):
         w = (1.0 - k.kappa) * x * x  # x*x alone goes subnormal before w does
     # h(w) is -0 for every w below -745, -inf aside, where it is -inf*0 =
@@ -230,14 +222,14 @@ def _kxr(x, k: KappaParam, r):
 @elementwise(sign=1)
 def lemma1_relation(x, k):
     """kappa * x * r(x, kappa) - 1: >= 0 exactly on [x1, x2], 0 at the ends."""
-    k = strict_kappa(k, "lemma1_relation")
+    k = as_kappa(k, "lemma1_relation")
     return _kxr(x, k, _r(x, k)) - 1.0
 
 
 @elementwise(sign=1)
 def df_dx_identity(x, k):
     """Closed form of df/dx: x*f(x,kappa) + 1 - kappa*x*r(x,kappa)."""
-    k = strict_kappa(k, "df_dx_identity")
+    k = as_kappa(k, "df_dx_identity")
     r = _r(x, k)
     return x * (r - _mills(x)) + 1.0 - _kxr(x, k, r)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import alpha_coeff, g_lower, rel_gap, strict_kappa, x1_point
+from .bounds import alpha_coeff, as_kappa, g_lower, rel_gap, x1_point
 from .errors import DomainError, QBoundError
 from .special import SQRT_2PI, mills_ratio
 
@@ -168,7 +168,7 @@ def max_weight(k) -> OptimizationResult:
     alpha_max >= alpha(kappa) always; a violation would contradict the
     theorem and is raised as a QBoundError.
     """
-    k = strict_kappa(k, "max_weight")
+    k = as_kappa(k, "max_weight")
     kappa, m = k.kappa, k.kappa_minus_1
 
     def step(x):

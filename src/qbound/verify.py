@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,6 @@ from .bounds import (
     g_lower,
     lemma1_relation,
     r_scaled,
-    strict_kappa,
     x1_point,
 )
 from .errors import UsageError
@@ -63,6 +63,8 @@ class EvaluationGrid:
             raise UsageError(
                 f"the grid span x_max - x_min overflows for [{self.x_min}, {self.x_max}]"
             )
+        if not isinstance(self.x_count, numbers.Integral):
+            raise UsageError(f"x_count must be an integer, got {self.x_count!r}")
         if self.x_count < 2:
             raise UsageError("x_count must be >= 2")
         if self.spacing not in ("linear", "log"):
@@ -152,6 +154,8 @@ def verify_theorem(
     weight_inflation is a test hook that multiplies the bound's weight; the
     suite must detect a corrupted bound, not merely avoid crashing.
     """
+    if math.isnan(tolerance):
+        raise UsageError("the tolerance must not be nan")
 
     def q_terms(xs):
         # Q, what the check divides by (Q with its zeros replaced by 1), and
@@ -177,7 +181,7 @@ def verify_lemma1(k) -> VerificationReport:
     by the critical points (LEMMA1_POINTS interior points each), the endpoint
     equalities to ENDPOINT_TOL, and the ordering x1 < 1/sqrt(kappa-1) < x2.
     One part: lhs is the relation, absolute at the endpoints, rhs 0."""
-    k = strict_kappa(k, "verify_lemma1")
+    k = as_kappa(k, "verify_lemma1")
     cp = critical_points(k)
     if not (cp.x1 < cp.pivot < cp.x2):
         return VerificationReport(
@@ -208,12 +212,14 @@ def verify_lemma2(k, x_hi: float | None = None, count: int = 10000) -> Verificat
     LEMMA2_TOL.  x_hi defaults to max(1000, 10*x1): 1000 unless x1 > 100,
     where kappa - 1 is below ~1e-4.  One part: lhs is the smaller of the
     two left sides, rhs 1."""
-    k = strict_kappa(k, "verify_lemma2")
+    k = as_kappa(k, "verify_lemma2")
+    if not count >= 1:
+        raise UsageError(f"count must be >= 1, got {count}")
     x1 = x1_point(k)
     if x_hi is None:
         x_hi = max(1000.0, 10.0 * x1)
-    if not x_hi > x1:
-        raise UsageError(f"x_hi must exceed x1 = {x1}")
+    if not x1 < x_hi < math.inf:
+        raise UsageError(f"x_hi must be finite and exceed x1 = {x1}, got {x_hi}")
     with np.errstate(over="ignore"):  # as in EvaluationGrid.xs
         xs = np.geomspace(x1, x_hi, int(count))
     lhs = np.minimum(_kxr(xs, k, mills_ratio(xs)), _kxr(xs, k, boyd_lower(xs)))

@@ -90,6 +90,36 @@ class TestAlphaCoeff:
             assert alpha_coeff(kappa) == pytest.approx(expected, rel=1e-15)
 
 
+class TestOverflowSwitch:
+    """alpha and x1 change form where (kappa-1)*c overflows: both forms
+    stay within one unit of 2**-53 of mpmath where they meet."""
+
+    # the last kappa whose (kappa-1)*c is finite, and the next double
+    KAPPAS = (7.564545572282618e153, 7.56454557228262e153)
+
+    def test_kappas_straddle_the_switch(self):
+        lo, hi = map(KappaParam, self.KAPPAS)
+        assert math.nextafter(lo.kappa, math.inf) == hi.kappa
+        assert lo.kappa_minus_1 * lo.c < math.inf == hi.kappa_minus_1 * hi.c
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_alpha_and_x1_match_mpmath(self, kappa):
+        mp = pytest.importorskip("mpmath")
+        k = KappaParam(kappa)
+        with mp.workdps(40):
+            km = mp.mpf(kappa)
+            c = mp.pi * (km - 1) + 2
+            alpha = mp.exp(1 / c) / (2 * km) * mp.sqrt((km - 1) * c / mp.pi)
+            x1 = mp.sqrt(2 / ((km - 1) * c))
+            for got, want in [(alpha_coeff(kappa), alpha), (k.alpha, alpha),
+                              (x1_point(kappa), x1), (k.x1, x1)]:
+                assert abs(got - want) <= 2**-53 * want
+
+    def test_x1_of_kappa_one_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="requires kappa > 1, got 1.0"):
+            KappaParam(1.0).x1
+
+
 class TestGLower:
     def test_trivial_kappa(self):
         for x in [-3.0, 0.0, 1.0, 10.0]:

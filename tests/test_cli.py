@@ -223,6 +223,12 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(text)[-1]["points_checked"] == 10001
 
+    @pytest.mark.parametrize("suite", ["theorem", "all"])
+    def test_nan_tolerance_exits_2(self, suite, capsys):
+        code, text = run_cli("verify", suite, "--x-count", "11", "--tolerance", "nan")
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == "error: the tolerance must not be nan\n"
+
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("verify", "nonsense")

@@ -44,6 +44,13 @@ class TestEvaluationGrid:
         with pytest.raises(UsageError):
             EvaluationGrid(spacing="cubic")
 
+    def test_non_integer_count_is_a_usage_error(self):
+        # np.linspace would raise TypeError only when xs() is called
+        for count in (2.5, 3.0, math.nan):
+            with pytest.raises(UsageError, match="x_count must be an integer"):
+                EvaluationGrid(x_count=count)
+        assert EvaluationGrid(x_count=np.int64(3)).xs().size == 3
+
     def test_span_that_overflows_is_a_usage_error(self):
         # np.linspace would give nan: x_max - x_min is inf
         with warnings.catch_warnings():
@@ -97,6 +104,19 @@ class TestVerifyTheorem:
         r = verify_theorem(g, weight_inflation=1.0 + 1e-6)
         assert not r.passed
         assert r.worst_violation > r.tolerance
+
+    def test_nan_tolerance_is_a_usage_error(self, monkeypatch):
+        # a nan tolerance would fail every report, whatever its margin
+        monkeypatch.setattr(verify, "q", None)  # no kernel runs
+        with pytest.raises(UsageError, match="tolerance must not be nan"):
+            verify_theorem(tolerance=math.nan)
+        with pytest.raises(UsageError, match="tolerance must not be nan"):
+            run_all(tolerance=math.nan)
+
+    @pytest.mark.parametrize("tolerance", [math.inf, -1e-300])
+    def test_infinite_and_negative_tolerances_accepted(self, tolerance):
+        r = verify_theorem(EvaluationGrid(x_count=11), tolerance=tolerance)
+        assert r.tolerance == tolerance and r.passed
 
     def test_report_independent_of_kappa_order(self):
         # at kappa = 1e200, (kappa-1)*c overflows inside alpha_coeff
@@ -187,6 +207,24 @@ class TestVerifyLemma2:
     def test_rejects_bad_range(self):
         with pytest.raises(UsageError):
             verify_lemma2(2.0, x_hi=0.1)
+
+    @pytest.mark.parametrize("count", [0, -5, 0.5, math.nan])
+    def test_rejects_count_below_one(self, monkeypatch, count):
+        monkeypatch.setattr(verify, "mills_ratio", None)  # no kernel runs
+        with pytest.raises(UsageError, match="count must be >= 1"):
+            verify_lemma2(2.0, count=count)
+
+    @pytest.mark.parametrize("x_hi", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_x_hi(self, monkeypatch, x_hi):
+        monkeypatch.setattr(verify, "mills_ratio", None)  # no kernel runs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UsageError, match="x_hi must be finite"):
+                verify_lemma2(2.0, x_hi=x_hi)
+
+    def test_one_point(self):
+        r = verify_lemma2(2.0, count=1)
+        assert r.points_checked == 1 and r.worst_point == (x1_point(2.0), 2.0)
 
     @pytest.mark.parametrize(
         "kappa, x_hi",

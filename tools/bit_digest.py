@@ -18,8 +18,10 @@ compare the lines.  Six kinds of output are digested:
   take the kernels' one-shot path, below one block and below the size at
   which exp's underflowing lanes are masked;
 - kappa: x1_point, x2_point and alpha_coeff at KAPPA_POINTS log-spaced
-  kappa - 1 in [1e-12, 1e16], each value as its float.hex() or an
-  exception as its type and message;
+  kappa - 1 in [1e-12, 1.7976931348623157e308] and at SWITCH_KAPPAS, the
+  two kappas on either side of the overflow of (kappa-1)*c, where alpha
+  and x1 change form; each value as its float.hex() or an exception as its
+  type and message;
 - optimize: kappa_star at OPT_POINTS log-spaced x in [1e-8, 1e8] and at
   the STAR_GRID_POINTS x of a grid on [0, 40], max_weight at OPT_POINTS
   log-spaced kappa - 1 in [1e-12, 1e300], and interval_kappa on every pair
@@ -51,6 +53,8 @@ SEEDS = (1, 2)
 BATCHES = 16
 SMALL_DRAWS = 64
 KAPPA_POINTS = 20001
+# the last kappa whose (kappa-1)*c is finite, and the next double
+SWITCH_KAPPAS = (7.564545572282618e153, 7.56454557228262e153)
 OPT_POINTS = 20001
 STAR_GRID_POINTS = 4001
 INTERVAL_ENDS = 121
@@ -155,7 +159,9 @@ def kappa_functions():
 
     from qbound import bounds
 
-    kappas = [1.0 + m for m in np.geomspace(1e-12, 1e16, KAPPA_POINTS).tolist()]
+    with np.errstate(over="ignore"):  # geomspace sets its overflowed end point
+        ms = np.geomspace(1e-12, sys.float_info.max, KAPPA_POINTS)
+    kappas = [1.0 + m for m in ms.tolist()] + list(SWITCH_KAPPAS)
     for fn in (bounds.x1_point, bounds.x2_point, bounds.alpha_coeff):
         digest, errors = hashlib.sha256(), 0
         for kappa in kappas:
