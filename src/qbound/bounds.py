@@ -16,6 +16,7 @@ from .errors import DomainError
 from .special import SQRT_2PI, SQRT_HALF_PI, elementwise, gauss, h, mills_ratio, newton
 
 _PI = math.pi
+_ROUNDING = -(2.0**-50)  # 4 ulps of 1: rel_gap is at most 3 ulps below 0 where tight
 
 # Unguarded bodies for checked x, bound once: a tracer may swap the globals.
 _mills = mills_ratio.__wrapped__
@@ -64,7 +65,9 @@ class KappaParam:
     def x1(self) -> float:
         """Closed-form smaller critical point x1 = sqrt(2) / sqrt((kappa-1)*c),
         kappa > 1.  Scaled: sqrt(2/(pi + 2/(kappa-1))) / (kappa-1)."""
-        m = as_kappa(self, "x1").kappa_minus_1
+        m = self.kappa_minus_1
+        if m <= 0.0:
+            raise DomainError(f"x1 requires kappa > 1, got {self.kappa}")
         prod = m * self.c
         if prod < math.inf:
             return math.sqrt(2.0 / prod)
@@ -136,9 +139,13 @@ def rel_gap(x, k):
     1 - alpha*exp(-(kappa-1)*x**2/2)/(R/sqrt(2*pi)).  Neither Q nor g is
     formed, so it stays finite where they underflow (Q is subnormal past
     x ~37.5 and 0 past ~38.6).  Like every kernel, it is checked and an
-    array is blocked by elementwise alone."""
+    array is blocked by elementwise alone.  A gap in [_ROUNDING, 0) is the
+    rounding of a tight bound (x ~1e4 at kappa_star's kappa) and reads 0."""
     k = as_kappa(k)
-    return 1.0 - k.alpha * gauss(x, k.kappa_minus_1) / (_mills(x) / SQRT_2PI)
+    gap = 1.0 - k.alpha * gauss(x, k.kappa_minus_1) / (_mills(x) / SQRT_2PI)
+    if gap.ndim == 0:
+        return 0.0 if _ROUNDING <= gap < 0.0 else gap
+    return np.where((gap < 0.0) & (gap >= _ROUNDING), 0.0, gap)
 
 
 def x1_point(k) -> float:

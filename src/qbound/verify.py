@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,10 +62,8 @@ class EvaluationGrid:
             raise UsageError(
                 f"the grid span x_max - x_min overflows for [{self.x_min}, {self.x_max}]"
             )
-        if not isinstance(self.x_count, numbers.Integral):
-            raise UsageError(f"x_count must be an integer, got {self.x_count!r}")
-        if self.x_count < 2:
-            raise UsageError("x_count must be >= 2")
+        if not isinstance(self.x_count, (int, np.integer)) or self.x_count < 2:
+            raise UsageError(f"x_count must be an integer >= 2, got {self.x_count!r}")
         if self.spacing not in ("linear", "log"):
             raise UsageError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
         if self.spacing == "log" and self.x_min <= 0.0:

@@ -19,7 +19,7 @@ from qbound import (
     mills_ratio,
     q,
 )
-from qbound.bounds import rel_gap, x1_point
+from qbound.bounds import KappaParam, rel_gap, x1_point
 from qbound.optimize import _KAPPA_MIN, KAPPA_MAX
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -155,6 +155,27 @@ class TestGapIsRelGap:
         assert type(res.objective) is float
         assert res.objective == res.gap
         assert res.objective == max(rel_gap(x_lo, res.argument), rel_gap(x_hi, res.argument))
+
+    # kappa_star(X) is 1 + 2.5e-9, where the true gap is 2.1e-17 and
+    # 1 - r/R rounds to -2**-52
+    X = 20055.62862182016
+
+    def test_no_negative_gap_where_the_bound_is_tight(self):
+        res = kappa_star(self.X)
+        assert res.gap == 0.0
+        xs = np.array([self.X, 3.0])
+        assert rel_gap(xs, res.argument)[0] == 0.0
+        assert rel_gap(xs, res.argument)[1] == rel_gap(3.0, res.argument) > 0.0
+
+    def test_a_broken_bound_keeps_its_negative_gap(self, monkeypatch):
+        # only rounding is returned as 0: alpha 16 ulps too large puts the
+        # gap ~2**-48 below 0, past the rounding floor, scalar and array
+        kappa = kappa_star(self.X).argument
+        alpha = KappaParam.alpha.fget
+        monkeypatch.setattr(KappaParam, "alpha", property(lambda k: alpha(k) * (1.0 + 2.0**-48)))
+        gap = rel_gap(self.X, kappa)
+        assert -(2.0**-47) < gap < -(2.0**-50)
+        assert rel_gap(np.array([self.X, 3.0]), kappa)[0] == gap
 
 
 class TestMaxWeight:
