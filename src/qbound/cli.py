@@ -36,36 +36,38 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def make_record(xs, kappa) -> np.ndarray:
-    """Comparison rows for an x array at one kappa, one column per CSV field.
-
-    The columns that only exist for x >= 0 (Boyd on Q-scale, Chernoff upper)
-    are NaN for negative x.  For x > _GAP_SPLIT, rel_gap is bounds.rel_gap,
-    1 - r/R, in which nothing underflows; (Q-g)/Q carries the rounding of
-    x*x in both exponentials there (~1.4e-13 relative at x = 37.5), and Q
-    itself is subnormal past ~37.5 and 0 past ~38.6.
+def make_record(xs, kappas) -> np.ndarray:
+    """Comparison rows of an x array at each kappa, x-major: rows[i, j] is
+    xs[i] at kappas[j], one column per CSV field.  The kappas are checked
+    first; Q, Boyd and Chernoff are evaluated once, g_lower and the gap once
+    per kappa.  Boyd and Chernoff are NaN for negative x.  For x >
+    _GAP_SPLIT, rel_gap is bounds.rel_gap, 1 - r/R, in which nothing
+    underflows; (Q-g)/Q carries the rounding of x*x in both exponentials
+    there (~1.4e-13 relative at x = 37.5), and Q is subnormal past ~37.5
+    and 0 from ~38.49.
     """
-    k = bounds.as_kappa(kappa)
+    ks = [bounds.as_kappa(k) for k in kappas]
     xs = np.array(xs, dtype=float, ndmin=1)
     qx = q(xs)
-    gx = bounds.g_lower(xs, k)
-    rows = np.full((xs.size, len(CSV_FIELDS)), math.nan)
-    rows[:, 0] = xs
-    rows[:, 1] = k.kappa
-    rows[:, 2] = qx
-    rows[:, 3] = gx
+    rows = np.full((xs.size, len(ks), len(CSV_FIELDS)), math.nan)
+    rows[..., 0] = xs[:, None]
+    rows[..., 2] = qx[:, None]
     pos = xs >= 0.0
-    rows[pos, 4] = bounds.boyd_lower_q(xs[pos])
-    rows[pos, 5] = bounds.chernoff_upper(xs[pos])
+    rows[pos, :, 4] = bounds.boyd_lower_q(xs[pos])[:, None]
+    rows[pos, :, 5] = bounds.chernoff_upper(xs[pos])[:, None]
     tail = xs > _GAP_SPLIT
-    rows[~tail, 6] = (qx[~tail] - gx[~tail]) / qx[~tail]
-    if tail.any():
-        rows[tail, 6] = bounds.rel_gap(xs[tail], k)
+    for j, k in enumerate(ks):
+        rows[:, j, 1] = k.kappa
+        gx = rows[:, j, 3] = bounds.g_lower(xs, k)
+        rows[~tail, j, 6] = (qx[~tail] - gx[~tail]) / qx[~tail]
+        if tail.any():
+            rows[tail, j, 6] = bounds.rel_gap(xs[tail], k)
     return rows
 
 
 def _emit_records(rows, fmt: str, out) -> None:
-    """Write rows of floats, one per record, in the CSV_FIELDS order."""
+    """Write make_record's rows, one record per (x, kappa), in CSV_FIELDS order."""
+    rows = rows.reshape(-1, len(CSV_FIELDS)).tolist()
     if fmt == "json":
         body = ",\n".join([_JSON_ROW % tuple(r) for r in rows])
         # Field names and finite reprs hold neither "nan" nor "inf".
@@ -117,16 +119,13 @@ def _print_fields(fields: dict, fmt: str, out) -> None:
 
 
 def cmd_eval(args, out) -> int:
-    _emit_records(make_record([args.x], args.kappa).tolist(), args.format, out)
+    _emit_records(make_record([args.x], [args.kappa]), args.format, out)
     return 0
 
 
 def cmd_table(args, out) -> int:
     grid = _grid_from_args(args)
-    xs = grid.xs()
-    # x-major, then kappa: stack the per-kappa blocks as (x, kappa, field).
-    rows = np.stack([make_record(xs, k) for k in grid.kappas], axis=1)
-    _emit_records(rows.reshape(-1, len(CSV_FIELDS)).tolist(), args.format, out)
+    _emit_records(make_record(grid.xs(), grid.kappas), args.format, out)
     return 0
 
 
@@ -168,12 +167,11 @@ def cmd_optimize(args, out) -> int:
 
 
 def cmd_roots(args, out) -> int:
-    cp = bounds.critical_points(args.kappa)
     k = bounds.as_kappa(args.kappa)
+    cp = bounds.critical_points(k)
+    res = bounds.crossing_condition(np.array([cp.x1, cp.x2]), k).tolist()
     fields = {"kappa": k.kappa, "x1": cp.x1, "x2": cp.x2, "pivot": cp.pivot,
-              "w1": cp.w1, "w2": cp.w2,
-              "residual_x1": bounds.crossing_condition(cp.x1, k),
-              "residual_x2": bounds.crossing_condition(cp.x2, k)}
+              "w1": cp.w1, "w2": cp.w2, "residual_x1": res[0], "residual_x2": res[1]}
     _print_fields(fields, args.format, out)
     return 0
 

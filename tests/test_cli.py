@@ -24,6 +24,19 @@ def run_cli(*argv):
     return code, out.getvalue()
 
 
+def count_calls(monkeypatch, module, name):
+    """The list that every call to module.name appends to, from here on."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestEval:
     def test_basic_row(self):
         code, text = run_cli("eval", "--x", "1", "--kappa", "2")
@@ -41,6 +54,10 @@ class TestEval:
     def test_kappa_below_one_exits_2(self):
         code, _ = run_cli("eval", "--x", "1", "--kappa", "0.5")
         assert code == 2
+
+    def test_kappa_checked_before_x(self, capsys):
+        assert run_cli("eval", "--x", "nan", "--kappa", "0.5") == (2, "")
+        assert capsys.readouterr().err == "error: kappa must be >= 1, got 0.5\n"
 
     def test_nonfinite_x_exits_2(self):
         code, _ = run_cli("eval", "--x", "inf", "--kappa", "2")
@@ -149,6 +166,17 @@ class TestTable:
             "--x-count", "6", "--kappa", "2",
         )
         assert code == 2
+
+    def test_one_pass_per_x_grid(self, monkeypatch):
+        # Q, Boyd and Chernoff depend on x alone: one call each for the
+        # default grid's ten kappas, and one g_lower call per kappa
+        calls = [count_calls(monkeypatch, module, name) for module, name in [
+            (qbound.cli, "make_record"), (qbound.cli, "q"), (bounds, "boyd_lower_q"),
+            (bounds, "chernoff_upper"), (bounds, "g_lower"),
+        ]]
+        assert run_cli("table")[0] == 0
+        assert [len(c) for c in calls] == [1, 1, 1, 1, 10]
+        assert [args[1].kappa for args in calls[-1]] == list(qbound.verify.DEFAULT_KAPPAS)
 
 
 class TestVerifyCommand:
@@ -297,6 +325,32 @@ class TestOptimizeCommand:
         code, _ = run_cli("optimize", "interval", "--x-lo", "0", "--x-hi", "2")
         assert code == 2
 
+    def test_pointwise_text(self):
+        code, text = run_cli("optimize", "pointwise", "--x", "0")
+        assert code == 0
+        lines = text.splitlines()
+        assert "converged = false" in lines
+        assert "message = supremum at x=0 is approached only as kappa -> inf" in lines
+
+    def test_weight_text(self):
+        # max_weight has no gap: None prints as nan; its empty message is left out
+        code, text = run_cli("optimize", "weight", "--kappa", "2")
+        assert code == 0
+        lines = text.splitlines()
+        assert "gap = nan" in lines
+        assert "converged = true" in lines
+        assert not any(line.startswith("message") for line in lines)
+
+    @pytest.mark.parametrize("argv, err", [
+        (("pointwise",), "pointwise mode requires --x"),
+        (("weight",), "weight mode requires --kappa"),
+        (("interval", "--x-lo", "1"), "interval mode requires --x-lo and --x-hi"),
+        (("interval", "--x-hi", "2"), "interval mode requires --x-lo and --x-hi"),
+    ])
+    def test_missing_flag_exits_2(self, argv, err, capsys):
+        assert run_cli("optimize", *argv) == (2, "")
+        assert capsys.readouterr().err == f"error: {err}\n"
+
     def test_interval_whose_span_underflows(self):
         # (x_hi - x_lo)*(x_hi + x_lo) is 0 here; both ends' kappa_star is the ceiling
         code, text = run_cli("optimize", "interval", "--x-lo", "1e-320", "--x-hi", "1e-300",
@@ -437,6 +491,34 @@ class TestRootsCommand:
     def test_kappa_one_exits_2(self):
         code, _ = run_cli("roots", "--kappa", "1")
         assert code == 2
+
+    def test_text(self):
+        code, text = run_cli("roots", "--kappa", "2")
+        assert code == 0
+        lines = text.splitlines()
+        assert [line.split(" = ")[0] for line in lines] == [
+            "kappa", "x1", "x2", "pivot", "w1", "w2", "residual_x1", "residual_x2"
+        ]
+        assert "pivot = 1" in lines
+
+    @pytest.mark.parametrize("kappa", [1.0 + 1e-10, 2.0, 1e8, 1e15])
+    def test_residuals_are_the_scalar_ones(self, kappa, monkeypatch):
+        # both residuals come from one array call, bit for bit the scalar ones
+        calls = count_calls(monkeypatch, bounds, "crossing_condition")
+        code, text = run_cli("roots", "--kappa", repr(kappa), "--format", "json")
+        assert (code, len(calls)) == (0, 1)
+        data = json.loads(text)
+        for x, res in ((data["x1"], data["residual_x1"]), (data["x2"], data["residual_x2"])):
+            assert res.hex() == bounds.crossing_condition(x, kappa).hex()
+
+    @pytest.mark.parametrize("kappa, err", [
+        ("1", "critical_points requires kappa > 1, got 1.0"),
+        ("0.5", "kappa must be >= 1, got 0.5"),
+        ("nan", "kappa must be finite, got nan"),
+    ])
+    def test_bad_kappa_messages(self, kappa, err, capsys):
+        assert run_cli("roots", "--kappa", kappa) == (2, "")
+        assert capsys.readouterr().err == f"error: {err}\n"
 
     def test_past_the_x2_limit_exits_2_with_the_cause(self, capsys):
         code, text = run_cli("roots", "--kappa", "4.4e232")

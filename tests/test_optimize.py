@@ -326,6 +326,12 @@ class TestIntervalKappa:
         with pytest.raises(DomainError):
             interval_kappa(2.0, 1.0)
 
+    @pytest.mark.parametrize("end", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_endpoint(self, end):
+        for x_lo, x_hi in ((end, 1.0), (1.0, end)):
+            with pytest.raises(DomainError, match="^interval endpoints must be finite$"):
+                interval_kappa(x_lo, x_hi)
+
     def test_deep_tail_matches_mpmath(self):
         # frozen from mpmath at 40 digits: the endpoint gaps cross at kc,
         # inside [kappa_star(60), kappa_star(30)], where both equal the value

@@ -99,6 +99,18 @@ class TestQRef:
                 err = float(abs((mp.mpf(got.value) - want) / want))
                 assert err <= got.accuracy, x
 
+    @pytest.mark.parametrize("x", [38.5, 40.0, 1e300])
+    def test_past_underflow(self, x):
+        # Q is 0 from x ~38.49: no relative accuracy is left
+        v = q_ref(x)
+        assert (v.value, v.accuracy) == (0.0, math.inf)
+
+    def test_subnormal_accuracy_is_at_least_its_spacing(self):
+        v = q_ref(38.0)
+        assert 0.0 < v.value < sys.float_info.min
+        assert v.value == pytest.approx(2.885e-316, rel=1e-3)
+        assert math.ulp(v.value) / v.value <= v.accuracy < math.inf
+
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             q_ref(math.nan)
