@@ -25,7 +25,8 @@ _h = h.__wrapped__
 
 @dataclass(frozen=True)
 class KappaParam:
-    """The bound parameter kappa >= 1 with its derived quantities.
+    """The bound parameter kappa >= 1 with its derived quantities: kappa_minus_1
+    and c = pi*(kappa - 1) + 2 >= 2, set once, and alpha and x1.
 
     (kappa-1)*c overflows past kappa ~ 7.5e153; only there are alpha and x1
     taken in scaled forms, in which nothing overflows up to the largest double.
@@ -40,15 +41,8 @@ class KappaParam:
         if k < 1.0:
             raise DomainError(f"kappa must be >= 1, got {k}")
         object.__setattr__(self, "kappa", k)
-
-    @property
-    def kappa_minus_1(self) -> float:
-        return self.kappa - 1.0
-
-    @property
-    def c(self) -> float:
-        """c = pi*(kappa - 1) + 2, always >= 2."""
-        return _PI * self.kappa_minus_1 + 2.0
+        object.__setattr__(self, "kappa_minus_1", k - 1.0)
+        object.__setattr__(self, "c", _PI * (k - 1.0) + 2.0)
 
     @property
     def alpha(self) -> float:
@@ -138,7 +132,7 @@ def rel_gap(x, k):
     """The bound's relative looseness (Q - g)/Q = 1 - r/R, x >= 0, as
     1 - alpha*exp(-(kappa-1)*x**2/2)/(R/sqrt(2*pi)).  Neither Q nor g is
     formed, so it stays finite where they underflow (Q is subnormal past
-    x ~37.5 and 0 past ~38.6).  Like every kernel, it is checked and an
+    x ~37.5 and 0 from ~38.49).  Like every kernel, it is checked and an
     array is blocked by elementwise alone.  A gap in [_ROUNDING, 0) is the
     rounding of a tight bound (x ~1e4 at kappa_star's kappa) and reads 0."""
     k = as_kappa(k)

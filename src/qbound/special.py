@@ -558,7 +558,7 @@ def q(x):
 
     Evaluated through the scaled complementary error function so the result
     keeps full relative accuracy far into the tail (down to the underflow
-    threshold near x ~ 38.6).  Q(x) = 1 - Q(-x) for x < 0: on a scalar and
+    threshold near x ~ 38.49).  Q(x) = 1 - Q(-x) for x < 0: on a scalar and
     an array alike as neg + tail*(1 - 2*neg), neg = (x < 0), the same bits
     (1 + -tail is 1 - tail, 0 + tail is tail) without a masked subtract,
     which is slow on a large random-sign mask.

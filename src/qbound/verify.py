@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,11 +30,13 @@ from .special import SQRT_HALF_PI, mills_ratio, q
 DEFAULT_KAPPAS = (1.0, 1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 100.0)
 
 #: Default tolerances: relative for inequalities, absolute for endpoint
-#: equalities, lemma 2's, and the finite-difference matching tolerance.
+#: equalities, lemma 2's, and the finite-difference matching tolerance;
+#: FD_STEP is the derivative suite's finite-difference step.
 REL_TOL = 1e-13
 ENDPOINT_TOL = 1e-10
 LEMMA2_TOL = 1e-12
 FD_TOL = 1e-6
+FD_STEP = 1e-5
 
 #: Interior points in each of lemma 1's three regions.
 LEMMA1_POINTS = 400
@@ -147,6 +150,7 @@ def verify_theorem(
 ) -> VerificationReport:
     """Check g(x, kappa) <= Q(x) * (1 + tolerance) over the whole grid: one
     part per kappa, with lhs g and rhs Q.  Q is evaluated once per x grid.
+    Where Q is subnormal or 0, the check is g <= Q + 2**-1073 instead.
 
     weight_inflation is a test hook that multiplies the bound's weight; the
     suite must detect a corrupted bound, not merely avoid crashing.
@@ -155,20 +159,21 @@ def verify_theorem(
         raise UsageError("the tolerance must not be nan")
 
     def q_terms(xs):
-        # Q, what the check divides by (Q with its zeros replaced by 1), and
-        # the mask of those zeros, or None if there is none
+        # Q, what the check divides by (Q with its subnormals and zeros
+        # replaced by 1), and the mask of those, or None if there is none
         qs = q(xs)
-        zero = qs <= 0.0
-        return (xs, qs, np.where(zero, 1.0, qs), zero) if zero.any() else (xs, qs, qs, None)
+        tiny = qs < sys.float_info.min
+        return (xs, qs, np.where(tiny, 1.0, qs), tiny) if tiny.any() else (xs, qs, qs, None)
 
     parts = []
-    for k, (xs, qs, safe, zero) in _per_kappa(grid or EvaluationGrid(), q_terms):
+    for k, (xs, qs, safe, tiny) in _per_kappa(grid or EvaluationGrid(), q_terms):
         gs = weight_inflation * g_lower(xs, k)
         viol = (gs - qs) / safe
-        if zero is not None:
-            # deep-tail points where Q underflows to 0: the bound must have
-            # underflowed too (g <= Q); count them as full margin, not 0/0
-            viol[zero] = np.where(gs[zero] > 0.0, math.inf, -1.0)
+        if tiny is not None:
+            # where Q is subnormal or 0 (x > ~37.52), q and g each carry up to
+            # one unit of 2**-1074, not a relative error: g may exceed Q by two
+            # units where the theorem holds; more is a violation (inf)
+            viol[tiny] = np.where(gs[tiny] - qs[tiny] > 2.0**-1073, math.inf, -1.0)
         parts.append((xs, k.kappa, viol, _pair(gs, qs)))
     return _merge("theorem", parts, tolerance)
 
@@ -223,37 +228,33 @@ def verify_lemma2(k, x_hi: float | None = None, count: int = 10000) -> Verificat
     return _merge("lemma2", [(xs, k.kappa, 1.0 - lhs, lambda i: (lhs[i], 1.0))], LEMMA2_TOL)
 
 
-def verify_derivative(
-    grid: EvaluationGrid | None = None, h_step: float = 1e-5
-) -> VerificationReport:
+def verify_derivative(grid: EvaluationGrid | None = None) -> VerificationReport:
     """Check the closed form of df/dx against central finite differences, to
     FD_TOL: one part per kappa, with lhs the closed form and rhs the
     differences.
 
     f = r - R, and each term is differenced on its own scale: R varies on
-    the scale 1 and takes the step h_step; r varies on the scale
-    1/sqrt(kappa - 1) and takes h_step*min(1, 1/sqrt(kappa - 1)).  One
-    step for both fails either way at large kappa: h_step leaves r's
-    truncation error, ~h_step**2*(kappa - 1) relative, and the smaller step
-    leaves R's rounding, ~eps/h.  Each kappa makes one r_scaled call on
+    the scale 1 and takes the step FD_STEP; r varies on the scale
+    1/sqrt(kappa - 1) and takes FD_STEP*min(1, 1/sqrt(kappa - 1)).  One
+    step for both fails either way at large kappa: FD_STEP leaves r's
+    truncation error, ~FD_STEP**2*(kappa - 1) relative, and the smaller
+    step leaves R's rounding, ~eps/h.  Each kappa makes one r_scaled call on
     both sides' points; R's quotient is one mills_ratio call per x grid."""
     grid = grid or EvaluationGrid()
-    if not (1e-7 <= h_step <= 1e-3):
-        raise UsageError("h_step must lie in [1e-7, 1e-3]")
     for k in grid.kappas:
         if k.kappa <= 1.0:
             raise UsageError("verify_derivative requires kappa entries > 1")
 
     def mills_terms(xs):
-        xs = xs[xs >= h_step]  # f is defined for x >= 0 only
-        return xs, _quotient(mills_ratio, xs, h_step)
+        xs = xs[xs >= FD_STEP]  # f is defined for x >= 0 only
+        return xs, _quotient(mills_ratio, xs, FD_STEP)
 
     parts = []
     for k, (xs, mills_fd) in _per_kappa(grid, mills_terms):
         if xs.size == 0:
             continue
         ident = df_dx_identity(xs, k)
-        h = h_step * min(1.0, 1.0 / math.sqrt(k.kappa_minus_1))
+        h = FD_STEP * min(1.0, 1.0 / math.sqrt(k.kappa_minus_1))
         fd = _quotient(r_scaled, xs, h, k) - mills_fd
         err = np.abs(ident - fd) / np.maximum(1.0, np.abs(ident))
         parts.append((xs, k.kappa, err, _pair(ident, fd)))

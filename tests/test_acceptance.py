@@ -81,7 +81,7 @@ def test_criterion_03_lemma2_sweep():
 
 
 def test_criterion_04_derivative_identity():
-    report = verify_derivative(EvaluationGrid(kappas=STRICT_KAPPAS), h_step=1e-5)
+    report = verify_derivative(EvaluationGrid(kappas=STRICT_KAPPAS))
     ok = report.passed and report.worst_violation <= 1e-6
     _report(4, "derivative identity vs central differences", ok,
             f"worst rel err={report.worst_violation:.3e}")

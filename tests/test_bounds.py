@@ -1,4 +1,5 @@
 """Tests for the bound family and the proof-level functions."""
+import dataclasses
 import functools
 import inspect
 import math
@@ -42,6 +43,15 @@ class TestKappaParam:
         k = KappaParam(2.0)
         assert k.kappa_minus_1 == 1.0
         assert k.c == pytest.approx(math.pi + 2.0, rel=1e-16)
+
+    def test_kappa_is_the_one_field(self):
+        # kappa_minus_1 and c are set once, outside the dataclass fields
+        k = KappaParam(2.0)
+        assert [f.name for f in dataclasses.fields(KappaParam)] == ["kappa"]
+        assert repr(k) == "KappaParam(kappa=2.0)"
+        assert k == KappaParam(2) and hash(k) == hash(KappaParam(2.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            k.kappa = 3.0
 
     def test_rejects_invalid(self):
         with pytest.raises(DomainError):

@@ -20,7 +20,7 @@ from qbound import (
     q,
 )
 from qbound.bounds import KappaParam, rel_gap, x1_point
-from qbound.optimize import _KAPPA_MIN, KAPPA_MAX
+from qbound.optimize import _KAPPA_MIN, KAPPA_MAX, _bracketed_newton
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -50,6 +50,35 @@ def g_lower_call_ndims(monkeypatch):
 
     monkeypatch.setattr(opt, "g_lower", counted)
     return calls
+
+
+def recording(step):
+    """step, and the list the x of each of its calls is recorded in."""
+    xs = []
+    return (lambda x: xs.append(x) or step(x)), xs
+
+
+class TestBracketedNewton:
+    """The two exits of the safeguarded loop that no optimizer reaches on
+    its own sweeps: bisection and the stop where the bracket has no room."""
+
+    def test_bisects_while_newton_leaves_the_bracket(self):
+        # the Newton step of atan(x - 0.3) overshoots far from the root
+        def step(x):
+            d = x - 0.3
+            return math.atan(d) * (1.0 + d * d)
+
+        step, xs = recording(step)
+        assert _bracketed_newton(step, 10.0, -1.0, 20.0, 1.0) == (0.3, 7)
+        # two midpoints of [-1, hi], then Newton's steps from 0.375
+        assert xs[:4] == [10.0, 4.5, 1.75, 0.375]
+
+    def test_stops_where_neither_step_nor_midpoint_fits(self):
+        # [0, 1e-323] holds one double strictly inside, 5e-324, whose
+        # bracket [0, 5e-324] has none: the loop stops there
+        step, xs = recording(lambda x: -1.0 if x == 0.0 else 1.0)
+        assert _bracketed_newton(step, 0.0, 0.0, 1e-323, 0.0) == (5e-324, 2)
+        assert xs == [0.0, 5e-324]
 
 
 class TestKappaStar:

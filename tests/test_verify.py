@@ -145,6 +145,40 @@ class TestVerifyTheorem:
             assert not r.passed
             assert r.worst_point == (1.0, 3.0)
 
+    # kappas at which the bound is tight somewhere in [37, 38.6], where Q is
+    # subnormal past x ~37.52 and 0 from x ~38.49
+    TAIL_KAPPAS = tuple(float(k) for k in 1.0 + np.geomspace(5e-4, 1e-3, 101))
+
+    def test_tight_kappas_pass_where_q_is_subnormal(self):
+        # at these kappas the bound is tight in the deep tail, and there q
+        # and g are each off by up to one unit of 2**-1074: g may round one
+        # unit above Q where the theorem holds (a relative check failed 43)
+        grid = EvaluationGrid(x_min=37.0, x_max=38.6, x_count=40001)
+        failed = [k for k in self.TAIL_KAPPAS
+                  if not verify_theorem(dataclasses.replace(grid, kappas=(k,))).passed]
+        assert failed == []
+
+    def test_one_unit_above_zero_q_passes(self):
+        # mpmath at 50 digits: Q = 2.4816e-324 > g = 2.4520e-324 at this x,
+        # where q rounds to 0 and g to 2**-1074
+        grid = EvaluationGrid(x_min=38.4, x_max=38.6, x_count=20001, kappas=(1.00067,))
+        xs = grid.xs()
+        i = int(np.argmin(np.abs(xs - 38.48529)))
+        assert verify.q(xs[i]) == 0.0 and verify.g_lower(xs[i], 1.00067) == 2.0**-1074
+        r = verify_theorem(grid)
+        assert r.passed and r.worst_violation == -1.0
+
+    @pytest.mark.parametrize("x_min, x_max, count, kappas", [
+        (38.4, 38.6, 20001, (1.00067,)),
+        (37.0, 38.6, 40001, TAIL_KAPPAS),
+    ])
+    def test_inflated_bound_fails_where_q_is_subnormal(self, x_min, x_max, count, kappas):
+        r = verify_theorem(EvaluationGrid(x_min, x_max, count, kappas=kappas),
+                           weight_inflation=4.0)
+        assert not r.passed
+        assert r.worst_violation == math.inf
+        assert r.worst_lhs - r.worst_rhs > 2.0**-1073
+
     def test_detection_floor_on_default_sweep(self):
         # on the default kappas the thinnest gap is ~3.5e-4, so 1e-6
         # inflation cannot (and must not) trip the theorem check there
@@ -180,6 +214,18 @@ class TestVerifyLemma1:
         assert not r.passed
         assert r.worst_point[0] == getattr(shifted(2.0), end)
         assert r.worst_lhs == r.worst_violation > 1e-10
+
+    def test_misordered_critical_points_fail_unchecked(self, monkeypatch):
+        # x1 < pivot < x2 is checked before any point: no point is checked
+        real = verify.critical_points
+        monkeypatch.setattr(verify, "critical_points",
+                            lambda k: dataclasses.replace(real(k), x1=real(k).pivot))
+        r = verify_lemma1(2.0)
+        pivot = real(2.0).pivot
+        assert (r.suite, r.points_checked, r.worst_violation, r.worst_point) == (
+            "lemma1", 0, math.inf, (pivot, 2.0))
+        assert (r.tolerance, r.passed) == (verify.ENDPOINT_TOL, False)
+        assert math.isnan(r.worst_lhs) and math.isnan(r.worst_rhs)
 
     def test_rejects_kappa_one(self):
         with pytest.raises(DomainError, match="verify_lemma1 requires kappa > 1, got 1.0"):
@@ -258,7 +304,7 @@ class TestVerifyDerivative:
         assert r.passed, r.worst_violation
 
     @pytest.mark.parametrize("kappas, sizes, points", [
-        # the grid's 50 points x >= h_step, both sides in one call, once for
+        # the grid's 50 points x >= FD_STEP, both sides in one call, once for
         # 1.5, 2 and 10; each near-degenerate kappa's own 101-point grid
         ((1.5, 1.0 + 1e-10, 2.0, 1.0 + 1e-12, 10.0), [100, 202, 202], 3 * 50 + 2 * 101),
         # no kappa keeps the grid: no call on it
@@ -277,13 +323,8 @@ class TestVerifyDerivative:
         with pytest.raises(UsageError):
             verify_derivative(EvaluationGrid(kappas=(1.0, 2.0)))
 
-    def test_rejects_bad_step(self):
-        g = EvaluationGrid(kappas=(2.0,))
-        with pytest.raises(UsageError):
-            verify_derivative(g, h_step=1e-2)
-
     def test_rejects_grid_without_positive_x(self):
-        # the closed form needs x >= h_step; no such point is a usage error
+        # the closed form needs x >= FD_STEP; no such point is a usage error
         g = EvaluationGrid(x_min=-10.0, x_max=0.0, kappas=(2.0,))
         with pytest.raises(UsageError):
             verify_derivative(g)
