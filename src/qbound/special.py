@@ -441,73 +441,49 @@ try:
 except AttributeError:  # os.sched_getaffinity is Linux-only
     _WORKERS = os.cpu_count() or 1
 
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _block_pool():
-    """The _WORKERS - 1 threads that run blocks beside the calling thread,
-    started on first use.  concurrent.futures is imported here: importing
-    it costs ~2 ms of every cold CLI call, which never needs it."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="qbound-block")
-        return _pool
-
-
-def _forget_pool():
-    """In a forked child the parent's pool threads do not exist, so a block
-    submitted to that pool would never run: the child starts its own."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # POSIX
-    os.register_at_fork(after_in_child=_forget_pool)
-
 
 def _run_blocks(fn, x, out, args):
     """out[b] = fn(x[b], *args) for every _BLOCK-point block b of the flat
     arrays x and out, on min(_WORKERS, blocks) threads: the calling thread
-    and _block_pool's.  Each thread takes the next block not yet taken, so
-    a thread slowed by another process leaves its share to the others.
-    Each runs under the caller's np.errstate, as a new thread starts with
-    numpy's defaults.  Every thread is waited for before the call returns
-    or raises, so none writes into out once it has ended; an error ends
-    its thread's run, and the others finish the blocks left.  fn is a
-    kernel body, which calls only unguarded helpers, so a pool thread
-    never submits to the pool.
+    and threads started for this call alone.  Each thread takes the next
+    block not yet taken, so a thread slowed by another process leaves its
+    share to the others.  Each runs under the caller's np.errstate, as a
+    new thread starts with numpy's defaults.  An error ends its thread's
+    run, and the others finish the blocks left.  Every thread is joined
+    before the call returns or raises, so none writes into out once it
+    has ended, and none outlives the call; then the first error is raised.
     """
     starts = range(0, x.size, _BLOCK)
     blocks = iter(starts)
-    n = min(_WORKERS, len(starts))
     state = np.geterr()
     lock = threading.Lock()
+    errors = []
 
     def run():
-        with np.errstate(**state):
-            while True:
-                with lock:
-                    start = next(blocks, None)
-                if start is None:
-                    return
-                stop = start + _BLOCK
-                out[start:stop] = fn(x[start:stop], *args)
+        try:
+            with np.errstate(**state):
+                while True:
+                    with lock:
+                        start = next(blocks, None)
+                    if start is None:
+                        return
+                    stop = start + _BLOCK
+                    out[start:stop] = fn(x[start:stop], *args)
+        except BaseException as error:
+            errors.append(error)
 
-    futures = []
-    if n > 1:
-        pool = _block_pool()
-        futures = [pool.submit(run) for _ in range(n - 1)]
+    threads = []
     try:
+        for _ in range(min(_WORKERS, len(starts)) - 1):
+            thread = threading.Thread(target=run, name="qbound-block")
+            thread.start()
+            threads.append(thread)
         run()
     finally:
-        for f in futures:
-            f.exception()  # waits for the thread, whether or not it raised
-    for f in futures:
-        f.result()  # raises a pool thread's error
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _exp(y):

@@ -215,15 +215,15 @@ def verify_lemma2(k, x_hi: float | None = None, count: int = 10000) -> Verificat
     where kappa - 1 is below ~1e-4.  One part: lhs is the smaller of the
     two left sides, rhs 1."""
     k = as_kappa(k, "verify_lemma2")
-    if not count >= 1:
-        raise UsageError(f"count must be >= 1, got {count}")
+    if not isinstance(count, (int, np.integer)) or count < 1:
+        raise UsageError(f"count must be >= 1 and an integer, got {count!r}")
     x1 = x1_point(k)
     if x_hi is None:
         x_hi = max(1000.0, 10.0 * x1)
     if not x1 < x_hi < math.inf:
         raise UsageError(f"x_hi must be finite and exceed x1 = {x1}, got {x_hi}")
     with np.errstate(over="ignore"):  # as in EvaluationGrid.xs
-        xs = np.geomspace(x1, x_hi, int(count))
+        xs = np.geomspace(x1, x_hi, count)
     lhs = np.minimum(_kxr(xs, k, mills_ratio(xs)), _kxr(xs, k, boyd_lower(xs)))
     return _merge("lemma2", [(xs, k.kappa, 1.0 - lhs, lambda i: (lhs[i], 1.0))], LEMMA2_TOL)
 

@@ -153,20 +153,15 @@ def chunked(fn, x: np.ndarray, *args) -> np.ndarray:
 
 
 #: Thread counts the blocked path is checked with: the calling thread alone,
-#: as on one CPU, and with a pool of one and of two threads beside it.
+#: as on one CPU, and with one and with two threads beside it.
 WORKER_COUNTS = (1, 2, 3)
 
 
 @contextlib.contextmanager
 def block_workers(monkeypatch, n: int):
-    """special's blocks run on n threads, from a pool made for them, which
-    is shut down on exit; monkeypatch restores the process's own."""
+    """special's blocks run on n threads; monkeypatch restores the
+    process's own count."""
     from qbound import special
 
     monkeypatch.setattr(special, "_WORKERS", n)
-    monkeypatch.setattr(special, "_pool", None)
-    try:
-        yield
-    finally:
-        if special._pool is not None:
-            special._pool.shutdown()
+    yield

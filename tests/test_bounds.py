@@ -630,7 +630,7 @@ class TestBlockedPath:
     def test_public_functions_entered_from_the_calling_thread(self, monkeypatch):
         # As bench/spans.py's tracer does, every function in the __all__ of
         # bounds and special is swapped, in every namespace, for a wrapper
-        # that is not safe to enter from a pool thread: no kernel body may
+        # that is not safe to enter from a block thread: no kernel body may
         # call one.  Each kernel is called through its wrapper.
         import qbound
         from qbound import bounds, cli, optimize, special, verify

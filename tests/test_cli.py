@@ -458,15 +458,19 @@ class TestImportCost:
         assert proc.stdout.split() == ["False", "False"]
 
     def test_no_thread_pool(self):
-        # importing concurrent.futures costs ~2 ms; only an array kernel
-        # called on more than one block of points needs it, and the CLI's
-        # default grids are each at most one block
+        # only an array kernel called on more than one block of points
+        # starts a thread, and the CLI's default grids are each at most one
+        # block; concurrent.futures (~2 ms of import) is never needed
         script = (
-            "import sys, io, qbound, qbound.cli\n"
+            "import sys, io, threading, qbound, qbound.cli\n"
+            "started, start = [], threading.Thread.start\n"
+            "threading.Thread.start = lambda self: (started.append(self), start(self))[1]\n"
+            "before = threading.active_count()\n"
             "print('concurrent.futures' in sys.modules)\n"
             "for argv in (['table'], ['verify', 'all'], ['optimize', 'weight', '--kappa', '2']):\n"
             "    qbound.cli.main(argv, out=io.StringIO())\n"
-            "print('concurrent.futures' in sys.modules, qbound.special._pool)\n"
+            "    print(len(started), threading.active_count() - before)\n"
+            "print('concurrent.futures' in sys.modules)\n"
         )
         src = str(Path(qbound.__file__).resolve().parents[1])
         proc = subprocess.run(
@@ -474,7 +478,7 @@ class TestImportCost:
             env={**os.environ, "PYTHONPATH": src}, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "False", "None"]
+        assert proc.stdout.split() == ["False"] + ["0"] * 6 + ["False"]
 
 
 class TestRootsCommand:

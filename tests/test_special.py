@@ -2,6 +2,7 @@
 import importlib.util
 import math
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -561,10 +562,11 @@ class TestBlockedPath:
 
 class TestBlockThreads:
     """The blocks of an array run on special._WORKERS threads, the calling
-    thread and a pool's: each block under the caller's floating-point error
-    state, an error raised only once every block started has finished, one
-    pool for every caller, and a forked child's blocks on a pool of its
-    own."""
+    thread and threads started for the call: each block under the caller's
+    floating-point error state, an error raised only once every block
+    started has finished, no thread left running after the call, a kernel
+    body free to call a blocked kernel, and a forked child's blocks on
+    threads of its own."""
 
     def test_caller_errstate_reaches_every_block(self, monkeypatch):
         runs = []
@@ -586,7 +588,6 @@ class TestBlockThreads:
                     with pytest.raises(FloatingPointError):
                         q(x)
                     record(np.zeros(n * special._BLOCK), threading.Barrier(n, timeout=30))
-                assert (special._pool is None) == (n == 1)
             assert len({thread for thread, _ in runs}) == n
             assert {under for _, under in runs} == {"raise"}
 
@@ -618,40 +619,45 @@ class TestBlockThreads:
                 assert started == finished == {0, 1, 2}, n
                 assert q(y).tobytes() == want, n
 
-    def test_concurrent_callers_share_one_pool(self, monkeypatch):
-        import concurrent.futures
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        ran = set()
 
-        made = []
+        @special.elementwise()
+        def record(x, ready):
+            ready.wait()  # every block waits for the others: one per thread
+            ran.add(threading.current_thread())
+            return x
 
-        class SlowPool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                made.append(self)
-                time.sleep(0.01)  # widens the race between test and set
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SlowPool)
-        x = oracles.blocked_xs(1)
-        want = oracles.chunked(mills_ratio, x).tobytes()
-        results, ready = [], threading.Barrier(8)
-
-        def call():
-            ready.wait(timeout=60)  # all at once, to race for the first pool
-            results.append(mills_ratio(x).tobytes())
-
-        callers = [threading.Thread(target=call) for _ in range(ready.parties)]
-        interval = sys.getswitchinterval()
+        before = threading.active_count()
         with oracles.block_workers(monkeypatch, 3):
-            sys.setswitchinterval(1e-6)
-            try:
-                for t in callers:
-                    t.start()
-                for t in callers:
-                    t.join(timeout=60)
-            finally:
-                sys.setswitchinterval(interval)
-            assert not any(t.is_alive() for t in callers)
-            assert results == [want] * len(callers)
-            assert made == [special._pool]
+            record(np.zeros(3 * special._BLOCK), threading.Barrier(3, timeout=30))
+        assert len(ran) == 3
+        assert {t for t in ran if t.is_alive()} == {threading.current_thread()}
+        assert threading.active_count() == before
+
+    @pytest.mark.skipif(not hasattr(signal, "alarm"), reason="no signal.alarm")
+    def test_kernel_body_calls_a_blocked_kernel(self):
+        # each block's body calls q on two blocks, from the calling thread
+        # and from the thread beside it; a child that hangs is killed
+        script = (
+            "import signal\n"
+            "import numpy as np\n"
+            "from qbound import special\n"
+            "special._WORKERS = 2\n"
+            "signal.alarm(30)\n"
+            "inner = np.linspace(0.0, 40.0, 2 * special._BLOCK)\n"
+            "@special.elementwise()\n"
+            "def outer(x):\n"
+            "    return x + special.q(inner)[:x.size]\n"
+            "y = outer(np.zeros(2 * special._BLOCK))\n"
+            "assert y.tobytes() == np.tile(special.q(inner)[:special._BLOCK], 2).tobytes()\n"
+        )
+        src = str(Path(special.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
     def test_forked_child_after_the_parent_used_the_pool(self):

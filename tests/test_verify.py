@@ -260,6 +260,15 @@ class TestVerifyLemma2:
         with pytest.raises(UsageError, match="count must be >= 1"):
             verify_lemma2(2.0, count=count)
 
+    @pytest.mark.parametrize("count", [math.inf, math.nan, 2.5, 0])
+    def test_rejects_count_not_a_positive_integer(self, monkeypatch, count):
+        monkeypatch.setattr(verify, "mills_ratio", None)  # no kernel runs
+        with pytest.raises(UsageError, match="count must be >= 1 and an integer"):
+            verify_lemma2(2.0, count=count)
+
+    def test_numpy_integer_count(self):
+        assert verify_lemma2(2.0, count=np.int64(3)).points_checked == 3
+
     @pytest.mark.parametrize("x_hi", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_x_hi(self, monkeypatch, x_hi):
         monkeypatch.setattr(verify, "mills_ratio", None)  # no kernel runs
