@@ -297,15 +297,15 @@ _ERFCX_COEFFS = np.array(_ERFCX_PIECES).T.copy()
 
 #: Points per block of every array kernel: elementwise, the one place an
 #: array is split, runs a kernel body on at most this many points, so its
-#: temporaries, _erfcx's (7, n) coefficient gather among them, stay in L2
-#: cache, and _exp answers a block whose every lane underflows with zeros
-#: alone.  The ten tail_arrays kernels take, per 1e6 points in ms, with
-#: blocks of 4,096 / 8,192 / 16,384 / 32,768 / 65,536 / 131,072 / 262,144
-#: points, 59 / 50 / 46 / 46 / 46 / 51 / 63 on one thread and
-#: 68 / 47 / 35 / 30 / 29 / 34 / 44 on two (median of 5 runs, 2-core VM):
+#: temporaries stay in cache (512 KB each, and 3.7 MB for _erfcx's (7, n)
+#: coefficient gather), and _exp answers a block whose every lane
+#: underflows with zeros alone.  The ten tail_arrays kernels take, per 1e6
+#: points in ms, with blocks of 16,384 / 32,768 / 65,536 / 131,072 /
+#: 262,144 points, 55 / 52 / 52 / 54 / 58 on one thread and
+#: 45 / 39 / 38 / 39 / 40 on two (median of 5 runs, 2-core AMD EPYC VM):
 #: the threads wait on the interpreter lock between numpy passes, more
 #: often the smaller the block.
-_BLOCK = 16384
+_BLOCK = 65536
 
 #: exp(y) is +0.0 for every y below this, -inf included: exp(-745.14) is
 #: already below half the least subnormal, so it rounds to 0.

@@ -110,7 +110,8 @@ def weight_scan(kappa: float, x_hi: float = 3.0, n: int = 200001):
 
 
 def blocked_xs(sign: int, seed: int = 11) -> np.ndarray:
-    """3 blocks and 7 points of the array kernels' block size, shuffled:
+    """3 blocks and at least 7 points of the array kernels' block size,
+    rounded up to a multiple of 11 so that it reshapes to 11 rows, shuffled:
     -0.0 and 0, bulk values, x where Q is subnormal ([37.5, 38.6]), x in
     [700, 760], where h(-x) crosses exp's underflow, the tail past it, and
     x past 2**512, where x*x overflows.  sign = 0 gives random signs, -1
@@ -118,7 +119,7 @@ def blocked_xs(sign: int, seed: int = 11) -> np.ndarray:
     from qbound import special
 
     rng = np.random.default_rng(seed)
-    n = 3 * special._BLOCK + 7
+    n = -(-(3 * special._BLOCK + 7) // 11) * 11
     fixed = np.array([-0.0, 0.0, 2.0**512, 1e300, sys.float_info.max])
     pools = [
         rng.uniform(0.0, 10.0, n),

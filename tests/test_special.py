@@ -562,11 +562,11 @@ class TestBlockedPath:
 
 class TestBlockThreads:
     """The blocks of an array run on special._WORKERS threads, the calling
-    thread and threads started for the call: each block under the caller's
-    floating-point error state, an error raised only once every block
-    started has finished, no thread left running after the call, a kernel
-    body free to call a blocked kernel, and a forked child's blocks on
-    threads of its own."""
+    thread and threads started for the call, none for one block: each block
+    under the caller's floating-point error state, an error raised only
+    once every block started has finished, no thread left running after
+    the call, a kernel body free to call a blocked kernel, and a forked
+    child's blocks on threads of its own."""
 
     def test_caller_errstate_reaches_every_block(self, monkeypatch):
         runs = []
@@ -618,6 +618,22 @@ class TestBlockThreads:
                     fails_in_block_2(x, threading.Barrier(min(n, 2), timeout=30))
                 assert started == finished == {0, 1, 2}, n
                 assert q(y).tobytes() == want, n
+
+    def test_threads_start_past_one_block(self, monkeypatch):
+        # one block runs in the calling thread; one point more makes two
+        # blocks, which run on min(_WORKERS, 2) threads
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: (started.append(self), start(self))[1])
+        x = np.linspace(0.0, 40.0, special._BLOCK + 1)
+        want = oracles.chunked(q, x).tobytes()
+        for n in oracles.WORKER_COUNTS:
+            with oracles.block_workers(monkeypatch, n):
+                started.clear()
+                assert q(x[:-1]).tobytes() == want[:-8], n
+                assert started == [], n
+                assert q(x).tobytes() == want, n
+                assert len(started) == min(n, 2) - 1, n
 
     def test_no_thread_outlives_the_call(self, monkeypatch):
         ran = set()
