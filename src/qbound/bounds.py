@@ -250,16 +250,13 @@ def boyd_lower(x):
     bound may.
 
     Where x*x overflows (x >= 2**512, ~1.3e154), 2*pi is far below its
-    rounding and the bound, divided through by x, is 1/x to rounding.  A
-    scalar is tested with a plain comparison and an array by its maximum,
-    so only an array that holds such an x builds a mask.
+    rounding and the bound, divided through by x, is 1/x to rounding.  The
+    maximum of x is tested first, so only an x that holds such a point
+    builds a mask.
     """
-    if x.ndim == 0:
-        if x >= _SQUARE_OVER:
-            return 1.0 / x
-    elif x.max(initial=0.0) >= _SQUARE_OVER:
+    if x.max(initial=0.0) >= _SQUARE_OVER:
         over = x >= _SQUARE_OVER
-        return np.divide(1.0, x, out=_boyd(np.where(over, 0.0, x)), where=over)
+        return np.where(over, 1.0 / np.where(over, x, 1.0), _boyd(np.where(over, 0.0, x)))
     return SQRT_HALF_PI * (SQRT_2PI / ((_PI - 1.0) * x + np.sqrt(x * x + 2.0 * _PI)))
 
 

@@ -25,7 +25,6 @@ CSV_FIELDS = ("x", "kappa", "q_ref", "g_lower", "boyd_lower_q", "chernoff_upper"
 # One output row per template.  A formatted float never needs CSV quoting,
 # and repr is how json spells a float.
 _CSV_ROW = ",".join(["%.17g"] * len(CSV_FIELDS)) + "\n"
-_TEXT_ROW = "".join(f"{f} = %.17g\n" for f in CSV_FIELDS)
 _JSON_ROW = "  {\n" + ",\n".join(f'    "{f}": %r' for f in CSV_FIELDS) + "\n  }"
 
 #: rel_gap is 1 - r/R past this x and (Q - g)/Q up to it.
@@ -66,18 +65,17 @@ def make_record(xs, kappas) -> np.ndarray:
 
 
 def _emit_records(rows, fmt: str, out) -> None:
-    """Write make_record's rows, one record per (x, kappa), in CSV_FIELDS order."""
+    """Write make_record's rows as the table, one record per (x, kappa), in
+    CSV_FIELDS order; its JSON is json.dumps's, faster from a row template."""
     rows = rows.reshape(-1, len(CSV_FIELDS)).tolist()
     if fmt == "json":
         body = ",\n".join([_JSON_ROW % tuple(r) for r in rows])
         # Field names and finite reprs hold neither "nan" nor "inf".
         body = body.replace("nan", "NaN").replace("inf", "Infinity")
         out.write(f"[\n{body}\n]\n")
-    elif fmt == "csv":
+    else:  # csv
         out.write(",".join(CSV_FIELDS) + "\n")
         out.write("".join([_CSV_ROW % tuple(r) for r in rows]))
-    else:  # text
-        out.write("".join([_TEXT_ROW % tuple(r) for r in rows]))
 
 
 def _grid_from_args(args, **defaults) -> verify.EvaluationGrid:
@@ -99,10 +97,10 @@ def _print_report(r: verify.VerificationReport, out) -> None:
     )
 
 
-def _print_fields(fields: dict, fmt: str, out) -> None:
-    """Write one record of named fields: JSON, or text lines `key = value`
-    with floats as %.17g, bools in lower case, None as nan, and an empty
-    string left out."""
+def _print_fields(fields, fmt: str, out) -> None:
+    """Write fields as json.dumps(fields, indent=2), whatever they are, or a
+    dict as text lines `key = value` with floats as %.17g, bools in lower
+    case, None as nan, and an empty string left out."""
     if fmt == "json":
         out.write(json.dumps(fields, indent=2) + "\n")
         return
@@ -119,7 +117,8 @@ def _print_fields(fields: dict, fmt: str, out) -> None:
 
 
 def cmd_eval(args, out) -> int:
-    _emit_records(make_record([args.x], [args.kappa]), args.format, out)
+    row = dict(zip(CSV_FIELDS, make_record([args.x], [args.kappa])[0, 0].tolist()))
+    _print_fields([row] if args.format == "json" else row, args.format, out)
     return 0
 
 
@@ -141,8 +140,7 @@ def cmd_verify(args, out) -> int:
         tolerance=args.tolerance,
     )
     if args.format == "json":
-        out.write(json.dumps([dataclasses.asdict(r) for r in reports], indent=2))
-        out.write("\n")
+        _print_fields([dataclasses.asdict(r) for r in reports], "json", out)
     else:
         for r in reports:
             _print_report(r, out)

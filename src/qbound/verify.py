@@ -305,8 +305,19 @@ def run_all(
     lemma2 checks 2000 points per kappa on [x1, max(1000, 10*x1)].
     tolerance and weight_inflation reach the theorem suite only.  chernoff
     runs on the grid only when it is the one suite named, else on its own
-    default grid.
+    default grid.  names must name each suite at most once, and at least
+    one; a name not in SUITE_NAMES, or a bare string, is a UsageError.
     """
+    if isinstance(names, str):
+        raise UsageError(f"names must be a sequence of suite names, got the string {names!r}")
+    names = tuple(names)
+    if not names:
+        raise UsageError("names must name at least one suite")
+    for name in names:
+        if name not in SUITE_NAMES:
+            raise UsageError(f"unknown suite {name!r}; the suites are {', '.join(SUITE_NAMES)}")
+        if names.count(name) > 1:
+            raise UsageError(f"suite {name!r} is named twice")
     grid = grid or EvaluationGrid()
     kappas = grid.kappas if explicit else tuple(k for k in grid.kappas if k.kappa > 1.0)
     reports = []

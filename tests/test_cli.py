@@ -15,7 +15,7 @@ import pytest
 
 import qbound
 from qbound import bounds, q
-from qbound.cli import CSV_FIELDS, main
+from qbound.cli import CSV_FIELDS, main, make_record
 
 
 def run_cli(*argv):
@@ -91,6 +91,35 @@ class TestEval:
         rec = json.loads(text)[0]
         assert rec["q_ref"] > sys.float_info.min
         assert rec["rel_gap"] == pytest.approx(0.42335698215619147, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("x", ["1", "-3", "40"])
+    def test_text_is_one_line_per_field(self, x):
+        # -3 has the nan Boyd and Chernoff columns, 40 a Q of 0
+        code, text = run_cli("eval", "--x", x, "--kappa", "2")
+        assert code == 0
+        row = make_record([float(x)], [2.0])[0, 0].tolist()
+        assert text == "".join(f"{name} = {value:.17g}\n" for name, value in zip(CSV_FIELDS, row))
+
+
+class TestJsonWriter:
+    """Every --format json output is json.dumps(records, indent=2) + a newline."""
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--x", "1", "--kappa", "2"),
+        ("eval", "--x", "-3", "--kappa", "1"),
+        ("optimize", "pointwise", "--x", "2"),
+        ("optimize", "weight", "--kappa", "2"),
+        ("optimize", "interval", "--x-lo", "1", "--x-hi", "3"),
+        ("roots", "--kappa", "2"),
+        ("verify", "chernoff", "--x-max", "40"),
+        ("verify", "all", "--x-count", "101"),
+        ("table", "--x-min", "-1", "--x-max", "40", "--x-count", "11",
+         "--kappa", "1", "--kappa", "2"),
+    ], ids="_".join)
+    def test_same_bytes_as_json_module(self, argv):
+        code, text = run_cli(*argv, "--format", "json")
+        assert code == 0
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 class TestTable:

@@ -676,7 +676,7 @@ class TestBlockThreads:
         assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
-    def test_forked_child_after_the_parent_used_the_pool(self):
+    def test_forked_child_runs_blocks_on_its_own_threads(self):
         script = (
             "import os, signal, sys\n"
             "import numpy as np\n"

@@ -377,3 +377,23 @@ class TestRunAll:
         g = EvaluationGrid(kappas=(1e6,))
         reports = run_all(g, weight_inflation=1.0 + 1e-6)
         assert any(not r.passed for r in reports)
+
+    @pytest.mark.parametrize("names, bad", [
+        ((), "at least one suite"),
+        ([], "at least one suite"),
+        ("theorem", "the string 'theorem'"),
+        (("theorm",), "unknown suite 'theorm'"),
+        (("theorem", "Lemma1"), "unknown suite 'Lemma1'"),
+        (("chernoff", "chernoff"), "suite 'chernoff' is named twice"),
+        (("theorem", "lemma1", "theorem"), "suite 'theorem' is named twice"),
+    ])
+    def test_rejects_bad_names(self, names, bad):
+        # unchecked, these verified nothing, ran the suites named by substrings,
+        # or ran a repeated chernoff on its default grid
+        with pytest.raises(UsageError, match=bad):
+            run_all(EvaluationGrid(x_max=5.0, x_count=11), names=names)
+
+    def test_one_suite_named_in_a_list(self):
+        g = EvaluationGrid(x_min=0.0, x_max=40.0, x_count=101)
+        assert run_all(g, names=["chernoff"]) == [verify_chernoff(g)]
+        assert run_all(g, names=["chernoff"]) != [verify_chernoff()]

@@ -88,6 +88,7 @@ CLI_COMMANDS = (
     "verify all --format json",
     "verify all --x-count 20001",
     "verify chernoff --x-max 40",
+    "verify chernoff --x-max 40 --format json",
     "verify chernoff --x-min 1 --x-max 1e300 --x-count 4001 --spacing log",
     "verify lemma1 --kappa 1e8",
     "verify lemma1 --kappa 1.000000000001 --kappa 3 --kappa 1e15 --format json",
@@ -104,6 +105,7 @@ CLI_COMMANDS = (
     "optimize interval --x-lo 21 --x-hi 38 --format json",
     "roots --kappa 2",
     "roots --kappa 4.4e232",
+    "roots --kappa 2 --format json",
 )
 
 
