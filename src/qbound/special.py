@@ -292,19 +292,19 @@ _ERFCX_PIECES = (
      -5.085008460967496e-12, -3.2527026346892067e-14, 1.665308493234475e-16),
 )
 
-#: The same table by coefficient, (7, 128), for the array path.
-_ERFCX_COEFFS = np.array(_ERFCX_PIECES).T.copy()
+#: The same table by coefficient for the array path: _ERFCX_COEFFS[k] holds
+#: c_k of the 128 pieces, a contiguous row.
+_ERFCX_COEFFS = tuple(np.array(_ERFCX_PIECES).T.copy())
 
 #: Points per block of every array kernel: elementwise, the one place an
 #: array is split, runs a kernel body on at most this many points, so its
-#: temporaries stay in cache (512 KB each, and 3.7 MB for _erfcx's (7, n)
-#: coefficient gather), and _exp answers a block whose every lane
-#: underflows with zeros alone.  The ten tail_arrays kernels take, per 1e6
-#: points in ms, with blocks of 16,384 / 32,768 / 65,536 / 131,072 /
-#: 262,144 points, 55 / 52 / 52 / 54 / 58 on one thread and
-#: 45 / 39 / 38 / 39 / 40 on two (median of 5 runs, 2-core AMD EPYC VM):
-#: the threads wait on the interpreter lock between numpy passes, more
-#: often the smaller the block.
+#: temporaries stay in cache (512 KB each, _erfcx's coefficient gather
+#: included), and _exp answers a block whose every lane underflows with
+#: zeros alone.  The ten tail_arrays kernels take, per 1e6 points in ms,
+#: with blocks of 16,384 / 32,768 / 65,536 / 131,072 / 262,144 points,
+#: 55 / 52 / 52 / 54 / 58 on one thread and 45 / 39 / 38 / 39 / 40 on two
+#: (median of 5 runs, 2-core AMD EPYC VM): the threads wait on the
+#: interpreter lock between numpy passes, more often the smaller the block.
 _BLOCK = 65536
 
 #: exp(y) is +0.0 for every y below this, -inf included: exp(-745.14) is
@@ -327,9 +327,14 @@ def _erfcx(z):
     pass, its temporaries updated in place; the kernels call it on at most
     one _BLOCK of points (see elementwise).  A scalar runs the same IEEE
     operations in the same order in plain Python, so both paths give the
-    same bits.  The array path gathers its coefficients with np.take in
-    wrap mode, which skips the bounds check that clip mode repeats: j is
-    already clipped to [0, 127], where wrap and clip pick the same row.
+    same bits.  The array path gathers the coefficients one row at a time,
+    c6 first as Horner's rule adds them, into one buffer of z's size: a
+    (7, n) gather would hold seven, 3.5 MiB on a 65,536-point block.  Each
+    row is gathered with ndarray.take in wrap mode, which skips the bounds
+    check that clip mode repeats: j is already clipped to [0, 127], where
+    wrap and clip pick the same entry.  The method skips np.take's Python
+    wrapper, so the seven takes cost about what one (7, n) np.take does,
+    at every size (README, "Blocks").
     """
     if isinstance(z, float) or not np.ndim(z):
         w = 1.0 + float(z)
@@ -345,12 +350,12 @@ def _erfcx(z):
     t -= j
     t *= 2.0
     t -= 1.0
-    c = np.take(_ERFCX_COEFFS, j, axis=1, mode="wrap")  # j is in [0, 127]
-    p = c[6] * t
+    c = np.empty(t.shape)
+    p = _ERFCX_COEFFS[6].take(j, mode="wrap", out=c) * t
     for k in range(5, 0, -1):
-        p += c[k]
+        p += _ERFCX_COEFFS[k].take(j, mode="wrap", out=c)
         p *= t
-    p += c[0]
+    p += _ERFCX_COEFFS[0].take(j, mode="wrap", out=c)
     p /= w
     return p
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -459,6 +460,8 @@ class TestErfcx:
         assert np.all(np.isfinite(array)) and np.all(array > 0.0)
         # one call on four copies: no point depends on another
         assert special._erfcx(np.tile(z, 4)).tobytes() == np.tile(array, 4).tobytes()
+        # nor on the size of its call: slices of 1, 1,000, 5,000 and the rest
+        assert oracles.chunked(special._erfcx, z).tobytes() == array.tobytes()
 
 
 class TestBlockedPath:
@@ -480,6 +483,24 @@ class TestBlockedPath:
                     grid = x.reshape(11, -1)
                     assert fn(grid).tobytes() == want and fn(grid).shape == grid.shape, n
                     assert fn(grid.T).tobytes() == fn(grid).T.copy().tobytes(), n
+
+    @pytest.mark.parametrize("fn, takes_kappa", ELEMENTWISE,
+                             ids=[fn.__name__ for fn, _ in ELEMENTWISE])
+    def test_temporaries_within_eight_blocks(self, fn, takes_kappa, monkeypatch):
+        # on the calling thread alone, what a kernel allocates beyond its
+        # output peaks at 8 block-sized arrays at most: _erfcx gathers its
+        # coefficients into one of them, where a (7, n) gather took seven
+        x = np.resize(oracles.blocked_xs(-1 if fn is special.h else 1), 4 * special._BLOCK)
+        args = (2.0,) if takes_kappa else ()
+        with oracles.block_workers(monkeypatch, 1):
+            fn(x, *args)  # anything allocated once, on a first call
+            tracemalloc.start()
+            try:
+                out = fn(x, *args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak - out.nbytes <= 8 * special._BLOCK * 8
 
     def test_exp_equals_np_exp(self):
         # across the underflow threshold, the subnormal results, -inf, and

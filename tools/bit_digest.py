@@ -5,7 +5,7 @@ bit for bit.
 
 SRC is the directory that holds the qbound package (`src` in a checkout).
 Run it from the root of a checkout on two trees, on one machine, and
-compare the lines.  Six kinds of output are digested:
+compare the lines.  Seven kinds of output are digested:
 
 - arrays: the ten array kernels of the tail_arrays benchmark workload on
   its first BATCHES seeded batches (bench/workloads.py, imported from this
@@ -17,6 +17,9 @@ compare the lines.  Six kinds of output are digested:
   LEMMA2_COUNT log-spaced points of [x1, max(1000, 10*x1)].  These arrays
   take the kernels' one-shot path, below one block and below the size at
   which exp's underflowing lanes are masked;
+- sizes: the same ten kernels on the first SWITCH_DRAWS batches of the
+  arrays kind, cut to each of SWITCH_SIZES points, for each seed: arrays
+  on both sides of the kernels' size switches;
 - kappa: x1_point, x2_point and alpha_coeff at KAPPA_POINTS log-spaced
   kappa - 1 in [1e-12, 1.7976931348623157e308] and at SWITCH_KAPPAS, the
   two kappas on either side of the overflow of (kappa-1)*c, where alpha
@@ -52,6 +55,11 @@ from pathlib import Path
 SEEDS = (1, 2)
 BATCHES = 16
 SMALL_DRAWS = 64
+SWITCH_DRAWS = 4
+# one point either side of special._MASK_MIN (4,096), from which exp's
+# underflowing lanes are masked, and of special._BLOCK (65,536), past which
+# an array runs in blocks; fixed here, so two trees see the same inputs
+SWITCH_SIZES = (4095, 4096, 65536, 65537)
 KAPPA_POINTS = 20001
 # the last kappa whose (kappa-1)*c is finite, and the next double
 SWITCH_KAPPAS = (7.564545572282618e153, 7.56454557228262e153)
@@ -154,6 +162,18 @@ def small_arrays(seed: int):
     sizes = f"{wl.SMALL_GRID_COUNT} and {wl.LEMMA2_COUNT} points"
     print(f"small seed {seed}: {SMALL_DRAWS} draws x {sizes} x {len(wl.ARRAY_FUNCS)} kernels"
           f"  {digest.hexdigest()}")
+
+
+def switch_arrays(seed: int):
+    import workloads as wl
+
+    digest = hashlib.sha256()
+    for kappa, x in itertools.islice(wl.array_batches(seed), SWITCH_DRAWS):
+        for n in SWITCH_SIZES:
+            _update(digest, x[:n], kappa)
+    sizes = ", ".join(f"{n:,}" for n in SWITCH_SIZES)
+    print(f"sizes seed {seed}: {SWITCH_DRAWS} batches cut to {sizes} points x "
+          f"{len(wl.ARRAY_FUNCS)} kernels  {digest.hexdigest()}")
 
 
 def kappa_functions():
@@ -263,6 +283,7 @@ def main(argv=None) -> int:
     for seed in SEEDS:
         arrays(seed)
         small_arrays(seed)
+        switch_arrays(seed)
     kappa_functions()
     optimizers()
     reports()
