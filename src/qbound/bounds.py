@@ -137,9 +137,9 @@ def rel_gap(x, k):
     rounding of a tight bound (x ~1e4 at kappa_star's kappa) and reads 0."""
     k = as_kappa(k)
     gap = 1.0 - k.alpha * gauss(x, k.kappa_minus_1) / (_mills(x) / SQRT_2PI)
-    if gap.ndim == 0:
-        return 0.0 if _ROUNDING <= gap < 0.0 else gap
-    return np.where((gap < 0.0) & (gap >= _ROUNDING), 0.0, gap)
+    # gap - gap is +0.0 and gap - (+-0.0) is gap, as gap is finite (R > 0 at
+    # every finite x >= 0); np.where would cost ~1 us a scalar call
+    return gap - gap * ((gap < 0.0) & (gap >= _ROUNDING))
 
 
 def x1_point(k) -> float:
@@ -198,11 +198,11 @@ def crossing_condition(x, k):
     Nonpositive exactly on [x1, x2], zero exactly at x1 and x2.
     """
     k = as_kappa(k, "crossing_condition")
+    # x*x alone goes subnormal before w does.  h(w) is -0 for every w below
+    # -745, -inf aside, where it is -inf*0 = nan: an overflowed w is taken
+    # as the most negative double instead
     with np.errstate(over="ignore"):
-        w = (1.0 - k.kappa) * x * x  # x*x alone goes subnormal before w does
-    # h(w) is -0 for every w below -745, -inf aside, where it is -inf*0 =
-    # nan: an overflowed w is taken as the most negative double instead
-    w = np.maximum(w, -sys.float_info.max, out=w if w.ndim else None)
+        w = np.maximum((1.0 - k.kappa) * x * x, -sys.float_info.max)
     # h(w1) = -a*exp(-a) with a = -w1 = 2/c, in a form finite at every kappa
     a = (2.0 / _PI) / (k.kappa_minus_1 + 2.0 / _PI)
     return _h(w) + a * math.exp(-a)

@@ -134,7 +134,6 @@ def cmd_verify(args, out) -> int:
     alone = {"x_min": 0.0} if args.suite == "chernoff" else {}
     reports = verify.run_all(
         _grid_from_args(args, **alone),
-        args.inflate_weight,
         names=verify.SUITE_NAMES if args.suite == "all" else (args.suite,),
         explicit=args.kappa is not None,
         tolerance=args.tolerance,
@@ -227,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_grid_flags(p)
     p.add_argument("--tolerance", type=float, default=verify.REL_TOL)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--inflate-weight", type=float, default=1.0, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("optimize", help="parameter-selection searches")

@@ -291,7 +291,6 @@ SUITE_NAMES = ("theorem", "lemma1", "lemma2", "derivative", "chernoff")
 
 def run_all(
     grid: EvaluationGrid | None = None,
-    weight_inflation: float = 1.0,
     *,
     names=SUITE_NAMES,
     explicit: bool = False,
@@ -303,10 +302,10 @@ def run_all(
     These three are undefined at kappa = 1: unless the kappas were given
     explicitly they skip it, otherwise it is a domain or usage error.
     lemma2 checks 2000 points per kappa on [x1, max(1000, 10*x1)].
-    tolerance and weight_inflation reach the theorem suite only.  chernoff
-    runs on the grid only when it is the one suite named, else on its own
-    default grid.  names must name each suite at most once, and at least
-    one; a name not in SUITE_NAMES, or a bare string, is a UsageError.
+    tolerance reaches the theorem suite only.  chernoff runs on the grid
+    only when it is the one suite named, else on its own default grid.
+    names must name each suite at most once, and at least one; a name not
+    in SUITE_NAMES, or a bare string, is a UsageError.
     """
     if isinstance(names, str):
         raise UsageError(f"names must be a sequence of suite names, got the string {names!r}")
@@ -322,7 +321,7 @@ def run_all(
     kappas = grid.kappas if explicit else tuple(k for k in grid.kappas if k.kappa > 1.0)
     reports = []
     if "theorem" in names:
-        reports.append(verify_theorem(grid, tolerance, weight_inflation))
+        reports.append(verify_theorem(grid, tolerance))
     if "lemma1" in names:
         reports += [verify_lemma1(k) for k in kappas]
     if "lemma2" in names:

@@ -166,3 +166,12 @@ def block_workers(monkeypatch, n: int):
 
     monkeypatch.setattr(special, "_WORKERS", n)
     yield
+
+
+def inflate_alpha(monkeypatch, factor: float):
+    """The bound's weight KappaParam.alpha times factor, until monkeypatch
+    undoes it: a corrupted bound that the theorem suite must report."""
+    from qbound.bounds import KappaParam
+
+    alpha = KappaParam.alpha.fget
+    monkeypatch.setattr(KappaParam, "alpha", property(lambda k: alpha(k) * factor))

@@ -172,20 +172,18 @@ def test_criterion_09_chernoff_sweep():
     _report(9, "Chernoff upper sweep on [0,10]", ok, f"|Q(0)-1/2|={eq0:.1e}")
 
 
-def test_criterion_10_mutation_sensitivity():
+def test_criterion_10_mutation_sensitivity(monkeypatch):
     grid = EvaluationGrid(kappas=(1e6,))
     clean = verify_theorem(grid)
     corrupted = verify_theorem(grid, weight_inflation=1.0 + 1e-6)
-    code = cli_main(
-        ["verify", "theorem", "--kappa", "1000000", "--inflate-weight", "1.000001"],
-        out=io.StringIO(),
-    )
+    oracles.inflate_alpha(monkeypatch, 1.0 + 1e-6)
+    code = cli_main(["verify", "theorem", "--kappa", "1000000"], out=io.StringIO())
     ok = clean.passed and (not corrupted.passed) and code == 1
     _report(10, "1e-6 weight inflation trips verify_theorem", ok,
             f"violation={corrupted.worst_violation:.3e}, cli exit={code}")
 
 
-def test_criterion_11_cli_contract():
+def test_criterion_11_cli_contract(monkeypatch):
     out = io.StringIO()
     code_table = cli_main(
         ["table", "--x-min", "0.5", "--x-max", "6", "--x-count", "12", "--kappa", "2"],
@@ -200,10 +198,9 @@ def test_criterion_11_cli_contract():
         round_trip &= float(row["chernoff_upper"]) == bounds.chernoff_upper(x)
 
     code_ok = cli_main(["eval", "--x", "1", "--kappa", "2"], out=io.StringIO())
-    code_fail = cli_main(
-        ["verify", "theorem", "--kappa", "1000000", "--inflate-weight", "1.000001"],
-        out=io.StringIO(),
-    )
+    with monkeypatch.context() as patch:
+        oracles.inflate_alpha(patch, 1.0 + 1e-6)
+        code_fail = cli_main(["verify", "theorem", "--kappa", "1000000"], out=io.StringIO())
     code_usage = cli_main(["eval", "--x", "1", "--kappa", "0.5"], out=io.StringIO())
     ok = round_trip and (code_ok, code_fail, code_usage) == (0, 1, 2)
     _report(11, "CLI csv round-trip + exit codes 0/1/2", ok,

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 import qbound
 from qbound import bounds, q
 from qbound.cli import CSV_FIELDS, main, make_record
@@ -214,11 +215,9 @@ class TestVerifyCommand:
         assert code == 0
         assert "FAIL" not in text
 
-    def test_corrupted_theorem_fails(self):
-        code, text = run_cli(
-            "verify", "theorem", "--kappa", "1000000",
-            "--inflate-weight", "1.000001",
-        )
+    def test_corrupted_theorem_fails(self, monkeypatch):
+        oracles.inflate_alpha(monkeypatch, 1.0 + 1e-6)
+        code, text = run_cli("verify", "theorem", "--kappa", "1000000")
         assert code == 1
         assert "FAIL" in text
 
@@ -402,7 +401,6 @@ class TestNegativeValues:
         ("table", "--x-min", "-2e1", "--x-max", "-1E1", "--x-count", "3"),
         ("verify", "theorem", "--x-min", "-1.5e1", "--x-count", "11", "--kappa", "2",
          "--tolerance", "-1e-300"),
-        ("verify", "theorem", "--x-count", "11", "--inflate-weight", "-1e0"),
         ("optimize", "pointwise", "--x", "-1e-1"),
         ("optimize", "interval", "--x-lo", "-1e-1", "--x-hi", "1"),
         ("optimize", "weight", "--kappa", "-2e0"),

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from qbound import (
     DEFAULT_KAPPAS,
     DomainError,
@@ -373,9 +374,9 @@ class TestRunAll:
         b = run_all()
         assert a == b
 
-    def test_corruption_propagates(self):
-        g = EvaluationGrid(kappas=(1e6,))
-        reports = run_all(g, weight_inflation=1.0 + 1e-6)
+    def test_corruption_propagates(self, monkeypatch):
+        oracles.inflate_alpha(monkeypatch, 1.0 + 1e-6)
+        reports = run_all(EvaluationGrid(kappas=(1e6,)))
         assert any(not r.passed for r in reports)
 
     @pytest.mark.parametrize("names, bad", [
