@@ -123,8 +123,11 @@ def r_scaled(x, k):
 
 @elementwise(sign=1)
 def f_diff(x, k):
-    """f(x, kappa) = r(x, kappa) - R(x); the bound holds iff f <= 0."""
-    return _r(x, as_kappa(k, "f_diff")) - _mills(x)
+    """f(x, kappa) = r(x, kappa) - R(x); the bound holds iff f <= 0.  R is
+    taken first, so no temporary of r's is alive while _erfcx runs."""
+    k = as_kappa(k, "f_diff")
+    R = _mills(x)
+    return _r(x, k) - R
 
 
 @elementwise(sign=1)
@@ -134,9 +137,12 @@ def rel_gap(x, k):
     formed, so it stays finite where they underflow (Q is subnormal past
     x ~37.5 and 0 from ~38.49).  Like every kernel, it is checked and an
     array is blocked by elementwise alone.  A gap in [_ROUNDING, 0) is the
-    rounding of a tight bound (x ~1e4 at kappa_star's kappa) and reads 0."""
+    rounding of a tight bound (x ~1e4 at kappa_star's kappa) and reads 0.
+    R is taken first, so no temporary of the Gaussian factor's is alive
+    while _erfcx runs."""
     k = as_kappa(k)
-    gap = 1.0 - k.alpha * gauss(x, k.kappa_minus_1) / (_mills(x) / SQRT_2PI)
+    R = _mills(x)
+    gap = 1.0 - k.alpha * gauss(x, k.kappa_minus_1) / (R / SQRT_2PI)
     # gap - gap is +0.0 and gap - (+-0.0) is gap, as gap is finite (R > 0 at
     # every finite x >= 0); np.where would cost ~1 us a scalar call
     return gap - gap * ((gap < 0.0) & (gap >= _ROUNDING))
@@ -229,10 +235,12 @@ def lemma1_relation(x, k):
 
 @elementwise(sign=1)
 def df_dx_identity(x, k):
-    """Closed form of df/dx: x*f(x,kappa) + 1 - kappa*x*r(x,kappa)."""
+    """Closed form of df/dx: x*f(x,kappa) + 1 - kappa*x*r(x,kappa).  R is
+    taken first, so no temporary of r's is alive while _erfcx runs."""
     k = as_kappa(k, "df_dx_identity")
+    R = _mills(x)
     r = _r(x, k)
-    return x * (r - _mills(x)) + 1.0 - _kxr(x, k, r)
+    return x * (r - R) + 1.0 - _kxr(x, k, r)
 
 
 _SQUARE_OVER = 2.0**512  # the least double whose square overflows

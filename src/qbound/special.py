@@ -318,31 +318,35 @@ _EXP_ZERO = -745.2
 _MASK_MIN = 4096
 
 
-def _erfcx(z):
-    """erfcx(z) = exp(z*z)*erfc(z) of a checked z >= 0: a Python float,
-    NumPy scalar or 0-d array gives a Python float, an array gives an array.
+def _erfcx(w):
+    """erfcx(z) = exp(z*z)*erfc(z) of a checked z >= 0, read as w = 1 + z,
+    the one form of z the formula uses: a Python float, NumPy scalar or
+    0-d array gives a Python float, an array gives an array, and w is never
+    written to.
 
-    One formula covers every finite z: P_j(t)/(1+z), with P_j from the
-    table above, which is y*P_j(t) with one rounding fewer.  128*y is taken
-    as 128/(1+z), the same bits as 128*(1/(1+z)).  An array runs in one
-    pass, its temporaries updated in place; the kernels call it on at most
-    one _BLOCK of points (see elementwise).  A scalar runs the same IEEE
-    operations in the same order in plain Python, so both paths give the
-    same bits.  The array path gathers the coefficients one row at a time,
-    c6 first as Horner's rule adds them, into one buffer of z's size, with
-    ndarray.take in wrap mode, which skips the bounds check that clip mode
-    repeats: j is already clipped to [0, 127], where wrap and clip pick the
-    same entry.  The method skips np.take's Python wrapper, ~0.5 us a call
-    (README, "Blocks").
+    One formula covers every finite z: P_j(t)/w, with P_j from the table
+    above, which is y*P_j(t) with one rounding fewer.  128*y is taken as
+    128/w, the same bits as 128*(1/(1+z)).  Its callers form w in place in
+    a buffer of their own, so no array of z is kept beside it.  An array
+    runs in one pass, its temporaries updated in place; the kernels call it
+    on at most one _BLOCK of points (see elementwise), and at its peak a
+    kernel holds five block-sized arrays: w, t, j, the gather buffer and
+    the accumulator.  A scalar runs the same IEEE operations in the same
+    order in plain Python, so both paths give the same bits.  The array
+    path gathers the coefficients one row at a time, c6 first as Horner's
+    rule adds them, into one buffer of w's size, with ndarray.take in wrap
+    mode, which skips the bounds check that clip mode repeats: j is already
+    clipped to [0, 127], where wrap and clip pick the same entry.  The
+    method skips np.take's Python wrapper, ~0.5 us a call (README,
+    "Blocks").
     """
-    if isinstance(z, float) or not np.ndim(z):
-        w = 1.0 + float(z)
+    if isinstance(w, float) or not np.ndim(w):
+        w = float(w)
         u = 128.0 / w
         j = min(int(u), 127)
         t = 2.0 * (u - j) - 1.0
         c0, c1, c2, c3, c4, c5, c6 = _ERFCX_PIECES[j]
         return ((((((c6 * t + c5) * t + c4) * t + c3) * t + c2) * t + c1) * t + c0) / w
-    w = np.asarray(z, dtype=float) + 1.0
     t = 128.0 / w
     j = t.astype(np.intp)  # floor, as t > 0
     np.minimum(j, 127, out=j)
@@ -544,10 +548,15 @@ def q(x):
     threshold near x ~ 38.49).  Q(x) = 1 - Q(-x) for x < 0: on a scalar and
     an array alike as neg + tail*(1 - 2*neg), neg = (x < 0), the same bits
     (1 + -tail is 1 - tail, 0 + tail is tail) without a masked subtract,
-    which is slow on a large random-sign mask.
+    which is slow on a large random-sign mask.  _erfcx's w = 1 + |x|/sqrt(2)
+    is formed in place in one buffer, so q holds five block temporaries at
+    its peak, and the Gaussian factor takes the signed x: (-0.5*x)*x has
+    the same bits for x and -x.
     """
-    ax = np.abs(x)
-    tail = 0.5 * _erfcx(ax / _SQRT2) * gauss(ax, 1.0)
+    w = np.abs(x)
+    w /= _SQRT2
+    w += 1.0
+    tail = 0.5 * _erfcx(w) * gauss(x, 1.0)
     neg = x < 0.0
     return neg + tail * (1.0 - 2.0 * neg)
 
@@ -580,8 +589,12 @@ def mills_ratio(x):
 
     Computed as sqrt(pi/2) * erfcx(x / sqrt(2)); the naive product overflows
     for x beyond ~38 while this form is stable on [0, 1e8] and beyond.
+    _erfcx's w = 1 + x/sqrt(2) is formed in place in one buffer, so an
+    array holds five block temporaries at its peak.
     """
-    return SQRT_HALF_PI * _erfcx(x / _SQRT2)
+    w = x / _SQRT2
+    w += 1.0
+    return SQRT_HALF_PI * _erfcx(w)
 
 
 @elementwise(sign=-1)

@@ -411,17 +411,18 @@ def _fit_erfcx():
 
 class TestErfcx:
     """The native erfcx behind q and mills_ratio: one frozen table, one
-    formula for every finite z >= 0, the same bits on both paths."""
+    formula for every finite z >= 0, the same bits on both paths.  _erfcx
+    reads z as w = 1 + z, so each call passes 1.0 + z."""
 
     LARGEST = sys.float_info.max
 
     def test_one_at_zero_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert special._erfcx(0.0) == 1.0
-            assert special._erfcx(np.float64(0.0)) == 1.0
-            assert special._erfcx(np.zeros(3)).tolist() == [1.0, 1.0, 1.0]
-            assert special._erfcx(np.array(0.0)) == 1.0
+            assert special._erfcx(1.0 + 0.0) == 1.0
+            assert special._erfcx(1.0 + np.float64(0.0)) == 1.0
+            assert special._erfcx(1.0 + np.zeros(3)).tolist() == [1.0, 1.0, 1.0]
+            assert special._erfcx(np.array(1.0 + 0.0)) == 1.0
 
     @pytest.mark.parametrize(
         "lo, hi", [(0.0, 0.5), (0.5, 4.0), (4.0, 50.0), (50.0, 1e300)]
@@ -434,7 +435,7 @@ class TestErfcx:
             z = np.exp(rng.uniform(math.log(lo), math.log(hi), 2000))
         else:
             z = rng.uniform(lo, hi, 2000)
-        got = special._erfcx(z)
+        got = special._erfcx(1.0 + z)
         worst = 0.0
         with tool.mp.workdps(30):
             for zi, gi in zip(z, got):
@@ -453,15 +454,46 @@ class TestErfcx:
         ])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            array = special._erfcx(z)
-            scalar = [special._erfcx(float(v)) for v in z]
+            array = special._erfcx(1.0 + z)
+            scalar = [special._erfcx(1.0 + float(v)) for v in z]
         assert all(type(v) is float for v in scalar)
         assert np.array(scalar).tobytes() == array.tobytes()
         assert np.all(np.isfinite(array)) and np.all(array > 0.0)
         # one call on four copies: no point depends on another
-        assert special._erfcx(np.tile(z, 4)).tobytes() == np.tile(array, 4).tobytes()
+        assert special._erfcx(1.0 + np.tile(z, 4)).tobytes() == np.tile(array, 4).tobytes()
         # nor on the size of its call: slices of 1, 1,000, 5,000 and the rest
-        assert oracles.chunked(special._erfcx, z).tobytes() == array.tobytes()
+        assert oracles.chunked(special._erfcx, 1.0 + z).tobytes() == array.tobytes()
+
+
+class TestGauss:
+    """q takes its Gaussian factor on the signed x, as (-0.5*x)*x has the
+    same bits at x and -x: special.gauss(x, 1.0) equals
+    special.gauss(|x|, 1.0) bit for bit."""
+
+    EDGES = [0.0, 5e-324, 38.5, 1.3e154, 1e200, sys.float_info.max]
+
+    def test_even_in_x_on_an_array(self):
+        # below and above _MASK_MIN, with and without underflowing lanes
+        rng = np.random.default_rng(26)
+        x = np.concatenate([
+            self.EDGES,
+            rng.uniform(-40.0, 40.0, special._BLOCK),
+            10.0 ** rng.uniform(-320.0, 308.0, special._BLOCK),
+        ])
+        x *= np.where(rng.random(x.size) < 0.5, -1.0, 1.0)
+        x = np.concatenate([np.negative(self.EDGES), x])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for arr in (x, x[:special._MASK_MIN - 1]):
+                assert special.gauss(arr, 1.0).tobytes() == special.gauss(np.abs(arr), 1.0).tobytes()
+
+    @pytest.mark.parametrize("v", EDGES)
+    def test_even_in_x_on_scalars(self, v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = np.float64(special.gauss(np.float64(v), 1.0)).tobytes()
+            assert np.float64(special.gauss(np.float64(-v), 1.0)).tobytes() == want
+            assert np.float64(special.gauss(-v, 1.0)).tobytes() == want
 
 
 class TestBlockedPath:
@@ -501,6 +533,30 @@ class TestBlockedPath:
             finally:
                 tracemalloc.stop()
         assert peak - out.nbytes <= 8 * special._BLOCK * 8
+
+    @pytest.mark.parametrize("fn, args", [
+        (special.q, ()), (special.mills_ratio, ()),
+        (bounds.f_diff, (2.0,)), (bounds.df_dx_identity, (2.0,)), (bounds.rel_gap, (2.0,)),
+    ], ids=["q", "mills_ratio", "f_diff", "df_dx_identity", "rel_gap"])
+    def test_erfcx_kernel_body_peaks_at_five_blocks(self, fn, args):
+        # one block of mixed input: the body's peak, its result included, is
+        # _erfcx's w, t, j, gather buffer and accumulator, with no array of
+        # x/sqrt(2), |x| or r kept beside them
+        rng = np.random.default_rng(26)
+        n = special._BLOCK
+        x = np.concatenate([rng.uniform(-10.0, 10.0, n // 2), 10.0 ** rng.uniform(1.0, 8.0, n - n // 2)])
+        rng.shuffle(x)
+        if fn is not special.q:
+            x = np.abs(x)
+        body = fn.__wrapped__
+        body(x, *args)  # anything allocated once, on a first call
+        tracemalloc.start()
+        try:
+            body(x, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.25 * n * 8
 
     def test_exp_equals_np_exp(self):
         # across the underflow threshold, the subnormal results, -inf, and
@@ -639,6 +695,26 @@ class TestBlockThreads:
                     fails_in_block_2(x, threading.Barrier(min(n, 2), timeout=30))
                 assert started == finished == {0, 1, 2}, n
                 assert q(y).tobytes() == want, n
+
+    @pytest.mark.parametrize("fn, args, first, last, message", [
+        (q, (), 38.0, math.nan, "x must be finite, got nan"),
+        (mills_ratio, (), -1.0, math.nan, "x must be finite, got nan"),
+        (bounds.f_diff, (2.0,), 38.0, -1.0, "f_diff requires x >= 0"),
+    ], ids=["q", "mills_ratio", "f_diff"])
+    def test_domain_error_is_the_whole_arrays(self, fn, args, first, last, message,
+                                              monkeypatch):
+        # block 0 would fail first in its body (exp underflows at 38 under
+        # under="raise") or in a check of block 0 alone (-1.0 fails the sign
+        # check); the error is the whole array's, checked before any block
+        # runs: its first non-finite value, else the sign message
+        x = np.ones(3 * special._BLOCK)
+        x[5] = first
+        x[2 * special._BLOCK + 5] = last
+        for n in (1, 2):
+            with oracles.block_workers(monkeypatch, n):
+                with np.errstate(under="raise"):
+                    with pytest.raises(DomainError, match=f"{message}$"):
+                        fn(x, *args)
 
     def test_threads_start_past_one_block(self, monkeypatch):
         # one block runs in the calling thread; one point more makes two

@@ -24,13 +24,16 @@ From the root of a checkout:
 The gate draws 100,000 seeded points in each of [0, 0.5], [0.5, 4],
 [4, 50] and [50, 1e300] (log-uniform in the last) and reports the largest
 relative error in units of 2**-53, for the table and for scipy.special.erfcx.
-It fails if the table is worse than scipy in any range, or if a 1e6-point
-call on a tail_arrays-like batch (|x|/sqrt(2), x half uniform in [0, 10]
-and half log-uniform in [10, 1e8]) is slower than scipy's.  The table is
-timed as the kernels run it, through special.elementwise, which checks
-the batch and hands _erfcx one block at a time.  The two calls alternate
-for 7 rounds and each keeps its best, so a change in host load falls on
-both alike.
+It fails if the table's error exceeds ERROR_BOUND units in any range, if
+its scalar and array paths differ, or, where scipy is installed, if the
+table is worse than scipy in any range or a 1e6-point call on a
+tail_arrays-like batch (|x|/sqrt(2), x half uniform in [0, 10] and half
+log-uniform in [10, 1e8]) is slower than scipy's; without scipy the
+table's time is only printed.  _erfcx reads z as w = 1 + z, so every call
+here passes 1.0 + z.  The table is timed as the kernels run it, through
+special.elementwise, which checks the batch and hands it on one block at
+a time.  The two calls alternate for 7 rounds and each keeps its best, so
+a change in host load falls on both alike.
 """
 from __future__ import annotations
 
@@ -53,6 +56,9 @@ DIGITS = 50
 RANGES = [(0.0, 0.5), (0.5, 4.0), (4.0, 50.0), (50.0, 1e300)]
 GATE_POINTS = 100_000
 GATE_SEED = 20261018
+#: The table's largest relative error, in units of 2**-53, that the gate
+#: accepts: the error that q_ref's accuracy budget allows for _erfcx.
+ERROR_BOUND = 4.0
 
 
 def erfcx_mp(z):
@@ -164,6 +170,11 @@ def _batch(n: int, rng) -> np.ndarray:
     return np.abs(x) / math.sqrt(2.0)
 
 
+def _table(z):
+    """erfcx of a checked block z, as the kernels take it."""
+    return special._erfcx(1.0 + z)
+
+
 def _best(fns, z, rounds: int = 7) -> list:
     """The best time of each of fns on z, over rounds in which each runs once."""
     best = [math.inf] * len(fns)
@@ -186,10 +197,13 @@ def gate() -> int:
     for lo, hi in RANGES:
         z = _draw(lo, hi, GATE_POINTS, rng)
         want = _reference(z)
-        native = _ulps(special._erfcx(z), *want)
+        native = _ulps(special._erfcx(1.0 + z), *want)
         line = f"  [{lo:g}, {hi:g}]: table {native:.2f}"
-        scalar = np.array([special._erfcx(float(v)) for v in z[:2000]])
-        if not np.array_equal(scalar, special._erfcx(z[:2000])):
+        if native > ERROR_BOUND:
+            line += f"  (FAIL: table error above {ERROR_BOUND:g})"
+            failed = True
+        scalar = np.array([special._erfcx(1.0 + float(v)) for v in z[:2000]])
+        if not np.array_equal(scalar, special._erfcx(1.0 + z[:2000])):
             line += "  (FAIL: scalar and array paths differ)"
             failed = True
         if scipy_erfcx is not None:
@@ -200,7 +214,7 @@ def gate() -> int:
                 failed = True
         print(line)
     z = _batch(1_000_000, rng)
-    table = special.elementwise(sign=1)(special._erfcx)
+    table = special.elementwise(sign=1)(_table)
     times = _best([table] if scipy_erfcx is None else [table, scipy_erfcx], z)
     line = f"1e6-point batch: table {1e3 * times[0]:.1f} ms"
     if scipy_erfcx is not None:
