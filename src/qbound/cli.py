@@ -1,16 +1,19 @@
 """Command-line front end: evaluate bounds, emit comparison tables, run the
 verification suites, and run the parameter-selection optimizers.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
-Output goes to stdout, diagnostics to stderr; identical invocations produce
-byte-identical output.
+Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
+120 stdout closed by its reader (`qbound table | head -n 1`), with no
+traceback.  Output goes to stdout, diagnostics to stderr; identical
+invocations produce byte-identical output.
 """
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
 import json
 import math
+import os
 import re
 import sys
 
@@ -256,5 +259,41 @@ def main(argv=None, out=None) -> int:
         return 2
 
 
+def _stdout_closed() -> int:
+    """Point stdout at os.devnull, so that no later flush raises again, and
+    return 120, CPython's exit status when it cannot flush stdout."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    return 120
+
+
+def run() -> None:
+    """The process entry point of `python -m qbound.cli` and the `qbound`
+    console script.  It runs main() on sys.argv, taking argparse's
+    SystemExit (usage errors, --help) for a status too, then what of
+    CPython's finalization anyone can observe, in its order: the atexit
+    callbacks, then a flush of stdout and stderr.  It ends at os._exit,
+    which skips the module teardown and GC, ~10 ms of a cold call, mostly
+    numpy's; qbound opens no file, and special._run_blocks joins every
+    thread it starts.  A reader that closes stdout early ends the process
+    with status 120 and no traceback.  main() returns its status or raises
+    argparse's SystemExit; call it for an in-process run.
+    atexit._run_exitfuncs is private; tests/test_cli.py::TestRun guards it
+    on every Python the CI matrix runs."""
+    try:
+        status = main()
+    except SystemExit as exc:
+        status = exc.code
+    except BrokenPipeError:
+        status = _stdout_closed()
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        status = _stdout_closed()
+    sys.stderr.flush()
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

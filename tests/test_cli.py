@@ -1,4 +1,5 @@
 """CLI contract tests: exit codes, deterministic output, CSV/JSON schema."""
+import atexit
 import csv
 import dataclasses
 import io
@@ -7,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -17,6 +19,13 @@ import oracles
 import qbound
 from qbound import bounds, q
 from qbound.cli import CSV_FIELDS, main, make_record
+
+# the environment of a child interpreter that imports this qbound: stdout
+# block-buffered, as it is where PYTHONUNBUFFERED is not set, so that a byte
+# left unflushed is a byte lost; argparse's usage and help wrapped at the
+# width COLUMNS gives
+CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+CHILD_ENV.update(PYTHONPATH=str(Path(qbound.__file__).resolve().parents[1]), COLUMNS="80")
 
 
 def run_cli(*argv):
@@ -476,10 +485,9 @@ class TestImportCost:
             "    qbound.cli.main(argv, out=io.StringIO())\n"
             "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))\n"
         )
-        src = str(Path(qbound.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": src}, timeout=60,
+            env=CHILD_ENV, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "False"]
@@ -499,10 +507,9 @@ class TestImportCost:
             "    print(len(started), threading.active_count() - before)\n"
             "print('concurrent.futures' in sys.modules)\n"
         )
-        src = str(Path(qbound.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": src}, timeout=60,
+            env=CHILD_ENV, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False"] + ["0"] * 6 + ["False"]
@@ -563,3 +570,85 @@ class TestRootsCommand:
         assert code == 0
         data = json.loads(text)
         assert data["x1"] < data["pivot"] < data["x2"]
+
+
+class TestRun:
+    """cli.run(), the process entry point, ends at os._exit: a `python -m
+    qbound.cli` process writes what main() writes in-process, every byte of
+    it, with the same exit status."""
+
+    CASES = [
+        (("eval", "--x", "1", "--kappa", "2"), 0),
+        (("eval", "--x", "1", "--kappa", "2", "--format", "json"), 0),
+        (("table", "--format", "json"), 0),  # 4.3 MB
+        (("verify", "all"), 0),
+        (("roots", "--kappa", "1"), 2),  # one error: line
+        (("verify", "lemma9"), 2),  # argparse's SystemExit
+        (("--help",), 0),  # argparse's SystemExit
+    ]
+
+    @staticmethod
+    def process(*argv, **kwargs):
+        return subprocess.run([sys.executable, "-m", "qbound.cli", *argv],
+                              env=CHILD_ENV, timeout=60, **kwargs)
+
+    @pytest.mark.parametrize("argv, code", CASES, ids=["_".join(a) for a, _ in CASES])
+    def test_process_equals_in_process(self, argv, code, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", CHILD_ENV["COLUMNS"])
+        out = io.StringIO()
+        try:
+            assert main(list(argv), out=out) == code
+        except SystemExit as exc:
+            assert exc.code == code
+        inproc = capsys.readouterr()  # --help writes to sys.stdout, not to out
+        proc = self.process(*argv, capture_output=True)
+        assert proc.returncode == code
+        assert proc.stdout == (out.getvalue() + inproc.out).encode()
+        assert proc.stderr == inproc.err.encode()
+        if argv[0] == "roots":
+            assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+
+    def test_closed_stdout_exits_120_without_traceback(self):
+        # table's 2 MB of CSV outgrow the pipe, so a write in main() fails
+        # once the reader has gone after one line
+        proc = subprocess.Popen([sys.executable, "-m", "qbound.cli", "table"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV)
+        assert proc.stdout.readline() == (",".join(CSV_FIELDS) + "\n").encode()
+        proc.stdout.close()
+        err = proc.communicate(timeout=60)[1]
+        assert (proc.returncode, err) == (120, b"")
+        # verify all's 3 KB wait in the buffer for run()'s flush; a pipe whose
+        # read end is closed before the child starts fails that flush
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = self.process("verify", "all", stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (120, b"")
+
+    def test_atexit_callbacks_run_before_the_flush(self):
+        script = (
+            "import atexit, sys\n"
+            "from qbound import cli\n"
+            "atexit.register(sys.stdout.write, 'atexit\\n')\n"
+            "sys.argv[1:] = ['eval', '--x', '1', '--kappa', '2']\n"
+            "cli.run()\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              env=CHILD_ENV, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == run_cli("eval", "--x", "1", "--kappa", "2")[1].encode() + b"atexit\n"
+
+    def test_run_exitfuncs_exists(self):
+        # run() calls this private function of the atexit module; CPython's
+        # own finalization runs the same callbacks
+        assert callable(atexit._run_exitfuncs)
+
+    def test_no_thread_outlives_main(self):
+        # os._exit would cut short any thread still running; 140,000 points
+        # are three of special._BLOCK's blocks, each run in its own thread
+        # where there is more than one CPU
+        before = threading.enumerate()
+        assert run_cli("table", "--x-count", "140000", "--kappa", "2")[0] == 0
+        assert threading.enumerate() == before

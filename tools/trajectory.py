@@ -13,9 +13,11 @@ once in PARENT_DIR and once in this checkout, one child at a time, with the
 interpreter that runs this tool.  The side that runs first alternates from
 pair to pair, so a drift in host load falls on both alike.  The file holds
 every run's record (the JSON line bench/run.py prints last) and, per
-workload and per end-to-end metric of BENCHMARK.json, both sides' medians
-and quartiles and the change's wins: the pairs in which this checkout reads
-better than PARENT_DIR.  It also holds both commits, the Python and numpy
+workload, a summary: each side's failed and attempted operations summed
+over its runs and the number of its runs that read correct, and per
+end-to-end metric of BENCHMARK.json both sides' medians and quartiles and
+the change's wins: the pairs in which this checkout reads better than
+PARENT_DIR.  It also holds both commits, the Python and numpy
 that ran the children, and the CPU count and affinity; each side's commit
 is given with its src digest and whether its src differs from that commit,
 so an uncommitted change is not read as its parent.  The file is
@@ -64,8 +66,14 @@ def commit(tree: Path, prov: dict) -> dict:
 
 
 def summarize(runs: list, metrics: list) -> dict:
-    """Per end-to-end metric: each side's median and quartiles, and the
-    pairs in which the change reads better than the parent."""
+    """Each side's failed and attempted operations and correct runs, and
+    per end-to-end metric each side's median and quartiles and the pairs in
+    which the change reads better than the parent."""
+    ops = {side: {"failed": sum(r[side]["failed"] for r in runs),
+                  "attempted": sum(r[side]["attempted"] for r in runs),
+                  "correct_runs": sum(r[side]["correct"] is True for r in runs),
+                  "runs": len(runs)}
+           for side in ("parent", "change")}
     out = {}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -79,7 +87,7 @@ def summarize(runs: list, metrics: list) -> dict:
                           for p, c in zip(values["parent"], values["change"]))
         row["pairs"] = len(runs)
         out[name] = row
-    return out
+    return {"operations": ops, "metrics": out}
 
 
 def main(argv=None) -> int:
@@ -125,7 +133,11 @@ def main(argv=None) -> int:
         print(f"{side}: {c['git_sha'][:12]} src {c['src_sha256'][:12]}"
               + {True: " (uncommitted src)", False: "", None: " (no git)"}[c["dirty"]])
     for workload, w in report["workloads"].items():
-        for name, row in w["summary"].items():
+        ops = w["summary"]["operations"]
+        print(f"{workload} failed/attempted: " + " -> ".join(
+            f"{side} {o['failed']}/{o['attempted']} ({o['correct_runs']} of {o['runs']} runs correct)"
+            for side, o in ops.items()))
+        for name, row in w["summary"]["metrics"].items():
             print(f"{workload} {name}: parent {row['parent']['median']:.6g} "
                   f"-> change {row['change']['median']:.6g} {row['unit']}, "
                   f"better in {row['wins']} of {row['pairs']}")
