@@ -183,9 +183,12 @@ class _Parser(argparse.ArgumentParser):
     and reads -1e300, -1e1 or -inf as an option string.  The pattern is
     argparse's private attribute _negative_number_matcher;
     tests/test_cli.py::TestNegativeValues guards the override on every
-    Python the CI matrix runs."""
+    Python the CI matrix runs.  Help and usage wrap at 78 columns, what
+    argparse gives an 80-column terminal, whatever COLUMNS says; subparsers
+    are built by this class too."""
 
     def __init__(self, *args, **kwargs):
+        kwargs.setdefault("formatter_class", lambda prog: argparse.HelpFormatter(prog, width=78))
         super().__init__(*args, **kwargs)
         # -1, -1., -1.5 or -.5, each with an optional exponent, or what
         # float() reads as -inf or nan, in any case

@@ -38,9 +38,6 @@ LEMMA2_TOL = 1e-12
 FD_TOL = 1e-6
 FD_STEP = 1e-5
 
-#: Interior points in each of lemma 1's three regions.
-LEMMA1_POINTS = 400
-
 #: kappa - 1 below this uses a multiplicative grid around 1/sqrt(kappa-1);
 #: fixed global grids miss the interval [x1, x2] entirely in that regime.
 DEGENERATE_EPS = 1e-9
@@ -179,33 +176,23 @@ def verify_theorem(
 
 
 def verify_lemma1(k) -> VerificationReport:
-    """Check the sign pattern of kappa*x*r(x) - 1 on the three regions split
-    by the critical points (LEMMA1_POINTS interior points each), the endpoint
-    equalities to ENDPOINT_TOL, and the ordering x1 < 1/sqrt(kappa-1) < x2.
-    One part: lhs is the relation, absolute at the endpoints, rhs 0."""
+    """Check lemma 1 at the three points that decide it, after the ordering
+    x1 < p < x2 of the pivot p = 1/sqrt(kappa-1): kappa*x*r(x) - 1 is 0 at
+    x1 and x2, by its size to ENDPOINT_TOL, and >= 0 at p, to the same
+    tolerance.  x*r(x) rises up to p and falls after it, so that is the sign
+    pattern on all of [0, inf).  One part on [x1, p, x2]: lhs is the
+    relation, absolute at the endpoints, rhs 0."""
     k = as_kappa(k, "verify_lemma1")
     cp = critical_points(k)
     if not (cp.x1 < cp.pivot < cp.x2):
         return VerificationReport(
             "lemma1", 0, math.inf, (cp.pivot, k.kappa), ENDPOINT_TOL, False
         )
-
-    # Region interiors, then the two endpoints, which are tested for
-    # equality: one kernel call and one part for all of them.
-    n = LEMMA1_POINTS
-    xs = np.concatenate([
-        # expected sign: negative below x1, nonnegative inside, negative above
-        np.linspace(0.0, cp.x1, n, endpoint=False),
-        np.linspace(cp.x1, cp.x2, n + 2)[1:-1],
-        np.geomspace(cp.x2, 10.0 * cp.x2, n + 1)[1:],
-        [cp.x1, cp.x2],
-    ])
+    xs = np.array([cp.x1, cp.pivot, cp.x2])
     rel = lemma1_relation(xs, k)
-    # positive where the expected sign is violated; at the endpoints, the
-    # residual itself
-    viol = np.concatenate([rel[:n], -rel[n:2 * n], rel[2 * n:3 * n], np.abs(rel[3 * n:])])
-    sides = lambda i: (abs(rel[i]) if i >= 3 * n else rel[i], 0.0)  # noqa: E731
-    return _merge("lemma1", [(xs, k.kappa, viol, sides)], ENDPOINT_TOL)
+    lhs = np.array([abs(rel[0]), rel[1], abs(rel[2])])
+    viol = lhs * [1.0, -1.0, 1.0]
+    return _merge("lemma1", [(xs, k.kappa, viol, lambda i: (lhs[i], 0.0))], ENDPOINT_TOL)
 
 
 def verify_lemma2(k, x_hi: float | None = None, count: int = 10000) -> VerificationReport:
@@ -269,15 +256,16 @@ def _quotient(fn, xs: np.ndarray, h: float, *args) -> np.ndarray:
 
 
 def verify_chernoff(grid: EvaluationGrid | None = None) -> VerificationReport:
-    """Check Q(x) <= 0.5*exp(-x**2/2)*(1 + REL_TOL) on the grid (x >= 0).
+    """Check Q(x) <= 0.5*exp(-x**2/2)*(1 + REL_TOL) on the grid (x >= 0),
+    or without one at x = 0 alone: there the violation is exactly 0, and
+    R decreases, so it is the worst point of [0, inf).
 
     The violation is Q/ch - 1 = R(x)/sqrt(pi/2) - 1, which stays finite
     past x ~38.6, where Q and ch both underflow to 0.  One part, whose lhs
     Q and rhs ch are evaluated at the worst point only."""
-    grid = grid or EvaluationGrid(x_min=0.0, x_max=10.0, x_count=10001)
-    if grid.x_min < 0.0:
+    if grid is not None and grid.x_min < 0.0:
         raise UsageError("the Chernoff upper bound requires x >= 0")
-    xs = grid.xs()
+    xs = grid.xs() if grid is not None else np.zeros(1)
     viol = mills_ratio(xs) / SQRT_HALF_PI - 1.0
     # a 1-point array gives the same bits as that point in the whole grid,
     # on every array path (small, masked exp, blocked)
@@ -301,9 +289,10 @@ def run_all(
     lemma1 and lemma2 run once per kappa, derivative once over all kappas.
     These three are undefined at kappa = 1: unless the kappas were given
     explicitly they skip it, otherwise it is a domain or usage error.
-    lemma2 checks 2000 points per kappa on [x1, max(1000, 10*x1)].
-    tolerance reaches the theorem suite only.  chernoff runs on the grid
-    only when it is the one suite named, else on its own default grid.
+    lemma1 checks x1, the pivot and x2 per kappa; lemma2 checks 2000 points
+    per kappa on [x1, max(1000, 10*x1)].  tolerance reaches the theorem
+    suite only.  chernoff runs on the grid only when it is the one suite
+    named, else at x = 0 alone.
     names must name each suite at most once, and at least one; a name not
     in SUITE_NAMES, or a bare string, is a UsageError.
     """

@@ -109,6 +109,23 @@ def weight_scan(kappa: float, x_hi: float = 3.0, n: int = 200001):
     return float(xs2[j]), float(vals2[j])
 
 
+def lemma1_scan(kappa: float, n: int = 2000) -> bool:
+    """Lemma 1's verdict from a dense sign scan of lemma1_relation, each
+    sign to the lemma 1 suite's ENDPOINT_TOL: the relation is 0 at x1 and
+    x2, negative on n points of [0, x1] and of [x2, 100*x2], and
+    nonnegative on n points of [x1, x2]."""
+    from qbound import critical_points, lemma1_relation
+    from qbound.verify import ENDPOINT_TOL
+
+    cp = critical_points(kappa)
+    below = lemma1_relation(np.linspace(0.0, cp.x1, n), kappa)
+    inside = lemma1_relation(np.linspace(cp.x1, cp.x2, n), kappa)
+    above = lemma1_relation(np.geomspace(cp.x2, 100.0 * cp.x2, n), kappa)
+    ends = np.abs([below[-1], above[0]])
+    return bool(below.max() <= ENDPOINT_TOL and -inside.min() <= ENDPOINT_TOL
+                and above.max() <= ENDPOINT_TOL and ends.max() <= ENDPOINT_TOL)
+
+
 def blocked_xs(sign: int, seed: int = 11) -> np.ndarray:
     """3 blocks and at least 7 points of the array kernels' block size,
     rounded up to a multiple of 11 so that it reshapes to 11 rows, shuffled:

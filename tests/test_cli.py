@@ -22,10 +22,9 @@ from qbound.cli import CSV_FIELDS, main, make_record
 
 # the environment of a child interpreter that imports this qbound: stdout
 # block-buffered, as it is where PYTHONUNBUFFERED is not set, so that a byte
-# left unflushed is a byte lost; argparse's usage and help wrapped at the
-# width COLUMNS gives
+# left unflushed is a byte lost
 CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-CHILD_ENV.update(PYTHONPATH=str(Path(qbound.__file__).resolve().parents[1]), COLUMNS="80")
+CHILD_ENV.update(PYTHONPATH=str(Path(qbound.__file__).resolve().parents[1]))
 
 
 def run_cli(*argv):
@@ -282,11 +281,11 @@ class TestVerifyCommand:
         report = json.loads(text)[0]
         assert report["points_checked"] == 2001 and report["passed"]
         assert run_cli("verify", "chernoff", "--x-min", "-1")[0] == 2
-        # verify all keeps chernoff's own 10001-point grid
+        # verify all checks chernoff at x = 0 alone, not on the grid
         code, text = run_cli("verify", "all", "--kappa", "2", "--x-count", "11",
                              "--format", "json")
         assert code == 0
-        assert json.loads(text)[-1]["points_checked"] == 10001
+        assert json.loads(text)[-1]["points_checked"] == 1
 
     @pytest.mark.parametrize("suite", ["theorem", "all"])
     def test_nan_tolerance_exits_2(self, suite, capsys):
@@ -593,8 +592,7 @@ class TestRun:
                               env=CHILD_ENV, timeout=60, **kwargs)
 
     @pytest.mark.parametrize("argv, code", CASES, ids=["_".join(a) for a, _ in CASES])
-    def test_process_equals_in_process(self, argv, code, capsys, monkeypatch):
-        monkeypatch.setenv("COLUMNS", CHILD_ENV["COLUMNS"])
+    def test_process_equals_in_process(self, argv, code, capsys):
         out = io.StringIO()
         try:
             assert main(list(argv), out=out) == code
@@ -607,6 +605,24 @@ class TestRun:
         assert proc.stderr == inproc.err.encode()
         if argv[0] == "roots":
             assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+
+    @pytest.mark.parametrize("columns", ["30", "200", None])
+    @pytest.mark.parametrize("argv", [("--help",), ("verify", "--help"), ("verify", "lemma9")])
+    def test_help_and_usage_do_not_depend_on_the_terminal_width(self, argv, columns,
+                                                                capsys, monkeypatch):
+        # argparse wraps at COLUMNS - 2 unless it is given a width; the CLI
+        # gives it 78, what an 80-column terminal gets
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        want = capsys.readouterr()
+        env = {k: v for k, v in CHILD_ENV.items() if k != "COLUMNS"}
+        if columns is not None:
+            env["COLUMNS"] = columns
+        proc = subprocess.run([sys.executable, "-m", "qbound.cli", *argv], env=env,
+                              capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            exc.value.code, want.out.encode(), want.err.encode())
 
     def test_closed_stdout_exits_120_without_traceback(self):
         # table's 2 MB of CSV outgrow the pipe, so a write in main() fails

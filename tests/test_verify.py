@@ -199,6 +199,37 @@ class TestVerifyLemma1:
     def test_near_degenerate(self):
         assert verify_lemma1(1.0 + 1e-3).passed
 
+    def test_one_kernel_call_on_x1_the_pivot_and_x2(self, monkeypatch):
+        calls = []
+        real = verify.lemma1_relation
+        monkeypatch.setattr(verify, "lemma1_relation",
+                            lambda xs, k: calls.append(xs.tolist()) or real(xs, k))
+        r = verify_lemma1(2.0)
+        cp = verify.critical_points(2.0)
+        assert calls == [[cp.x1, cp.pivot, cp.x2]]
+        assert r.points_checked == 3 and r.worst_point[0] in (cp.x1, cp.x2)
+
+    @pytest.mark.parametrize("m", np.logspace(-6.0, 6.0, 49).tolist())
+    def test_verdict_equals_a_dense_sign_scan(self, m):
+        # x*r(x) rises up to the pivot and falls after it: three points
+        # decide what 6,000 sampled ones do
+        assert verify_lemma1(1.0 + m).passed == oracles.lemma1_scan(1.0 + m)
+
+    def test_a_negative_relation_at_the_pivot_fails_there(self, monkeypatch):
+        real = verify.lemma1_relation
+        dip = -2.0 * verify.ENDPOINT_TOL
+
+        def dipped(xs, k):
+            rel = real(xs, k)
+            rel[xs == verify.critical_points(k).pivot] = dip
+            return rel
+
+        monkeypatch.setattr(verify, "lemma1_relation", dipped)
+        r = verify_lemma1(2.0)
+        assert not r.passed
+        assert r.worst_point == (verify.critical_points(2.0).pivot, 2.0)
+        assert (r.worst_violation, r.worst_lhs, r.worst_rhs) == (-dip, dip, 0.0)
+
     @pytest.mark.parametrize("end, scale", [("x1", 1.0 - 1e-6), ("x1", 1.0 + 1e-6),
                                             ("x2", 1.0 + 1e-6)])
     def test_an_endpoint_off_its_root_fails_on_either_side(self, monkeypatch, end, scale):
@@ -341,9 +372,16 @@ class TestVerifyDerivative:
 
 
 class TestVerifyChernoff:
-    def test_default_passes(self):
+    def test_default_passes(self, monkeypatch):
+        # at x = 0 alone: R/sqrt(pi/2) - 1 is exactly 0 there, and R decreases
+        calls = []
+        real = verify.mills_ratio
+        monkeypatch.setattr(verify, "mills_ratio",
+                            lambda xs: calls.append(xs.tolist()) or real(xs))
         r = verify_chernoff()
-        assert r.passed
+        assert calls == [[0.0]]
+        assert (r.points_checked, r.worst_violation, r.worst_point[0]) == (1, 0.0, 0.0)
+        assert r.passed and r.worst_lhs == r.worst_rhs == 0.5
 
     def test_equality_at_zero(self):
         g = EvaluationGrid(x_min=0.0, x_max=1.0, x_count=11, kappas=(2.0,))
