@@ -103,7 +103,19 @@ def g_lower(x, k):
 
     Even in x; g <= Q everywhere for every kappa >= 1, and 0 without a
     warning where kappa*x*x overflows.
+
+    k is one kappa, or a tuple of them: then the result has one row per
+    kappa, shape (len(k),) + x.shape, each row bit for bit the call on that
+    kappa alone.  Each alpha and kappa is a Python float, as in that call,
+    so a row takes the same IEEE operations; one kernel call, with one
+    check of x and one Gaussian pass, serves every kappa, and elementwise
+    blocks an array at _BLOCK // len(k) points.
     """
+    if type(k) is tuple:
+        ks = [as_kappa(v) for v in k]
+        shape = (len(ks),) + (1,) * x.ndim
+        kappas = np.array([v.kappa for v in ks]).reshape(shape)
+        return np.array([v.alpha for v in ks]).reshape(shape) * gauss(x, kappas)
     k = as_kappa(k)
     return k.alpha * gauss(x, k.kappa)
 

@@ -41,12 +41,12 @@ def _fmt(v: float) -> str:
 def make_record(xs, kappas) -> np.ndarray:
     """Comparison rows of an x array at each kappa, x-major: rows[i, j] is
     xs[i] at kappas[j], one column per CSV field.  The kappas are checked
-    first; Q, Boyd and Chernoff are evaluated once, g_lower and the gap once
-    per kappa.  Boyd and Chernoff are NaN for negative x.  For x >
-    _GAP_SPLIT, rel_gap is bounds.rel_gap, 1 - r/R, in which nothing
-    underflows; (Q-g)/Q carries the rounding of x*x in both exponentials
-    there (~1.4e-13 relative at x = 37.5), and Q is subnormal past ~37.5
-    and 0 from ~38.49.
+    first; Q, Boyd and Chernoff are evaluated once, g_lower once with a row
+    per kappa, and the tail's gap once per kappa.  Boyd and Chernoff are NaN
+    for negative x.  For x > _GAP_SPLIT, rel_gap is bounds.rel_gap, 1 - r/R,
+    in which nothing underflows; (Q-g)/Q carries the rounding of x*x in both
+    exponentials there (~1.4e-13 relative at x = 37.5), and Q is subnormal
+    past ~37.5 and 0 from ~38.49.
     """
     ks = [bounds.as_kappa(k) for k in kappas]
     xs = np.array(xs, dtype=float, ndmin=1)
@@ -57,12 +57,14 @@ def make_record(xs, kappas) -> np.ndarray:
     pos = xs >= 0.0
     rows[pos, :, 4] = bounds.boyd_lower_q(xs[pos])[:, None]
     rows[pos, :, 5] = bounds.chernoff_upper(xs[pos])[:, None]
+    rows[..., 1] = [k.kappa for k in ks]
+    gs = bounds.g_lower(xs, tuple(ks))
+    rows[..., 3] = gs.T
     tail = xs > _GAP_SPLIT
-    for j, k in enumerate(ks):
-        rows[:, j, 1] = k.kappa
-        gx = rows[:, j, 3] = bounds.g_lower(xs, k)
-        rows[~tail, j, 6] = (qx[~tail] - gx[~tail]) / qx[~tail]
-        if tail.any():
+    head = ~tail
+    rows[head, :, 6] = ((qx[head] - gs[:, head]) / qx[head]).T
+    if tail.any():
+        for j, k in enumerate(ks):
             rows[tail, j, 6] = bounds.rel_gap(xs[tail], k)
     return rows
 

@@ -404,10 +404,16 @@ def elementwise(sign=0):
     several arrays of x's size.  The body is elementwise, so each point
     gets the same operations, and the same bits, as in one whole call.
     This is the one place an array is split: every body, and every helper
-    it calls (_erfcx, _exp), runs once on the at most _BLOCK points it is
+    it calls (_erfcx, _exp), runs once on the at most _BLOCK elements it is
     given.  The blocks run on _WORKERS threads (see _run_blocks);
     numpy releases the interpreter lock inside each pass, so the threads
     overlap.  Smaller arrays and scalars never start a thread.
+
+    A tuple as the first argument after x is a kappa axis (g_lower): the
+    body returns one row per entry, so the result is an array of shape
+    (len(tuple),) + x.shape, a scalar x's too, and an x of more than
+    _BLOCK // len(tuple) points runs in blocks of that many points, rows
+    times block points being at most _BLOCK elements.
     """
     def decorate(fn):
         name = fn.__code__.co_varnames[0]
@@ -427,17 +433,20 @@ def elementwise(sign=0):
                         raise DomainError(f"{name} must be finite, got {bad!r}")
                     if min(sign * lo, sign * hi) < 0.0:
                         raise DomainError(bound)
-                    if x.size <= _BLOCK:
+                    rows = len(args[0]) if args and type(args[0]) is tuple else None
+                    block = max(_BLOCK // rows, 1) if rows else _BLOCK
+                    if x.size <= block:
                         return fn(x, *args)
-                    out = np.empty(x.shape)
-                    _run_blocks(fn, x.reshape(-1), out.reshape(-1), args)
+                    out = np.empty(x.shape if rows is None else (rows,) + x.shape)
+                    _run_blocks(fn, x.reshape(-1), out.reshape(-1, x.size), args, block)
                     return out
                 x = x[()]
             if not math.isfinite(x):
                 raise DomainError(f"{name} must be finite, got {float(x)!r}")
             if sign and sign * x < 0.0:
                 raise DomainError(bound)
-            return float(fn(x, *args))
+            y = fn(x, *args)
+            return y if type(y) is np.ndarray else float(y)  # rows of a kappa axis
 
         return kernel
 
@@ -452,9 +461,10 @@ except AttributeError:  # os.sched_getaffinity is Linux-only
     _WORKERS = os.cpu_count() or 1
 
 
-def _run_blocks(fn, x, out, args):
-    """out[b] = fn(x[b], *args) for every _BLOCK-point block b of the flat
-    arrays x and out, on min(_WORKERS, blocks) threads: the calling thread
+def _run_blocks(fn, x, out, args, block):
+    """out[:, b] = fn(x[b], *args) for every block b of block points of the
+    flat array x, out having x.size columns and one row, or one per entry
+    of a kappa axis, on min(_WORKERS, blocks) threads: the calling thread
     and threads started for this call alone.  Each thread takes the next
     block not yet taken, so a thread slowed by another process leaves its
     share to the others.  Each runs under the caller's np.errstate, as a
@@ -463,7 +473,7 @@ def _run_blocks(fn, x, out, args):
     before the call returns or raises, so none writes into out once it
     has ended, and none outlives the call; then the first error is raised.
     """
-    starts = range(0, x.size, _BLOCK)
+    starts = range(0, x.size, block)
     blocks = iter(starts)
     state = np.geterr()
     lock = threading.Lock()
@@ -477,8 +487,8 @@ def _run_blocks(fn, x, out, args):
                         start = next(blocks, None)
                     if start is None:
                         return
-                    stop = start + _BLOCK
-                    out[start:stop] = fn(x[start:stop], *args)
+                    stop = start + block
+                    out[:, start:stop] = fn(x[start:stop], *args)
         except BaseException as error:
             errors.append(error)
 

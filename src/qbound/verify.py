@@ -71,12 +71,13 @@ class EvaluationGrid:
         object.__setattr__(self, "kappas", tuple(as_kappa(k) for k in self.kappas))
 
     def xs(self) -> np.ndarray:
-        if self.spacing == "log":
-            # near the largest double geomspace's power overflows at the end
-            # point, which it then sets to x_max
-            with np.errstate(over="ignore"):
+        # near the largest double, geomspace's power and linspace's
+        # (x_count - 1)*step overflow at the end point, which each then sets
+        # to x_max
+        with np.errstate(over="ignore"):
+            if self.spacing == "log":
                 return np.geomspace(self.x_min, self.x_max, self.x_count)
-        return np.linspace(self.x_min, self.x_max, self.x_count)
+            return np.linspace(self.x_min, self.x_max, self.x_count)
 
 
 @dataclass(frozen=True)
@@ -124,20 +125,57 @@ def _pair(lhs: np.ndarray, rhs: np.ndarray):
     return lambda i: (lhs[i], rhs[i])
 
 
+def _degenerate(k) -> bool:
+    """Whether kappa takes its own grid around the pivot: 0 < kappa - 1 <=
+    DEGENERATE_EPS."""
+    return 0.0 < k.kappa_minus_1 <= DEGENERATE_EPS
+
+
+def _pivot_xs(k, count: int) -> np.ndarray:
+    """A degenerate kappa's grid: count points from 1e-3 to 1e3 times the
+    pivot 1/sqrt(kappa-1), spaced multiplicatively."""
+    return (1.0 / math.sqrt(k.kappa_minus_1)) * np.geomspace(1e-3, 1e3, count)
+
+
 def _per_kappa(grid: EvaluationGrid, term):
-    """(k, term(xs)) for each of the grid's kappas, in order.  xs is the
-    grid's x values, or for 0 < kappa - 1 <= DEGENERATE_EPS a multiplicative
-    grid of the same size around the pivot 1/sqrt(kappa-1).  term runs once
-    on the grid's x values, shared by every kappa that keeps them, and not
-    at all if none does."""
+    """(k, term(xs)) for each of the grid's kappas, in order, for the
+    derivative suite.  xs is the grid's x values, or a degenerate kappa's
+    own grid (_pivot_xs) of the same size.  term runs once on the grid's x
+    values, shared by every kappa that keeps them, and not at all if none
+    does."""
     xs, shared = grid.xs(), None
     for k in grid.kappas:
-        if 0.0 < k.kappa_minus_1 <= DEGENERATE_EPS:
-            yield k, term((1.0 / math.sqrt(k.kappa_minus_1)) * np.geomspace(1e-3, 1e3, xs.size))
+        if _degenerate(k):
+            yield k, term(_pivot_xs(k, xs.size))
         else:
             if shared is None:
                 shared = term(xs)
             yield k, shared
+
+
+def _theorem_parts(xs: np.ndarray, kappas: tuple, weight_inflation: float) -> list:
+    """The theorem suite's part for each of kappas on the one x grid xs,
+    from one q and one g_lower call: g's rows share Q.  The violation is
+    (g - Q)/Q, computed in place; where Q is subnormal or 0 it is left at
+    g - Q, which the subnormal rule reads.  Beside g and the violation, no
+    temporary of g's size but a boolean mask is built."""
+    qs = q(xs)
+    gs = g_lower(xs, kappas)
+    gs *= weight_inflation
+    viol = gs - qs
+    if qs.min() < sys.float_info.min:  # no mask is built where none is needed
+        # where Q is subnormal or 0 (x > ~37.52), q and g each carry up to
+        # one unit of 2**-1074, not a relative error: g may exceed Q by two
+        # units where the theorem holds; more is a violation (inf), else -1
+        tiny = qs < sys.float_info.min
+        np.divide(viol, qs, out=viol, where=~tiny)
+        over = viol > 2.0**-1073
+        over &= tiny
+        np.copyto(viol, -1.0, where=tiny)
+        np.copyto(viol, math.inf, where=over)
+    else:
+        viol /= qs
+    return [(xs, k.kappa, v, _pair(g, qs)) for k, v, g in zip(kappas, viol, gs)]
 
 
 def verify_theorem(
@@ -146,32 +184,23 @@ def verify_theorem(
     weight_inflation: float = 1.0,
 ) -> VerificationReport:
     """Check g(x, kappa) <= Q(x) * (1 + tolerance) over the whole grid: one
-    part per kappa, with lhs g and rhs Q.  Q is evaluated once per x grid.
-    Where Q is subnormal or 0, the check is g <= Q + 2**-1073 instead.
+    part per kappa, in the grid's order, with lhs g and rhs Q.  Every kappa
+    that keeps the grid's x values shares one q and one g_lower call, whose
+    rows are the kappas; a degenerate kappa (see _degenerate) makes its own
+    on its own grid (_pivot_xs).  Where Q is subnormal or 0, the check is
+    g <= Q + 2**-1073 instead.
 
     weight_inflation is a test hook that multiplies the bound's weight; the
     suite must detect a corrupted bound, not merely avoid crashing.
     """
     if math.isnan(tolerance):
         raise UsageError("the tolerance must not be nan")
-
-    def q_terms(xs):
-        # Q, what the check divides by (Q with its subnormals and zeros
-        # replaced by 1), and the mask of those, or None if there is none
-        qs = q(xs)
-        tiny = qs < sys.float_info.min
-        return (xs, qs, np.where(tiny, 1.0, qs), tiny) if tiny.any() else (xs, qs, qs, None)
-
-    parts = []
-    for k, (xs, qs, safe, tiny) in _per_kappa(grid or EvaluationGrid(), q_terms):
-        gs = weight_inflation * g_lower(xs, k)
-        viol = (gs - qs) / safe
-        if tiny is not None:
-            # where Q is subnormal or 0 (x > ~37.52), q and g each carry up to
-            # one unit of 2**-1074, not a relative error: g may exceed Q by two
-            # units where the theorem holds; more is a violation (inf)
-            viol[tiny] = np.where(gs[tiny] - qs[tiny] > 2.0**-1073, math.inf, -1.0)
-        parts.append((xs, k.kappa, viol, _pair(gs, qs)))
+    grid = grid or EvaluationGrid()
+    xs = grid.xs()
+    shared = tuple(k for k in grid.kappas if not _degenerate(k))
+    rows = iter(_theorem_parts(xs, shared, weight_inflation) if shared else ())
+    parts = [_theorem_parts(_pivot_xs(k, xs.size), (k,), weight_inflation)[0]
+             if _degenerate(k) else next(rows) for k in grid.kappas]
     return _merge("theorem", parts, tolerance)
 
 

@@ -185,6 +185,29 @@ def block_workers(monkeypatch, n: int):
     yield
 
 
+def theorem_per_kappa(grid, tolerance=1e-13, weight_inflation=1.0):
+    """The theorem suite's report from one loop over the grid's kappas: one
+    q, one single-kappa g_lower call and one violation array per kappa, on
+    the grid's x values or, for 0 < kappa - 1 <= DEGENERATE_EPS, on 1e-3 to
+    1e3 times the pivot 1/sqrt(kappa-1).  Where Q is subnormal or 0 the
+    violation is inf if g - Q > 2**-1073, else -1; elsewhere (g - Q)/Q."""
+    from qbound import g_lower, q
+    from qbound.verify import DEGENERATE_EPS, _merge
+
+    parts = []
+    for k in grid.kappas:
+        xs = grid.xs()
+        if 0.0 < k.kappa_minus_1 <= DEGENERATE_EPS:
+            xs = (1.0 / math.sqrt(k.kappa_minus_1)) * np.geomspace(1e-3, 1e3, xs.size)
+        qs = q(xs)
+        gs = weight_inflation * g_lower(xs, k.kappa)
+        tiny = qs < sys.float_info.min
+        viol = (gs - qs) / np.where(tiny, 1.0, qs)
+        viol[tiny] = np.where(gs[tiny] - qs[tiny] > 2.0**-1073, math.inf, -1.0)
+        parts.append((xs, k.kappa, viol, lambda i, gs=gs, qs=qs: (gs[i], qs[i])))
+    return _merge("theorem", parts, tolerance)
+
+
 def inflate_alpha(monkeypatch, factor: float):
     """The bound's weight KappaParam.alpha times factor, until monkeypatch
     undoes it: a corrupted bound that the theorem suite must report."""

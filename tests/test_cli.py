@@ -207,14 +207,14 @@ class TestTable:
 
     def test_one_pass_per_x_grid(self, monkeypatch):
         # Q, Boyd and Chernoff depend on x alone: one call each for the
-        # default grid's ten kappas, and one g_lower call per kappa
+        # default grid's ten kappas, and one g_lower call with a row per kappa
         calls = [count_calls(monkeypatch, module, name) for module, name in [
             (qbound.cli, "make_record"), (qbound.cli, "q"), (bounds, "boyd_lower_q"),
             (bounds, "chernoff_upper"), (bounds, "g_lower"),
         ]]
         assert run_cli("table")[0] == 0
-        assert [len(c) for c in calls] == [1, 1, 1, 1, 10]
-        assert [args[1].kappa for args in calls[-1]] == list(qbound.verify.DEFAULT_KAPPAS)
+        assert [len(c) for c in calls] == [1, 1, 1, 1, 1]
+        assert [k.kappa for k in calls[-1][0][1]] == list(qbound.verify.DEFAULT_KAPPAS)
 
 
 class TestVerifyCommand:

@@ -61,6 +61,18 @@ class TestEvaluationGrid:
             xs = EvaluationGrid(x_min=-8e307, x_max=8e307, x_count=3).xs()
         assert list(xs) == [-8e307, 0.0, 8e307]
 
+    @pytest.mark.parametrize("x_min, x_max, count", [
+        (5e-324, sys.float_info.max, 32),
+        (-sys.float_info.max, 1e-260, 29),
+    ])
+    def test_linear_spacing_to_the_largest_double_without_warning(self, x_min, x_max, count):
+        # linspace's (count - 1)*step overflows before it sets the end point
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xs = EvaluationGrid(x_min=x_min, x_max=x_max, x_count=count).xs()
+        assert xs[0] == x_min and xs[-1] == x_max and xs.size == count
+        assert np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0.0)
+
     def test_log_spacing_to_the_largest_double_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -80,8 +92,10 @@ class TestVerifyTheorem:
     def test_kappa_one_trivial_margin(self):
         r = verify_theorem(EvaluationGrid(kappas=(1.0,)))
         assert r.passed
-        # g == 0, so the relative margin is exactly -1 at every point
+        # g == 0, so the relative margin is exactly -1 at every point, and
+        # the first point is the worst
         assert r.worst_violation == -1.0
+        assert r.worst_point == (-10.0, 1.0) and (r.worst_lhs, r.worst_rhs) == (0.0, verify.q(-10.0))
 
     def test_adversarial_cluster_near_x1(self):
         x1 = x1_point(2.0)
@@ -127,14 +141,40 @@ class TestVerifyTheorem:
         assert a.passed
 
     def test_one_q_pass_for_the_shared_grid(self, monkeypatch):
-        sizes = []
-        real = verify.q
-        monkeypatch.setattr(verify, "q", lambda xs: sizes.append(xs.size) or real(xs))
+        sizes, rows = [], []
+        real_q, real_g = verify.q, verify.g_lower
+        monkeypatch.setattr(verify, "q", lambda xs: sizes.append(xs.size) or real_q(xs))
+        monkeypatch.setattr(verify, "g_lower",
+                            lambda xs, ks: rows.append([k.kappa for k in ks]) or real_g(xs, ks))
         grid = EvaluationGrid(x_count=101, kappas=(1.0, 1.5, 1.0 + 1e-10, 2.0, 10.0))
         report = verify_theorem(grid)
-        # one pass over the grid, one over the near-degenerate kappa's own grid
+        # one pass over the grid, one over the near-degenerate kappa's own
+        # grid; g_lower's rows are the kappas of each
         assert sizes == [101, 101]
+        assert rows == [[1.0, 1.5, 2.0, 10.0], [1.0 + 1e-10]]
         assert report.points_checked == 5 * 101
+
+    @pytest.mark.parametrize("keywords, weight_inflation", [
+        ({"x_count": 201, "kappas": (2.0, 1.0 + 1e-10, 5.0)}, 1.0),  # degenerate between two
+        ({"x_count": 201, "kappas": (2.0, 1.5, 2.0)}, 1.0),  # a duplicated kappa
+        ({"x_count": 201, "kappas": (1.5, 2.0, 1.5)}, 1.01),  # ... whose worst point ties
+        ({"x_count": 201, "kappas": (1.0,)}, 1.0),
+        # past x ~38.5 Q is 0 and the violation -1, all of the degenerate
+        # kappa's grid: it ties kappa 1, and the first part in grid order wins
+        ({"x_count": 201, "kappas": (1.0 + 1e-10, 1.0)}, 1.0),
+        ({"x_min": 0.0, "x_max": 40.0, "x_count": 4001,
+          "kappas": (1.0, 1.0005, 1.00067, 1.001, 1e200)}, 1.0),  # Q subnormal and 0
+        ({"x_min": 37.0, "x_max": 40.0, "x_count": 3001, "kappas": (1.00067, 2.0)}, 4.0),
+        ({"x_count": 40001, "kappas": (1.0 + 1e-12, 1.5, 2.0, 1.5, 1e200)}, 1.0),  # blocked rows
+    ])
+    def test_report_equals_the_per_kappa_loop(self, keywords, weight_inflation, monkeypatch):
+        grid = EvaluationGrid(**keywords)
+        want = repr(oracles.theorem_per_kappa(grid, weight_inflation=weight_inflation))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for workers in (1, 2):
+                with oracles.block_workers(monkeypatch, workers):
+                    assert repr(verify_theorem(grid, weight_inflation=weight_inflation)) == want
 
     def test_nan_in_any_part_is_the_worst(self):
         xs = np.array([0.0, 1.0])

@@ -36,7 +36,8 @@ compare the lines.  Seven kinds of output are digested:
   type and message: lemma1 and lemma2 at REPORT_KAPPAS log-spaced
   kappa - 1 in [1e-12, 1e300], and theorem, run_all, derivative and
   chernoff on REPORT_GRIDS, whose kappas include 1, near-degenerate ones
-  (kappa - 1 <= 1e-9) and 1e200;
+  (kappa - 1 <= 1e-9) and 1e200, a duplicated kappa, and a grid whose
+  kappa rows run in blocks;
 - cli: stdout and exit code of CLI_COMMANDS, run in-process through
   qbound.cli.main (stderr is discarded).
 
@@ -83,6 +84,9 @@ REPORT_GRIDS = (
     {"x_min": 1e-3, "x_max": 1e8, "x_count": 2001, "spacing": "log", "kappas": _KAPPAS},
     {"x_min": 0.0, "x_max": 1e-6, "x_count": 101, "kappas": (2.0, 1e200)},
     {"x_min": 30.0, "x_max": 45.0, "x_count": 20001, "kappas": (1.0, 1.0 + 5e-10, 1e200)},
+    # the theorem suite's rows of the three shared kappas run in blocks of
+    # special._BLOCK // 3 points, the degenerate kappa on its own grid
+    {"x_count": 40001, "kappas": (2.0, 1.0 + 1e-10, 2.0, 5.0)},
 )
 
 CLI_COMMANDS = (

@@ -2,21 +2,23 @@
 write every run and each end-to-end metric's summary to one JSON file.
 
     python tools/trajectory.py PARENT_DIR --workload W [--workload W2 ...]
-        [--pairs N] --out BENCH_<n>.json
+        [--seed S [--seed S2 ...]] [--pairs N] --out BENCH_<n>.json
 
 Run it from the root of a checkout; PARENT_DIR is another checkout, e.g. a
 `git clone` of the parent commit.  Each pair runs
 
-    python bench/run.py --workload W --seed 1 --seconds 22 --trace 0
+    python bench/run.py --workload W --seed S --seconds 22 --trace 0
 
 once in PARENT_DIR and once in this checkout, one child at a time, with the
-interpreter that runs this tool.  The side that runs first alternates from
-pair to pair, so a drift in host load falls on both alike.  The file holds
-every run's record (the JSON line bench/run.py prints last) and, per
-workload, a summary: each side's failed and attempted operations summed
-over its runs and the number of its runs that read correct, and per
-end-to-end metric of BENCHMARK.json both sides' medians and quartiles and
-the change's wins: the pairs in which this checkout reads better than
+interpreter that runs this tool.  Each workload runs N pairs on each seed
+(seed 1 alone by default).  The side that runs first alternates from pair
+to pair, so a drift in host load falls on both alike.  The file holds
+every run's record (the JSON line bench/run.py prints last) with its seed
+and, per workload, a summary over all its pairs, and with more than one
+seed one per seed as well: each side's failed and attempted operations
+summed over its runs and the number of its runs that read correct, and
+per end-to-end metric of BENCHMARK.json both sides' medians and quartiles
+and the change's wins: the pairs in which this checkout reads better than
 PARENT_DIR.  It also holds both commits, the Python and numpy
 that ran the children, and the CPU count and affinity; each side's commit
 is given with its src digest and whether its src differs from that commit,
@@ -39,13 +41,12 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-SEED = 1
 SECONDS = 22
 
 
-def run_once(tree: Path, workload: str) -> tuple[dict, dict]:
+def run_once(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
     """(last-line record, provenance) of one bench/run.py child in tree."""
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode:
@@ -95,7 +96,9 @@ def main(argv=None) -> int:
     ap.add_argument("parent", type=Path, help="root of the parent checkout")
     ap.add_argument("--workload", action="append", required=True,
                     help="a bench/run.py workload; may be given more than once")
-    ap.add_argument("--pairs", type=int, default=10, help="pairs of runs per workload")
+    ap.add_argument("--seed", type=int, action="append",
+                    help="a bench/run.py seed; may be given more than once (default: 1)")
+    ap.add_argument("--pairs", type=int, default=10, help="pairs of runs per workload and seed")
     ap.add_argument("--out", type=Path, required=True, help="the JSON file to write")
     args = ap.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": ROOT}
@@ -103,9 +106,11 @@ def main(argv=None) -> int:
         if not (tree / "bench" / "run.py").is_file():
             ap.error(f"{tree} holds no bench/run.py")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    seeds = args.seed or [1]
 
     report = {
-        "command": f"bench/run.py --seed {SEED} --seconds {SECONDS} --trace 0",
+        "command": f"bench/run.py --seed S --seconds {SECONDS} --trace 0",
+        "seeds": seeds,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
@@ -116,31 +121,37 @@ def main(argv=None) -> int:
     }
     for workload in args.workload:
         runs = []
-        for i in range(args.pairs):
+        for i, seed in enumerate(s for s in seeds for _ in range(args.pairs)):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {"first": order[0]}
+            pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side], prov = run_once(trees[side], workload)
+                pair[side], prov = run_once(trees[side], workload, seed)
                 report["provenance"].setdefault(side, prov)
-                print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
+                print(f"{workload} seed {seed} pair {i % args.pairs + 1}/{args.pairs} {side}: "
                       + json.dumps({k: v["value"] for k, v in pair[side]["metrics"].items()}),
                       flush=True)
             runs.append(pair)
             report["commits"] = {s: commit(trees[s], p) for s, p in report["provenance"].items()}
-            report["workloads"][workload] = {"runs": runs, "summary": summarize(runs, metrics)}
+            entry = {"runs": runs, "summary": summarize(runs, metrics)}
+            if len(seeds) > 1:
+                entry["by_seed"] = {str(s): summarize([r for r in runs if r["seed"] == s], metrics)
+                                    for s in seeds if any(r["seed"] == s for r in runs)}
+            report["workloads"][workload] = entry
             args.out.write_text(json.dumps(report, indent=2) + "\n")
     for side, c in report["commits"].items():
         print(f"{side}: {c['git_sha'][:12]} src {c['src_sha256'][:12]}"
               + {True: " (uncommitted src)", False: "", None: " (no git)"}[c["dirty"]])
     for workload, w in report["workloads"].items():
-        ops = w["summary"]["operations"]
-        print(f"{workload} failed/attempted: " + " -> ".join(
-            f"{side} {o['failed']}/{o['attempted']} ({o['correct_runs']} of {o['runs']} runs correct)"
-            for side, o in ops.items()))
-        for name, row in w["summary"]["metrics"].items():
-            print(f"{workload} {name}: parent {row['parent']['median']:.6g} "
-                  f"-> change {row['change']['median']:.6g} {row['unit']}, "
-                  f"better in {row['wins']} of {row['pairs']}")
+        summaries = [(workload, w["summary"])]
+        summaries += [(f"{workload} seed {s}", v) for s, v in w.get("by_seed", {}).items()]
+        for label, summary in summaries:
+            print(f"{label} failed/attempted: " + " -> ".join(
+                f"{side} {o['failed']}/{o['attempted']} ({o['correct_runs']} of {o['runs']} runs correct)"
+                for side, o in summary["operations"].items()))
+            for name, row in summary["metrics"].items():
+                print(f"{label} {name}: parent {row['parent']['median']:.6g} "
+                      f"-> change {row['change']['median']:.6g} {row['unit']}, "
+                      f"better in {row['wins']} of {row['pairs']}")
     return 0
 
 
