@@ -113,7 +113,7 @@ def g_lower(x, k):
     """
     if type(k) is tuple:
         ks = [as_kappa(v) for v in k]
-        shape = (len(ks),) + (1,) * x.ndim
+        shape = (len(ks),) + (1,) * np.ndim(x)
         kappas = np.array([v.kappa for v in ks]).reshape(shape)
         return np.array([v.alpha for v in ks]).reshape(shape) * gauss(x, kappas)
     k = as_kappa(k)
@@ -274,7 +274,7 @@ def boyd_lower(x):
     maximum of x is tested first, so only an x that holds such a point
     builds a mask.
     """
-    if x.max(initial=0.0) >= _SQUARE_OVER:
+    if np.maximum.reduce(x, axis=None, initial=0.0) >= _SQUARE_OVER:
         over = x >= _SQUARE_OVER
         return np.where(over, 1.0 / np.where(over, x, 1.0), _boyd(np.where(over, 0.0, x)))
     return SQRT_HALF_PI * (SQRT_2PI / ((_PI - 1.0) * x + np.sqrt(x * x + 2.0 * _PI)))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import alpha_coeff, as_kappa, g_lower, rel_gap, x1_point
+from .bounds import KappaParam, alpha_coeff, as_kappa, g_lower, rel_gap, x1_point
 from .errors import DomainError, QBoundError
 from .special import SQRT_2PI, mills_ratio
 
@@ -142,10 +142,11 @@ def kappa_star(x: float) -> OptimizationResult:
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"kappa_star requires a finite x >= 0, got {x}")
     kappa, iters, converged = _kappa_root(x)
+    k = KappaParam(kappa)  # one for both kernels, each of which would make its own
     return OptimizationResult(
         argument=kappa,
-        objective=g_lower(x, kappa),
-        gap=rel_gap(x, kappa),
+        objective=g_lower(x, k),
+        gap=rel_gap(x, k),
         iterations=iters,
         converged=converged,
         message="supremum at x=0 is approached only as kappa -> inf" if x == 0.0 else "",
@@ -233,7 +234,8 @@ def interval_kappa(x_lo: float, x_hi: float) -> OptimizationResult:
             kappa, converged = k_hi, conv_hi
         elif kc < kappa:
             kappa, converged = kc, True
-    worst = max(rel_gap(x_lo, kappa), rel_gap(x_hi, kappa))
+    k = KappaParam(kappa)
+    worst = max(rel_gap(x_lo, k), rel_gap(x_hi, k))
     return OptimizationResult(
         argument=kappa,
         objective=worst,

@@ -388,12 +388,14 @@ def elementwise(sign=0):
 
     x is checked to be finite and, for sign = +1 or -1, to satisfy
     sign*x >= 0; the messages name x after fn's first parameter (h requires
-    w <= 0).  A float or a 0-d x reaches the kernel as a NumPy float64
-    scalar and its result comes back as a Python float.  The scalar runs
-    through the same ufunc loops as a 0-d array, so the bits are the same,
-    and it is checked with plain comparisons instead of array reductions,
-    which cost microseconds per call.  Any other x reaches the kernel as a
-    float array, and the array result is returned.  An array is checked by
+    w <= 0).  A Python float, a NumPy scalar or a 0-d x reaches the kernel
+    as a Python float, whose + - * / are the IEEE operations numpy's loops
+    take, and whose numpy calls (np.exp, np.sqrt, ...) run the loops a 0-d
+    array would, so the bits are those of a 1-point array, without numpy's
+    scalar set-up.  It is checked with plain comparisons instead of array
+    reductions, which cost microseconds per call, and its result comes
+    back as a Python float.  Any other x reaches the kernel as a float
+    array, and the array result is returned.  An array is checked by
     its min and max, which build no temporary; only an array that fails
     builds the mask that names its first non-finite value.
 
@@ -411,7 +413,8 @@ def elementwise(sign=0):
 
     A tuple as the first argument after x is a kappa axis (g_lower): the
     body returns one row per entry, so the result is an array of shape
-    (len(tuple),) + x.shape, a scalar x's too, and an x of more than
+    (len(tuple),) + x.shape, a scalar x's too (the one result that is not
+    a float where x is a scalar), and an x of more than
     _BLOCK // len(tuple) points runs in blocks of that many points, rows
     times block points being at most _BLOCK elements.
     """
@@ -421,8 +424,9 @@ def elementwise(sign=0):
 
         @functools.wraps(fn)
         def kernel(x, *args):
+            rows = len(args[0]) if args and type(args[0]) is tuple else None
             if isinstance(x, float):  # a Python float or a float64 scalar
-                x = np.float64(x)
+                x = float(x)
             else:
                 x = np.asarray(x, dtype=float)
                 if x.ndim:
@@ -433,20 +437,19 @@ def elementwise(sign=0):
                         raise DomainError(f"{name} must be finite, got {bad!r}")
                     if min(sign * lo, sign * hi) < 0.0:
                         raise DomainError(bound)
-                    rows = len(args[0]) if args and type(args[0]) is tuple else None
                     block = max(_BLOCK // rows, 1) if rows else _BLOCK
                     if x.size <= block:
                         return fn(x, *args)
                     out = np.empty(x.shape if rows is None else (rows,) + x.shape)
                     _run_blocks(fn, x.reshape(-1), out.reshape(-1, x.size), args, block)
                     return out
-                x = x[()]
+                x = float(x)
             if not math.isfinite(x):
-                raise DomainError(f"{name} must be finite, got {float(x)!r}")
+                raise DomainError(f"{name} must be finite, got {x!r}")
             if sign and sign * x < 0.0:
                 raise DomainError(bound)
             y = fn(x, *args)
-            return y if type(y) is np.ndarray else float(y)  # rows of a kappa axis
+            return float(y) if rows is None else y
 
         return kernel
 
@@ -541,10 +544,16 @@ def _exp(y):
 
 
 def gauss(x, a):
-    """exp(-a*x*x/2) of a checked x, a Python float, NumPy scalar or array:
-    the Gaussian factor of every bound kernel, 0 without a warning where
-    a*x*x overflows.  Its exp is _exp, which skips np.exp's underflow slow
+    """exp(-a*x*x/2) of a checked x, a Python float or an array, and a
+    coefficient a, a Python float or (a kappa axis) an array: the Gaussian
+    factor of every bound kernel, 0 without a warning where a*x*x
+    overflows.  Where both are Python floats, the product is Python's, whose
+    overflow to inf warns of nothing, and its exp np.exp's, so the bits are
+    those of a 1-point array.  Otherwise the product overflows quietly under
+    np.errstate, and its exp is _exp, which skips np.exp's underflow slow
     path on large arrays with the same bits."""
+    if type(x) is float and type(a) is float:
+        return np.exp(-0.5 * a * x * x)
     with np.errstate(over="ignore"):
         return _exp(-0.5 * a * x * x)
 
@@ -563,7 +572,7 @@ def q(x):
     its peak, and the Gaussian factor takes the signed x: (-0.5*x)*x has
     the same bits for x and -x.
     """
-    w = np.abs(x)
+    w = abs(x)
     w /= _SQRT2
     w += 1.0
     tail = 0.5 * _erfcx(w) * gauss(x, 1.0)

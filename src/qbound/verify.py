@@ -71,13 +71,46 @@ class EvaluationGrid:
         object.__setattr__(self, "kappas", tuple(as_kappa(k) for k in self.kappas))
 
     def xs(self) -> np.ndarray:
-        # near the largest double, geomspace's power and linspace's
-        # (x_count - 1)*step overflow at the end point, which each then sets
-        # to x_max
+        """The x_count points from x_min to x_max: np.linspace's, or for log
+        spacing np.geomspace's, bit for bit (_spaced), without a warning up
+        to the largest double."""
+        return _spaced(self.x_min, self.x_max, self.x_count, self.spacing == "log")
+
+
+def _spaced(a: float, b: float, n: int, log: bool = False) -> np.ndarray:
+    """np.linspace(a, b, n) for n >= 2, or with log np.geomspace(a, b, n)
+    for a, b > 0 and n >= 1, bit for bit, without their per-call set-up.
+
+    linspace's operations in its order: arange(n) times step = (b - a)/(n -
+    1), or divided by n - 1 and times b - a where step is 0 (subnormal
+    ends), plus a, then the last point set to b.  geomspace's: the same on
+    the np.log10 of the ends, then np.power(10.0, .), then both ends set.
+    The last point is zeroed before the products, as it is set afterwards,
+    so a span up to the largest double does not overflow there.  Only where
+    an inner log point is the rounded log10 of the largest double (both
+    ends within ~1e-13, relative, of it) does its power round past it: that
+    point is inf, as geomspace's is, without a warning.
+    """
+    if log:
+        if n == 1:
+            return np.array([float(a)])
+        ends = (a, b)
+        a, b = float(np.log10(a)), float(np.log10(b))
+    xs = np.arange(n, dtype=float)
+    xs[-1] = 0.0
+    step = (b - a) / (n - 1)
+    if step == 0.0:
+        xs /= n - 1
+        xs *= b - a
+    else:
+        xs *= step
+    xs += a
+    xs[-1] = b
+    if log:
         with np.errstate(over="ignore"):
-            if self.spacing == "log":
-                return np.geomspace(self.x_min, self.x_max, self.x_count)
-            return np.linspace(self.x_min, self.x_max, self.x_count)
+            np.power(10.0, xs, out=xs)
+        xs[0], xs[-1] = ends
+    return xs
 
 
 @dataclass(frozen=True)
@@ -134,7 +167,7 @@ def _degenerate(k) -> bool:
 def _pivot_xs(k, count: int) -> np.ndarray:
     """A degenerate kappa's grid: count points from 1e-3 to 1e3 times the
     pivot 1/sqrt(kappa-1), spaced multiplicatively."""
-    return (1.0 / math.sqrt(k.kappa_minus_1)) * np.geomspace(1e-3, 1e3, count)
+    return (1.0 / math.sqrt(k.kappa_minus_1)) * _spaced(1e-3, 1e3, count, log=True)
 
 
 def _per_kappa(grid: EvaluationGrid, term):
@@ -238,8 +271,7 @@ def verify_lemma2(k, x_hi: float | None = None, count: int = 10000) -> Verificat
         x_hi = max(1000.0, 10.0 * x1)
     if not x1 < x_hi < math.inf:
         raise UsageError(f"x_hi must be finite and exceed x1 = {x1}, got {x_hi}")
-    with np.errstate(over="ignore"):  # as in EvaluationGrid.xs
-        xs = np.geomspace(x1, x_hi, count)
+    xs = _spaced(x1, x_hi, count, log=True)
     lhs = np.minimum(_kxr(xs, k, mills_ratio(xs)), _kxr(xs, k, boyd_lower(xs)))
     return _merge("lemma2", [(xs, k.kappa, 1.0 - lhs, lambda i: (lhs[i], 1.0))], LEMMA2_TOL)
 

@@ -391,12 +391,35 @@ class TestElementwiseGuard:
                 assert fn(np.empty(shape), *args).shape == shape, fn.__name__
 
     def test_scalar_result_is_a_python_float(self):
+        # boyd_lower's branch for x >= 2**512 builds 0-d arrays; a kappa
+        # tuple alone gives an array of rows, one per kappa, a scalar x's too
+        for x in (0.5, 1.4e154, 2.0**512, sys.float_info.max):
+            for fn, takes_kappa in ELEMENTWISE:
+                args = (2.0,) if takes_kappa else ()
+                v = -x if fn is special.h else x
+                for form in (v, np.float64(v), np.array(v)):
+                    assert type(fn(form, *args)) is float, (fn.__name__, form)
+                assert fn(np.array([v]), *args).shape == (1,)
+            for form in (x, np.float64(x), np.array(x)):
+                rows = bounds.g_lower(form, (2.0, 3.0))
+                assert type(rows) is np.ndarray and rows.shape == (2,)
+                assert rows.tolist() == [bounds.g_lower(x, 2.0), bounds.g_lower(x, 3.0)]
+
+    @pytest.mark.parametrize("x", [1e154, 1e300, sys.float_info.max])
+    @pytest.mark.parametrize("kappa", [
+        1.0, 1.0 + 2.0**-52, 7.564545572282618e153, 7.56454557228262e153, sys.float_info.max,
+    ])
+    def test_scalar_equals_one_element_array_where_products_overflow(self, x, kappa):
+        # x*x, or kappa*x*x, overflows: a scalar's product is Python's, an
+        # array's numpy's under np.errstate; the same bits or exception, and
+        # no warning on either
         for fn, takes_kappa in ELEMENTWISE:
-            args = (2.0,) if takes_kappa else ()
-            x = -0.5 if fn is special.h else 0.5
-            assert type(fn(x, *args)) is float
-            assert type(fn(np.float64(x), *args)) is float
-            assert fn(np.array([x]), *args).shape == (1,)
+            args = (kappa,) if takes_kappa else ()
+            for v in (x, -x):
+                scalar = _outcome(fn, v, args, lambda out: out)
+                assert scalar[1] == [], fn.__name__
+                one = _outcome(fn, np.array([v]), args, lambda out: out[0])
+                assert one == scalar, (fn.__name__, v, kappa)
 
 
 def _fit_erfcx():

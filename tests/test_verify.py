@@ -81,6 +81,45 @@ class TestEvaluationGrid:
         assert xs[0] == 1.0 and xs[-1] == sys.float_info.max
         assert np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0.0)
 
+    def test_spaced_equals_numpy_bit_for_bit(self):
+        # verify._spaced against np.linspace and np.geomspace on 24,000
+        # seeded grids: ends of both signs from 5e-324 to the largest double
+        # (positive ones for log), ends a few units of 5e-324 apart, whose
+        # step is 0 and takes linspace's subnormal branch, and log ends near
+        # the largest double, where an inner power overflows to inf
+        rng = np.random.default_rng(30)
+        big = sys.float_info.max
+
+        def end(sign):
+            e = int(rng.integers(-1075, 1024))
+            return sign * math.ldexp(1.0 + float(rng.random()), e)
+
+        def count(log):
+            if rng.random() < 0.5:
+                return int(rng.choice([1, 2, 3, 201, 2000, 2001] if log else [2, 3, 201, 2000, 2001]))
+            return int(rng.integers(1 if log else 2, 5001))
+
+        cases = [(1.0, big, 50, True), (5e-324, big, 2001, True), (big * (1 - 2**-50), big, 5, True),
+                 (5e-324, big, 32, False), (-big, 1e-260, 29, False), (-8e307, 8e307, 3, False)]
+        for _ in range(8000):
+            signs = rng.choice([-1.0, 1.0], 2)
+            cases.append((end(signs[0]), end(signs[1]), count(False), False))
+            a, b = (int(v) * 5e-324 for v in rng.integers(-3000, 3001, 2))
+            cases.append((a, b, count(False), False))
+            cases.append((end(1.0), end(1.0), count(True), True))
+        zero_steps = 0
+        for a, b, n, log in cases:
+            if b - a == math.inf or a - b == math.inf:
+                continue  # EvaluationGrid rejects such a span
+            with np.errstate(over="ignore"):  # numpy sets its overflowed ends
+                want = np.geomspace(a, b, n) if log else np.linspace(a, b, n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = verify._spaced(a, b, n, log)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (a, b, n, log)
+            zero_steps += not log and n > 1 and (b - a) / (n - 1) == 0.0
+        assert zero_steps > 1000
+
 
 class TestVerifyTheorem:
     def test_default_grid_passes(self):

@@ -5,7 +5,7 @@ bit for bit.
 
 SRC is the directory that holds the qbound package (`src` in a checkout).
 Run it from the root of a checkout on two trees, on one machine, and
-compare the lines.  Seven kinds of output are digested:
+compare the lines.  Eight kinds of output are digested:
 
 - arrays: the ten array kernels of the tail_arrays benchmark workload on
   its first BATCHES seeded batches (bench/workloads.py, imported from this
@@ -20,6 +20,14 @@ compare the lines.  Seven kinds of output are digested:
 - sizes: the same ten kernels on the first SWITCH_DRAWS batches of the
   arrays kind, cut to each of SWITCH_SIZES points, for each seed: arrays
   on both sides of the kernels' size switches;
+- scalars: every kernel behind special.elementwise (SCALAR_KERNELS) on
+  SCALAR_DRAWS seeded signed x over the whole double range, plus +-0,
+  5e-324, 2**512 and the largest double, per seed; each x given as a
+  Python float, a NumPy float64 and a 0-d array, and each kernel that takes
+  a kappa run at SWITCH_KAPPAS and SCALAR_KAPPAS log-spaced kappa - 1 in
+  [1e-12, 1e300].  Each value as its float.hex(float(v)) or an exception as
+  its type and message; the line also counts the values that are not a
+  Python float, which every scalar call should return;
 - kappa: x1_point, x2_point and alpha_coeff at KAPPA_POINTS log-spaced
   kappa - 1 in [1e-12, 1.7976931348623157e308] and at SWITCH_KAPPAS, the
   two kappas on either side of the overflow of (kappa-1)*c, where alpha
@@ -65,6 +73,17 @@ KAPPA_POINTS = 20001
 # the last kappa whose (kappa-1)*c is finite, and the next double
 SWITCH_KAPPAS = (7.564545572282618e153, 7.56454557228262e153)
 OPT_POINTS = 20001
+SCALAR_DRAWS = 400
+SCALAR_KAPPAS = 11
+# every kernel behind special.elementwise, by module, and whether it takes a kappa
+SCALAR_KERNELS = (
+    ("special", "q", False), ("special", "mills_ratio", False), ("special", "h", False),
+    ("bounds", "g_lower", True), ("bounds", "r_scaled", True), ("bounds", "f_diff", True),
+    ("bounds", "rel_gap", True), ("bounds", "crossing_condition", True),
+    ("bounds", "lemma1_relation", True), ("bounds", "df_dx_identity", True),
+    ("bounds", "boyd_lower", False), ("bounds", "chernoff_upper", False),
+    ("bounds", "boyd_lower_q", False),
+)
 STAR_GRID_POINTS = 4001
 INTERVAL_ENDS = 121
 REPORT_KAPPAS = 101
@@ -180,6 +199,38 @@ def switch_arrays(seed: int):
           f"{len(wl.ARRAY_FUNCS)} kernels  {digest.hexdigest()}")
 
 
+def scalars(seed: int):
+    import math
+    import random
+
+    import numpy as np
+
+    import qbound
+
+    rng = random.Random(seed)
+    xs = [rng.choice((-1.0, 1.0)) * math.ldexp(1.0 + rng.random(), rng.randint(-1075, 1023))
+          for _ in range(SCALAR_DRAWS)]
+    edges = [0.0, 5e-324, 2.0**512, sys.float_info.max]
+    xs += edges + [-x for x in edges]
+    kappas = [1.0 + m for m in np.geomspace(1e-12, 1e300, SCALAR_KAPPAS).tolist()]
+    kappas += list(SWITCH_KAPPAS)
+    digest, calls, errors, not_float = hashlib.sha256(), 0, 0, 0
+    for module, name, takes_kappa in SCALAR_KERNELS:
+        fn = getattr(getattr(qbound, module), name)
+        for args in [(kappa,) for kappa in kappas] if takes_kappa else [()]:
+            for x in xs:
+                for form in (x, np.float64(x), np.array(x)):
+                    calls += 1
+                    try:
+                        v = fn(form, *args)
+                        line, not_float = float(v).hex(), not_float + (type(v) is not float)
+                    except (ArithmeticError, ValueError) as exc:  # DomainError is a ValueError
+                        line, errors = f"{type(exc).__name__}: {exc}", errors + 1
+                    digest.update(line.encode() + b"\n")
+    print(f"scalars seed {seed}: {calls} calls, {errors} errors, {not_float} not float"
+          f"  {digest.hexdigest()}")
+
+
 def kappa_functions():
     import numpy as np
 
@@ -288,6 +339,7 @@ def main(argv=None) -> int:
         arrays(seed)
         small_arrays(seed)
         switch_arrays(seed)
+        scalars(seed)
     kappa_functions()
     optimizers()
     reports()
