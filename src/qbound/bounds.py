@@ -13,7 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .special import SQRT_2PI, SQRT_HALF_PI, elementwise, gauss, h, mills_ratio, newton
+from .special import (
+    SQRT_2PI,
+    SQRT_HALF_PI,
+    _fold,
+    _half_erfcx,
+    elementwise,
+    gauss,
+    h,
+    mills_ratio,
+    newton,
+)
 
 _PI = math.pi
 _ROUNDING = -(2.0**-50)  # 4 ulps of 1: rel_gap is at most 3 ulps below 0 where tight
@@ -106,18 +116,48 @@ def g_lower(x, k):
 
     k is one kappa, or a tuple of them: then the result has one row per
     kappa, shape (len(k),) + x.shape, each row bit for bit the call on that
-    kappa alone.  Each alpha and kappa is a Python float, as in that call,
-    so a row takes the same IEEE operations; one kernel call, with one
-    check of x and one Gaussian pass, serves every kappa, and elementwise
-    blocks an array at _BLOCK // len(k) points.
+    kappa alone (_g_rows).  One kernel call, with one check of x and one
+    Gaussian pass, serves every kappa, and elementwise blocks an array at
+    _BLOCK // len(k) points.
     """
     if type(k) is tuple:
-        ks = [as_kappa(v) for v in k]
-        shape = (len(ks),) + (1,) * np.ndim(x)
-        kappas = np.array([v.kappa for v in ks]).reshape(shape)
-        return np.array([v.alpha for v in ks]).reshape(shape) * gauss(x, kappas)
+        return _g_rows(x, k, 0)
     k = as_kappa(k)
     return k.alpha * gauss(x, k.kappa)
+
+
+def _g_rows(x, k: tuple, lead: int):
+    """lead rows of exp(-x*x/2), then g(x, kappa) for each kappa of k, from
+    one gauss pass over the exponent column (1, ..., 1, kappa_1, ...,
+    kappa_K), whose g rows are then multiplied by their alphas in place.
+    Each alpha and kappa is a Python float from KappaParam, as in a
+    one-kappa g_lower call, so each row takes that call's IEEE operations
+    and has its bits."""
+    ks = [as_kappa(v) for v in k]
+    shape = (lead + len(ks),) + (1,) * np.ndim(x)
+    rows = gauss(x, np.array([1.0] * lead + [v.kappa for v in ks]).reshape(shape))
+    rows[lead:] *= np.array([v.alpha for v in ks]).reshape((len(ks),) + shape[1:])
+    return rows
+
+
+@elementwise(lead=1)
+def _q_and_g(x, k: tuple):
+    """Q(x) as row 0, then g(x, kappa) for each kappa of the tuple k: shape
+    (1 + len(k),) + x.shape, each row bit for bit q(x) or g_lower(x, kappa).
+
+    One check of x and one Gaussian pass serve Q and every kappa: Q's
+    exp(-x*x/2) is the pass's first row (_g_rows), times its erfcx factor
+    and folded in place (_half_erfcx, _fold, q's formula).  The erfcx factor
+    is taken first, so its temporaries are gone before the rows are built.
+    elementwise blocks an array at _BLOCK // (1 + len(k)) points.  The
+    theorem suite and the CLI table make one call per x grid.
+    """
+    half = _half_erfcx(x)
+    rows = _g_rows(x, k, 1)
+    head = rows[:1]  # a view, also where x is a scalar
+    head *= half
+    _fold(x, head)
+    return rows
 
 
 def _r(x, k: KappaParam):

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import bounds, optimize, verify
 from .errors import QBoundError
-from .special import q
 
 CSV_FIELDS = ("x", "kappa", "q_ref", "g_lower", "boyd_lower_q", "chernoff_upper", "rel_gap")
 
@@ -41,16 +40,17 @@ def _fmt(v: float) -> str:
 def make_record(xs, kappas) -> np.ndarray:
     """Comparison rows of an x array at each kappa, x-major: rows[i, j] is
     xs[i] at kappas[j], one column per CSV field.  The kappas are checked
-    first; Q, Boyd and Chernoff are evaluated once, g_lower once with a row
-    per kappa, and the tail's gap once per kappa.  Boyd and Chernoff are NaN
-    for negative x.  For x > _GAP_SPLIT, rel_gap is bounds.rel_gap, 1 - r/R,
-    in which nothing underflows; (Q-g)/Q carries the rounding of x*x in both
-    exponentials there (~1.4e-13 relative at x = 37.5), and Q is subnormal
-    past ~37.5 and 0 from ~38.49.
+    first; Q and g are evaluated by one bounds._q_and_g call, Q's row and a
+    row per kappa, Boyd and Chernoff once, and the tail's gap once per
+    kappa.  Boyd and Chernoff are NaN for negative x.  For x > _GAP_SPLIT,
+    rel_gap is bounds.rel_gap, 1 - r/R, in which nothing underflows; (Q-g)/Q
+    carries the rounding of x*x in both exponentials there (~1.4e-13
+    relative at x = 37.5), and Q is subnormal past ~37.5 and 0 from ~38.49.
     """
     ks = [bounds.as_kappa(k) for k in kappas]
     xs = np.array(xs, dtype=float, ndmin=1)
-    qx = q(xs)
+    qg = bounds._q_and_g(xs, tuple(ks))
+    qx, gs = qg[0], qg[1:]
     rows = np.full((xs.size, len(ks), len(CSV_FIELDS)), math.nan)
     rows[..., 0] = xs[:, None]
     rows[..., 2] = qx[:, None]
@@ -58,7 +58,6 @@ def make_record(xs, kappas) -> np.ndarray:
     rows[pos, :, 4] = bounds.boyd_lower_q(xs[pos])[:, None]
     rows[pos, :, 5] = bounds.chernoff_upper(xs[pos])[:, None]
     rows[..., 1] = [k.kappa for k in ks]
-    gs = bounds.g_lower(xs, tuple(ks))
     rows[..., 3] = gs.T
     tail = xs > _GAP_SPLIT
     head = ~tail

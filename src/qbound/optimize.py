@@ -64,6 +64,12 @@ def _f(m: float):
     return f, m * (2.0 * _N2 * m + _N1) / n - 1.0 - m / (1.0 + m) - 2.0 * math.pi * m / c
 
 
+#: F at the search range's ends, and the range in t = ln(kappa-1): the
+#: bracket of every _kappa_root solve, set once.
+_F_AT_MIN, _F_AT_MAX = _f(_KAPPA_MIN - 1.0)[0], _f(KAPPA_MAX - 1.0)[0]
+_T_MIN, _T_MAX = math.log(_KAPPA_MIN - 1.0), math.log(KAPPA_MAX - 1.0)
+
+
 def _bracketed_newton(step, x: float, lo: float, hi: float, scale: float):
     """(root, evaluations): the one safeguarded Newton loop, which
     _kappa_root and max_weight share (Numerical Recipes, 9.4, rtsafe).
@@ -116,11 +122,10 @@ def _kappa_root(x: float):
     not converged.
     """
     y = 0.5 * x * x
-    if _f(_KAPPA_MIN - 1.0)[0] <= y:
+    if _F_AT_MIN <= y:
         return _KAPPA_MIN, 0, False
-    if _f(KAPPA_MAX - 1.0)[0] >= y:
+    if _F_AT_MAX >= y:
         return KAPPA_MAX, 0, False
-    lo, hi = math.log(_KAPPA_MIN - 1.0), math.log(KAPPA_MAX - 1.0)
     ln_y = math.log(y)
     guess = min(-math.log(2.0 * y), 0.5 * math.log((math.pi - 2.0) / (math.pi * y)))
 
@@ -128,7 +133,7 @@ def _kappa_root(x: float):
         f, dlnf = _f(math.exp(t))
         return (math.log(f) - ln_y) / dlnf
 
-    t, evals = _bracketed_newton(step, min(max(guess, lo), hi), lo, hi, 1.0)
+    t, evals = _bracketed_newton(step, min(max(guess, _T_MIN), _T_MAX), _T_MIN, _T_MAX, 1.0)
     return 1.0 + math.exp(t), evals, True
 
 

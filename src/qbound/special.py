@@ -383,7 +383,7 @@ class QValue:
     accuracy: float
 
 
-def elementwise(sign=0):
+def elementwise(sign=0, lead=0):
     """Decorator for a kernel fn(x, *args) that is evaluated elementwise in x.
 
     x is checked to be finite and, for sign = +1 or -1, to satisfy
@@ -411,12 +411,13 @@ def elementwise(sign=0):
     numpy releases the interpreter lock inside each pass, so the threads
     overlap.  Smaller arrays and scalars never start a thread.
 
-    A tuple as the first argument after x is a kappa axis (g_lower): the
-    body returns one row per entry, so the result is an array of shape
-    (len(tuple),) + x.shape, a scalar x's too (the one result that is not
-    a float where x is a scalar), and an x of more than
-    _BLOCK // len(tuple) points runs in blocks of that many points, rows
-    times block points being at most _BLOCK elements.
+    A tuple as the first argument after x is a kappa axis (g_lower,
+    bounds._q_and_g): the body returns lead rows and then one row per
+    entry, so the result is an array of shape (lead + len(tuple),) +
+    x.shape, a scalar x's too (the one result that is not a float where x
+    is a scalar), and an x of more than _BLOCK // rows points runs in
+    blocks of that many points, rows times block points being at most
+    _BLOCK elements.
     """
     def decorate(fn):
         name = fn.__code__.co_varnames[0]
@@ -424,7 +425,7 @@ def elementwise(sign=0):
 
         @functools.wraps(fn)
         def kernel(x, *args):
-            rows = len(args[0]) if args and type(args[0]) is tuple else None
+            rows = lead + len(args[0]) if args and type(args[0]) is tuple else None
             if isinstance(x, float):  # a Python float or a float64 scalar
                 x = float(x)
             else:
@@ -558,6 +559,30 @@ def gauss(x, a):
         return _exp(-0.5 * a * x * x)
 
 
+def _half_erfcx(x):
+    """0.5*erfcx(|x|/sqrt(2)) = Q(|x|)*exp(x*x/2) of a checked x: Q's
+    factor beside its Gaussian one, which q and bounds._q_and_g share.
+    _erfcx's w = 1 + |x|/sqrt(2) is formed in place in one buffer, so at its
+    peak it holds five temporaries of x's size, and none once it returns."""
+    w = abs(x)
+    w /= _SQRT2
+    w += 1.0
+    half = _erfcx(w)
+    half *= 0.5
+    return half
+
+
+def _fold(x, tail):
+    """Q(x) from tail = Q(|x|) of a checked x: |tail - (x < 0)|, which is
+    1 - tail for x < 0 and tail elsewhere, -0.0 included, with the bits of
+    those two differences.  An array tail is overwritten with the result;
+    q and bounds._q_and_g share it."""
+    tail -= x < 0.0
+    if type(tail) is np.ndarray:
+        return np.abs(tail, out=tail)
+    return abs(tail)
+
+
 @elementwise()
 def q(x):
     """Gaussian tail probability Q(x) = P(Z > x), elementwise.
@@ -565,19 +590,13 @@ def q(x):
     Evaluated through the scaled complementary error function so the result
     keeps full relative accuracy far into the tail (down to the underflow
     threshold near x ~ 38.49).  Q(x) = 1 - Q(-x) for x < 0: on a scalar and
-    an array alike as neg + tail*(1 - 2*neg), neg = (x < 0), the same bits
-    (1 + -tail is 1 - tail, 0 + tail is tail) without a masked subtract,
-    which is slow on a large random-sign mask.  _erfcx's w = 1 + |x|/sqrt(2)
-    is formed in place in one buffer, so q holds five block temporaries at
-    its peak, and the Gaussian factor takes the signed x: (-0.5*x)*x has
-    the same bits for x and -x.
+    an array alike as |tail - (x < 0)| (_fold), two passes in place without
+    a masked subtract, which is slow on a large random-sign mask.  The
+    erfcx factor (_half_erfcx) is taken before the Gaussian one, so q holds
+    five block temporaries at its peak, and the Gaussian factor takes the
+    signed x: (-0.5*x)*x has the same bits for x and -x.
     """
-    w = abs(x)
-    w /= _SQRT2
-    w += 1.0
-    tail = 0.5 * _erfcx(w) * gauss(x, 1.0)
-    neg = x < 0.0
-    return neg + tail * (1.0 - 2.0 * neg)
+    return _fold(x, _half_erfcx(x) * gauss(x, 1.0))
 
 
 def q_ref(x: float) -> QValue:

@@ -5,6 +5,7 @@ Chernoff upper bound on configurable grids, emitting structured reports.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -13,12 +14,12 @@ import numpy as np
 
 from .bounds import (
     _kxr,
+    _q_and_g,
     as_kappa,
     boyd_lower,
     chernoff_upper,
     critical_points,
     df_dx_identity,
-    g_lower,
     lemma1_relation,
     r_scaled,
     x1_point,
@@ -79,17 +80,20 @@ class EvaluationGrid:
 
 def _spaced(a: float, b: float, n: int, log: bool = False) -> np.ndarray:
     """np.linspace(a, b, n) for n >= 2, or with log np.geomspace(a, b, n)
-    for a, b > 0 and n >= 1, bit for bit, without their per-call set-up.
+    for a, b > 0 and n >= 1, bit for bit, without their per-call set-up,
+    except where geomspace gives an inner point of inf.
 
     linspace's operations in its order: arange(n) times step = (b - a)/(n -
     1), or divided by n - 1 and times b - a where step is 0 (subnormal
     ends), plus a, then the last point set to b.  geomspace's: the same on
     the np.log10 of the ends, then np.power(10.0, .), then both ends set.
     The last point is zeroed before the products, as it is set afterwards,
-    so a span up to the largest double does not overflow there.  Only where
-    an inner log point is the rounded log10 of the largest double (both
-    ends within ~1e-13, relative, of it) does its power round past it: that
-    point is inf, as geomspace's is, without a warning.
+    so a span up to the largest double does not overflow there.  Where an
+    inner log point is the rounded log10 of the largest double (both ends
+    within ~1e-13, relative, of it), its power rounds past it, to inf, as
+    geomspace's does; the powers are clipped to the ends' range, so that
+    point is the upper end, and every grid of finite ends has finite
+    points.
     """
     if log:
         if n == 1:
@@ -109,6 +113,7 @@ def _spaced(a: float, b: float, n: int, log: bool = False) -> np.ndarray:
     if log:
         with np.errstate(over="ignore"):
             np.power(10.0, xs, out=xs)
+        xs.clip(min(ends), max(ends), out=xs)
         xs[0], xs[-1] = ends
     return xs
 
@@ -133,29 +138,33 @@ class VerificationReport:
 
 
 def _merge(suite: str, parts, tolerance: float) -> VerificationReport:
-    """One report over parts (xs, kappa, viol, sides): points, their kappa,
-    their violations, and sides(i), the (lhs, rhs) at index i.  A part's
-    worst point is the argmax of its violations, which is its first nan if
-    it has one; across parts a nan is worse than any number, and otherwise
-    the first strictly greater violation wins.  Only there is sides called."""
+    """One report over parts (xs, kappas, viol, sides): points xs, the kappa
+    of each row of viol, the (rows, xs.size) violations (a 1-D viol is its
+    one-row case), and sides(r, i), the (lhs, rhs) of row r at index i.  A
+    row's worst point is the argmax of its violations, which is its first
+    nan if it has one; one argmax(axis=1) reads every row of a part.
+    Across rows, in the parts' order and then the rows', a nan is worse than
+    any number, and otherwise the first strictly greater violation wins.
+    Only there is sides called."""
     points, worst = 0, None
-    for xs, kappa, viol, sides in parts:
-        i = int(viol.argmax())
-        points += xs.size
-        v = float(viol[i])
-        if worst is None or v > worst[0] or (math.isnan(v) and not math.isnan(worst[0])):
-            worst = (v, i, xs, kappa, sides)
+    for xs, kappas, viol, sides in parts:
+        viol = viol.reshape(len(kappas), -1)
+        points += viol.size
+        for r, i in enumerate(viol.argmax(axis=1).tolist()):
+            v = float(viol[r, i])
+            if worst is None or v > worst[0] or (math.isnan(v) and not math.isnan(worst[0])):
+                worst = (v, r, i, xs, kappas, sides)
     if worst is None:
         raise UsageError(f"the {suite} suite has no point to check on this grid")
-    v, i, xs, kappa, sides = worst
-    lhs, rhs = sides(i)
-    return VerificationReport(suite, points, v, (float(xs[i]), float(kappa)), tolerance,
+    v, r, i, xs, kappas, sides = worst
+    lhs, rhs = sides(r, i)
+    return VerificationReport(suite, points, v, (float(xs[i]), float(kappas[r])), tolerance,
                               bool(v <= tolerance), float(lhs), float(rhs))
 
 
 def _pair(lhs: np.ndarray, rhs: np.ndarray):
-    """sides of a part whose lhs and rhs are arrays."""
-    return lambda i: (lhs[i], rhs[i])
+    """sides of a one-row part whose lhs and rhs are arrays."""
+    return lambda r, i: (lhs[i], rhs[i])
 
 
 def _degenerate(k) -> bool:
@@ -186,15 +195,17 @@ def _per_kappa(grid: EvaluationGrid, term):
             yield k, shared
 
 
-def _theorem_parts(xs: np.ndarray, kappas: tuple, weight_inflation: float) -> list:
-    """The theorem suite's part for each of kappas on the one x grid xs,
-    from one q and one g_lower call: g's rows share Q.  The violation is
-    (g - Q)/Q, computed in place; where Q is subnormal or 0 it is left at
-    g - Q, which the subnormal rule reads.  Beside g and the violation, no
-    temporary of g's size but a boolean mask is built."""
-    qs = q(xs)
-    gs = g_lower(xs, kappas)
-    gs *= weight_inflation
+def _theorem_part(xs: np.ndarray, kappas: tuple, weight_inflation: float):
+    """The theorem suite's part for kappas on the one x grid xs, as
+    (xs, kappas, viol, sides), from one _q_and_g call: g's rows share Q.
+    The violation is (g - Q)/Q, one row per kappa, computed in place; where
+    Q is subnormal or 0 it is left at g - Q, which the subnormal rule reads.
+    Beside the kernel's rows and the violation, no temporary of g's size but
+    a boolean mask is built."""
+    rows = _q_and_g(xs, kappas)
+    qs, gs = rows[0], rows[1:]
+    if weight_inflation != 1.0:  # g*1.0 is g, bit for bit
+        gs *= weight_inflation
     viol = gs - qs
     if qs.min() < sys.float_info.min:  # no mask is built where none is needed
         # where Q is subnormal or 0 (x > ~37.52), q and g each carry up to
@@ -208,7 +219,13 @@ def _theorem_parts(xs: np.ndarray, kappas: tuple, weight_inflation: float) -> li
         np.copyto(viol, math.inf, where=over)
     else:
         viol /= qs
-    return [(xs, k.kappa, v, _pair(g, qs)) for k, v, g in zip(kappas, viol, gs)]
+    return xs, [k.kappa for k in kappas], viol, lambda r, i: (gs[r, i], qs[i])
+
+
+def _rows(part, start: int, stop: int):
+    """The rows start:stop of a part, as a part."""
+    xs, kappas, viol, sides = part
+    return xs, kappas[start:stop], viol[start:stop], lambda r, i: sides(start + r, i)
 
 
 def verify_theorem(
@@ -217,10 +234,12 @@ def verify_theorem(
     weight_inflation: float = 1.0,
 ) -> VerificationReport:
     """Check g(x, kappa) <= Q(x) * (1 + tolerance) over the whole grid: one
-    part per kappa, in the grid's order, with lhs g and rhs Q.  Every kappa
-    that keeps the grid's x values shares one q and one g_lower call, whose
-    rows are the kappas; a degenerate kappa (see _degenerate) makes its own
-    on its own grid (_pivot_xs).  Where Q is subnormal or 0, the check is
+    row per kappa, in the grid's order, with lhs g and rhs Q.  Every kappa
+    that keeps the grid's x values shares one _q_and_g call, whose Q row
+    and one g row per kappa are checked as one part; a degenerate kappa
+    (see _degenerate) makes its own call on its own grid (_pivot_xs), and
+    splits the shared part where it stands, so that _merge meets the rows
+    in the grid's order.  Where Q is subnormal or 0, the check is
     g <= Q + 2**-1073 instead.
 
     weight_inflation is a test hook that multiplies the bound's weight; the
@@ -231,9 +250,17 @@ def verify_theorem(
     grid = grid or EvaluationGrid()
     xs = grid.xs()
     shared = tuple(k for k in grid.kappas if not _degenerate(k))
-    rows = iter(_theorem_parts(xs, shared, weight_inflation) if shared else ())
-    parts = [_theorem_parts(_pivot_xs(k, xs.size), (k,), weight_inflation)[0]
-             if _degenerate(k) else next(rows) for k in grid.kappas]
+    block = _theorem_part(xs, shared, weight_inflation) if shared else None
+    if len(shared) == len(grid.kappas):  # no degenerate kappa splits the rows
+        return _merge("theorem", [block] if shared else [], tolerance)
+    parts, start = [], 0
+    for degenerate, run in itertools.groupby(grid.kappas, _degenerate):
+        run = tuple(run)
+        if degenerate:
+            parts += [_theorem_part(_pivot_xs(k, xs.size), (k,), weight_inflation) for k in run]
+        else:
+            parts.append(_rows(block, start, start + len(run)))
+            start += len(run)
     return _merge("theorem", parts, tolerance)
 
 
@@ -242,19 +269,23 @@ def verify_lemma1(k) -> VerificationReport:
     x1 < p < x2 of the pivot p = 1/sqrt(kappa-1): kappa*x*r(x) - 1 is 0 at
     x1 and x2, by its size to ENDPOINT_TOL, and >= 0 at p, to the same
     tolerance.  x*r(x) rises up to p and falls after it, so that is the sign
-    pattern on all of [0, inf).  One part on [x1, p, x2]: lhs is the
-    relation, absolute at the endpoints, rhs 0."""
+    pattern on all of [0, inf).  Three scalar lemma1_relation calls, on x1,
+    p and x2 in turn: lhs is the relation, absolute at the endpoints, rhs 0.
+    The worst point is the first nan, else the first greatest violation, as
+    in _merge."""
     k = as_kappa(k, "verify_lemma1")
     cp = critical_points(k)
     if not (cp.x1 < cp.pivot < cp.x2):
         return VerificationReport(
             "lemma1", 0, math.inf, (cp.pivot, k.kappa), ENDPOINT_TOL, False
         )
-    xs = np.array([cp.x1, cp.pivot, cp.x2])
-    rel = lemma1_relation(xs, k)
-    lhs = np.array([abs(rel[0]), rel[1], abs(rel[2])])
-    viol = lhs * [1.0, -1.0, 1.0]
-    return _merge("lemma1", [(xs, k.kappa, viol, lambda i: (lhs[i], 0.0))], ENDPOINT_TOL)
+    xs = (cp.x1, cp.pivot, cp.x2)
+    lhs = [lemma1_relation(x, k) for x in xs]
+    lhs[0], lhs[2] = abs(lhs[0]), abs(lhs[2])
+    viol = (lhs[0], -lhs[1], lhs[2])
+    i = max(range(3), key=lambda j: (math.isnan(viol[j]), viol[j]))
+    return VerificationReport("lemma1", 3, viol[i], (xs[i], k.kappa), ENDPOINT_TOL,
+                              viol[i] <= ENDPOINT_TOL, lhs[i], 0.0)
 
 
 def verify_lemma2(k, x_hi: float | None = None, count: int = 10000) -> VerificationReport:
@@ -273,7 +304,7 @@ def verify_lemma2(k, x_hi: float | None = None, count: int = 10000) -> Verificat
         raise UsageError(f"x_hi must be finite and exceed x1 = {x1}, got {x_hi}")
     xs = _spaced(x1, x_hi, count, log=True)
     lhs = np.minimum(_kxr(xs, k, mills_ratio(xs)), _kxr(xs, k, boyd_lower(xs)))
-    return _merge("lemma2", [(xs, k.kappa, 1.0 - lhs, lambda i: (lhs[i], 1.0))], LEMMA2_TOL)
+    return _merge("lemma2", [(xs, (k.kappa,), 1.0 - lhs, lambda r, i: (lhs[i], 1.0))], LEMMA2_TOL)
 
 
 def verify_derivative(grid: EvaluationGrid | None = None) -> VerificationReport:
@@ -305,7 +336,7 @@ def verify_derivative(grid: EvaluationGrid | None = None) -> VerificationReport:
         h = FD_STEP * min(1.0, 1.0 / math.sqrt(k.kappa_minus_1))
         fd = _quotient(r_scaled, xs, h, k) - mills_fd
         err = np.abs(ident - fd) / np.maximum(1.0, np.abs(ident))
-        parts.append((xs, k.kappa, err, _pair(ident, fd)))
+        parts.append((xs, (k.kappa,), err, _pair(ident, fd)))
     return _merge("derivative", parts, FD_TOL)
 
 
@@ -330,8 +361,8 @@ def verify_chernoff(grid: EvaluationGrid | None = None) -> VerificationReport:
     viol = mills_ratio(xs) / SQRT_HALF_PI - 1.0
     # a 1-point array gives the same bits as that point in the whole grid,
     # on every array path (small, masked exp, blocked)
-    sides = lambda i: (q(xs[i:i + 1])[0], chernoff_upper(xs[i:i + 1])[0])  # noqa: E731
-    return _merge("chernoff", [(xs, math.nan, viol, sides)], REL_TOL)
+    sides = lambda r, i: (q(xs[i:i + 1])[0], chernoff_upper(xs[i:i + 1])[0])  # noqa: E731
+    return _merge("chernoff", [(xs, (math.nan,), viol, sides)], REL_TOL)
 
 
 #: Every suite, in the order run_all and `qbound verify all` report them.

@@ -204,7 +204,7 @@ def theorem_per_kappa(grid, tolerance=1e-13, weight_inflation=1.0):
         tiny = qs < sys.float_info.min
         viol = (gs - qs) / np.where(tiny, 1.0, qs)
         viol[tiny] = np.where(gs[tiny] - qs[tiny] > 2.0**-1073, math.inf, -1.0)
-        parts.append((xs, k.kappa, viol, lambda i, gs=gs, qs=qs: (gs[i], qs[i])))
+        parts.append((xs, (k.kappa,), viol, lambda r, i, gs=gs, qs=qs: (gs[i], qs[i])))
     return _merge("theorem", parts, tolerance)
 
 

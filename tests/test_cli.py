@@ -206,15 +206,16 @@ class TestTable:
         assert code == 2
 
     def test_one_pass_per_x_grid(self, monkeypatch):
-        # Q, Boyd and Chernoff depend on x alone: one call each for the
-        # default grid's ten kappas, and one g_lower call with a row per kappa
+        # Boyd and Chernoff depend on x alone: one call each for the default
+        # grid's ten kappas, and one _q_and_g call for Q's row and a row per
+        # kappa, with no g_lower call beside it
         calls = [count_calls(monkeypatch, module, name) for module, name in [
-            (qbound.cli, "make_record"), (qbound.cli, "q"), (bounds, "boyd_lower_q"),
+            (qbound.cli, "make_record"), (bounds, "_q_and_g"), (bounds, "boyd_lower_q"),
             (bounds, "chernoff_upper"), (bounds, "g_lower"),
         ]]
         assert run_cli("table")[0] == 0
-        assert [len(c) for c in calls] == [1, 1, 1, 1, 1]
-        assert [k.kappa for k in calls[-1][0][1]] == list(qbound.verify.DEFAULT_KAPPAS)
+        assert [len(c) for c in calls] == [1, 1, 1, 1, 0]
+        assert [k.kappa for k in calls[1][0][1]] == list(qbound.verify.DEFAULT_KAPPAS)
 
 
 class TestVerifyCommand:

@@ -13,6 +13,7 @@ from qbound import (
     DomainError,
     EvaluationGrid,
     UsageError,
+    g_lower,
     run_all,
     verify_chernoff,
     verify_derivative,
@@ -81,12 +82,27 @@ class TestEvaluationGrid:
         assert xs[0] == 1.0 and xs[-1] == sys.float_info.max
         assert np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0.0)
 
+    def test_log_spacing_next_to_the_largest_double_reports(self):
+        # both ends within 2**-50 of the largest double: geomspace's inner
+        # points are inf, _spaced's the upper end, and every suite that
+        # takes the grid reports on it
+        big = sys.float_info.max
+        grid = EvaluationGrid(x_min=big * (1 - 2**-50), x_max=big, x_count=5, spacing="log")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xs = grid.xs()
+            assert xs.tolist() == [grid.x_min] + [big] * 4
+            r = verify_theorem(grid)
+            assert r.passed and r.points_checked == 5 * len(DEFAULT_KAPPAS)
+            assert verify_chernoff(grid).passed
+
     def test_spaced_equals_numpy_bit_for_bit(self):
         # verify._spaced against np.linspace and np.geomspace on 24,000
         # seeded grids: ends of both signs from 5e-324 to the largest double
         # (positive ones for log), ends a few units of 5e-324 apart, whose
         # step is 0 and takes linspace's subnormal branch, and log ends near
-        # the largest double, where an inner power overflows to inf
+        # the largest double, where geomspace's inner power overflows to inf
+        # and _spaced's is clipped to the upper end
         rng = np.random.default_rng(30)
         big = sys.float_info.max
 
@@ -107,18 +123,20 @@ class TestEvaluationGrid:
             a, b = (int(v) * 5e-324 for v in rng.integers(-3000, 3001, 2))
             cases.append((a, b, count(False), False))
             cases.append((end(1.0), end(1.0), count(True), True))
-        zero_steps = 0
+        zero_steps = clipped = 0
         for a, b, n, log in cases:
             if b - a == math.inf or a - b == math.inf:
                 continue  # EvaluationGrid rejects such a span
             with np.errstate(over="ignore"):  # numpy sets its overflowed ends
                 want = np.geomspace(a, b, n) if log else np.linspace(a, b, n)
+            clipped += int(np.count_nonzero(want == math.inf))
+            want[want == math.inf] = b
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = verify._spaced(a, b, n, log)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (a, b, n, log)
             zero_steps += not log and n > 1 and (b - a) / (n - 1) == 0.0
-        assert zero_steps > 1000
+        assert zero_steps > 1000 and clipped == 3
 
 
 class TestVerifyTheorem:
@@ -180,17 +198,15 @@ class TestVerifyTheorem:
         assert a.passed
 
     def test_one_q_pass_for_the_shared_grid(self, monkeypatch):
-        sizes, rows = [], []
-        real_q, real_g = verify.q, verify.g_lower
-        monkeypatch.setattr(verify, "q", lambda xs: sizes.append(xs.size) or real_q(xs))
-        monkeypatch.setattr(verify, "g_lower",
-                            lambda xs, ks: rows.append([k.kappa for k in ks]) or real_g(xs, ks))
+        calls = []
+        real = verify._q_and_g
+        monkeypatch.setattr(verify, "_q_and_g", lambda xs, ks: calls.append(
+            (xs.size, [k.kappa for k in ks])) or real(xs, ks))
         grid = EvaluationGrid(x_count=101, kappas=(1.0, 1.5, 1.0 + 1e-10, 2.0, 10.0))
         report = verify_theorem(grid)
-        # one pass over the grid, one over the near-degenerate kappa's own
-        # grid; g_lower's rows are the kappas of each
-        assert sizes == [101, 101]
-        assert rows == [[1.0, 1.5, 2.0, 10.0], [1.0 + 1e-10]]
+        # one kernel call on the grid, one on the near-degenerate kappa's
+        # own grid: Q's row and g's rows for the kappas of each
+        assert calls == [(101, [1.0, 1.5, 2.0, 10.0]), (101, [1.0 + 1e-10])]
         assert report.points_checked == 5 * 101
 
     @pytest.mark.parametrize("keywords, weight_inflation", [
@@ -217,13 +233,30 @@ class TestVerifyTheorem:
 
     def test_nan_in_any_part_is_the_worst(self):
         xs = np.array([0.0, 1.0])
-        finite = (xs, 2.0, np.array([-0.5, 0.25]), lambda i: (xs[i], xs[i]))
-        with_nan = (xs, 3.0, np.array([-1.0, math.nan]), lambda i: (xs[i], xs[i]))
+        finite = (xs, (2.0,), np.array([-0.5, 0.25]), lambda r, i: (xs[i], xs[i]))
+        with_nan = (xs, (3.0,), np.array([-1.0, math.nan]), lambda r, i: (xs[i], xs[i]))
         for parts in ([finite, with_nan], [with_nan, finite]):
             r = verify._merge("theorem", parts, verify.REL_TOL)
             assert math.isnan(r.worst_violation)
             assert not r.passed
             assert r.worst_point == (1.0, 3.0)
+
+    def test_a_block_of_rows_equals_its_one_row_parts(self):
+        # one argmax(axis=1) over a (rows, n) part picks what one part per
+        # row does: the first nan, else the first strictly greater value,
+        # across rows in order, ties included
+        xs = np.array([0.0, 1.0, 2.0])
+        blocks = [np.array([[-1.0, 0.5, 0.5], [0.5, -2.0, 0.25]]),
+                  np.array([[-1.0, 0.5, math.nan], [math.nan, 0.0, 9.0]]),
+                  np.array([[-0.0, -1.0, 0.0], [0.0, -0.0, -1.0]])]
+        worst = [(1.0, 2.0), (2.0, 2.0), (0.0, 2.0)]
+        for viol, point in zip(blocks, worst):
+            sides = lambda r, i, viol=viol: (viol[r, i], float(r))  # noqa: E731
+            block = verify._merge("theorem", [(xs, (2.0, 3.0), viol, sides)], verify.REL_TOL)
+            rows = verify._merge("theorem", [(xs, (k,), viol[r], lambda _, i, r=r: sides(r, i))
+                                             for r, k in enumerate((2.0, 3.0))], verify.REL_TOL)
+            assert repr(block) == repr(rows)
+            assert block.points_checked == 6 and block.worst_point == point
 
     # kappas at which the bound is tight somewhere in [37, 38.6], where Q is
     # subnormal past x ~37.52 and 0 from x ~38.49
@@ -244,7 +277,7 @@ class TestVerifyTheorem:
         grid = EvaluationGrid(x_min=38.4, x_max=38.6, x_count=20001, kappas=(1.00067,))
         xs = grid.xs()
         i = int(np.argmin(np.abs(xs - 38.48529)))
-        assert verify.q(xs[i]) == 0.0 and verify.g_lower(xs[i], 1.00067) == 2.0**-1074
+        assert verify.q(xs[i]) == 0.0 and g_lower(xs[i], 1.00067) == 2.0**-1074
         r = verify_theorem(grid)
         assert r.passed and r.worst_violation == -1.0
 
@@ -278,14 +311,15 @@ class TestVerifyLemma1:
     def test_near_degenerate(self):
         assert verify_lemma1(1.0 + 1e-3).passed
 
-    def test_one_kernel_call_on_x1_the_pivot_and_x2(self, monkeypatch):
+    def test_one_scalar_call_each_on_x1_the_pivot_and_x2(self, monkeypatch):
         calls = []
         real = verify.lemma1_relation
         monkeypatch.setattr(verify, "lemma1_relation",
-                            lambda xs, k: calls.append(xs.tolist()) or real(xs, k))
+                            lambda x, k: calls.append(x) or real(x, k))
         r = verify_lemma1(2.0)
         cp = verify.critical_points(2.0)
-        assert calls == [[cp.x1, cp.pivot, cp.x2]]
+        assert calls == [cp.x1, cp.pivot, cp.x2]
+        assert all(type(x) is float for x in calls)
         assert r.points_checked == 3 and r.worst_point[0] in (cp.x1, cp.x2)
 
     @pytest.mark.parametrize("m", np.logspace(-6.0, 6.0, 49).tolist())
@@ -298,10 +332,8 @@ class TestVerifyLemma1:
         real = verify.lemma1_relation
         dip = -2.0 * verify.ENDPOINT_TOL
 
-        def dipped(xs, k):
-            rel = real(xs, k)
-            rel[xs == verify.critical_points(k).pivot] = dip
-            return rel
+        def dipped(x, k):
+            return dip if x == verify.critical_points(k).pivot else real(x, k)
 
         monkeypatch.setattr(verify, "lemma1_relation", dipped)
         r = verify_lemma1(2.0)

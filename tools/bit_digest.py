@@ -44,8 +44,9 @@ compare the lines.  Eight kinds of output are digested:
   type and message: lemma1 and lemma2 at REPORT_KAPPAS log-spaced
   kappa - 1 in [1e-12, 1e300], and theorem, run_all, derivative and
   chernoff on REPORT_GRIDS, whose kappas include 1, near-degenerate ones
-  (kappa - 1 <= 1e-9) and 1e200, a duplicated kappa, and a grid whose
-  kappa rows run in blocks;
+  (kappa - 1 <= 1e-9) and 1e200, a duplicated kappa, a grid whose kappa
+  rows run in blocks, and two grids shaped like the select_certify
+  workload's;
 - cli: stdout and exit code of CLI_COMMANDS, run in-process through
   qbound.cli.main (stderr is discarded).
 
@@ -93,6 +94,7 @@ REPORT_KAPPAS = 101
 # those two suites without kappa 1 and on x >= 0.
 _KAPPAS = (1.0, 1.0 + 1e-10, 1.5, 2.0, 1e200)
 _DEGENERATE = (1.0 + 1e-12, 1.0 + 1e-10, 1.0 + 1e-9)
+_SELECT = (1.0 + 1e-3, 1e8, 1e250)
 REPORT_GRIDS = (
     {"kappas": _KAPPAS},
     {"x_count": 201, "kappas": _DEGENERATE},
@@ -104,8 +106,14 @@ REPORT_GRIDS = (
     {"x_min": 0.0, "x_max": 1e-6, "x_count": 101, "kappas": (2.0, 1e200)},
     {"x_min": 30.0, "x_max": 45.0, "x_count": 20001, "kappas": (1.0, 1.0 + 5e-10, 1e200)},
     # the theorem suite's rows of the three shared kappas run in blocks of
-    # special._BLOCK // 3 points, the degenerate kappa on its own grid
+    # special._BLOCK // 4 points (Q's row and three g rows), the degenerate
+    # kappa on its own grid
     {"x_count": 40001, "kappas": (2.0, 1.0 + 1e-10, 2.0, 5.0)},
+    # the select_certify workload's theorem and run_all grids: 201 points
+    # of [-x_max, x_max] and three kappas, one Q row and three g rows; at
+    # x_max = 2.4e5, Q is subnormal or 0 on most of the grid
+    {"x_min": -3.7, "x_max": 3.7, "x_count": 201, "kappas": _SELECT},
+    {"x_min": -2.4e5, "x_max": 2.4e5, "x_count": 201, "kappas": _SELECT},
 )
 
 CLI_COMMANDS = (
