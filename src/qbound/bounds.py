@@ -13,17 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .special import (
-    SQRT_2PI,
-    SQRT_HALF_PI,
-    _fold,
-    _half_erfcx,
-    elementwise,
-    gauss,
-    h,
-    mills_ratio,
-    newton,
-)
+from .special import SQRT_2PI, SQRT_HALF_PI, elementwise, gauss, h, mills_ratio, newton
+from .special import _fold, _half_erfcx
 
 _PI = math.pi
 _ROUNDING = -(2.0**-50)  # 4 ulps of 1: rel_gap is at most 3 ulps below 0 where tight

@@ -5,7 +5,6 @@ Chernoff upper bound on configurable grids, emitting structured reports.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -222,10 +221,10 @@ def _theorem_part(xs: np.ndarray, kappas: tuple, weight_inflation: float):
     return xs, [k.kappa for k in kappas], viol, lambda r, i: (gs[r, i], qs[i])
 
 
-def _rows(part, start: int, stop: int):
-    """The rows start:stop of a part, as a part."""
+def _row(part, r: int):
+    """Row r of a part, as a one-row part."""
     xs, kappas, viol, sides = part
-    return xs, kappas[start:stop], viol[start:stop], lambda r, i: sides(start + r, i)
+    return xs, kappas[r:r + 1], viol[r], lambda _, i: sides(r, i)
 
 
 def verify_theorem(
@@ -236,10 +235,10 @@ def verify_theorem(
     """Check g(x, kappa) <= Q(x) * (1 + tolerance) over the whole grid: one
     row per kappa, in the grid's order, with lhs g and rhs Q.  Every kappa
     that keeps the grid's x values shares one _q_and_g call, whose Q row
-    and one g row per kappa are checked as one part; a degenerate kappa
-    (see _degenerate) makes its own call on its own grid (_pivot_xs), and
-    splits the shared part where it stands, so that _merge meets the rows
-    in the grid's order.  Where Q is subnormal or 0, the check is
+    and one g row per kappa are checked as one part.  A degenerate kappa
+    (see _degenerate) makes its own call on its own grid (_pivot_xs); then
+    each kappa is a part of its own, so that _merge meets them in the
+    grid's order.  Where Q is subnormal or 0, the check is
     g <= Q + 2**-1073 instead.
 
     weight_inflation is a test hook that multiplies the bound's weight; the
@@ -253,14 +252,9 @@ def verify_theorem(
     block = _theorem_part(xs, shared, weight_inflation) if shared else None
     if len(shared) == len(grid.kappas):  # no degenerate kappa splits the rows
         return _merge("theorem", [block] if shared else [], tolerance)
-    parts, start = [], 0
-    for degenerate, run in itertools.groupby(grid.kappas, _degenerate):
-        run = tuple(run)
-        if degenerate:
-            parts += [_theorem_part(_pivot_xs(k, xs.size), (k,), weight_inflation) for k in run]
-        else:
-            parts.append(_rows(block, start, start + len(run)))
-            start += len(run)
+    rows = iter(range(len(shared)))
+    parts = [_theorem_part(_pivot_xs(k, xs.size), (k,), weight_inflation)
+             if _degenerate(k) else _row(block, next(rows)) for k in grid.kappas]
     return _merge("theorem", parts, tolerance)
 
 
