@@ -341,6 +341,16 @@ class TestVerifyLemma1:
         assert r.worst_point == (verify.critical_points(2.0).pivot, 2.0)
         assert (r.worst_violation, r.worst_lhs, r.worst_rhs) == (-dip, dip, 0.0)
 
+    def test_a_nan_relation_is_the_worst_point(self, monkeypatch):
+        # as in _merge: a nan beats any number, even one found before it
+        real = verify.lemma1_relation
+        cp = verify.critical_points(2.0)
+        off = {cp.x1: 1.0, cp.x2: math.nan}
+        monkeypatch.setattr(verify, "lemma1_relation", lambda x, k: off.get(x, real(x, k)))
+        r = verify_lemma1(2.0)
+        assert not r.passed and r.points_checked == 3
+        assert r.worst_point == (cp.x2, 2.0) and math.isnan(r.worst_violation)
+
     @pytest.mark.parametrize("end, scale", [("x1", 1.0 - 1e-6), ("x1", 1.0 + 1e-6),
                                             ("x2", 1.0 + 1e-6)])
     def test_an_endpoint_off_its_root_fails_on_either_side(self, monkeypatch, end, scale):
