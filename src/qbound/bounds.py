@@ -104,47 +104,32 @@ def g_lower(x, k):
 
     Even in x; g <= Q everywhere for every kappa >= 1, and 0 without a
     warning where kappa*x*x overflows.
-
-    k is one kappa, or a tuple of them: then the result has one row per
-    kappa, shape (len(k),) + x.shape, each row bit for bit the call on that
-    kappa alone (_g_rows).  One kernel call, with one check of x and one
-    Gaussian pass, serves every kappa, and elementwise blocks an array at
-    _BLOCK // len(k) points.
     """
-    if type(k) is tuple:
-        return _g_rows(x, k, 0)
     k = as_kappa(k)
     return k.alpha * gauss(x, k.kappa)
 
 
-def _g_rows(x, k: tuple, lead: int):
-    """lead rows of exp(-x*x/2), then g(x, kappa) for each kappa of k, from
-    one gauss pass over the exponent column (1, ..., 1, kappa_1, ...,
-    kappa_K), whose g rows are then multiplied by their alphas in place.
-    Each alpha and kappa is a Python float from KappaParam, as in a
-    one-kappa g_lower call, so each row takes that call's IEEE operations
-    and has its bits."""
-    ks = [as_kappa(v) for v in k]
-    shape = (lead + len(ks),) + (1,) * np.ndim(x)
-    rows = gauss(x, np.array([1.0] * lead + [v.kappa for v in ks]).reshape(shape))
-    rows[lead:] *= np.array([v.alpha for v in ks]).reshape((len(ks),) + shape[1:])
-    return rows
-
-
-@elementwise(lead=1)
+@elementwise()
 def _q_and_g(x, k: tuple):
     """Q(x) as row 0, then g(x, kappa) for each kappa of the tuple k: shape
     (1 + len(k),) + x.shape, each row bit for bit q(x) or g_lower(x, kappa).
 
-    One check of x and one Gaussian pass serve Q and every kappa: Q's
-    exp(-x*x/2) is the pass's first row (_g_rows), times its erfcx factor
-    and folded in place (_half_erfcx, _fold, q's formula).  The erfcx factor
-    is taken first, so its temporaries are gone before the rows are built.
-    elementwise blocks an array at _BLOCK // (1 + len(k)) points.  The
-    theorem suite and the CLI table make one call per x grid.
+    One check of x and one Gaussian pass over the exponent column
+    (1, kappa_1, ..., kappa_K) serve Q and every kappa.  The g rows are
+    multiplied by their alphas in place; each alpha and kappa is a Python
+    float from KappaParam, as in a g_lower call, so each row takes that
+    call's IEEE operations and has its bits.  Q's exp(-x*x/2), the first
+    row, is multiplied by its erfcx factor and folded in place (_half_erfcx,
+    _fold, q's formula).  The erfcx factor is taken first, so its
+    temporaries are gone before the rows are built.  elementwise blocks an
+    array at _BLOCK // (1 + len(k)) points.  The theorem suite and the CLI
+    table make one call per x grid.
     """
     half = _half_erfcx(x)
-    rows = _g_rows(x, k, 1)
+    ks = [as_kappa(v) for v in k]
+    shape = (1 + len(ks),) + (1,) * np.ndim(x)
+    rows = gauss(x, np.array([1.0] + [v.kappa for v in ks]).reshape(shape))
+    rows[1:] *= np.array([v.alpha for v in ks]).reshape((len(ks),) + shape[1:])
     head = rows[:1]  # a view, also where x is a scalar
     head *= half
     _fold(x, head)

@@ -383,7 +383,7 @@ class QValue:
     accuracy: float
 
 
-def elementwise(sign=0, lead=0):
+def elementwise(sign=0):
     """Decorator for a kernel fn(x, *args) that is evaluated elementwise in x.
 
     x is checked to be finite and, for sign = +1 or -1, to satisfy
@@ -411,13 +411,12 @@ def elementwise(sign=0, lead=0):
     numpy releases the interpreter lock inside each pass, so the threads
     overlap.  Smaller arrays and scalars never start a thread.
 
-    A tuple as the first argument after x is a kappa axis (g_lower,
-    bounds._q_and_g): the body returns lead rows and then one row per
-    entry, so the result is an array of shape (lead + len(tuple),) +
-    x.shape, a scalar x's too (the one result that is not a float where x
-    is a scalar), and an x of more than _BLOCK // rows points runs in
-    blocks of that many points, rows times block points being at most
-    _BLOCK elements.
+    A tuple as the first argument after x is a kappa axis (bounds._q_and_g):
+    the body returns Q's row and then one row per kappa, 1 + len(tuple)
+    rows, so the result is an array of shape (rows,) + x.shape, a scalar
+    x's too (the one result that is not a float where x is a scalar), and
+    an x of more than _BLOCK // rows points runs in blocks of that many
+    points, rows times block points being at most _BLOCK elements.
     """
     def decorate(fn):
         name = fn.__code__.co_varnames[0]
@@ -425,7 +424,7 @@ def elementwise(sign=0, lead=0):
 
         @functools.wraps(fn)
         def kernel(x, *args):
-            rows = lead + len(args[0]) if args and type(args[0]) is tuple else None
+            rows = 1 + len(args[0]) if args and type(args[0]) is tuple else None
             if isinstance(x, float):  # a Python float or a float64 scalar
                 x = float(x)
             else:
@@ -467,8 +466,8 @@ except AttributeError:  # os.sched_getaffinity is Linux-only
 
 def _run_blocks(fn, x, out, args, block):
     """out[:, b] = fn(x[b], *args) for every block b of block points of the
-    flat array x, out having x.size columns and one row, or one per entry
-    of a kappa axis, on min(_WORKERS, blocks) threads: the calling thread
+    flat array x, out having x.size columns and one row, or a kappa axis's
+    1 + K rows, on min(_WORKERS, blocks) threads: the calling thread
     and threads started for this call alone.  Each thread takes the next
     block not yet taken, so a thread slowed by another process leaves its
     share to the others.  Each runs under the caller's np.errstate, as a

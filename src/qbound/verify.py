@@ -144,9 +144,11 @@ def _merge(suite: str, parts, tolerance: float) -> VerificationReport:
     nan if it has one; one argmax(axis=1) reads every row of a part.
     Across rows, in the parts' order and then the rows', a nan is worse than
     any number, and otherwise the first strictly greater violation wins.
-    Only there is sides called."""
+    Only there is sides called.  A part with no points is skipped."""
     points, worst = 0, None
     for xs, kappas, viol, sides in parts:
+        if not viol.size:
+            continue
         viol = viol.reshape(len(kappas), -1)
         points += viol.size
         for r, i in enumerate(viol.argmax(axis=1).tolist()):
@@ -161,11 +163,6 @@ def _merge(suite: str, parts, tolerance: float) -> VerificationReport:
                               bool(v <= tolerance), float(lhs), float(rhs))
 
 
-def _pair(lhs: np.ndarray, rhs: np.ndarray):
-    """sides of a one-row part whose lhs and rhs are arrays."""
-    return lambda r, i: (lhs[i], rhs[i])
-
-
 def _degenerate(k) -> bool:
     """Whether kappa takes its own grid around the pivot: 0 < kappa - 1 <=
     DEGENERATE_EPS."""
@@ -178,20 +175,28 @@ def _pivot_xs(k, count: int) -> np.ndarray:
     return (1.0 / math.sqrt(k.kappa_minus_1)) * _spaced(1e-3, 1e3, count, log=True)
 
 
-def _per_kappa(grid: EvaluationGrid, term):
-    """(k, term(xs)) for each of the grid's kappas, in order, for the
-    derivative suite.  xs is the grid's x values, or a degenerate kappa's
-    own grid (_pivot_xs) of the same size.  term runs once on the grid's x
-    values, shared by every kappa that keeps them, and not at all if none
-    does."""
-    xs, shared = grid.xs(), None
-    for k in grid.kappas:
-        if _degenerate(k):
-            yield k, term(_pivot_xs(k, xs.size))
-        else:
-            if shared is None:
-                shared = term(xs)
-            yield k, shared
+def _parts(grid: EvaluationGrid, part) -> list:
+    """A grid suite's parts, in the grid's kappa order.  part(xs, kappas)
+    gives one part on the points xs with one row per kappa of the tuple
+    kappas.  It runs once on the grid's x values for every kappa that keeps
+    them, and once per degenerate kappa (see _degenerate) on its own grid
+    (_pivot_xs) of the same size.  Only where a degenerate kappa stands
+    among the others is the shared part split into one-row parts (_row), so
+    that _merge meets every kappa in the grid's order."""
+    xs = grid.xs()
+    shared = tuple(k for k in grid.kappas if not _degenerate(k))
+    block = part(xs, shared) if shared else None
+    if len(shared) == len(grid.kappas):  # no degenerate kappa splits the rows
+        return [block] if shared else []
+    rows = iter(range(len(shared)))
+    return [part(_pivot_xs(k, xs.size), (k,)) if _degenerate(k) else _row(block, next(rows))
+            for k in grid.kappas]
+
+
+def _row(part, r: int):
+    """Row r of a part, as a one-row part."""
+    xs, kappas, viol, sides = part
+    return xs, kappas[r:r + 1], viol[r], lambda _, i: sides(r, i)
 
 
 def _theorem_part(xs: np.ndarray, kappas: tuple, weight_inflation: float):
@@ -221,40 +226,24 @@ def _theorem_part(xs: np.ndarray, kappas: tuple, weight_inflation: float):
     return xs, [k.kappa for k in kappas], viol, lambda r, i: (gs[r, i], qs[i])
 
 
-def _row(part, r: int):
-    """Row r of a part, as a one-row part."""
-    xs, kappas, viol, sides = part
-    return xs, kappas[r:r + 1], viol[r], lambda _, i: sides(r, i)
-
-
 def verify_theorem(
     grid: EvaluationGrid | None = None,
     tolerance: float = REL_TOL,
     weight_inflation: float = 1.0,
 ) -> VerificationReport:
     """Check g(x, kappa) <= Q(x) * (1 + tolerance) over the whole grid: one
-    row per kappa, in the grid's order, with lhs g and rhs Q.  Every kappa
-    that keeps the grid's x values shares one _q_and_g call, whose Q row
-    and one g row per kappa are checked as one part.  A degenerate kappa
-    (see _degenerate) makes its own call on its own grid (_pivot_xs); then
-    each kappa is a part of its own, so that _merge meets them in the
-    grid's order.  Where Q is subnormal or 0, the check is
-    g <= Q + 2**-1073 instead.
+    row per kappa, in the grid's order, with lhs g and rhs Q.  The kappas
+    that keep the grid's x values share one _q_and_g call, and each
+    degenerate kappa makes one on its own grid (_parts).  Where Q is
+    subnormal or 0, the check is g <= Q + 2**-1073 instead.
 
     weight_inflation is a test hook that multiplies the bound's weight; the
     suite must detect a corrupted bound, not merely avoid crashing.
     """
     if math.isnan(tolerance):
         raise UsageError("the tolerance must not be nan")
-    grid = grid or EvaluationGrid()
-    xs = grid.xs()
-    shared = tuple(k for k in grid.kappas if not _degenerate(k))
-    block = _theorem_part(xs, shared, weight_inflation) if shared else None
-    if len(shared) == len(grid.kappas):  # no degenerate kappa splits the rows
-        return _merge("theorem", [block] if shared else [], tolerance)
-    rows = iter(range(len(shared)))
-    parts = [_theorem_part(_pivot_xs(k, xs.size), (k,), weight_inflation)
-             if _degenerate(k) else _row(block, next(rows)) for k in grid.kappas]
+    parts = _parts(grid or EvaluationGrid(),
+                   lambda xs, kappas: _theorem_part(xs, kappas, weight_inflation))
     return _merge("theorem", parts, tolerance)
 
 
@@ -303,35 +292,36 @@ def verify_lemma2(k, x_hi: float | None = None, count: int = 10000) -> Verificat
 
 def verify_derivative(grid: EvaluationGrid | None = None) -> VerificationReport:
     """Check the closed form of df/dx against central finite differences, to
-    FD_TOL: one part per kappa, with lhs the closed form and rhs the
-    differences.
+    FD_TOL: one row per kappa, in the grid's order, with lhs the closed form
+    and rhs the differences, at the x >= FD_STEP of the grid's x values or
+    of a degenerate kappa's own grid (_parts, _derivative_part)."""
+    grid = grid or EvaluationGrid()
+    for k in grid.kappas:
+        if k.kappa <= 1.0:
+            raise UsageError("verify_derivative requires kappa entries > 1")
+    return _merge("derivative", _parts(grid, _derivative_part), FD_TOL)
+
+
+def _derivative_part(xs: np.ndarray, kappas: tuple):
+    """The derivative suite's part for kappas on the points of xs that are
+    >= FD_STEP (f is defined for x >= 0 only), as (xs, kappas, err, sides):
+    err, the closed form df_dx_identity and the differences fd are (K, n).
 
     f = r - R, and each term is differenced on its own scale: R varies on
     the scale 1 and takes the step FD_STEP; r varies on the scale
     1/sqrt(kappa - 1) and takes FD_STEP*min(1, 1/sqrt(kappa - 1)).  One
     step for both fails either way at large kappa: FD_STEP leaves r's
     truncation error, ~FD_STEP**2*(kappa - 1) relative, and the smaller
-    step leaves R's rounding, ~eps/h.  Each kappa makes one r_scaled call on
-    both sides' points; R's quotient is one mills_ratio call per x grid."""
-    grid = grid or EvaluationGrid()
-    for k in grid.kappas:
-        if k.kappa <= 1.0:
-            raise UsageError("verify_derivative requires kappa entries > 1")
-
-    def mills_terms(xs):
-        xs = xs[xs >= FD_STEP]  # f is defined for x >= 0 only
-        return xs, _quotient(mills_ratio, xs, FD_STEP)
-
-    parts = []
-    for k, (xs, mills_fd) in _per_kappa(grid, mills_terms):
-        if xs.size == 0:
-            continue
-        ident = df_dx_identity(xs, k)
-        h = FD_STEP * min(1.0, 1.0 / math.sqrt(k.kappa_minus_1))
-        fd = _quotient(r_scaled, xs, h, k) - mills_fd
-        err = np.abs(ident - fd) / np.maximum(1.0, np.abs(ident))
-        parts.append((xs, (k.kappa,), err, _pair(ident, fd)))
-    return _merge("derivative", parts, FD_TOL)
+    step leaves R's rounding, ~eps/h.  R's quotient is one mills_ratio call
+    on both sides' points; each kappa makes one r_scaled call on them."""
+    xs = xs[xs >= FD_STEP]
+    mills_fd = _quotient(mills_ratio, xs, FD_STEP)
+    ident = np.array([df_dx_identity(xs, k) for k in kappas])
+    steps = [FD_STEP * min(1.0, 1.0 / math.sqrt(k.kappa_minus_1)) for k in kappas]
+    fd = np.array([_quotient(r_scaled, xs, h, k) for h, k in zip(steps, kappas)])
+    fd -= mills_fd
+    err = np.abs(ident - fd) / np.maximum(1.0, np.abs(ident))
+    return xs, [k.kappa for k in kappas], err, lambda r, i: (ident[r, i], fd[r, i])
 
 
 def _quotient(fn, xs: np.ndarray, h: float, *args) -> np.ndarray:

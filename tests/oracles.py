@@ -208,6 +208,34 @@ def theorem_per_kappa(grid, tolerance=1e-13, weight_inflation=1.0):
     return _merge("theorem", parts, tolerance)
 
 
+def derivative_per_kappa(grid):
+    """The derivative suite's report from one loop over the grid's kappas:
+    on the grid's x values or, for 0 < kappa - 1 <= DEGENERATE_EPS, on 1e-3
+    to 1e3 times the pivot 1/sqrt(kappa-1), the points x >= FD_STEP; there
+    one df_dx_identity call and the central differences of r_scaled, at
+    the step FD_STEP*min(1, 1/sqrt(kappa - 1)), less those of mills_ratio,
+    at FD_STEP, each side its own kernel call.  The error is
+    |ident - fd|/max(1, |ident|); a kappa with no such point adds no part."""
+    from qbound import df_dx_identity, mills_ratio, r_scaled
+    from qbound.verify import DEGENERATE_EPS, FD_STEP, FD_TOL, _merge
+
+    parts = []
+    for k in grid.kappas:
+        xs = grid.xs()
+        if 0.0 < k.kappa_minus_1 <= DEGENERATE_EPS:
+            xs = (1.0 / math.sqrt(k.kappa_minus_1)) * np.geomspace(1e-3, 1e3, xs.size)
+        xs = xs[xs >= FD_STEP]
+        if xs.size == 0:
+            continue
+        h = FD_STEP * min(1.0, 1.0 / math.sqrt(k.kappa_minus_1))
+        ident = df_dx_identity(xs, k)
+        fd = ((r_scaled(xs + h, k) - r_scaled(xs - h, k)) / (2.0 * h)
+              - (mills_ratio(xs + FD_STEP) - mills_ratio(xs - FD_STEP)) / (2.0 * FD_STEP))
+        err = np.abs(ident - fd) / np.maximum(1.0, np.abs(ident))
+        parts.append((xs, (k.kappa,), err, lambda r, i, a=ident, b=fd: (a[i], b[i])))
+    return _merge("derivative", parts, FD_TOL)
+
+
 def inflate_alpha(monkeypatch, factor: float):
     """The bound's weight KappaParam.alpha times factor, until monkeypatch
     undoes it: a corrupted bound that the theorem suite must report."""

@@ -605,56 +605,6 @@ class TestTheoremSweep:
             assert np.all(gs - qs <= 1e-13 * qs), f"kappa={kappa}"
 
 
-class TestKappaAxis:
-    """g_lower on a tuple of kappas: one row per kappa, each bit for bit the
-    call on that kappa alone, in blocks of _BLOCK // len(kappas) points."""
-
-    KAPPAS = (1.0, 1.0 + 1e-12, 2.0, 1e200, sys.float_info.max)  # 1e200: alpha's scaled form
-    ROW_BLOCK = special._BLOCK // len(KAPPAS)
-    SIZES = (201, ROW_BLOCK - 1, ROW_BLOCK + 1, special._BLOCK + 7)
-
-    @pytest.mark.parametrize("n", SIZES)
-    def test_rows_equal_single_kappa_calls(self, n, monkeypatch):
-        x = oracles.blocked_xs(0)[:n]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            want = [g_lower(x, k).tobytes() for k in self.KAPPAS]
-            for workers in (1, 2):
-                with oracles.block_workers(monkeypatch, workers):
-                    rows = g_lower(x, self.KAPPAS)
-                assert rows.shape == (len(self.KAPPAS), n)
-                assert [row.tobytes() for row in rows] == want, workers
-
-    def test_shapes_of_scalars_grids_and_kappa_params(self):
-        x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
-        kappas = (2.0, KappaParam(1.5))
-        rows = g_lower(x, kappas)
-        assert rows.shape == (2, 3, 4)
-        assert rows[1].tobytes() == g_lower(x, 1.5).tobytes()
-        at_one = g_lower(1.0, kappas)
-        assert type(at_one) is np.ndarray and at_one.shape == (2,)
-        assert at_one.tolist() == [g_lower(1.0, 2.0), g_lower(1.0, 1.5)]
-        assert g_lower(x, ()).shape == (0, 3, 4)
-        with pytest.raises(DomainError):
-            g_lower(x, (2.0, 0.5))
-
-    def test_temporaries_within_four_blocks(self, monkeypatch):
-        # on the calling thread alone, what the call allocates beyond its
-        # output peaks at ~2.3 block-sized arrays, as a single-kappa call's
-        # does: every temporary holds rows times block points, at most
-        # _BLOCK elements (blocks of _BLOCK points would peak at ~11)
-        x = np.resize(oracles.blocked_xs(0), 4 * special._BLOCK)
-        with oracles.block_workers(monkeypatch, 1):
-            g_lower(x, self.KAPPAS)  # anything allocated once, on a first call
-            tracemalloc.start()
-            try:
-                out = g_lower(x, self.KAPPAS)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peak - out.nbytes <= 4 * special._BLOCK * 8
-
-
 class TestQAndG:
     """_q_and_g(x, kappas): Q(x) as row 0 and g(x, kappa) per kappa after
     it, each row bit for bit q(x) or g_lower(x, kappa), in blocks of

@@ -392,7 +392,8 @@ class TestElementwiseGuard:
 
     def test_scalar_result_is_a_python_float(self):
         # boyd_lower's branch for x >= 2**512 builds 0-d arrays; a kappa
-        # tuple alone gives an array of rows, one per kappa, a scalar x's too
+        # tuple, _q_and_g's alone, gives an array of rows, Q's and one per
+        # kappa, a scalar x's too; g_lower takes one kappa, not a tuple
         for x in (0.5, 1.4e154, 2.0**512, sys.float_info.max):
             for fn, takes_kappa in ELEMENTWISE:
                 args = (2.0,) if takes_kappa else ()
@@ -401,9 +402,12 @@ class TestElementwiseGuard:
                     assert type(fn(form, *args)) is float, (fn.__name__, form)
                 assert fn(np.array([v]), *args).shape == (1,)
             for form in (x, np.float64(x), np.array(x)):
-                rows = bounds.g_lower(form, (2.0, 3.0))
-                assert type(rows) is np.ndarray and rows.shape == (2,)
-                assert rows.tolist() == [bounds.g_lower(x, 2.0), bounds.g_lower(x, 3.0)]
+                rows = bounds._q_and_g(form, (2.0, 3.0))
+                assert type(rows) is np.ndarray and rows.shape == (3,)
+                want = [special.q(x), bounds.g_lower(x, 2.0), bounds.g_lower(x, 3.0)]
+                assert rows.tolist() == want
+                with pytest.raises(TypeError):
+                    bounds.g_lower(form, (2.0, 3.0))
 
     @pytest.mark.parametrize("x", [1e154, 1e300, sys.float_info.max])
     @pytest.mark.parametrize("kappa", [

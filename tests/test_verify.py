@@ -481,6 +481,23 @@ class TestVerifyDerivative:
         assert report.points_checked == points
         assert report.passed
 
+    @pytest.mark.parametrize("keywords", [
+        {"x_count": 201, "kappas": (2.0, 1.0 + 1e-10, 5.0)},  # degenerate between two
+        {"x_count": 201, "kappas": (1.5, 2.0, 1.5)},  # a duplicated kappa
+        # no grid point x >= FD_STEP: the shared part has none
+        {"x_min": 0.0, "x_max": 1e-6, "x_count": 101, "kappas": (2.0, 1.0 + 1e-10, 5.0)},
+        {"x_count": 201, "kappas": (1.0 + 1e-10, 1.0 + 1e-12)},  # only degenerate kappas
+        {"x_count": 40001, "kappas": (1.0 + 1e-12, 1.5, 2.0, 1e200)},  # blocked rows
+    ])
+    def test_report_equals_the_per_kappa_loop(self, keywords, monkeypatch):
+        grid = EvaluationGrid(**keywords)
+        want = repr(oracles.derivative_per_kappa(grid))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for workers in (1, 2):
+                with oracles.block_workers(monkeypatch, workers):
+                    assert repr(verify_derivative(grid)) == want
+
     def test_rejects_kappa_one(self):
         with pytest.raises(UsageError):
             verify_derivative(EvaluationGrid(kappas=(1.0, 2.0)))

@@ -45,8 +45,9 @@ compare the lines.  Eight kinds of output are digested:
   kappa - 1 in [1e-12, 1e300], and theorem, run_all, derivative and
   chernoff on REPORT_GRIDS, whose kappas include 1, near-degenerate ones
   (kappa - 1 <= 1e-9) and 1e200, a duplicated kappa, a grid whose kappa
-  rows run in blocks, and two grids shaped like the select_certify
-  workload's;
+  rows run in blocks, a grid with no point x >= verify.FD_STEP beside a
+  degenerate kappa (the derivative suite's empty shared part), and two
+  grids shaped like the select_certify workload's;
 - cli: stdout and exit code of CLI_COMMANDS, run in-process through
   qbound.cli.main (stderr is discarded).
 
@@ -104,6 +105,9 @@ REPORT_GRIDS = (
     {"x_min": 0.0, "x_max": 40.0, "x_count": 4001, "kappas": _KAPPAS},
     {"x_min": 1e-3, "x_max": 1e8, "x_count": 2001, "spacing": "log", "kappas": _KAPPAS},
     {"x_min": 0.0, "x_max": 1e-6, "x_count": 101, "kappas": (2.0, 1e200)},
+    # no grid point x >= verify.FD_STEP beside a degenerate kappa: the
+    # derivative suite's shared part has no point, its split rows none
+    {"x_min": 0.0, "x_max": 1e-6, "x_count": 101, "kappas": (2.0, 1.0 + 1e-10, 5.0)},
     {"x_min": 30.0, "x_max": 45.0, "x_count": 20001, "kappas": (1.0, 1.0 + 5e-10, 1e200)},
     # the theorem suite's rows of the three shared kappas run in blocks of
     # special._BLOCK // 4 points (Q's row and three g rows), the degenerate
