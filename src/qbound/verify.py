@@ -293,35 +293,32 @@ def verify_lemma2(k, x_hi: float | None = None, count: int = 10000) -> Verificat
 def verify_derivative(grid: EvaluationGrid | None = None) -> VerificationReport:
     """Check the closed form of df/dx against central finite differences, to
     FD_TOL: one row per kappa, in the grid's order, with lhs the closed form
-    and rhs the differences, at the x >= FD_STEP of the grid's x values or
-    of a degenerate kappa's own grid (_parts, _derivative_part)."""
-    grid = grid or EvaluationGrid()
-    for k in grid.kappas:
-        if k.kappa <= 1.0:
-            raise UsageError("verify_derivative requires kappa entries > 1")
-    return _merge("derivative", _parts(grid, _derivative_part), FD_TOL)
-
-
-def _derivative_part(xs: np.ndarray, kappas: tuple):
-    """The derivative suite's part for kappas on the points of xs that are
-    >= FD_STEP (f is defined for x >= 0 only), as (xs, kappas, err, sides):
-    err, the closed form df_dx_identity and the differences fd are (K, n).
+    and rhs the differences, at the x >= FD_STEP of each x grid (_parts).
 
     f = r - R, and each term is differenced on its own scale: R varies on
     the scale 1 and takes the step FD_STEP; r varies on the scale
     1/sqrt(kappa - 1) and takes FD_STEP*min(1, 1/sqrt(kappa - 1)).  One
     step for both fails either way at large kappa: FD_STEP leaves r's
     truncation error, ~FD_STEP**2*(kappa - 1) relative, and the smaller
-    step leaves R's rounding, ~eps/h.  R's quotient is one mills_ratio call
-    on both sides' points; each kappa makes one r_scaled call on them."""
-    xs = xs[xs >= FD_STEP]
-    mills_fd = _quotient(mills_ratio, xs, FD_STEP)
-    ident = np.array([df_dx_identity(xs, k) for k in kappas])
-    steps = [FD_STEP * min(1.0, 1.0 / math.sqrt(k.kappa_minus_1)) for k in kappas]
-    fd = np.array([_quotient(r_scaled, xs, h, k) for h, k in zip(steps, kappas)])
-    fd -= mills_fd
-    err = np.abs(ident - fd) / np.maximum(1.0, np.abs(ident))
-    return xs, [k.kappa for k in kappas], err, lambda r, i: (ident[r, i], fd[r, i])
+    step leaves R's rounding, ~eps/h.  Each kappa makes one r_scaled call on
+    both sides' points; R's quotient is one mills_ratio call per x grid.
+    The rows of an x grid's part are (K, n) arrays."""
+    grid = grid or EvaluationGrid()
+    for k in grid.kappas:
+        if k.kappa <= 1.0:
+            raise UsageError("verify_derivative requires kappa entries > 1")
+
+    def part(xs, kappas):
+        xs = xs[xs >= FD_STEP]  # f is defined for x >= 0 only
+        mills_fd = _quotient(mills_ratio, xs, FD_STEP)
+        ident = np.array([df_dx_identity(xs, k) for k in kappas])
+        steps = [FD_STEP * min(1.0, 1.0 / math.sqrt(k.kappa_minus_1)) for k in kappas]
+        fd = np.array([_quotient(r_scaled, xs, h, k) for h, k in zip(steps, kappas)])
+        fd -= mills_fd
+        err = np.abs(ident - fd) / np.maximum(1.0, np.abs(ident))
+        return xs, [k.kappa for k in kappas], err, lambda r, i: (ident[r, i], fd[r, i])
+
+    return _merge("derivative", _parts(grid, part), FD_TOL)
 
 
 def _quotient(fn, xs: np.ndarray, h: float, *args) -> np.ndarray:
