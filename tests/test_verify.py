@@ -241,6 +241,43 @@ class TestVerifyTheorem:
             assert not r.passed
             assert r.worst_point == (1.0, 3.0)
 
+    def test_a_part_with_no_points_is_skipped(self):
+        # a shared x grid with no point x >= FD_STEP gives the derivative
+        # suite such a part: it adds no point and is never the worst
+        xs = np.array([0.0, 1.0])
+        part = (xs, (2.0,), np.array([-0.5, 0.25]), lambda r, i: (xs[i], xs[i]))
+        empty = (xs[:0], (3.0, 4.0), np.empty((2, 0)), lambda r, i: pytest.fail("no point"))
+        want = repr(verify._merge("theorem", [part], verify.REL_TOL))
+        for parts in ([empty, part], [part, empty], [empty, part, empty]):
+            r = verify._merge("theorem", parts, verify.REL_TOL)
+            assert repr(r) == want
+            assert r.points_checked == 2 and r.worst_point == (1.0, 2.0)
+        with pytest.raises(UsageError, match="no point to check"):
+            verify._merge("theorem", [empty, empty], verify.REL_TOL)
+
+    def test_parts_keep_the_grid_order_and_split_only_beside_a_degenerate_kappa(self):
+        def part(xs, kappas):
+            calls.append((xs.size, [k.kappa for k in kappas]))
+            viol = np.arange(len(kappas) * xs.size, dtype=float).reshape(len(kappas), -1)
+            return xs, [k.kappa for k in kappas], viol, lambda r, i: (r, i)
+
+        degenerate = 1.0 + 1e-10
+        for kappas, want_calls, want_rows in [
+            ((2.0, 1.5), [(11, [2.0, 1.5])], [[2.0, 1.5]]),
+            ((degenerate, 1.0 + 1e-12), [(11, [degenerate]), (11, [1.0 + 1e-12])],
+             [[degenerate], [1.0 + 1e-12]]),
+            ((2.0, degenerate, 1.5), [(11, [2.0, 1.5]), (11, [degenerate])],
+             [[2.0], [degenerate], [1.5]]),
+        ]:
+            calls = []
+            grid = EvaluationGrid(x_count=11, kappas=kappas)
+            parts = verify._parts(grid, part)
+            assert calls == want_calls
+            assert [list(p[1]) for p in parts] == want_rows
+            if len(parts) == 3:  # the shared part's rows, one per part, each its sides
+                assert parts[2][2].tolist() == list(range(11, 22))
+                assert parts[2][3](0, 4) == (1, 4)
+
     def test_a_block_of_rows_equals_its_one_row_parts(self):
         # one argmax(axis=1) over a (rows, n) part picks what one part per
         # row does: the first nan, else the first strictly greater value,
