@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import atexit
 import dataclasses
-import json
 import math
 import os
 import re
@@ -24,10 +23,8 @@ from .errors import QBoundError
 
 CSV_FIELDS = ("x", "kappa", "q_ref", "g_lower", "boyd_lower_q", "chernoff_upper", "rel_gap")
 
-# One output row per template.  A formatted float never needs CSV quoting,
-# and repr is how json spells a float.
-_CSV_ROW = ",".join(["%.17g"] * len(CSV_FIELDS)) + "\n"
-_JSON_ROW = "  {\n" + ",\n".join(f'    "{f}": %r' for f in CSV_FIELDS) + "\n  }"
+#: json.dumps's spelling of the floats that repr spells nan, inf and -inf
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 #: rel_gap is 1 - r/R past this x and (Q - g)/Q up to it.
 _GAP_SPLIT = 20.0
@@ -68,18 +65,43 @@ def make_record(xs, kappas) -> np.ndarray:
     return rows
 
 
+def _spell(values, fmt: str) -> list:
+    """A list of floats as the table writes them: %.17g in CSV, which never
+    needs quoting, and in JSON as json.dumps does, repr but NaN and
+    +-Infinity."""
+    if fmt == "json":
+        return [_JSON_NONFINITE.get(s, s) for s in map(float.__repr__, values)]
+    return list(map("%.17g".__mod__, values))
+
+
 def _emit_records(rows, fmt: str, out) -> None:
     """Write make_record's rows as the table, one record per (x, kappa), in
-    CSV_FIELDS order; its JSON is json.dumps's, faster from a row template."""
-    rows = rows.reshape(-1, len(CSV_FIELDS)).tolist()
+    CSV_FIELDS order; its JSON is json.dumps(records, indent=2)'s.  x, q_ref,
+    boyd_lower_q and chernoff_upper depend on x alone and kappa on kappa
+    alone, so each is formatted once: an x's four fields into the head,
+    middle and tail strings around its records' kappa and g_lower.  Only
+    g_lower and rel_gap are formatted per record."""
     if fmt == "json":
-        body = ",\n".join([_JSON_ROW % tuple(r) for r in rows])
-        # Field names and finite reprs hold neither "nan" nor "inf".
-        body = body.replace("nan", "NaN").replace("inf", "Infinity")
-        out.write(f"[\n{body}\n]\n")
+        row, join = "  {\n" + ",\n".join(f'    "{f}": %s' for f in CSV_FIELDS) + "\n  }", ",\n"
     else:  # csv
+        row, join = ",".join(["%s"] * len(CSV_FIELDS)) + "\n", ""
+    s0, s1, s2, s3, s4, s5, s6, end = row.split("%s")
+    x, q, boyd, chernoff = (_spell(rows[:, 0, f].tolist(), fmt) for f in (0, 2, 4, 5))
+    heads = [s0 + v + s1 for v in x]
+    middles = [s2 + v + s3 for v in q]
+    tails = [s4 + b + s5 + c + s6 for b, c in zip(boyd, chernoff)]
+    kappas = _spell(rows[0, :, 1].tolist(), fmt)
+    # x-major; zip takes a kappa before a record, so each x's inner zip
+    # stops after its last kappa with no record taken
+    records = zip(_spell(rows[..., 3].ravel().tolist(), fmt),
+                  _spell(rows[..., 6].ravel().tolist(), fmt))
+    body = join.join([f"{h}{k}{m}{g}{t}{gap}{end}" for h, m, t in zip(heads, middles, tails)
+                      for k, (g, gap) in zip(kappas, records)])
+    if fmt == "json":
+        out.write(f"[\n{body}\n]\n")
+    else:
         out.write(",".join(CSV_FIELDS) + "\n")
-        out.write("".join([_CSV_ROW % tuple(r) for r in rows]))
+        out.write(body)
 
 
 def _grid_from_args(args, **defaults) -> verify.EvaluationGrid:
@@ -106,6 +128,8 @@ def _print_fields(fields, fmt: str, out) -> None:
     dict as text lines `key = value` with floats as %.17g, bools in lower
     case, None as nan, and an empty string left out."""
     if fmt == "json":
+        import json  # here alone: a text command never loads it
+
         out.write(json.dumps(fields, indent=2) + "\n")
         return
     for key, val in fields.items():

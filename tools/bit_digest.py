@@ -49,7 +49,10 @@ compare the lines.  Eight kinds of output are digested:
   degenerate kappa (the derivative suite's empty shared part), and two
   grids shaped like the select_certify workload's;
 - cli: stdout and exit code of CLI_COMMANDS, run in-process through
-  qbound.cli.main (stderr is discarded).
+  qbound.cli.main (stderr is discarded).  The tables run in CSV and in
+  JSON, whose NaN, Infinity and float spellings the table renderer writes
+  itself: the JSON copies cover the NaN Boyd and Chernoff columns of
+  negative x, rel_gap's tail form past x = 20, a Q of 0 and kappa 1e8.
 
 The digests depend on the platform's exp and log, so they compare trees
 on one machine; they are no fixed reference.
@@ -124,8 +127,11 @@ CLI_COMMANDS = (
     "table",
     "table --format json",
     "table --x-min -40 --x-max 40 --x-count 5001",
+    "table --x-min -40 --x-max 40 --x-count 5001 --format json",
     "table --x-min 1e-3 --x-max 1e8 --x-count 20001 --spacing log",
     "table --x-min 1 --x-max 1e300 --x-count 2001 --spacing log --kappa 1.0001 --kappa 2 --kappa 1e8",
+    "table --x-min 1 --x-max 1e300 --x-count 2001 --spacing log --kappa 1.0001 --kappa 2 --kappa 1e8"
+    " --format json",
     "table --x-min 0 --x-max 40 --x-count 40001 --kappa 1.5",
     "verify all",
     "verify all --format json",
