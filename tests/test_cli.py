@@ -130,6 +130,11 @@ class TestJsonWriter:
         assert code == 0
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
+    def test_table_floats_spelled_as_json_module(self):
+        # no table reaches an infinity, but its renderer spells one as json does
+        values = [math.nan, math.inf, -math.inf, 0.1, -0.0, 5e-324, 1e300]
+        assert qbound.cli._spell(values, "json") == [json.dumps(v) for v in values]
+
 
 class TestTable:
     def test_row_count(self):
@@ -144,13 +149,16 @@ class TestTable:
     # 0.5 steps over [-4, 4]: negative x (the nan columns), x = 0 and kappa = 1
     GRID = ("--x-min", "-4", "--x-max", "4", "--x-count", "17",
             "--kappa", "1", "--kappa", "1.5", "--kappa", "3")
+    # one kappa, two x: the nan columns, and rel_gap's tail form where Q is 0
+    ONE_KAPPA = ("--x-min", "-1", "--x-max", "40", "--x-count", "2", "--kappa", "2")
 
     @staticmethod
-    def scalar_rows():
-        """The GRID table, row by row from the scalar API."""
+    def scalar_rows(xs=tuple(np.linspace(-4.0, 4.0, 17).tolist()), kappas=(1.0, 1.5, 3.0)):
+        """The table of xs and kappas, row by row from the scalar API; by
+        default the GRID table."""
         rows = []
-        for x in np.linspace(-4.0, 4.0, 17).tolist():
-            for kappa in (1.0, 1.5, 3.0):
+        for x in xs:
+            for kappa in kappas:
                 qx, gx = q(x), bounds.g_lower(x, kappa)
                 pos = x >= 0.0
                 rows.append({
@@ -160,29 +168,35 @@ class TestTable:
                     "g_lower": gx,
                     "boyd_lower_q": bounds.boyd_lower_q(x) if pos else math.nan,
                     "chernoff_upper": bounds.chernoff_upper(x) if pos else math.nan,
-                    "rel_gap": (qx - gx) / qx,
+                    "rel_gap": bounds.rel_gap(x, kappa) if x > 20.0 else (qx - gx) / qx,
                 })
         return rows
 
-    def test_csv_round_trip_bit_for_bit(self):
+    @staticmethod
+    def csv_text(rows):
+        """rows written as the CSV table: the header, then each field as %.17g."""
+        lines = [",".join(CSV_FIELDS)] + [",".join(f"{r[f]:.17g}" for f in CSV_FIELDS) for r in rows]
+        return "\n".join(lines) + "\n"
+
+    def test_csv_same_bytes_as_the_scalar_rows(self):
         code, text = run_cli("table", *self.GRID)
         assert code == 0
-        rows = list(csv.DictReader(io.StringIO(text)))
         expected = self.scalar_rows()
-        assert len(rows) == len(expected) == 51
-        assert any(float(row["x"]) == 0.0 for row in rows)
-        for row, want in zip(rows, expected):
-            for field in CSV_FIELDS:
-                got = float(row[field])
-                if math.isnan(want[field]):
-                    assert math.isnan(got), field
-                else:
-                    assert got == want[field], field
+        assert len(expected) == 51
+        assert any(row["x"] == 0.0 for row in expected)
+        assert text == self.csv_text(expected)
 
     def test_json_same_bytes_as_json_module(self):
         code, text = run_cli("table", *self.GRID, "--format", "json")
         assert code == 0
         assert text == json.dumps(self.scalar_rows(), indent=2) + "\n"
+
+    def test_one_kappa_and_two_x(self):
+        expected = self.scalar_rows([-1.0, 40.0], [2.0])
+        assert q(40.0) == 0.0 and math.isnan(expected[0]["boyd_lower_q"])
+        assert run_cli("table", *self.ONE_KAPPA) == (0, self.csv_text(expected))
+        assert run_cli("table", *self.ONE_KAPPA, "--format", "json") == (
+            0, json.dumps(expected, indent=2) + "\n")
 
     def test_ordering_bounds_on_rows(self):
         _, text = run_cli(
@@ -491,6 +505,26 @@ class TestImportCost:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "False"]
+
+    def test_json_loaded_by_json_output_alone(self):
+        # import json costs ~0.9 ms of a cold start; a text command, a table
+        # in either format or a usage error never needs it, and the JSON of
+        # any other command does
+        script = (
+            "import contextlib, io, sys, qbound.cli\n"
+            "for argv in (['eval', '--x', '1', '--kappa', '2'], ['table'], ['verify', 'all'],\n"
+            "             ['roots', '--kappa', '2'], ['eval', '--x'], ['table', '--format', 'json'],\n"
+            "             ['roots', '--kappa', '2', '--format', 'json']):\n"
+            "    with contextlib.redirect_stderr(io.StringIO()), contextlib.suppress(SystemExit):\n"
+            "        qbound.cli.main(argv, out=io.StringIO())\n"
+            "    print('json' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=CHILD_ENV, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"] * 6 + ["True"]
 
     def test_no_thread_pool(self):
         # only an array kernel called on more than one block of points
