@@ -30,8 +30,7 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _GAP_SPLIT = 20.0
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+_fmt = "%.17g".__mod__  # a float as CSV and text write it; map runs it faster than a def
 
 
 def make_record(xs, kappas) -> np.ndarray:
@@ -71,7 +70,7 @@ def _spell(values, fmt: str) -> list:
     +-Infinity."""
     if fmt == "json":
         return [_JSON_NONFINITE.get(s, s) for s in map(float.__repr__, values)]
-    return list(map("%.17g".__mod__, values))
+    return list(map(_fmt, values))
 
 
 def _emit_records(rows, fmt: str, out) -> None:
@@ -194,9 +193,9 @@ def cmd_optimize(args, out) -> int:
 def cmd_roots(args, out) -> int:
     k = bounds.as_kappa(args.kappa)
     cp = bounds.critical_points(k)
-    res = bounds.crossing_condition(np.array([cp.x1, cp.x2]), k).tolist()
-    fields = {"kappa": k.kappa, "x1": cp.x1, "x2": cp.x2, "pivot": cp.pivot,
-              "w1": cp.w1, "w2": cp.w2, "residual_x1": res[0], "residual_x2": res[1]}
+    fields = {"kappa": k.kappa, "x1": cp.x1, "x2": cp.x2, "pivot": cp.pivot, "w1": cp.w1,
+              "w2": cp.w2, "residual_x1": bounds.crossing_condition(cp.x1, k),
+              "residual_x2": bounds.crossing_condition(cp.x2, k)}
     _print_fields(fields, args.format, out)
     return 0
 

@@ -395,9 +395,11 @@ def elementwise(sign=0):
     scalar set-up.  It is checked with plain comparisons instead of array
     reductions, which cost microseconds per call, and its result comes
     back as a Python float.  Any other x reaches the kernel as a float
-    array, and the array result is returned.  An array is checked by
-    its min and max, which build no temporary; only an array that fails
-    builds the mask that names its first non-finite value.
+    array, and the array result is returned.  An array is checked by its min
+    and max, which build no temporary; only an array that fails builds the
+    mask that names its first non-finite value.  So a grid is an array, even
+    a grid of one point (verify_chernoff()'s x = 0, eval's one-row table),
+    and a named point (a worst point, x1, x2) is a scalar.
 
     An array of more than _BLOCK points is checked once, whole; the same
     kernel body then runs on consecutive _BLOCK-point slices of it, each

@@ -334,16 +334,14 @@ def verify_chernoff(grid: EvaluationGrid | None = None) -> VerificationReport:
     R decreases, so it is the worst point of [0, inf).
 
     The violation is Q/ch - 1 = R(x)/sqrt(pi/2) - 1, which stays finite
-    past x ~38.6, where Q and ch both underflow to 0.  One part, whose lhs
-    Q and rhs ch are evaluated at the worst point only."""
+    past x ~38.6, where Q and ch both underflow to 0.  The grid is an array,
+    x = 0 alone too; lhs Q and rhs ch are scalar calls at its worst point."""
     if grid is not None and grid.x_min < 0.0:
         raise UsageError("the Chernoff upper bound requires x >= 0")
     xs = grid.xs() if grid is not None else np.zeros(1)
     viol = mills_ratio(xs) / SQRT_HALF_PI - 1.0
-    # a 1-point array gives the same bits as that point in the whole grid,
-    # on every array path (small, masked exp, blocked)
-    sides = lambda r, i: (q(xs[i:i + 1])[0], chernoff_upper(xs[i:i + 1])[0])  # noqa: E731
-    return _merge("chernoff", [(xs, (math.nan,), viol, sides)], REL_TOL)
+    return _merge("chernoff", [(xs, (math.nan,), viol,
+                                lambda r, i: (q(xs[i]), chernoff_upper(xs[i])))], REL_TOL)
 
 
 #: Every suite, in the order run_all and `qbound verify all` report them.

@@ -236,6 +236,23 @@ def derivative_per_kappa(grid):
     return _merge("derivative", parts, FD_TOL)
 
 
+def chernoff_one_point(grid=None):
+    """The Chernoff suite's report with its worst point's sides from
+    1-point arrays: Q and the bound on xs[i:i + 1], the grid's (or x = 0
+    alone's) slice at the worst index."""
+    from qbound import chernoff_upper, mills_ratio, q
+    from qbound.special import SQRT_HALF_PI
+    from qbound.verify import REL_TOL, _merge
+
+    xs = grid.xs() if grid is not None else np.zeros(1)
+    viol = mills_ratio(xs) / SQRT_HALF_PI - 1.0
+
+    def sides(r, i):
+        return q(xs[i:i + 1])[0], chernoff_upper(xs[i:i + 1])[0]
+
+    return _merge("chernoff", [(xs, (math.nan,), viol, sides)], REL_TOL)
+
+
 def inflate_alpha(monkeypatch, factor: float):
     """The bound's weight KappaParam.alpha times factor, until monkeypatch
     undoes it: a corrupted bound that the theorem suite must report."""

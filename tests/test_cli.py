@@ -575,11 +575,13 @@ class TestRootsCommand:
 
     @pytest.mark.parametrize("kappa", [1.0 + 1e-10, 2.0, 1e8, 1e15])
     def test_residuals_are_the_scalar_ones(self, kappa, monkeypatch):
-        # both residuals come from one array call, bit for bit the scalar ones
+        # one scalar call each, on x1 and then x2, each x a Python float
         calls = count_calls(monkeypatch, bounds, "crossing_condition")
         code, text = run_cli("roots", "--kappa", repr(kappa), "--format", "json")
-        assert (code, len(calls)) == (0, 1)
+        assert code == 0
         data = json.loads(text)
+        assert [type(x) for x, _ in calls] == [float, float]
+        assert [x for x, _ in calls] == [data["x1"], data["x2"]]
         for x, res in ((data["x1"], data["residual_x1"]), (data["x2"], data["residual_x2"])):
             assert res.hex() == bounds.crossing_condition(x, kappa).hex()
 

@@ -209,6 +209,18 @@ class TestLambertW:
             )
             assert lambert_w(z, branch) == pytest.approx(w, abs=1e-12)
 
+    @pytest.mark.parametrize("branch, past", [
+        (LambertBranch.PRINCIPAL, -math.inf),
+        (LambertBranch.NEGATIVE, math.inf),
+    ])
+    def test_a_root_past_the_branch_boundary_is_clamped(self, branch, past, monkeypatch):
+        # newton's root one ulp across w = -1 comes back as -1 on either branch
+        starts = []
+        monkeypatch.setattr(special, "newton",
+                            lambda step, w: starts.append(w) or math.nextafter(-1.0, past))
+        assert lambert_w(-0.36, branch) == -1.0
+        assert len(starts) == 1
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             lambert_w(-0.4)  # below -1/e, no real solution

@@ -577,6 +577,32 @@ class TestVerifyChernoff:
         assert r.worst_lhs == r.worst_rhs == 0.5
 
 
+    @pytest.mark.parametrize("keywords", [
+        None,  # x = 0 alone
+        {"x_min": 0.0, "x_max": 40.0, "x_count": 2001},
+        {"x_min": 30.0, "x_max": 45.0, "x_count": 20001},  # Q subnormal or 0
+        {"x_min": 0.0, "x_max": 40.0, "x_count": 70001},  # blocked, masked exp
+        {"x_min": 1.0, "x_max": 1e300, "x_count": 4001, "spacing": "log"},
+        {"x_min": 2.5, "x_max": 7.5, "x_count": 1001},
+    ])
+    def test_worst_point_sides_are_scalar_calls(self, keywords, monkeypatch):
+        # one scalar q and one scalar chernoff_upper call, on the grid's
+        # float64 (a float), with the bits of the 1-point arrays they replace
+        grid = EvaluationGrid(**keywords) if keywords else None
+        want = repr(oracles.chernoff_one_point(grid))
+        calls = []
+        for name in ("q", "chernoff_upper"):
+            real = getattr(verify, name)
+            monkeypatch.setattr(verify, name, lambda x, name=name, real=real:
+                                calls.append((name, isinstance(x, float))) or real(x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for workers in (1, 2):
+                with oracles.block_workers(monkeypatch, workers):
+                    assert repr(verify_chernoff(grid)) == want
+        assert calls == [("q", True), ("chernoff_upper", True)] * 2
+
+
 class TestRunAll:
     def test_everything_passes(self):
         reports = run_all()

@@ -53,6 +53,11 @@ compare the lines.  Eight kinds of output are digested:
   JSON, whose NaN, Infinity and float spellings the table renderer writes
   itself: the JSON copies cover the NaN Boyd and Chernoff columns of
   negative x, rel_gap's tail form past x = 20, a Q of 0 and kappa 1e8.
+  The chernoff suite's worst point, whose two sides are scalar calls, runs
+  on a 70,001-point grid of [0, 40], in blocks and with exp's underflowing
+  lanes masked, and on one of [37, 45], where Q is subnormal or 0; roots'
+  residuals at x1 and x2, also scalar calls, run at kappa 2 and at the
+  near-degenerate kappa 1.0000000001.
 
 The digests depend on the platform's exp and log, so they compare trees
 on one machine; they are no fixed reference.
@@ -139,6 +144,8 @@ CLI_COMMANDS = (
     "verify chernoff --x-max 40",
     "verify chernoff --x-max 40 --format json",
     "verify chernoff --x-min 1 --x-max 1e300 --x-count 4001 --spacing log",
+    "verify chernoff --x-max 40 --x-count 70001",
+    "verify chernoff --x-min 37 --x-max 45 --x-count 70001 --format json",
     "verify lemma1 --kappa 1e8",
     "verify lemma1 --kappa 1.000000000001 --kappa 3 --kappa 1e15 --format json",
     "verify theorem --x-count 40001",
@@ -155,6 +162,7 @@ CLI_COMMANDS = (
     "roots --kappa 2",
     "roots --kappa 4.4e232",
     "roots --kappa 2 --format json",
+    "roots --kappa 1.0000000001",
 )
 
 
