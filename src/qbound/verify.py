@@ -38,8 +38,8 @@ LEMMA2_TOL = 1e-12
 FD_TOL = 1e-6
 FD_STEP = 1e-5
 
-#: kappa - 1 below this uses a multiplicative grid around 1/sqrt(kappa-1);
-#: fixed global grids miss the interval [x1, x2] entirely in that regime.
+#: kappa - 1 at most this takes its own grid from 1e-3/sqrt(kappa-1) >= 31.6
+#: (_pivot_xs); where Q = 0 a point reads -1 (ROADMAP items 12 and 15).
 DEGENERATE_EPS = 1e-9
 
 
@@ -144,7 +144,9 @@ def _merge(suite: str, parts, tolerance: float) -> VerificationReport:
     nan if it has one; one argmax(axis=1) reads every row of a part.
     Across rows, in the parts' order and then the rows', a nan is worse than
     any number, and otherwise the first strictly greater violation wins.
-    Only there is sides called.  A part with no points is skipped."""
+    Only there is sides called.  A part with no points is skipped.  Named
+    points (lemma 1's) are one one-row part.  Every field is a Python
+    float, bool or int."""
     points, worst = 0, None
     for xs, kappas, viol, sides in parts:
         if not viol.size:
@@ -171,7 +173,9 @@ def _degenerate(k) -> bool:
 
 def _pivot_xs(k, count: int) -> np.ndarray:
     """A degenerate kappa's grid: count points from 1e-3 to 1e3 times the
-    pivot 1/sqrt(kappa-1), spaced multiplicatively."""
+    pivot 1/sqrt(kappa-1), spaced multiplicatively, for the derivative's
+    scale.  Near [x1, x2] the theorem suite decides nothing: x1, and below
+    kappa - 1 ~6.7e-10 every point, lies past x ~38.49, where Q = g = 0."""
     return (1.0 / math.sqrt(k.kappa_minus_1)) * _spaced(1e-3, 1e3, count, log=True)
 
 
@@ -254,21 +258,16 @@ def verify_lemma1(k) -> VerificationReport:
     tolerance.  x*r(x) rises up to p and falls after it, so that is the sign
     pattern on all of [0, inf).  Three scalar lemma1_relation calls, on x1,
     p and x2 in turn: lhs is the relation, absolute at the endpoints, rhs 0.
-    The worst point is the first nan, else the first greatest violation, as
-    in _merge."""
+    The three named points are one one-row part of _merge."""
     k = as_kappa(k, "verify_lemma1")
     cp = critical_points(k)
-    if not (cp.x1 < cp.pivot < cp.x2):
-        return VerificationReport(
-            "lemma1", 0, math.inf, (cp.pivot, k.kappa), ENDPOINT_TOL, False
-        )
+    if not (cp.x1 < cp.pivot < cp.x2):  # no point checked: _merge has no such report
+        return VerificationReport("lemma1", 0, math.inf, (cp.pivot, k.kappa), ENDPOINT_TOL, False)
     xs = (cp.x1, cp.pivot, cp.x2)
     lhs = [lemma1_relation(x, k) for x in xs]
     lhs[0], lhs[2] = abs(lhs[0]), abs(lhs[2])
-    viol = (lhs[0], -lhs[1], lhs[2])
-    i = max(range(3), key=lambda j: (math.isnan(viol[j]), viol[j]))
-    return VerificationReport("lemma1", 3, viol[i], (xs[i], k.kappa), ENDPOINT_TOL,
-                              viol[i] <= ENDPOINT_TOL, lhs[i], 0.0)
+    viol = np.array([lhs[0], -lhs[1], lhs[2]])
+    return _merge("lemma1", [(xs, (k.kappa,), viol, lambda r, i: (lhs[i], 0.0))], ENDPOINT_TOL)
 
 
 def verify_lemma2(k, x_hi: float | None = None, count: int = 10000) -> VerificationReport:

@@ -253,6 +253,29 @@ def chernoff_one_point(grid=None):
     return _merge("chernoff", [(xs, (math.nan,), viol, sides)], REL_TOL)
 
 
+def lemma1_by_hand(k):
+    """Lemma 1's report built by hand from three floats, without _merge:
+    lemma1_relation at x1, the pivot and x2, absolute at the two endpoints
+    and negated at the pivot, rhs 0; the worst point is the first nan, else
+    the first greatest violation.  Misordered critical points check none.
+    critical_points and lemma1_relation are looked up on qbound.verify, so
+    a monkeypatch there reaches this report too."""
+    from qbound import verify
+
+    k = verify.as_kappa(k, "verify_lemma1")
+    cp = verify.critical_points(k)
+    tol = verify.ENDPOINT_TOL
+    if not (cp.x1 < cp.pivot < cp.x2):
+        return verify.VerificationReport("lemma1", 0, math.inf, (cp.pivot, k.kappa), tol, False)
+    xs = (cp.x1, cp.pivot, cp.x2)
+    lhs = [verify.lemma1_relation(x, k) for x in xs]
+    lhs[0], lhs[2] = abs(lhs[0]), abs(lhs[2])
+    viol = (lhs[0], -lhs[1], lhs[2])
+    i = max(range(3), key=lambda j: (math.isnan(viol[j]), viol[j]))
+    return verify.VerificationReport("lemma1", 3, viol[i], (xs[i], k.kappa), tol,
+                                     viol[i] <= tol, lhs[i], 0.0)
+
+
 def inflate_alpha(monkeypatch, factor: float):
     """The bound's weight KappaParam.alpha times factor, until monkeypatch
     undoes it: a corrupted bound that the theorem suite must report."""

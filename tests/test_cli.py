@@ -253,6 +253,13 @@ class TestVerifyCommand:
         ]
         assert text.splitlines()[2].startswith("PASS lemma2: points=2000 ")
 
+    def test_all_default_suites_in_order(self):
+        # a literal, not SUITE_NAMES: a suite dropped from the default shows
+        code, text = run_cli("verify", "all")
+        assert code == 0
+        assert [line.split(":")[0].split()[1] for line in text.splitlines()] == (
+            ["theorem"] + ["lemma1"] * 9 + ["lemma2"] * 9 + ["derivative", "chernoff"])
+
     def test_derivative_step_scales_with_kappa(self):
         # r varies on the scale 1/sqrt(kappa - 1) ~ 8e-4 here, so a step of
         # 1e-5 in x would leave a difference-quotient error of ~7e-4

@@ -1,5 +1,6 @@
 """Tests for the verification-suite engine."""
 import dataclasses
+import json
 import math
 import sys
 import warnings
@@ -417,6 +418,59 @@ class TestVerifyLemma1:
         assert (r.tolerance, r.passed) == (verify.ENDPOINT_TOL, False)
         assert math.isnan(r.worst_lhs) and math.isnan(r.worst_rhs)
 
+    @pytest.mark.parametrize("off", [
+        None,
+        # equal endpoint residuals of either sign: both ends tie at |r|
+        (1e-11, None, 1e-11), (-1e-11, None, -1e-11),
+        (1e-11, None, -1e-11), (-1e-11, None, 1e-11),
+        (-1e-3, -1e-3, 1e-3),  # all three tie: x1 wins
+        (0.0, -1e-3, -1e-3),  # the pivot ties x2 and comes first
+        # 0.0 against -0.0, at the ends and at the pivot
+        (0.0, None, -0.0), (-0.0, None, 0.0),
+        (0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (0.0, -0.0, -0.0), (-0.0, 0.0, 0.0),
+        # a nan at each point, and two nans: the first is the worst point
+        (math.nan, None, None), (None, math.nan, None), (None, None, math.nan),
+        (1.0, math.nan, math.nan), (math.nan, None, math.nan),
+    ])
+    def test_report_equals_the_hand_built_one(self, monkeypatch, off):
+        # off gives the relation's value at (x1, pivot, x2); None keeps the
+        # real one.  Without it, kappa - 1 sweeps [1e-12, 1e20]: the FAILs
+        # from ~4.6e6 and the DomainError past ~5.7e15 are in the sweep
+        if off is None:
+            kappas = (1.0 + np.logspace(-12.0, 20.0, 121)).tolist()
+        else:
+            kappas = [1.0 + 1e-6, 2.0, 1e6]
+            real, cps = verify.lemma1_relation, verify.critical_points
+
+            def fake(x, k):
+                cp = cps(k)
+                v = dict(zip((cp.x1, cp.pivot, cp.x2), off)).get(x)
+                return real(x, k) if v is None else v
+
+            monkeypatch.setattr(verify, "lemma1_relation", fake)
+
+        def outcome(fn, kappa):
+            try:
+                return fn(kappa)
+            except Exception as e:  # compared by type and message below
+                return type(e), str(e)
+
+        verdicts = set()
+        for kappa in kappas:
+            got, want = outcome(verify_lemma1, kappa), outcome(oracles.lemma1_by_hand, kappa)
+            if isinstance(want, tuple):
+                assert got == want
+                verdicts.add(want[0])
+                continue
+            assert repr(got) == repr(want)
+            verdicts.add(got.passed)
+            fields = [getattr(got, f.name) for f in dataclasses.fields(got)]
+            fields[3:4] = got.worst_point
+            assert all(type(v) in (str, float, bool, int) for v in fields), fields
+            json.dumps(dataclasses.asdict(got))
+        if off is None:
+            assert verdicts == {True, False, DomainError}
+
     def test_rejects_kappa_one(self):
         with pytest.raises(DomainError, match="verify_lemma1 requires kappa > 1, got 1.0"):
             verify_lemma1(1.0)
@@ -607,6 +661,11 @@ class TestRunAll:
     def test_everything_passes(self):
         reports = run_all()
         assert reports and all(r.passed for r in reports)
+
+    def test_default_suites_in_order(self):
+        # a literal, not SUITE_NAMES: a suite dropped from the default shows
+        assert [r.suite for r in run_all()] == (
+            ["theorem"] + ["lemma1"] * 9 + ["lemma2"] * 9 + ["derivative", "chernoff"])
 
     def test_reports_reproducible(self):
         a = run_all()
