@@ -145,8 +145,8 @@ def _merge(suite: str, parts, tolerance: float) -> VerificationReport:
     Across rows, in the parts' order and then the rows', a nan is worse than
     any number, and otherwise the first strictly greater violation wins.
     Only there is sides called.  A part with no points is skipped.  Named
-    points (lemma 1's) are one one-row part.  Every field is a Python
-    float, bool or int."""
+    points (lemma 1's) are one one-row part.  The report's numbers are
+    Python floats, bools and ints."""
     points, worst = 0, None
     for xs, kappas, viol, sides in parts:
         if not viol.size:
