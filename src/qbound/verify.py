@@ -38,11 +38,6 @@ LEMMA2_TOL = 1e-12
 FD_TOL = 1e-6
 FD_STEP = 1e-5
 
-#: kappa - 1 at most this takes its own grid from 1e-3/sqrt(kappa-1) >= 31.6
-#: (_pivot_xs); where Q = 0 a point reads -1 (ROADMAP items 12 and 15).
-DEGENERATE_EPS = 1e-9
-
-
 @dataclass(frozen=True)
 class EvaluationGrid:
     """A rectangular sweep over x and kappa."""
@@ -144,9 +139,10 @@ def _merge(suite: str, parts, tolerance: float) -> VerificationReport:
     nan if it has one; one argmax(axis=1) reads every row of a part.
     Across rows, in the parts' order and then the rows', a nan is worse than
     any number, and otherwise the first strictly greater violation wins.
-    Only there is sides called.  A part with no points is skipped.  Named
-    points (lemma 1's) are one one-row part.  The report's numbers are
-    Python floats, bools and ints."""
+    Only there is sides called.  A part with no points is skipped.  Each
+    suite passes one part: a grid suite's has one row per kappa of its
+    grid, and named points (lemma 1's) are one row.  The report's numbers
+    are Python floats, bools and ints."""
     points, worst = 0, None
     for xs, kappas, viol, sides in parts:
         if not viol.size:
@@ -163,44 +159,6 @@ def _merge(suite: str, parts, tolerance: float) -> VerificationReport:
     lhs, rhs = sides(r, i)
     return VerificationReport(suite, points, v, (float(xs[i]), float(kappas[r])), tolerance,
                               bool(v <= tolerance), float(lhs), float(rhs))
-
-
-def _degenerate(k) -> bool:
-    """Whether kappa takes its own grid around the pivot: 0 < kappa - 1 <=
-    DEGENERATE_EPS."""
-    return 0.0 < k.kappa_minus_1 <= DEGENERATE_EPS
-
-
-def _pivot_xs(k, count: int) -> np.ndarray:
-    """A degenerate kappa's grid: count points from 1e-3 to 1e3 times the
-    pivot 1/sqrt(kappa-1), spaced multiplicatively, for the derivative's
-    scale.  Near [x1, x2] the theorem suite decides nothing: x1, and below
-    kappa - 1 ~6.7e-10 every point, lies past x ~38.49, where Q = g = 0."""
-    return (1.0 / math.sqrt(k.kappa_minus_1)) * _spaced(1e-3, 1e3, count, log=True)
-
-
-def _parts(grid: EvaluationGrid, part) -> list:
-    """A grid suite's parts, in the grid's kappa order.  part(xs, kappas)
-    gives one part on the points xs with one row per kappa of the tuple
-    kappas.  It runs once on the grid's x values for every kappa that keeps
-    them, and once per degenerate kappa (see _degenerate) on its own grid
-    (_pivot_xs) of the same size.  Only where a degenerate kappa stands
-    among the others is the shared part split into one-row parts (_row), so
-    that _merge meets every kappa in the grid's order."""
-    xs = grid.xs()
-    shared = tuple(k for k in grid.kappas if not _degenerate(k))
-    block = part(xs, shared) if shared else None
-    if len(shared) == len(grid.kappas):  # no degenerate kappa splits the rows
-        return [block] if shared else []
-    rows = iter(range(len(shared)))
-    return [part(_pivot_xs(k, xs.size), (k,)) if _degenerate(k) else _row(block, next(rows))
-            for k in grid.kappas]
-
-
-def _row(part, r: int):
-    """Row r of a part, as a one-row part."""
-    xs, kappas, viol, sides = part
-    return xs, kappas[r:r + 1], viol[r], lambda _, i: sides(r, i)
 
 
 def _theorem_part(xs: np.ndarray, kappas: tuple, weight_inflation: float):
@@ -236,19 +194,18 @@ def verify_theorem(
     weight_inflation: float = 1.0,
 ) -> VerificationReport:
     """Check g(x, kappa) <= Q(x) * (1 + tolerance) over the whole grid: one
-    row per kappa, in the grid's order, with lhs g and rhs Q.  The kappas
-    that keep the grid's x values share one _q_and_g call, and each
-    degenerate kappa makes one on its own grid (_parts).  Where Q is
-    subnormal or 0, the check is g <= Q + 2**-1073 instead.
+    row per kappa, in the grid's order, with lhs g and rhs Q, every kappa
+    on the grid's x values, from one _q_and_g call.  Where Q is subnormal
+    or 0, the check is g <= Q + 2**-1073 instead.
 
     weight_inflation is a test hook that multiplies the bound's weight; the
     suite must detect a corrupted bound, not merely avoid crashing.
     """
     if math.isnan(tolerance):
         raise UsageError("the tolerance must not be nan")
-    parts = _parts(grid or EvaluationGrid(),
-                   lambda xs, kappas: _theorem_part(xs, kappas, weight_inflation))
-    return _merge("theorem", parts, tolerance)
+    grid = grid or EvaluationGrid()
+    return _merge("theorem", [_theorem_part(grid.xs(), grid.kappas, weight_inflation)],
+                  tolerance)
 
 
 def verify_lemma1(k) -> VerificationReport:
@@ -292,7 +249,7 @@ def verify_lemma2(k, x_hi: float | None = None, count: int = 10000) -> Verificat
 def verify_derivative(grid: EvaluationGrid | None = None) -> VerificationReport:
     """Check the closed form of df/dx against central finite differences, to
     FD_TOL: one row per kappa, in the grid's order, with lhs the closed form
-    and rhs the differences, at the x >= FD_STEP of each x grid (_parts).
+    and rhs the differences, every kappa at the grid's x >= FD_STEP.
 
     f = r - R, and each term is differenced on its own scale: R varies on
     the scale 1 and takes the step FD_STEP; r varies on the scale
@@ -300,24 +257,23 @@ def verify_derivative(grid: EvaluationGrid | None = None) -> VerificationReport:
     step for both fails either way at large kappa: FD_STEP leaves r's
     truncation error, ~FD_STEP**2*(kappa - 1) relative, and the smaller
     step leaves R's rounding, ~eps/h.  Each kappa makes one r_scaled call on
-    both sides' points; R's quotient is one mills_ratio call per x grid.
-    The rows of an x grid's part are (K, n) arrays."""
+    both sides' points; R's quotient is one mills_ratio call.  A grid with
+    no x >= FD_STEP is a UsageError."""
     grid = grid or EvaluationGrid()
     for k in grid.kappas:
         if k.kappa <= 1.0:
             raise UsageError("verify_derivative requires kappa entries > 1")
-
-    def part(xs, kappas):
-        xs = xs[xs >= FD_STEP]  # f is defined for x >= 0 only
-        mills_fd = _quotient(mills_ratio, xs, FD_STEP)
-        ident = np.array([df_dx_identity(xs, k) for k in kappas])
-        steps = [FD_STEP * min(1.0, 1.0 / math.sqrt(k.kappa_minus_1)) for k in kappas]
-        fd = np.array([_quotient(r_scaled, xs, h, k) for h, k in zip(steps, kappas)])
-        fd -= mills_fd
-        err = np.abs(ident - fd) / np.maximum(1.0, np.abs(ident))
-        return xs, [k.kappa for k in kappas], err, lambda r, i: (ident[r, i], fd[r, i])
-
-    return _merge("derivative", _parts(grid, part), FD_TOL)
+    xs = grid.xs()
+    xs = xs[xs >= FD_STEP]  # f is defined for x >= 0 only
+    ident = np.empty((len(grid.kappas), xs.size))
+    fd = np.empty_like(ident)
+    for r, k in enumerate(grid.kappas):
+        ident[r] = df_dx_identity(xs, k)
+        fd[r] = _quotient(r_scaled, xs, FD_STEP * min(1.0, 1.0 / math.sqrt(k.kappa_minus_1)), k)
+    fd -= _quotient(mills_ratio, xs, FD_STEP)
+    err = np.abs(ident - fd) / np.maximum(1.0, np.abs(ident))
+    return _merge("derivative", [(xs, [k.kappa for k in grid.kappas], err,
+                                  lambda r, i: (ident[r, i], fd[r, i]))], FD_TOL)
 
 
 def _quotient(fn, xs: np.ndarray, h: float, *args) -> np.ndarray:

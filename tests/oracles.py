@@ -188,17 +188,14 @@ def block_workers(monkeypatch, n: int):
 def theorem_per_kappa(grid, tolerance=1e-13, weight_inflation=1.0):
     """The theorem suite's report from one loop over the grid's kappas: one
     q, one single-kappa g_lower call and one violation array per kappa, on
-    the grid's x values or, for 0 < kappa - 1 <= DEGENERATE_EPS, on 1e-3 to
-    1e3 times the pivot 1/sqrt(kappa-1).  Where Q is subnormal or 0 the
-    violation is inf if g - Q > 2**-1073, else -1; elsewhere (g - Q)/Q."""
+    the grid's x values.  Where Q is subnormal or 0 the violation is inf if
+    g - Q > 2**-1073, else -1; elsewhere (g - Q)/Q."""
     from qbound import g_lower, q
-    from qbound.verify import DEGENERATE_EPS, _merge
+    from qbound.verify import _merge
 
     parts = []
     for k in grid.kappas:
         xs = grid.xs()
-        if 0.0 < k.kappa_minus_1 <= DEGENERATE_EPS:
-            xs = (1.0 / math.sqrt(k.kappa_minus_1)) * np.geomspace(1e-3, 1e3, xs.size)
         qs = q(xs)
         gs = weight_inflation * g_lower(xs, k.kappa)
         tiny = qs < sys.float_info.min
@@ -210,20 +207,17 @@ def theorem_per_kappa(grid, tolerance=1e-13, weight_inflation=1.0):
 
 def derivative_per_kappa(grid):
     """The derivative suite's report from one loop over the grid's kappas:
-    on the grid's x values or, for 0 < kappa - 1 <= DEGENERATE_EPS, on 1e-3
-    to 1e3 times the pivot 1/sqrt(kappa-1), the points x >= FD_STEP; there
-    one df_dx_identity call and the central differences of r_scaled, at
-    the step FD_STEP*min(1, 1/sqrt(kappa - 1)), less those of mills_ratio,
-    at FD_STEP, each side its own kernel call.  The error is
-    |ident - fd|/max(1, |ident|); a kappa with no such point adds no part."""
+    at the grid's x >= FD_STEP, one df_dx_identity call and the central
+    differences of r_scaled, at the step FD_STEP*min(1, 1/sqrt(kappa - 1)),
+    less those of mills_ratio, at FD_STEP, each side its own kernel call.
+    The error is |ident - fd|/max(1, |ident|); a kappa with no such point
+    adds no part."""
     from qbound import df_dx_identity, mills_ratio, r_scaled
-    from qbound.verify import DEGENERATE_EPS, FD_STEP, FD_TOL, _merge
+    from qbound.verify import FD_STEP, FD_TOL, _merge
 
     parts = []
     for k in grid.kappas:
         xs = grid.xs()
-        if 0.0 < k.kappa_minus_1 <= DEGENERATE_EPS:
-            xs = (1.0 / math.sqrt(k.kappa_minus_1)) * np.geomspace(1e-3, 1e3, xs.size)
         xs = xs[xs >= FD_STEP]
         if xs.size == 0:
             continue

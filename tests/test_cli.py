@@ -253,6 +253,18 @@ class TestVerifyCommand:
         ]
         assert text.splitlines()[2].startswith("PASS lemma2: points=2000 ")
 
+    def test_all_kappa_next_to_one_decides_on_the_given_grid(self):
+        # the theorem's worst point lies on the grid's 11 points, where Q
+        # and g are both normal
+        code, text = run_cli("verify", "all", "--kappa", "1.0000000000000002",
+                             "--x-count", "11", "--format", "json")
+        assert code == 0
+        reports = json.loads(text)
+        assert all(r["passed"] for r in reports)
+        theorem = reports[0]
+        assert theorem["suite"] == "theorem" and -10.0 <= theorem["worst_point"][0] <= 10.0
+        assert theorem["worst_lhs"] > 0.0 and theorem["worst_rhs"] > 0.0
+
     def test_all_default_suites_in_order(self):
         # a literal, not SUITE_NAMES: a suite dropped from the default shows
         code, text = run_cli("verify", "all")

@@ -162,12 +162,20 @@ class TestVerifyTheorem:
         )
         assert verify_theorem(g).passed
 
-    def test_near_degenerate_kappa_uses_pivot_grid(self):
-        kappa = 1.0 + 1e-10
-        r = verify_theorem(EvaluationGrid(kappas=(kappa,)))
+    @pytest.mark.parametrize("kappa", [1.0 + 1e-10, 1.0000000000000002])
+    def test_near_degenerate_kappa_decides_on_the_given_grid(self, kappa):
+        # the kappa keeps the grid's x values, where Q and g are normal
+        grid = EvaluationGrid(x_count=11, kappas=(kappa,))
+        r = verify_theorem(grid)
         assert r.passed
-        # worst point must sit near 1/sqrt(kappa-1) ~ 1e5, not on [-10, 10]
-        assert abs(r.worst_point[0]) > 10.0
+        assert grid.x_min <= r.worst_point[0] <= grid.x_max
+        assert r.worst_lhs > 0.0 and r.worst_rhs > 0.0
+
+    def test_inflated_weight_fails_at_a_near_degenerate_kappa(self):
+        # g's weight is ~4e-6 here: inflated 1e5-fold it exceeds Q by x = 10
+        r = verify_theorem(EvaluationGrid(kappas=(1.0 + 1e-10,)), weight_inflation=1e5)
+        assert not r.passed
+        assert r.worst_violation > 1.0 and r.worst_point[0] == 10.0
 
     def test_corrupted_weight_detected(self):
         # 1e-6 inflation is only visible where the bound's own gap is
@@ -205,19 +213,18 @@ class TestVerifyTheorem:
             (xs.size, [k.kappa for k in ks])) or real(xs, ks))
         grid = EvaluationGrid(x_count=101, kappas=(1.0, 1.5, 1.0 + 1e-10, 2.0, 10.0))
         report = verify_theorem(grid)
-        # one kernel call on the grid, one on the near-degenerate kappa's
-        # own grid: Q's row and g's rows for the kappas of each
-        assert calls == [(101, [1.0, 1.5, 2.0, 10.0]), (101, [1.0 + 1e-10])]
+        # one kernel call on the grid: Q's row and one g row per kappa
+        assert calls == [(101, [1.0, 1.5, 1.0 + 1e-10, 2.0, 10.0])]
         assert report.points_checked == 5 * 101
 
     @pytest.mark.parametrize("keywords, weight_inflation", [
-        ({"x_count": 201, "kappas": (2.0, 1.0 + 1e-10, 5.0)}, 1.0),  # degenerate between two
+        ({"x_count": 201, "kappas": (2.0, 1.0 + 1e-10, 5.0)}, 1.0),  # near 1 between two
         ({"x_count": 201, "kappas": (2.0, 1.5, 2.0)}, 1.0),  # a duplicated kappa
         ({"x_count": 201, "kappas": (1.5, 2.0, 1.5)}, 1.01),  # ... whose worst point ties
         ({"x_count": 201, "kappas": (1.0,)}, 1.0),
-        # past x ~38.5 Q is 0 and the violation -1, all of the degenerate
-        # kappa's grid: it ties kappa 1, and the first part in grid order wins
+        # kappa 1's g is 0, so its violation is -1 at every point
         ({"x_count": 201, "kappas": (1.0 + 1e-10, 1.0)}, 1.0),
+        ({"x_count": 201, "kappas": (1.0, 1.0 + 1e-10)}, 1e5),
         ({"x_min": 0.0, "x_max": 40.0, "x_count": 4001,
           "kappas": (1.0, 1.0005, 1.00067, 1.001, 1e200)}, 1.0),  # Q subnormal and 0
         ({"x_min": 37.0, "x_max": 40.0, "x_count": 3001, "kappas": (1.00067, 2.0)}, 4.0),
@@ -243,8 +250,8 @@ class TestVerifyTheorem:
             assert r.worst_point == (1.0, 3.0)
 
     def test_a_part_with_no_points_is_skipped(self):
-        # a shared x grid with no point x >= FD_STEP gives the derivative
-        # suite such a part: it adds no point and is never the worst
+        # a grid with no point x >= FD_STEP gives the derivative suite such
+        # a part: it adds no point and is never the worst
         xs = np.array([0.0, 1.0])
         part = (xs, (2.0,), np.array([-0.5, 0.25]), lambda r, i: (xs[i], xs[i]))
         empty = (xs[:0], (3.0, 4.0), np.empty((2, 0)), lambda r, i: pytest.fail("no point"))
@@ -255,29 +262,6 @@ class TestVerifyTheorem:
             assert r.points_checked == 2 and r.worst_point == (1.0, 2.0)
         with pytest.raises(UsageError, match="no point to check"):
             verify._merge("theorem", [empty, empty], verify.REL_TOL)
-
-    def test_parts_keep_the_grid_order_and_split_only_beside_a_degenerate_kappa(self):
-        def part(xs, kappas):
-            calls.append((xs.size, [k.kappa for k in kappas]))
-            viol = np.arange(len(kappas) * xs.size, dtype=float).reshape(len(kappas), -1)
-            return xs, [k.kappa for k in kappas], viol, lambda r, i: (r, i)
-
-        degenerate = 1.0 + 1e-10
-        for kappas, want_calls, want_rows in [
-            ((2.0, 1.5), [(11, [2.0, 1.5])], [[2.0, 1.5]]),
-            ((degenerate, 1.0 + 1e-12), [(11, [degenerate]), (11, [1.0 + 1e-12])],
-             [[degenerate], [1.0 + 1e-12]]),
-            ((2.0, degenerate, 1.5), [(11, [2.0, 1.5]), (11, [degenerate])],
-             [[2.0], [degenerate], [1.5]]),
-        ]:
-            calls = []
-            grid = EvaluationGrid(x_count=11, kappas=kappas)
-            parts = verify._parts(grid, part)
-            assert calls == want_calls
-            assert [list(p[1]) for p in parts] == want_rows
-            if len(parts) == 3:  # the shared part's rows, one per part, each its sides
-                assert parts[2][2].tolist() == list(range(11, 22))
-                assert parts[2][3](0, 4) == (1, 4)
 
     def test_a_block_of_rows_equals_its_one_row_parts(self):
         # one argmax(axis=1) over a (rows, n) part picks what one part per
@@ -556,12 +540,18 @@ class TestVerifyDerivative:
         r = verify_derivative(g)
         assert r.passed, r.worst_violation
 
+    def test_near_degenerate_kappa_on_the_pivot_scale(self):
+        # r varies on the scale 1/sqrt(kappa - 1) = 1e5: a log grid around it
+        g = EvaluationGrid(x_min=1e2, x_max=1e8, spacing="log", kappas=(1.0 + 1e-10,))
+        r = verify_derivative(g)
+        assert r.passed and r.worst_violation < 1e-10
+        assert r.points_checked == 2001
+
     @pytest.mark.parametrize("kappas, sizes, points", [
-        # the grid's 50 points x >= FD_STEP, both sides in one call, once for
-        # 1.5, 2 and 10; each near-degenerate kappa's own 101-point grid
-        ((1.5, 1.0 + 1e-10, 2.0, 1.0 + 1e-12, 10.0), [100, 202, 202], 3 * 50 + 2 * 101),
-        # no kappa keeps the grid: no call on it
-        ((1.0 + 1e-10, 1.0 + 1e-12), [202, 202], 2 * 101),
+        # the grid's 50 points x >= FD_STEP, both sides in one call, for
+        # every kappa, near 1 or not
+        ((1.5, 1.0 + 1e-10, 2.0, 1.0 + 1e-12, 10.0), [100], 5 * 50),
+        ((1.0 + 1e-10, 1.0 + 1e-12), [100], 2 * 50),
     ])
     def test_one_mills_pass_for_the_shared_grid(self, monkeypatch, kappas, sizes, points):
         calls = []
@@ -573,30 +563,40 @@ class TestVerifyDerivative:
         assert report.passed
 
     @pytest.mark.parametrize("keywords", [
-        {"x_count": 201, "kappas": (2.0, 1.0 + 1e-10, 5.0)},  # degenerate between two
+        {"x_count": 201, "kappas": (2.0, 1.0 + 1e-10, 5.0)},  # near 1 between two
         {"x_count": 201, "kappas": (1.5, 2.0, 1.5)},  # a duplicated kappa
-        # no grid point x >= FD_STEP: the shared part has none
+        # no grid point x >= FD_STEP: a UsageError on both sides
         {"x_min": 0.0, "x_max": 1e-6, "x_count": 101, "kappas": (2.0, 1.0 + 1e-10, 5.0)},
-        {"x_count": 201, "kappas": (1.0 + 1e-10, 1.0 + 1e-12)},  # only degenerate kappas
+        {"x_count": 201, "kappas": (1.0 + 1e-10, 1.0 + 1e-12)},  # only kappas near 1
         {"x_count": 40001, "kappas": (1.0 + 1e-12, 1.5, 2.0, 1e200)},  # blocked rows
     ])
     def test_report_equals_the_per_kappa_loop(self, keywords, monkeypatch):
+        def outcome(suite):
+            try:
+                return repr(suite(grid))
+            except UsageError as e:
+                return f"UsageError: {e}"
+
         grid = EvaluationGrid(**keywords)
-        want = repr(oracles.derivative_per_kappa(grid))
+        want = outcome(oracles.derivative_per_kappa)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for workers in (1, 2):
                 with oracles.block_workers(monkeypatch, workers):
-                    assert repr(verify_derivative(grid)) == want
+                    assert outcome(verify_derivative) == want
 
     def test_rejects_kappa_one(self):
         with pytest.raises(UsageError):
             verify_derivative(EvaluationGrid(kappas=(1.0, 2.0)))
 
-    def test_rejects_grid_without_positive_x(self):
+    @pytest.mark.parametrize("x_min, x_max, kappas", [
+        (-10.0, 0.0, (2.0,)),
+        (0.0, 1e-6, (2.0, 1.0 + 1e-10, 5.0)),  # a kappa near 1 keeps the grid too
+    ])
+    def test_rejects_grid_without_x_from_fd_step(self, x_min, x_max, kappas):
         # the closed form needs x >= FD_STEP; no such point is a usage error
-        g = EvaluationGrid(x_min=-10.0, x_max=0.0, kappas=(2.0,))
-        with pytest.raises(UsageError):
+        g = EvaluationGrid(x_min=x_min, x_max=x_max, x_count=101, kappas=kappas)
+        with pytest.raises(UsageError, match="no point to check"):
             verify_derivative(g)
 
 

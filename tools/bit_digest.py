@@ -45,9 +45,9 @@ compare the lines.  Eight kinds of output are digested:
   kappa - 1 in [1e-12, 1e300], and theorem, run_all, derivative and
   chernoff on REPORT_GRIDS, whose kappas include 1, near-degenerate ones
   (kappa - 1 <= 1e-9) and 1e200, a duplicated kappa, a grid whose kappa
-  rows run in blocks, a grid with no point x >= verify.FD_STEP beside a
-  degenerate kappa (the derivative suite's empty shared part), and two
-  grids shaped like the select_certify workload's;
+  rows run in blocks, a grid with no point x >= verify.FD_STEP, with a
+  near-degenerate kappa among others (a usage error of the derivative
+  suite), and two grids shaped like the select_certify workload's;
 - cli: stdout and exit code of CLI_COMMANDS, run in-process through
   qbound.cli.main (stderr is discarded).  The tables run in CSV and in
   JSON, whose NaN, Infinity and float spellings the table renderer writes
@@ -113,13 +113,13 @@ REPORT_GRIDS = (
     {"x_min": 0.0, "x_max": 40.0, "x_count": 4001, "kappas": _KAPPAS},
     {"x_min": 1e-3, "x_max": 1e8, "x_count": 2001, "spacing": "log", "kappas": _KAPPAS},
     {"x_min": 0.0, "x_max": 1e-6, "x_count": 101, "kappas": (2.0, 1e200)},
-    # no grid point x >= verify.FD_STEP beside a degenerate kappa: the
-    # derivative suite's shared part has no point, its split rows none
+    # no grid point x >= verify.FD_STEP, a near-degenerate kappa between
+    # two others: the derivative suite has no point to check
     {"x_min": 0.0, "x_max": 1e-6, "x_count": 101, "kappas": (2.0, 1.0 + 1e-10, 5.0)},
     {"x_min": 30.0, "x_max": 45.0, "x_count": 20001, "kappas": (1.0, 1.0 + 5e-10, 1e200)},
-    # the theorem suite's rows of the three shared kappas run in blocks of
-    # special._BLOCK // 4 points (Q's row and three g rows), the degenerate
-    # kappa on its own grid
+    # the theorem suite's rows of the four kappas, the near-degenerate one
+    # too, run in blocks of special._BLOCK // 5 points (Q's row and four g
+    # rows)
     {"x_count": 40001, "kappas": (2.0, 1.0 + 1e-10, 2.0, 5.0)},
     # the select_certify workload's theorem and run_all grids: 201 points
     # of [-x_max, x_max] and three kappas, one Q row and three g rows; at
