@@ -172,7 +172,8 @@ class TestVerifyTheorem:
         assert r.worst_lhs > 0.0 and r.worst_rhs > 0.0
 
     def test_inflated_weight_fails_at_a_near_degenerate_kappa(self):
-        # g's weight is ~4e-6 here: inflated 1e5-fold it exceeds Q by x = 10
+        # g's weight is ~6.6e-6 here: inflated 1e5-fold, g exceeds Q most at
+        # the grid's end, x = 10
         r = verify_theorem(EvaluationGrid(kappas=(1.0 + 1e-10,)), weight_inflation=1e5)
         assert not r.passed
         assert r.worst_violation > 1.0 and r.worst_point[0] == 10.0
@@ -251,7 +252,8 @@ class TestVerifyTheorem:
 
     def test_a_part_with_no_points_is_skipped(self):
         # a grid with no point x >= FD_STEP gives the derivative suite such
-        # a part: it adds no point and is never the worst
+        # a part, alone a UsageError; beside others it adds no point and is
+        # never the worst
         xs = np.array([0.0, 1.0])
         part = (xs, (2.0,), np.array([-0.5, 0.25]), lambda r, i: (xs[i], xs[i]))
         empty = (xs[:0], (3.0, 4.0), np.empty((2, 0)), lambda r, i: pytest.fail("no point"))
