@@ -131,44 +131,44 @@ class VerificationReport:
     worst_rhs: float = math.nan
 
 
-def _merge(suite: str, parts, tolerance: float) -> VerificationReport:
-    """One report over parts (xs, kappas, viol, sides): points xs, the kappa
-    of each row of viol, the (rows, xs.size) violations (a 1-D viol is its
-    one-row case), and sides(r, i), the (lhs, rhs) of row r at index i.  A
-    row's worst point is the argmax of its violations, which is its first
-    nan if it has one; one argmax(axis=1) reads every row of a part.
-    Across rows, in the parts' order and then the rows', a nan is worse than
-    any number, and otherwise the first strictly greater violation wins.
-    Only there is sides called.  A part with no points is skipped.  Each
-    suite passes one part: a grid suite's has one row per kappa of its
-    grid, and named points (lemma 1's) are one row.  The report's numbers
-    are Python floats, bools and ints."""
-    points, worst = 0, None
-    for xs, kappas, viol, sides in parts:
-        if not viol.size:
-            continue
-        viol = viol.reshape(len(kappas), -1)
-        points += viol.size
-        for r, i in enumerate(viol.argmax(axis=1).tolist()):
-            v = float(viol[r, i])
-            if worst is None or v > worst[0] or (math.isnan(v) and not math.isnan(worst[0])):
-                worst = (v, r, i, xs, kappas, sides)
-    if worst is None:
+def _merge(suite: str, xs, kappas, viol: np.ndarray, sides, tolerance: float) -> VerificationReport:
+    """One report over the (len(kappas), len(xs)) violations viol (a 1-D viol
+    is its one-row case): row r is kappa kappas[r], column i is point xs[i],
+    and sides(r, i) gives that point's (lhs, rhs).  The worst point is
+    viol's flat argmax: in row-major order, the first nan, else the first
+    greatest value.  Only there is sides called.  A grid suite's viol has
+    one row per kappa of its grid, and named points (lemma 1's) are one
+    row.  The report's numbers are Python floats, bools and ints."""
+    if not viol.size:
         raise UsageError(f"the {suite} suite has no point to check on this grid")
-    v, r, i, xs, kappas, sides = worst
+    j = int(viol.argmax())
+    r, i = divmod(j, len(xs))
+    v = float(viol.flat[j])
     lhs, rhs = sides(r, i)
-    return VerificationReport(suite, points, v, (float(xs[i]), float(kappas[r])), tolerance,
+    return VerificationReport(suite, viol.size, v, (float(xs[i]), float(kappas[r])), tolerance,
                               bool(v <= tolerance), float(lhs), float(rhs))
 
 
-def _theorem_part(xs: np.ndarray, kappas: tuple, weight_inflation: float):
-    """The theorem suite's part for kappas on the one x grid xs, as
-    (xs, kappas, viol, sides), from one _q_and_g call: g's rows share Q.
-    The violation is (g - Q)/Q, one row per kappa, computed in place; where
-    Q is subnormal or 0 it is left at g - Q, which the subnormal rule reads.
-    Beside the kernel's rows and the violation, no temporary of g's size but
-    a boolean mask is built."""
-    rows = _q_and_g(xs, kappas)
+def verify_theorem(
+    grid: EvaluationGrid | None = None,
+    tolerance: float = REL_TOL,
+    weight_inflation: float = 1.0,
+) -> VerificationReport:
+    """Check g(x, kappa) <= Q(x) * (1 + tolerance) over the whole grid: one
+    row per kappa, in the grid's order, with lhs g and rhs Q, every kappa
+    on the grid's x values.  One _q_and_g call gives Q and the g rows; the
+    violation (g - Q)/Q is computed in place, with no other temporary of
+    g's size but a boolean mask.  Where Q is subnormal or 0, the check is
+    g <= Q + 2**-1073 instead.
+
+    weight_inflation is a test hook that multiplies the bound's weight; the
+    suite must detect a corrupted bound, not merely avoid crashing.
+    """
+    if math.isnan(tolerance):
+        raise UsageError("the tolerance must not be nan")
+    grid = grid or EvaluationGrid()
+    xs = grid.xs()
+    rows = _q_and_g(xs, grid.kappas)
     qs, gs = rows[0], rows[1:]
     if weight_inflation != 1.0:  # g*1.0 is g, bit for bit
         gs *= weight_inflation
@@ -185,27 +185,8 @@ def _theorem_part(xs: np.ndarray, kappas: tuple, weight_inflation: float):
         np.copyto(viol, math.inf, where=over)
     else:
         viol /= qs
-    return xs, [k.kappa for k in kappas], viol, lambda r, i: (gs[r, i], qs[i])
-
-
-def verify_theorem(
-    grid: EvaluationGrid | None = None,
-    tolerance: float = REL_TOL,
-    weight_inflation: float = 1.0,
-) -> VerificationReport:
-    """Check g(x, kappa) <= Q(x) * (1 + tolerance) over the whole grid: one
-    row per kappa, in the grid's order, with lhs g and rhs Q, every kappa
-    on the grid's x values, from one _q_and_g call.  Where Q is subnormal
-    or 0, the check is g <= Q + 2**-1073 instead.
-
-    weight_inflation is a test hook that multiplies the bound's weight; the
-    suite must detect a corrupted bound, not merely avoid crashing.
-    """
-    if math.isnan(tolerance):
-        raise UsageError("the tolerance must not be nan")
-    grid = grid or EvaluationGrid()
-    return _merge("theorem", [_theorem_part(grid.xs(), grid.kappas, weight_inflation)],
-                  tolerance)
+    return _merge("theorem", xs, [k.kappa for k in grid.kappas], viol,
+                  lambda r, i: (gs[r, i], qs[i]), tolerance)
 
 
 def verify_lemma1(k) -> VerificationReport:
@@ -215,7 +196,7 @@ def verify_lemma1(k) -> VerificationReport:
     tolerance.  x*r(x) rises up to p and falls after it, so that is the sign
     pattern on all of [0, inf).  Three scalar lemma1_relation calls, on x1,
     p and x2 in turn: lhs is the relation, absolute at the endpoints, rhs 0.
-    The three named points are one one-row part of _merge."""
+    The three named points are one row of _merge, with one kappa."""
     k = as_kappa(k, "verify_lemma1")
     cp = critical_points(k)
     if not (cp.x1 < cp.pivot < cp.x2):  # no point checked: _merge has no such report
@@ -224,14 +205,14 @@ def verify_lemma1(k) -> VerificationReport:
     lhs = [lemma1_relation(x, k) for x in xs]
     lhs[0], lhs[2] = abs(lhs[0]), abs(lhs[2])
     viol = np.array([lhs[0], -lhs[1], lhs[2]])
-    return _merge("lemma1", [(xs, (k.kappa,), viol, lambda r, i: (lhs[i], 0.0))], ENDPOINT_TOL)
+    return _merge("lemma1", xs, (k.kappa,), viol, lambda r, i: (lhs[i], 0.0), ENDPOINT_TOL)
 
 
 def verify_lemma2(k, x_hi: float | None = None, count: int = 10000) -> VerificationReport:
     """Check kappa*x*R(x) >= 1 on [x1, x_hi], plus the sufficient condition
     pi*kappa*x / ((pi-1)*x + sqrt(x**2 + 2*pi)) >= 1 on the same range, to
     LEMMA2_TOL.  x_hi defaults to max(1000, 10*x1): 1000 unless x1 > 100,
-    where kappa - 1 is below ~1e-4.  One part: lhs is the smaller of the
+    where kappa - 1 is below ~1e-4.  One row: lhs is the smaller of the
     two left sides, rhs 1."""
     k = as_kappa(k, "verify_lemma2")
     if not isinstance(count, (int, np.integer)) or count < 1:
@@ -243,7 +224,7 @@ def verify_lemma2(k, x_hi: float | None = None, count: int = 10000) -> Verificat
         raise UsageError(f"x_hi must be finite and exceed x1 = {x1}, got {x_hi}")
     xs = _spaced(x1, x_hi, count, log=True)
     lhs = np.minimum(_kxr(xs, k, mills_ratio(xs)), _kxr(xs, k, boyd_lower(xs)))
-    return _merge("lemma2", [(xs, (k.kappa,), 1.0 - lhs, lambda r, i: (lhs[i], 1.0))], LEMMA2_TOL)
+    return _merge("lemma2", xs, (k.kappa,), 1.0 - lhs, lambda r, i: (lhs[i], 1.0), LEMMA2_TOL)
 
 
 def verify_derivative(grid: EvaluationGrid | None = None) -> VerificationReport:
@@ -272,8 +253,8 @@ def verify_derivative(grid: EvaluationGrid | None = None) -> VerificationReport:
         fd[r] = _quotient(r_scaled, xs, FD_STEP * min(1.0, 1.0 / math.sqrt(k.kappa_minus_1)), k)
     fd -= _quotient(mills_ratio, xs, FD_STEP)
     err = np.abs(ident - fd) / np.maximum(1.0, np.abs(ident))
-    return _merge("derivative", [(xs, [k.kappa for k in grid.kappas], err,
-                                  lambda r, i: (ident[r, i], fd[r, i]))], FD_TOL)
+    return _merge("derivative", xs, [k.kappa for k in grid.kappas], err,
+                  lambda r, i: (ident[r, i], fd[r, i]), FD_TOL)
 
 
 def _quotient(fn, xs: np.ndarray, h: float, *args) -> np.ndarray:
@@ -295,8 +276,8 @@ def verify_chernoff(grid: EvaluationGrid | None = None) -> VerificationReport:
         raise UsageError("the Chernoff upper bound requires x >= 0")
     xs = grid.xs() if grid is not None else np.zeros(1)
     viol = mills_ratio(xs) / SQRT_HALF_PI - 1.0
-    return _merge("chernoff", [(xs, (math.nan,), viol,
-                                lambda r, i: (q(xs[i]), chernoff_upper(xs[i])))], REL_TOL)
+    return _merge("chernoff", xs, (math.nan,), viol,
+                  lambda r, i: (q(xs[i]), chernoff_upper(xs[i])), REL_TOL)
 
 
 #: Every suite, in the order run_all and `qbound verify all` report them.

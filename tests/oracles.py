@@ -185,24 +185,46 @@ def block_workers(monkeypatch, n: int):
     yield
 
 
+def merge_by_hand(suite, xs, kappas, rows, sides, tolerance):
+    """The report verify._merge gives, from a plain Python loop over each
+    violation of rows, one row per kappa, each of len(xs) values, in turn:
+    the worst point is the first nan, else the first strictly greater
+    value, rows in order, and sides(r, i) gives its (lhs, rhs).  No point
+    at all is the suites' UsageError."""
+    from qbound import UsageError, VerificationReport
+
+    points, worst = 0, None
+    for r, row in enumerate(rows):
+        for i, v in enumerate(row):
+            v, points = float(v), points + 1
+            if worst is None or v > worst[0] or (math.isnan(v) and not math.isnan(worst[0])):
+                worst = (v, r, i)
+    if worst is None:
+        raise UsageError(f"the {suite} suite has no point to check on this grid")
+    v, r, i = worst
+    lhs, rhs = sides(r, i)
+    return VerificationReport(suite, points, v, (float(xs[i]), float(kappas[r])), tolerance,
+                              v <= tolerance, float(lhs), float(rhs))
+
+
 def theorem_per_kappa(grid, tolerance=1e-13, weight_inflation=1.0):
     """The theorem suite's report from one loop over the grid's kappas: one
     q, one single-kappa g_lower call and one violation array per kappa, on
     the grid's x values.  Where Q is subnormal or 0 the violation is inf if
     g - Q > 2**-1073, else -1; elsewhere (g - Q)/Q."""
     from qbound import g_lower, q
-    from qbound.verify import _merge
 
-    parts = []
+    xs, rows, gss = grid.xs(), [], []
     for k in grid.kappas:
-        xs = grid.xs()
         qs = q(xs)
         gs = weight_inflation * g_lower(xs, k.kappa)
         tiny = qs < sys.float_info.min
         viol = (gs - qs) / np.where(tiny, 1.0, qs)
         viol[tiny] = np.where(gs[tiny] - qs[tiny] > 2.0**-1073, math.inf, -1.0)
-        parts.append((xs, (k.kappa,), viol, lambda r, i, gs=gs, qs=qs: (gs[i], qs[i])))
-    return _merge("theorem", parts, tolerance)
+        rows.append(viol)
+        gss.append(gs)
+    return merge_by_hand("theorem", xs, [k.kappa for k in grid.kappas], rows,
+                         lambda r, i: (gss[r][i], qs[i]), tolerance)
 
 
 def derivative_per_kappa(grid):
@@ -210,24 +232,21 @@ def derivative_per_kappa(grid):
     at the grid's x >= FD_STEP, one df_dx_identity call and the central
     differences of r_scaled, at the step FD_STEP*min(1, 1/sqrt(kappa - 1)),
     less those of mills_ratio, at FD_STEP, each side its own kernel call.
-    The error is |ident - fd|/max(1, |ident|); a kappa with no such point
-    adds no part."""
+    The error is |ident - fd|/max(1, |ident|)."""
     from qbound import df_dx_identity, mills_ratio, r_scaled
-    from qbound.verify import FD_STEP, FD_TOL, _merge
+    from qbound.verify import FD_STEP, FD_TOL
 
-    parts = []
+    xs = grid.xs()
+    xs, rows, pairs = xs[xs >= FD_STEP], [], []
     for k in grid.kappas:
-        xs = grid.xs()
-        xs = xs[xs >= FD_STEP]
-        if xs.size == 0:
-            continue
         h = FD_STEP * min(1.0, 1.0 / math.sqrt(k.kappa_minus_1))
         ident = df_dx_identity(xs, k)
         fd = ((r_scaled(xs + h, k) - r_scaled(xs - h, k)) / (2.0 * h)
               - (mills_ratio(xs + FD_STEP) - mills_ratio(xs - FD_STEP)) / (2.0 * FD_STEP))
-        err = np.abs(ident - fd) / np.maximum(1.0, np.abs(ident))
-        parts.append((xs, (k.kappa,), err, lambda r, i, a=ident, b=fd: (a[i], b[i])))
-    return _merge("derivative", parts, FD_TOL)
+        rows.append(np.abs(ident - fd) / np.maximum(1.0, np.abs(ident)))
+        pairs.append((ident, fd))
+    return merge_by_hand("derivative", xs, [k.kappa for k in grid.kappas], rows,
+                         lambda r, i: (pairs[r][0][i], pairs[r][1][i]), FD_TOL)
 
 
 def chernoff_one_point(grid=None):
@@ -236,7 +255,7 @@ def chernoff_one_point(grid=None):
     alone's) slice at the worst index."""
     from qbound import chernoff_upper, mills_ratio, q
     from qbound.special import SQRT_HALF_PI
-    from qbound.verify import REL_TOL, _merge
+    from qbound.verify import REL_TOL
 
     xs = grid.xs() if grid is not None else np.zeros(1)
     viol = mills_ratio(xs) / SQRT_HALF_PI - 1.0
@@ -244,16 +263,15 @@ def chernoff_one_point(grid=None):
     def sides(r, i):
         return q(xs[i:i + 1])[0], chernoff_upper(xs[i:i + 1])[0]
 
-    return _merge("chernoff", [(xs, (math.nan,), viol, sides)], REL_TOL)
+    return merge_by_hand("chernoff", xs, (math.nan,), [viol], sides, REL_TOL)
 
 
 def lemma1_by_hand(k):
-    """Lemma 1's report built by hand from three floats, without _merge:
-    lemma1_relation at x1, the pivot and x2, absolute at the two endpoints
-    and negated at the pivot, rhs 0; the worst point is the first nan, else
-    the first greatest violation.  Misordered critical points check none.
-    critical_points and lemma1_relation are looked up on qbound.verify, so
-    a monkeypatch there reaches this report too."""
+    """Lemma 1's report built by hand from three floats: lemma1_relation at
+    x1, the pivot and x2, absolute at the two endpoints and negated at the
+    pivot, rhs 0, merged by merge_by_hand as one row.  Misordered critical
+    points check none.  critical_points and lemma1_relation are looked up
+    on qbound.verify, so a monkeypatch there reaches this report too."""
     from qbound import verify
 
     k = verify.as_kappa(k, "verify_lemma1")
@@ -264,10 +282,8 @@ def lemma1_by_hand(k):
     xs = (cp.x1, cp.pivot, cp.x2)
     lhs = [verify.lemma1_relation(x, k) for x in xs]
     lhs[0], lhs[2] = abs(lhs[0]), abs(lhs[2])
-    viol = (lhs[0], -lhs[1], lhs[2])
-    i = max(range(3), key=lambda j: (math.isnan(viol[j]), viol[j]))
-    return verify.VerificationReport("lemma1", 3, viol[i], (xs[i], k.kappa), tol,
-                                     viol[i] <= tol, lhs[i], 0.0)
+    return merge_by_hand("lemma1", xs, (k.kappa,), [(lhs[0], -lhs[1], lhs[2])],
+                         lambda r, i: (lhs[i], 0.0), tol)
 
 
 def inflate_alpha(monkeypatch, factor: float):

@@ -240,47 +240,48 @@ class TestVerifyTheorem:
                 with oracles.block_workers(monkeypatch, workers):
                     assert repr(verify_theorem(grid, weight_inflation=weight_inflation)) == want
 
-    def test_nan_in_any_part_is_the_worst(self):
-        xs = np.array([0.0, 1.0])
-        finite = (xs, (2.0,), np.array([-0.5, 0.25]), lambda r, i: (xs[i], xs[i]))
-        with_nan = (xs, (3.0,), np.array([-1.0, math.nan]), lambda r, i: (xs[i], xs[i]))
-        for parts in ([finite, with_nan], [with_nan, finite]):
-            r = verify._merge("theorem", parts, verify.REL_TOL)
-            assert math.isnan(r.worst_violation)
-            assert not r.passed
-            assert r.worst_point == (1.0, 3.0)
+    def test_merge_equals_the_merge_by_hand(self):
+        # one flat argmax over a (rows, n) block picks what a loop over each
+        # row in turn does: the first nan, else the first strictly greater
+        # value.  The fixed blocks tie within and across rows, put -0.0
+        # before 0.0, hold +-inf and a nan after a larger number; the seeded
+        # ones draw from a pool of such values, so that they tie often
+        blocks = [(np.array([[-1.0, 0.5, 0.5], [0.5, -2.0, 0.25]]), (1.0, 2.0), "0.5"),
+                  (np.array([[2.0, 0.5, math.nan], [math.nan, 0.0, 9.0]]), (2.0, 2.0), "nan"),
+                  (np.array([[-0.0, -1.0, 0.0], [0.0, -0.0, -1.0]]), (0.0, 2.0), "-0.0"),
+                  (np.array([[-1.0, -0.0], [0.0, -1.0]]), (1.0, 2.0), "-0.0"),
+                  (np.array([[-math.inf, 1.0], [math.inf, math.inf]]), (0.0, 3.0), "inf"),
+                  (np.array([[-math.inf, -math.inf]]), (0.0, 2.0), "-inf"),
+                  (np.array([1.0, 0.5, 1.0]), (0.0, 2.0), "1.0")]  # 1-D: one row
+        rng = np.random.default_rng(38)
+        pool = np.array([-1.0, -0.0, 0.0, 0.5, 2.0, math.inf, -math.inf, math.nan])
+        for _ in range(5000):
+            viol = rng.choice(pool, (rng.integers(1, 5), rng.integers(1, 7)),
+                              p=rng.dirichlet(np.ones(pool.size)))
+            blocks.append((viol[0] if len(viol) == 1 and rng.random() < 0.5 else viol, None, None))
+        verdicts = set()
+        for viol, point, worst in blocks:
+            rows = viol.reshape(-1, viol.shape[-1])
+            xs, kappas = np.arange(rows.shape[1], dtype=float), [2.0 + r for r in range(len(rows))]
+            sides = lambda r, i, rows=rows: (rows[r, i], -float(r))  # noqa: E731
+            got = verify._merge("theorem", xs, kappas, viol, sides, verify.REL_TOL)
+            want = oracles.merge_by_hand("theorem", xs, kappas, rows, sides, verify.REL_TOL)
+            assert repr(got) == repr(want), viol
+            assert got.points_checked == viol.size
+            if point is not None:
+                assert got.worst_point == point and repr(got.worst_violation) == worst
+            verdicts.add(repr(got.worst_violation) if got.worst_violation in (0.0, math.inf)
+                         or math.isnan(got.worst_violation) else got.passed)
+        assert verdicts == {True, False, "nan", "inf", "0.0", "-0.0"}
 
-    def test_a_part_with_no_points_is_skipped(self):
-        # a grid with no point x >= FD_STEP gives the derivative suite such
-        # a part, alone a UsageError; beside others it adds no point and is
-        # never the worst
-        xs = np.array([0.0, 1.0])
-        part = (xs, (2.0,), np.array([-0.5, 0.25]), lambda r, i: (xs[i], xs[i]))
-        empty = (xs[:0], (3.0, 4.0), np.empty((2, 0)), lambda r, i: pytest.fail("no point"))
-        want = repr(verify._merge("theorem", [part], verify.REL_TOL))
-        for parts in ([empty, part], [part, empty], [empty, part, empty]):
-            r = verify._merge("theorem", parts, verify.REL_TOL)
-            assert repr(r) == want
-            assert r.points_checked == 2 and r.worst_point == (1.0, 2.0)
-        with pytest.raises(UsageError, match="no point to check"):
-            verify._merge("theorem", [empty, empty], verify.REL_TOL)
-
-    def test_a_block_of_rows_equals_its_one_row_parts(self):
-        # one argmax(axis=1) over a (rows, n) part picks what one part per
-        # row does: the first nan, else the first strictly greater value,
-        # across rows in order, ties included
-        xs = np.array([0.0, 1.0, 2.0])
-        blocks = [np.array([[-1.0, 0.5, 0.5], [0.5, -2.0, 0.25]]),
-                  np.array([[-1.0, 0.5, math.nan], [math.nan, 0.0, 9.0]]),
-                  np.array([[-0.0, -1.0, 0.0], [0.0, -0.0, -1.0]])]
-        worst = [(1.0, 2.0), (2.0, 2.0), (0.0, 2.0)]
-        for viol, point in zip(blocks, worst):
-            sides = lambda r, i, viol=viol: (viol[r, i], float(r))  # noqa: E731
-            block = verify._merge("theorem", [(xs, (2.0, 3.0), viol, sides)], verify.REL_TOL)
-            rows = verify._merge("theorem", [(xs, (k,), viol[r], lambda _, i, r=r: sides(r, i))
-                                             for r, k in enumerate((2.0, 3.0))], verify.REL_TOL)
-            assert repr(block) == repr(rows)
-            assert block.points_checked == 6 and block.worst_point == point
+    @pytest.mark.parametrize("shape", [(3, 0), (0,)])
+    def test_no_point_is_a_usage_error(self, shape):
+        # a grid with no x >= FD_STEP gives the derivative suite such a viol
+        xs, kappas = np.empty(0), (2.0, 3.0, 4.0)[:shape[0]] or (2.0,)
+        for merge in (verify._merge, oracles.merge_by_hand):
+            with pytest.raises(UsageError, match="^the derivative suite has no point to check"):
+                merge("derivative", xs, kappas, np.empty(shape),
+                      lambda r, i: pytest.fail("no point"), verify.FD_TOL)
 
     # kappas at which the bound is tight somewhere in [37, 38.6], where Q is
     # subnormal past x ~37.52 and 0 from x ~38.49
