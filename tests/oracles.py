@@ -196,7 +196,8 @@ def merge_by_hand(suite, xs, kappas, rows, sides, tolerance):
     points, worst = 0, None
     for r, row in enumerate(rows):
         for i, v in enumerate(row):
-            v, points = float(v), points + 1
+            v = float(v)
+            points += 1
             if worst is None or v > worst[0] or (math.isnan(v) and not math.isnan(worst[0])):
                 worst = (v, r, i)
     if worst is None:

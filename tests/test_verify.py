@@ -270,17 +270,15 @@ class TestVerifyTheorem:
             assert got.points_checked == viol.size
             if point is not None:
                 assert got.worst_point == point and repr(got.worst_violation) == worst
-            verdicts.add(repr(got.worst_violation) if got.worst_violation in (0.0, math.inf)
-                         or math.isnan(got.worst_violation) else got.passed)
-        assert verdicts == {True, False, "nan", "inf", "0.0", "-0.0"}
+            verdicts |= {got.passed, repr(got.worst_violation)}
+        assert {True, False, "nan", "inf", "0.0", "-0.0"} <= verdicts
 
-    @pytest.mark.parametrize("shape", [(3, 0), (0,)])
-    def test_no_point_is_a_usage_error(self, shape):
+    @pytest.mark.parametrize("shape, kappas", [((3, 0), (2.0, 3.0, 4.0)), ((0,), (2.0,))])
+    def test_no_point_is_a_usage_error(self, shape, kappas):
         # a grid with no x >= FD_STEP gives the derivative suite such a viol
-        xs, kappas = np.empty(0), (2.0, 3.0, 4.0)[:shape[0]] or (2.0,)
         for merge in (verify._merge, oracles.merge_by_hand):
             with pytest.raises(UsageError, match="^the derivative suite has no point to check"):
-                merge("derivative", xs, kappas, np.empty(shape),
+                merge("derivative", np.empty(0), kappas, np.empty(shape),
                       lambda r, i: pytest.fail("no point"), verify.FD_TOL)
 
     # kappas at which the bound is tight somewhere in [37, 38.6], where Q is
