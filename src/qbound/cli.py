@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import bounds, optimize, verify
-from .errors import QBoundError
+from .errors import QBoundError, UsageError
 
 CSV_FIELDS = ("x", "kappa", "q_ref", "g_lower", "boyd_lower_q", "chernoff_upper", "rel_gap")
 
@@ -33,12 +33,13 @@ _GAP_SPLIT = 20.0
 _fmt = "%.17g".__mod__  # a float as CSV and text write it; map runs it faster than a def
 
 
-def make_record(xs, kappas) -> np.ndarray:
-    """Comparison rows of an x array at each kappa, x-major: rows[i, j] is
-    xs[i] at kappas[j], one column per CSV field.  The kappas are checked
-    first; Q and g are evaluated by one bounds._q_and_g call, Q's row and a
-    row per kappa, Boyd and Chernoff once, and the tail's gap once per
-    kappa.  Boyd and Chernoff are NaN for negative x.  For x > _GAP_SPLIT,
+def make_record(xs, kappas) -> dict:
+    """The comparison table of an x array at each kappa, by CSV field: x,
+    q_ref, boyd_lower_q and chernoff_upper of shape (n,), kappa of shape
+    (K,), g_lower and rel_gap of shape (n, K), x-major.  The kappas are
+    checked first; Q and g are evaluated by one bounds._q_and_g call, Q's
+    row and a row per kappa, Boyd and Chernoff once, and the tail's gap once
+    per kappa.  Boyd and Chernoff are NaN for negative x.  For x > _GAP_SPLIT,
     rel_gap is bounds.rel_gap, 1 - r/R, in which nothing underflows; (Q-g)/Q
     carries the rounding of x*x in both exponentials there (~1.4e-13
     relative at x = 37.5), and Q is subnormal past ~37.5 and 0 from ~38.49.
@@ -46,61 +47,60 @@ def make_record(xs, kappas) -> np.ndarray:
     ks = [bounds.as_kappa(k) for k in kappas]
     xs = np.array(xs, dtype=float, ndmin=1)
     qg = bounds._q_and_g(xs, tuple(ks))
-    qx, gs = qg[0], qg[1:]
-    rows = np.full((xs.size, len(ks), len(CSV_FIELDS)), math.nan)
-    rows[..., 0] = xs[:, None]
-    rows[..., 2] = qx[:, None]
+    qx, g = qg[0], qg[1:].T
     pos = xs >= 0.0
-    rows[pos, :, 4] = bounds.boyd_lower_q(xs[pos])[:, None]
-    rows[pos, :, 5] = bounds.chernoff_upper(xs[pos])[:, None]
-    rows[..., 1] = [k.kappa for k in ks]
-    rows[..., 3] = gs.T
+    boyd, chernoff = np.full((2, xs.size), math.nan)
+    boyd[pos] = bounds.boyd_lower_q(xs[pos])
+    chernoff[pos] = bounds.chernoff_upper(xs[pos])
     tail = xs > _GAP_SPLIT
-    head = ~tail
-    rows[head, :, 6] = ((qx[head] - gs[:, head]) / qx[head]).T
+    gap = np.subtract(qx[:, None], g)
+    np.divide(gap, qx[:, None], out=gap, where=~tail[:, None])
     if tail.any():
         for j, k in enumerate(ks):
-            rows[tail, j, 6] = bounds.rel_gap(xs[tail], k)
-    return rows
+            gap[tail, j] = bounds.rel_gap(xs[tail], k)
+    return {"x": xs, "kappa": np.array([k.kappa for k in ks]), "q_ref": qx, "g_lower": g,
+            "boyd_lower_q": boyd, "chernoff_upper": chernoff, "rel_gap": gap}
+
+
+#: each output format's layout: a record with a %s per CSV field, the
+#: separator between records, and the text before and after them
+_LAYOUTS = {
+    "csv": (",".join(["%s"] * len(CSV_FIELDS)) + "\n", "", ",".join(CSV_FIELDS) + "\n", ""),
+    "json": ("  {\n" + ",\n".join(f'    "{f}": %s' for f in CSV_FIELDS) + "\n  }",
+             ",\n", "[\n", "\n]\n"),
+    "text": ("".join(f"{f} = %s\n" for f in CSV_FIELDS), "", "", ""),
+}
 
 
 def _spell(values, fmt: str) -> list:
-    """A list of floats as the table writes them: %.17g in CSV, which never
-    needs quoting, and in JSON as json.dumps does, repr but NaN and
-    +-Infinity."""
+    """A list of floats as the table writes them: %.17g in CSV and text,
+    which CSV never needs to quote, and in JSON as json.dumps does, repr but
+    NaN and +-Infinity."""
     if fmt == "json":
         return [_JSON_NONFINITE.get(s, s) for s in map(float.__repr__, values)]
     return list(map(_fmt, values))
 
 
-def _emit_records(rows, fmt: str, out) -> None:
-    """Write make_record's rows as the table, one record per (x, kappa), in
-    CSV_FIELDS order; its JSON is json.dumps(records, indent=2)'s.  x, q_ref,
-    boyd_lower_q and chernoff_upper depend on x alone and kappa on kappa
-    alone, so each is formatted once: an x's four fields into the head,
-    middle and tail strings around its records' kappa and g_lower.  Only
-    g_lower and rel_gap are formatted per record."""
-    if fmt == "json":
-        row, join = "  {\n" + ",\n".join(f'    "{f}": %s' for f in CSV_FIELDS) + "\n  }", ",\n"
-    else:  # csv
-        row, join = ",".join(["%s"] * len(CSV_FIELDS)) + "\n", ""
+def _emit_records(table, fmt: str, out) -> None:
+    """Write make_record's table in fmt's layout, one record per (x, kappa),
+    x-major; its JSON is json.dumps(records, indent=2)'s.  Each field is
+    formatted once: an x's four fields into the head, middle and tail
+    strings around its records' kappa and g_lower."""
+    row, join, before, after = _LAYOUTS[fmt]
     s0, s1, s2, s3, s4, s5, s6, end = row.split("%s")
-    x, q, boyd, chernoff = (_spell(rows[:, 0, f].tolist(), fmt) for f in (0, 2, 4, 5))
+    x, q, boyd, chernoff, kappas, gs, gaps = (
+        _spell(table[f].ravel().tolist(), fmt)
+        for f in ("x", "q_ref", "boyd_lower_q", "chernoff_upper", "kappa", "g_lower", "rel_gap"))
     heads = [s0 + v + s1 for v in x]
     middles = [s2 + v + s3 for v in q]
     tails = [s4 + b + s5 + c + s6 for b, c in zip(boyd, chernoff)]
-    kappas = _spell(rows[0, :, 1].tolist(), fmt)
-    # x-major; zip takes a kappa before a record, so each x's inner zip
-    # stops after its last kappa with no record taken
-    records = zip(_spell(rows[..., 3].ravel().tolist(), fmt),
-                  _spell(rows[..., 6].ravel().tolist(), fmt))
-    body = join.join([f"{h}{k}{m}{g}{t}{gap}{end}" for h, m, t in zip(heads, middles, tails)
-                      for k, (g, gap) in zip(kappas, records)])
-    if fmt == "json":
-        out.write(f"[\n{body}\n]\n")
-    else:
-        out.write(",".join(CSV_FIELDS) + "\n")
-        out.write(body)
+    # zip takes a kappa before a record, so each x's inner zip stops after
+    # its last kappa with no record taken
+    records = zip(gs, gaps)
+    out.write(before)
+    out.write(join.join([f"{h}{k}{m}{g}{t}{gap}{end}" for h, m, t in zip(heads, middles, tails)
+                         for k, (g, gap) in zip(kappas, records)]))
+    out.write(after)
 
 
 def _grid_from_args(args, **defaults) -> verify.EvaluationGrid:
@@ -144,8 +144,7 @@ def _print_fields(fields, fmt: str, out) -> None:
 
 
 def cmd_eval(args, out) -> int:
-    row = dict(zip(CSV_FIELDS, make_record([args.x], [args.kappa])[0, 0].tolist()))
-    _print_fields([row] if args.format == "json" else row, args.format, out)
+    _emit_records(make_record([args.x], [args.kappa]), args.format, out)
     return 0
 
 
@@ -176,15 +175,15 @@ def cmd_verify(args, out) -> int:
 def cmd_optimize(args, out) -> int:
     if args.mode == "pointwise":
         if args.x is None:
-            raise QBoundError("pointwise mode requires --x")
+            raise UsageError("pointwise mode requires --x")
         res = optimize.kappa_star(args.x)
     elif args.mode == "weight":
         if args.kappa_single is None:
-            raise QBoundError("weight mode requires --kappa")
+            raise UsageError("weight mode requires --kappa")
         res = optimize.max_weight(args.kappa_single)
     else:  # interval
         if args.x_lo is None or args.x_hi is None:
-            raise QBoundError("interval mode requires --x-lo and --x-hi")
+            raise UsageError("interval mode requires --x-lo and --x-hi")
         res = optimize.interval_kappa(args.x_lo, args.x_hi)
     _print_fields(dataclasses.asdict(res), args.format, out)
     return 0

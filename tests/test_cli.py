@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -19,6 +20,7 @@ import oracles
 import qbound
 from qbound import bounds, q
 from qbound.cli import CSV_FIELDS, main, make_record
+from qbound.errors import UsageError
 
 # the environment of a child interpreter that imports this qbound: stdout
 # block-buffered, as it is where PYTHONUNBUFFERED is not set, so that a byte
@@ -101,13 +103,15 @@ class TestEval:
         assert rec["q_ref"] > sys.float_info.min
         assert rec["rel_gap"] == pytest.approx(0.42335698215619147, rel=1e-14, abs=0.0)
 
-    @pytest.mark.parametrize("x", ["1", "-3", "40"])
-    def test_text_is_one_line_per_field(self, x):
-        # -3 has the nan Boyd and Chernoff columns, 40 a Q of 0
-        code, text = run_cli("eval", "--x", x, "--kappa", "2")
-        assert code == 0
-        row = make_record([float(x)], [2.0])[0, 0].tolist()
-        assert text == "".join(f"{name} = {value:.17g}\n" for name, value in zip(CSV_FIELDS, row))
+    @pytest.mark.parametrize("x", ["1", "-3", "25", "40"])
+    def test_text_and_json_are_the_scalar_row(self, x):
+        # -3 has the nan Boyd and Chernoff columns, 25 rel_gap's tail form
+        # with Q normal, 40 a Q of 0
+        [row] = TestTable.scalar_rows([float(x)], [2.0])
+        assert run_cli("eval", "--x", x, "--kappa", "2") == (
+            0, "".join(f"{name} = {row[name]:.17g}\n" for name in CSV_FIELDS))
+        assert run_cli("eval", "--x", x, "--kappa", "2", "--format", "json") == (
+            0, json.dumps([row], indent=2) + "\n")
 
 
 class TestJsonWriter:
@@ -230,6 +234,22 @@ class TestTable:
         assert run_cli("table")[0] == 0
         assert [len(c) for c in calls] == [1, 1, 1, 1, 0]
         assert [k.kappa for k in calls[1][0][1]] == list(qbound.verify.DEFAULT_KAPPAS)
+
+    def test_record_holds_each_field_once(self):
+        # each field in its own shape, no (n, K, 7) block: the peak stays
+        # below 6 copies of g_lower's (n, K) field
+        xs = np.linspace(-10.0, 10.0, 20001)
+        make_record(xs[:2], qbound.verify.DEFAULT_KAPPAS)
+        tracemalloc.start()
+        try:
+            table = make_record(xs, qbound.verify.DEFAULT_KAPPAS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert {f: np.shape(v) for f, v in table.items()} == {
+            "x": (20001,), "kappa": (10,), "q_ref": (20001,), "g_lower": (20001, 10),
+            "boyd_lower_q": (20001,), "chernoff_upper": (20001,), "rel_gap": (20001, 10)}
+        assert peak < 6 * table["g_lower"].nbytes
 
 
 class TestVerifyCommand:
@@ -411,15 +431,24 @@ class TestOptimizeCommand:
         assert "converged = true" in lines
         assert not any(line.startswith("message") for line in lines)
 
-    @pytest.mark.parametrize("argv, err", [
+    MISSING_FLAG = [
         (("pointwise",), "pointwise mode requires --x"),
         (("weight",), "weight mode requires --kappa"),
         (("interval", "--x-lo", "1"), "interval mode requires --x-lo and --x-hi"),
         (("interval", "--x-hi", "2"), "interval mode requires --x-lo and --x-hi"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("argv, err", MISSING_FLAG)
     def test_missing_flag_exits_2(self, argv, err, capsys):
         assert run_cli("optimize", *argv) == (2, "")
         assert capsys.readouterr().err == f"error: {err}\n"
+
+    @pytest.mark.parametrize("argv, err", MISSING_FLAG)
+    def test_missing_flag_is_a_usage_error(self, argv, err):
+        args = qbound.cli.build_parser().parse_args(["optimize", *argv])
+        with pytest.raises(UsageError) as info:
+            qbound.cli.cmd_optimize(args, io.StringIO())
+        assert str(info.value) == err
 
     def test_interval_whose_span_underflows(self):
         # (x_hi - x_lo)*(x_hi + x_lo) is 0 here; both ends' kappa_star is the ceiling
@@ -527,12 +556,13 @@ class TestImportCost:
 
     def test_json_loaded_by_json_output_alone(self):
         # import json costs ~0.9 ms of a cold start; a text command, a table
-        # in either format or a usage error never needs it, and the JSON of
-        # any other command does
+        # or eval in either format, or a usage error never needs it, and the
+        # JSON of any other command does
         script = (
             "import contextlib, io, sys, qbound.cli\n"
             "for argv in (['eval', '--x', '1', '--kappa', '2'], ['table'], ['verify', 'all'],\n"
             "             ['roots', '--kappa', '2'], ['eval', '--x'], ['table', '--format', 'json'],\n"
+            "             ['eval', '--x', '1', '--kappa', '2', '--format', 'json'],\n"
             "             ['roots', '--kappa', '2', '--format', 'json']):\n"
             "    with contextlib.redirect_stderr(io.StringIO()), contextlib.suppress(SystemExit):\n"
             "        qbound.cli.main(argv, out=io.StringIO())\n"
@@ -543,7 +573,7 @@ class TestImportCost:
             env=CHILD_ENV, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False"] * 6 + ["True"]
+        assert proc.stdout.split() == ["False"] * 7 + ["True"]
 
     def test_no_thread_pool(self):
         # only an array kernel called on more than one block of points

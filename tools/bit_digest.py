@@ -53,6 +53,8 @@ compare the lines.  Eight kinds of output are digested:
   JSON, whose NaN, Infinity and float spellings the table renderer writes
   itself: the JSON copies cover the NaN Boyd and Chernoff columns of
   negative x, rel_gap's tail form past x = 20, a Q of 0 and kappa 1e8.
+  eval writes one record of the table, in text and in JSON: its JSON
+  copies cover the NaN columns, the tail form and a Q of 0 too.
   The chernoff suite's worst point, whose two sides are scalar calls, runs
   on a 70,001-point grid of [0, 40], in blocks and with exp's underflowing
   lanes masked, and on one of [37, 45], where Q is subnormal or 0; roots'
@@ -154,6 +156,8 @@ CLI_COMMANDS = (
     "eval --x 37.9 --kappa 1.5",
     "eval --x 1e300 --kappa 1e200",
     "eval --x -1 --kappa 2 --format json",
+    "eval --x 25 --kappa 2 --format json",
+    "eval --x 40 --kappa 1.0001 --format json",
     "optimize pointwise --x 1.5",
     "optimize pointwise --x 25 --format json",
     "optimize weight --kappa 2",
