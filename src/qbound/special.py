@@ -401,11 +401,19 @@ def elementwise(sign=0):
     a grid of one point (verify_chernoff()'s x = 0, eval's one-row table),
     and a named point (a worst point, x1, x2) is a scalar.
 
-    An array of more than _BLOCK points is checked once, whole; the same
-    kernel body then runs on consecutive _BLOCK-point slices of it, each
-    result written into one output of x's shape.  A block's temporaries
-    stay in cache, where a whole-array body would allocate and page-fault
-    several arrays of x's size.  The body is elementwise, so each point
+    An array of more than _BLOCK points runs the same kernel body on
+    consecutive _BLOCK-point slices of it, each result written into one
+    output of x's shape.  Each block is checked by the thread that runs it,
+    just before its body reads it, so the check runs on every CPU and
+    leaves the block in cache.  The error is still the whole array's:
+    where any block raises, x is checked whole before the error is
+    re-raised, so an invalid x raises its first non-finite value, else the
+    sign message, whichever block failed first, and a valid x its body's
+    own error.  Under a caller's np.errstate(...="warn"), valid blocks of
+    an invalid x may warn before its DomainError; numpy's default errstate
+    shows nothing.  A block's temporaries stay in cache, where a
+    whole-array body would allocate and page-fault several arrays of x's
+    size.  The body is elementwise, so each point
     gets the same operations, and the same bits, as in one whole call.
     This is the one place an array is split: every body, and every helper
     it calls (_erfcx, _exp), runs once on the at most _BLOCK elements it is
@@ -424,6 +432,16 @@ def elementwise(sign=0):
         name = fn.__code__.co_varnames[0]
         bound = f"{fn.__name__} requires {name} {'>=' if sign > 0 else '<='} 0"
 
+        def check(x):
+            # nan propagates through both; -0.0 and an empty x pass
+            lo, hi = x.min(initial=0.0), x.max(initial=0.0)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                bad = float(x[~np.isfinite(x)].flat[0])
+                raise DomainError(f"{name} must be finite, got {bad!r}")
+            if min(sign * lo, sign * hi) < 0.0:
+                raise DomainError(bound)
+            return x
+
         @functools.wraps(fn)
         def kernel(x, *args):
             rows = 1 + len(args[0]) if args and type(args[0]) is tuple else None
@@ -432,18 +450,15 @@ def elementwise(sign=0):
             else:
                 x = np.asarray(x, dtype=float)
                 if x.ndim:
-                    # nan propagates through both; -0.0 and an empty x pass
-                    lo, hi = x.min(initial=0.0), x.max(initial=0.0)
-                    if not (math.isfinite(lo) and math.isfinite(hi)):
-                        bad = float(x[~np.isfinite(x)].flat[0])
-                        raise DomainError(f"{name} must be finite, got {bad!r}")
-                    if min(sign * lo, sign * hi) < 0.0:
-                        raise DomainError(bound)
                     block = max(_BLOCK // rows, 1) if rows else _BLOCK
                     if x.size <= block:
-                        return fn(x, *args)
+                        return fn(check(x), *args)
                     out = np.empty(x.shape if rows is None else (rows,) + x.shape)
-                    _run_blocks(fn, x.reshape(-1), out.reshape(-1, x.size), args, block)
+                    try:
+                        _run_blocks(fn, check, x.reshape(-1), out.reshape(-1, x.size), args, block)
+                    except Exception:  # an interrupt propagates as it is
+                        check(x)  # an invalid x raises the whole array's error
+                        raise
                     return out
                 x = float(x)
             if not math.isfinite(x):
@@ -466,10 +481,10 @@ except AttributeError:  # os.sched_getaffinity is Linux-only
     _WORKERS = os.cpu_count() or 1
 
 
-def _run_blocks(fn, x, out, args, block):
-    """out[:, b] = fn(x[b], *args) for every block b of block points of the
-    flat array x, out having x.size columns and one row, or a kappa axis's
-    1 + K rows, on min(_WORKERS, blocks) threads: the calling thread
+def _run_blocks(fn, check, x, out, args, block):
+    """out[:, b] = fn(check(x[b]), *args) for every block b of block points
+    of the flat array x, out having x.size columns and one row, or a kappa
+    axis's 1 + K rows, on min(_WORKERS, blocks) threads: the calling thread
     and threads started for this call alone.  Each thread takes the next
     block not yet taken, so a thread slowed by another process leaves its
     share to the others.  Each runs under the caller's np.errstate, as a
@@ -477,6 +492,10 @@ def _run_blocks(fn, x, out, args, block):
     run, and the others finish the blocks left.  Every thread is joined
     before the call returns or raises, so none writes into out once it
     has ended, and none outlives the call; then the first error is raised.
+    Each thread checks the block it has taken, so a block that fails its
+    check raises that block's DomainError here, and elementwise names the
+    whole array's; valid blocks run their body, and under a caller's
+    np.errstate(...="warn") may warn before it.
     """
     starts = range(0, x.size, block)
     blocks = iter(starts)
@@ -493,7 +512,7 @@ def _run_blocks(fn, x, out, args, block):
                     if start is None:
                         return
                     stop = start + block
-                    out[:, start:stop] = fn(x[start:stop], *args)
+                    out[:, start:stop] = fn(check(x[start:stop]), *args)
         except BaseException as error:
             errors.append(error)
 

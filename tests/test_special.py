@@ -742,10 +742,11 @@ class TestBlockThreads:
     ], ids=["q", "mills_ratio", "f_diff"])
     def test_domain_error_is_the_whole_arrays(self, fn, args, first, last, message,
                                               monkeypatch):
-        # block 0 would fail first in its body (exp underflows at 38 under
-        # under="raise") or in a check of block 0 alone (-1.0 fails the sign
-        # check); the error is the whole array's, checked before any block
-        # runs: its first non-finite value, else the sign message
+        # block 0 fails first in its body (exp underflows at 38 under
+        # under="raise") or in its thread's check of block 0 alone (-1.0
+        # fails the sign check); the error is the whole array's, as x is
+        # checked whole once a block has raised: its first non-finite
+        # value, else the sign message
         x = np.ones(3 * special._BLOCK)
         x[5] = first
         x[2 * special._BLOCK + 5] = last
@@ -754,6 +755,43 @@ class TestBlockThreads:
                 with np.errstate(under="raise"):
                     with pytest.raises(DomainError, match=f"{message}$"):
                         fn(x, *args)
+
+    @pytest.mark.parametrize("fn, args, rows, valid, wrong_sign, sign_message, under", [
+        (q, (), 1, 1.0, None, None, 38.0),
+        (mills_ratio, (), 1, 1.0, -1.0, "mills_ratio requires x >= 0", sys.float_info.max),
+        (h, (), 1, -1.0, 1.0, "h requires w <= 0", -800.0),
+        (bounds._q_and_g, ((1.5, 2.0, 3.0),), 4, 1.0, None, None, 38.0),
+    ], ids=["q", "mills_ratio", "h", "_q_and_g"])
+    def test_error_past_block_0_is_the_whole_arrays(self, fn, args, rows, valid, wrong_sign,
+                                                    sign_message, under, monkeypatch):
+        # block 0 is valid, and block 1 and the last block hold the bad
+        # values; block 1 is taken first, so on one thread it fails first,
+        # in its check or in its body (exp's underflow, or mills_ratio's
+        # last division).  The error is the whole array's all the same: its
+        # first non-finite value, else the sign message, and for a valid x
+        # the body's own error
+        block = special._BLOCK // rows
+        name = fn.__wrapped__.__code__.co_varnames[0]
+        cases = [
+            ((math.inf, math.nan), DomainError, f"{name} must be finite, got inf$"),
+            ((math.nan, -math.inf), DomainError, f"{name} must be finite, got nan$"),
+            ((under, math.nan), DomainError, f"{name} must be finite, got nan$"),
+            ((under, under), FloatingPointError, "underflow"),
+        ]
+        if wrong_sign is not None:
+            cases += [
+                ((wrong_sign, math.nan), DomainError, f"{name} must be finite, got nan$"),
+                ((wrong_sign, wrong_sign), DomainError, f"{sign_message}$"),
+            ]
+        x = np.full(3 * block + 7, valid)
+        for n in oracles.WORKER_COUNTS:
+            with oracles.block_workers(monkeypatch, n):
+                for (in_block_1, in_last), error, message in cases:
+                    y = x.copy()
+                    y[block + 5], y[-1] = in_block_1, in_last
+                    with np.errstate(under="raise"):
+                        with pytest.raises(error, match=message):
+                            fn(y, *args)
 
     def test_threads_start_past_one_block(self, monkeypatch):
         # one block runs in the calling thread; one point more makes two

@@ -5,7 +5,7 @@ bit for bit.
 
 SRC is the directory that holds the qbound package (`src` in a checkout).
 Run it from the root of a checkout on two trees, on one machine, and
-compare the lines.  Eight kinds of output are digested:
+compare the lines.  Nine kinds of output are digested:
 
 - arrays: the ten array kernels of the tail_arrays benchmark workload on
   its first BATCHES seeded batches (bench/workloads.py, imported from this
@@ -28,6 +28,16 @@ compare the lines.  Eight kinds of output are digested:
   [1e-12, 1e300].  Each value as its float.hex(float(v)) or an exception as
   its type and message; the line also counts the values that are not a
   Python float, which every scalar call should return;
+- errors: the DomainError message, or its absence, of the ten array
+  kernels and of bounds._q_and_g with ERROR_KAPPAS beside the batch's
+  kappa, on the first arrays batch of the first seed cut to each of
+  ERROR_SIZES points (|x| where a kernel needs x >= 0), with one nan, one
+  inf or one -1.0 (a sign violation where the kernel needs x >= 0) at the
+  first, the middle or the last point: in the first, a middle or the last
+  block where the array runs in three blocks or more; and a -1.0 at the
+  first point with a nan at the last, where the nan names the error.  An
+  array's error is the whole array's, whichever block fails first, so the
+  line is the same on any number of CPUs;
 - kappa: x1_point, x2_point and alpha_coeff at KAPPA_POINTS log-spaced
   kappa - 1 in [1e-12, 1.7976931348623157e308] and at SWITCH_KAPPAS, the
   two kappas on either side of the overflow of (kappa-1)*c, where alpha
@@ -82,6 +92,10 @@ SWITCH_DRAWS = 4
 # an array runs in blocks; fixed here, so two trees see the same inputs
 SWITCH_SIZES = (4095, 4096, 65536, 65537)
 KAPPA_POINTS = 20001
+# one point past one block, and three blocks; _q_and_g's four rows run in
+# blocks of a quarter of special._BLOCK
+ERROR_SIZES = (65537, 3 * 65536)
+ERROR_KAPPAS = (2.0, 1e8)
 # the last kappa whose (kappa-1)*c is finite, and the next double
 SWITCH_KAPPAS = (7.564545572282618e153, 7.56454557228262e153)
 OPT_POINTS = 20001
@@ -261,6 +275,37 @@ def scalars(seed: int):
           f"  {digest.hexdigest()}")
 
 
+def errors():
+    import numpy as np
+    import workloads as wl
+
+    import qbound
+    from qbound import bounds
+
+    kappa, x = next(wl.array_batches(SEEDS[0]))
+    kernels = [(getattr(qbound, name), (kappa,) if takes_kappa else (), name in wl.SIGNED_FUNCS)
+               for name, takes_kappa in wl.ARRAY_FUNCS]
+    kernels.append((bounds._q_and_g, ((kappa,) + ERROR_KAPPAS,), True))
+    digest, calls, raised = hashlib.sha256(), 0, 0
+    for fn, args, signed in kernels:
+        for n in ERROR_SIZES:
+            placements = [{at: bad} for bad in (np.nan, np.inf, -1.0) for at in (0, n // 2, n - 1)]
+            placements.append({0: -1.0, n - 1: np.nan})  # the nan names the error
+            for placement in placements:
+                y = (x if signed else np.abs(x))[:n].copy()
+                for at, bad in placement.items():
+                    y[at] = bad
+                calls += 1
+                try:
+                    fn(y, *args)
+                    line = "none"
+                except qbound.DomainError as exc:
+                    line, raised = f"DomainError: {exc}", raised + 1
+                digest.update(f"{fn.__name__} {n} {placement}: {line}\n".encode())
+    print(f"errors: {calls} calls on {len(kernels)} kernels, {raised} DomainErrors"
+          f"  {digest.hexdigest()}")
+
+
 def kappa_functions():
     import numpy as np
 
@@ -370,6 +415,7 @@ def main(argv=None) -> int:
         small_arrays(seed)
         switch_arrays(seed)
         scalars(seed)
+    errors()
     kappa_functions()
     optimizers()
     reports()
