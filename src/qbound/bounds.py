@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .special import SQRT_2PI, SQRT_HALF_PI, elementwise, gauss, h, mills_ratio, newton
-from .special import _fold, _half_erfcx
+from .special import SQRT_2PI, SQRT_HALF_PI, elementwise, gauss, h, mills_ratio, newton, q
 
 _PI = math.pi
 _ROUNDING = -(2.0**-50)  # 4 ulps of 1: rel_gap is at most 3 ulps below 0 where tight
@@ -109,31 +108,19 @@ def g_lower(x, k):
     return k.alpha * gauss(x, k.kappa)
 
 
-@elementwise()
-def _q_and_g(x, k: tuple):
-    """Q(x) as row 0, then g(x, kappa) for each kappa of the tuple k: shape
-    (1 + len(k),) + x.shape, each row bit for bit q(x) or g_lower(x, kappa).
-
-    One check of x and one Gaussian pass over the exponent column
-    (1, kappa_1, ..., kappa_K) serve Q and every kappa.  The g rows are
-    multiplied by their alphas in place; each alpha and kappa is a Python
-    float from KappaParam, as in a g_lower call, so each row takes that
-    call's IEEE operations and has its bits.  Q's exp(-x*x/2), the first
-    row, is multiplied by its erfcx factor and folded in place (_half_erfcx,
-    _fold, q's formula).  The erfcx factor is taken first, so its
-    temporaries are gone before the rows are built.  elementwise blocks an
-    array at _BLOCK // (1 + len(k)) points.  The theorem suite and the CLI
-    table make one call per x grid.
+def _q_and_g(x, ks):
+    """The pair (q(x), g) of a 1-D x and a sequence of kappas, g's row per
+    kappa bit for bit g_lower(x, kappa): one Gaussian pass over x against
+    the kappa column, times the alpha column in place, each alpha and kappa
+    a Python float from KappaParam, as in a g_lower call.  q checks x and
+    runs it in blocks.  The theorem suite and the CLI table make one call
+    per x grid.
     """
-    half = _half_erfcx(x)
-    ks = [as_kappa(v) for v in k]
-    shape = (1 + len(ks),) + (1,) * np.ndim(x)
-    rows = gauss(x, np.array([1.0] + [v.kappa for v in ks]).reshape(shape))
-    rows[1:] *= np.array([v.alpha for v in ks]).reshape((len(ks),) + shape[1:])
-    head = rows[:1]  # a view, also where x is a scalar
-    head *= half
-    _fold(x, head)
-    return rows
+    ks = [as_kappa(v) for v in ks]
+    qx = q(x)
+    g = gauss(x, np.array([v.kappa for v in ks])[:, None])
+    g *= np.array([v.alpha for v in ks])[:, None]
+    return qx, g
 
 
 def _r(x, k: KappaParam):

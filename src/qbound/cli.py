@@ -37,17 +37,17 @@ def make_record(xs, kappas) -> dict:
     """The comparison table of an x array at each kappa, by CSV field: x,
     q_ref, boyd_lower_q and chernoff_upper of shape (n,), kappa of shape
     (K,), g_lower and rel_gap of shape (n, K), x-major.  The kappas are
-    checked first; Q and g are evaluated by one bounds._q_and_g call, Q's
-    row and a row per kappa, Boyd and Chernoff once, and the tail's gap once
-    per kappa.  Boyd and Chernoff are NaN for negative x.  For x > _GAP_SPLIT,
+    checked first; Q and g come from one bounds._q_and_g call, Boyd and
+    Chernoff from one call each, and the tail's gap from one call per
+    kappa.  Boyd and Chernoff are NaN for negative x.  For x > _GAP_SPLIT,
     rel_gap is bounds.rel_gap, 1 - r/R, in which nothing underflows; (Q-g)/Q
     carries the rounding of x*x in both exponentials there (~1.4e-13
     relative at x = 37.5), and Q is subnormal past ~37.5 and 0 from ~38.49.
     """
     ks = [bounds.as_kappa(k) for k in kappas]
     xs = np.array(xs, dtype=float, ndmin=1)
-    qg = bounds._q_and_g(xs, tuple(ks))
-    qx, g = qg[0], qg[1:].T
+    qx, g = bounds._q_and_g(xs, ks)
+    g = g.T
     pos = xs >= 0.0
     boyd, chernoff = np.full((2, xs.size), math.nan)
     boyd[pos] = bounds.boyd_lower_q(xs[pos])

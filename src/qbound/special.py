@@ -413,20 +413,12 @@ def elementwise(sign=0):
     an invalid x may warn before its DomainError; numpy's default errstate
     shows nothing.  A block's temporaries stay in cache, where a
     whole-array body would allocate and page-fault several arrays of x's
-    size.  The body is elementwise, so each point
-    gets the same operations, and the same bits, as in one whole call.
-    This is the one place an array is split: every body, and every helper
-    it calls (_erfcx, _exp), runs once on the at most _BLOCK elements it is
-    given.  The blocks run on _WORKERS threads (see _run_blocks);
-    numpy releases the interpreter lock inside each pass, so the threads
-    overlap.  Smaller arrays and scalars never start a thread.
-
-    A tuple as the first argument after x is a kappa axis (bounds._q_and_g):
-    the body returns Q's row and then one row per kappa, 1 + len(tuple)
-    rows, so the result is an array of shape (rows,) + x.shape, a scalar
-    x's too (the one result that is not a float where x is a scalar), and
-    an x of more than _BLOCK // rows points runs in blocks of that many
-    points, rows times block points being at most _BLOCK elements.
+    size.  The body is elementwise, so each point gets the same operations,
+    and the same bits, as in one whole call.  This is the one place an
+    array is split: every body, and every helper it calls (_erfcx, _exp),
+    runs once on the at most _BLOCK elements it is given.  The blocks run
+    on _WORKERS threads (see _run_blocks); numpy releases the interpreter
+    lock inside each pass, so the threads overlap.  Smaller arrays and scalars never start a thread.
     """
     def decorate(fn):
         name = fn.__code__.co_varnames[0]
@@ -444,18 +436,16 @@ def elementwise(sign=0):
 
         @functools.wraps(fn)
         def kernel(x, *args):
-            rows = 1 + len(args[0]) if args and type(args[0]) is tuple else None
             if isinstance(x, float):  # a Python float or a float64 scalar
                 x = float(x)
             else:
                 x = np.asarray(x, dtype=float)
                 if x.ndim:
-                    block = max(_BLOCK // rows, 1) if rows else _BLOCK
-                    if x.size <= block:
+                    if x.size <= _BLOCK:
                         return fn(check(x), *args)
-                    out = np.empty(x.shape if rows is None else (rows,) + x.shape)
+                    out = np.empty(x.shape)
                     try:
-                        _run_blocks(fn, check, x.reshape(-1), out.reshape(-1, x.size), args, block)
+                        _run_blocks(fn, check, x.reshape(-1), out.reshape(-1), args)
                     except Exception:  # an interrupt propagates as it is
                         check(x)  # an invalid x raises the whole array's error
                         raise
@@ -465,8 +455,7 @@ def elementwise(sign=0):
                 raise DomainError(f"{name} must be finite, got {x!r}")
             if sign and sign * x < 0.0:
                 raise DomainError(bound)
-            y = fn(x, *args)
-            return float(y) if rows is None else y
+            return float(fn(x, *args))
 
         return kernel
 
@@ -481,13 +470,12 @@ except AttributeError:  # os.sched_getaffinity is Linux-only
     _WORKERS = os.cpu_count() or 1
 
 
-def _run_blocks(fn, check, x, out, args, block):
-    """out[:, b] = fn(check(x[b]), *args) for every block b of block points
-    of the flat array x, out having x.size columns and one row, or a kappa
-    axis's 1 + K rows, on min(_WORKERS, blocks) threads: the calling thread
-    and threads started for this call alone.  Each thread takes the next
-    block not yet taken, so a thread slowed by another process leaves its
-    share to the others.  Each runs under the caller's np.errstate, as a
+def _run_blocks(fn, check, x, out, args):
+    """out[b] = fn(check(x[b]), *args) for every block b of _BLOCK points of
+    the flat arrays x and out, on min(_WORKERS, blocks) threads: the calling
+    thread and threads started for this call alone.  Each thread takes the
+    next block not yet taken, so a thread slowed by another process leaves
+    its share to the others.  Each runs under the caller's np.errstate, as a
     new thread starts with numpy's defaults.  An error ends its thread's
     run, and the others finish the blocks left.  Every thread is joined
     before the call returns or raises, so none writes into out once it
@@ -497,7 +485,7 @@ def _run_blocks(fn, check, x, out, args, block):
     whole array's; valid blocks run their body, and under a caller's
     np.errstate(...="warn") may warn before it.
     """
-    starts = range(0, x.size, block)
+    starts = range(0, x.size, _BLOCK)
     blocks = iter(starts)
     state = np.geterr()
     lock = threading.Lock()
@@ -511,8 +499,8 @@ def _run_blocks(fn, check, x, out, args, block):
                         start = next(blocks, None)
                     if start is None:
                         return
-                    stop = start + block
-                    out[:, start:stop] = fn(check(x[start:stop]), *args)
+                    stop = start + _BLOCK
+                    out[start:stop] = fn(check(x[start:stop]), *args)
         except BaseException as error:
             errors.append(error)
 
@@ -566,11 +554,11 @@ def _exp(y):
 
 def gauss(x, a):
     """exp(-a*x*x/2) of a checked x, a Python float or an array, and a
-    coefficient a, a Python float or (a kappa axis) an array: the Gaussian
-    factor of every bound kernel, 0 without a warning where a*x*x
-    overflows.  Where both are Python floats, the product is Python's, whose
-    overflow to inf warns of nothing, and its exp np.exp's, so the bits are
-    those of a 1-point array.  Otherwise the product overflows quietly under
+    coefficient a, a Python float or (bounds._q_and_g) a column of them:
+    the Gaussian factor of q and of every bound kernel, 0 without a warning
+    where a*x*x overflows.  Where both are Python floats, the product is
+    Python's, whose overflow to inf warns of nothing, and its exp np.exp's,
+    so the bits are those of a 1-point array.  Otherwise the product overflows quietly under
     np.errstate, and its exp is _exp, which skips np.exp's underflow slow
     path on large arrays with the same bits."""
     if type(x) is float and type(a) is float:
@@ -579,44 +567,30 @@ def gauss(x, a):
         return _exp(-0.5 * a * x * x)
 
 
-def _half_erfcx(x):
-    """0.5*erfcx(|x|/sqrt(2)) = Q(|x|)*exp(x*x/2) of a checked x: Q's
-    factor beside its Gaussian one, which q and bounds._q_and_g share.
-    _erfcx's w = 1 + |x|/sqrt(2) is formed in place in one buffer, so at its
-    peak it holds five temporaries of x's size, and none once it returns."""
-    w = abs(x)
-    w /= _SQRT2
-    w += 1.0
-    half = _erfcx(w)
-    half *= 0.5
-    return half
-
-
-def _fold(x, tail):
-    """Q(x) from tail = Q(|x|) of a checked x: |tail - (x < 0)|, which is
-    1 - tail for x < 0 and tail elsewhere, -0.0 included, with the bits of
-    those two differences.  An array tail is overwritten with the result;
-    q and bounds._q_and_g share it."""
-    tail -= x < 0.0
-    if type(tail) is np.ndarray:
-        return np.abs(tail, out=tail)
-    return abs(tail)
-
-
 @elementwise()
 def q(x):
     """Gaussian tail probability Q(x) = P(Z > x), elementwise.
 
     Evaluated through the scaled complementary error function so the result
     keeps full relative accuracy far into the tail (down to the underflow
-    threshold near x ~ 38.49).  Q(x) = 1 - Q(-x) for x < 0: on a scalar and
-    an array alike as |tail - (x < 0)| (_fold), two passes in place without
-    a masked subtract, which is slow on a large random-sign mask.  The
-    erfcx factor (_half_erfcx) is taken before the Gaussian one, so q holds
-    five block temporaries at its peak, and the Gaussian factor takes the
-    signed x: (-0.5*x)*x has the same bits for x and -x.
+    threshold near x ~ 38.49): tail = Q(|x|) = 0.5*erfcx(|x|/sqrt(2)) *
+    exp(-x*x/2), the erfcx factor first, its w = 1 + |x|/sqrt(2) formed in
+    place, so q holds five block temporaries at its peak.  The Gaussian
+    factor takes the signed x: (-0.5*x)*x has the same bits for x and -x.
+    Q(x) is |tail - (x < 0)|, the bits of 1 - tail for x < 0 and of tail
+    elsewhere, -0.0 included, in two passes in place: a masked subtract is
+    slow on a large random-sign mask.
     """
-    return _fold(x, _half_erfcx(x) * gauss(x, 1.0))
+    tail = abs(x)
+    tail /= _SQRT2
+    tail += 1.0
+    tail = _erfcx(tail)
+    tail *= 0.5
+    tail *= gauss(x, 1.0)
+    tail -= x < 0.0
+    if type(tail) is np.ndarray:
+        return np.abs(tail, out=tail)
+    return abs(tail)
 
 
 def q_ref(x: float) -> QValue:

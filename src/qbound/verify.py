@@ -156,9 +156,9 @@ def verify_theorem(
 ) -> VerificationReport:
     """Check g(x, kappa) <= Q(x) * (1 + tolerance) over the whole grid: one
     row per kappa, in the grid's order, with lhs g and rhs Q, every kappa
-    on the grid's x values.  One _q_and_g call gives Q and the g rows; the
-    violation (g - Q)/Q is computed in place, with no other temporary of
-    g's size but a boolean mask.  Where Q is subnormal or 0, the check is
+    on the grid's x values.  One _q_and_g call gives Q, from q, and the g
+    rows; the violation (g - Q)/Q is computed in place, with no other
+    temporary of g's size but a boolean mask.  Where Q is subnormal or 0, the check is
     g <= Q + 2**-1073 instead.
 
     weight_inflation is a test hook that multiplies the bound's weight; the
@@ -168,8 +168,7 @@ def verify_theorem(
         raise UsageError("the tolerance must not be nan")
     grid = grid or EvaluationGrid()
     xs = grid.xs()
-    rows = _q_and_g(xs, grid.kappas)
-    qs, gs = rows[0], rows[1:]
+    qs, gs = _q_and_g(xs, grid.kappas)
     if weight_inflation != 1.0:  # g*1.0 is g, bit for bit
         gs *= weight_inflation
     viol = gs - qs

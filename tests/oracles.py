@@ -77,10 +77,6 @@ def alpha_direct(kappa: float) -> float:
     )
 
 
-def g_direct(x: float, kappa: float) -> float:
-    return alpha_direct(kappa) * math.exp(-0.5 * kappa * x * x)
-
-
 def kappa_scan(x: float, lo: float = 1.01, hi: float = 10.0, step: float = 1e-4):
     """Dense-scan maximizer of g(x, kappa) over kappa; returns (kappa, g)."""
     kappas = np.arange(lo, hi, step)

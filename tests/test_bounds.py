@@ -5,7 +5,6 @@ import inspect
 import math
 import sys
 import threading
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -606,13 +605,11 @@ class TestTheoremSweep:
 
 
 class TestQAndG:
-    """_q_and_g(x, kappas): Q(x) as row 0 and g(x, kappa) per kappa after
-    it, each row bit for bit q(x) or g_lower(x, kappa), in blocks of
-    _BLOCK // (1 + len(kappas)) points."""
+    """_q_and_g(x, kappas): the pair (q(x), g), g with one row per kappa,
+    bit for bit q(x) and g_lower(x, kappa)."""
 
     KAPPAS = (1.0, 1.0 + 2.0**-52, 1.0 + 1e-10, 2.0, 1e200, sys.float_info.max)
-    # three kappas, as in the select_certify workload's grids: 4 rows, in
-    # blocks of _BLOCK // 4 points, so these sizes straddle the switch
+    # q runs in blocks past _BLOCK points; the g rows run in one pass
     SIZES = (1, 201, special._BLOCK // 4 - 1, special._BLOCK // 4 + 1, special._BLOCK + 7)
     EDGES = (0.0, 5e-324, 2.0**512, sys.float_info.max)
 
@@ -623,64 +620,26 @@ class TestQAndG:
         x[:min(n, 8)] = [s * v for v in self.EDGES for s in (1.0, -1.0)][:min(n, 8)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            want = [q(x).tobytes()] + [g_lower(x, k).tobytes() for k in kappas]
+            want = [g_lower(x, k).tobytes() for k in kappas]
             for workers in (1, 2):
                 with oracles.block_workers(monkeypatch, workers):
-                    rows = _q_and_g(x, kappas)
-                assert rows.shape == (1 + len(kappas), n)
-                assert [row.tobytes() for row in rows] == want, workers
+                    qx, g = _q_and_g(x, kappas)
+                assert qx.tobytes() == q(x).tobytes(), workers
+                assert g.shape == (len(kappas), n)
+                assert [row.tobytes() for row in g] == want, workers
 
     def test_scalars_and_shapes(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for v in self.EDGES + (1.5, 40.0):
-                for x in (v, -v):
-                    rows = _q_and_g(x, self.KAPPAS)
-                    assert type(rows) is np.ndarray and rows.shape == (1 + len(self.KAPPAS),)
-                    want = [q(x)] + [g_lower(x, k) for k in self.KAPPAS]
-                    assert [float(r).hex() for r in rows] == [w.hex() for w in want], x
-        x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
-        rows = _q_and_g(x, (2.0, KappaParam(1.5)))
-        assert rows.shape == (3, 3, 4)
-        assert rows[0].tobytes() == q(x).tobytes()
-        assert rows[2].tobytes() == g_lower(x, 1.5).tobytes()
-        assert _q_and_g(x, ()).tobytes() == q(x)[None].tobytes()
+        x = np.linspace(-3.0, 3.0, 12)
+        qx, g = _q_and_g(x, (2.0, KappaParam(1.5)))
+        assert qx.tobytes() == q(x).tobytes()
+        assert g.shape == (2, 12)
+        assert g[1].tobytes() == g_lower(x, 1.5).tobytes()
+        qx, g = _q_and_g(x, ())
+        assert qx.tobytes() == q(x).tobytes() and g.shape == (0, 12)
         with pytest.raises(DomainError):
             _q_and_g(x, (2.0, 0.5))
         with pytest.raises(DomainError, match="x must be finite"):
             _q_and_g(np.array([1.0, math.inf]), (2.0,))
-
-    @pytest.mark.parametrize("kappas", [KAPPAS[3:4], KAPPAS[1:6:2], KAPPAS], ids=len)
-    def test_body_peaks_at_three_blocks(self, kappas):
-        # the body on one block's share of points, its result included:
-        # the rows (one block), the Gaussian pass's two product temporaries
-        # (one block each) and Q's erfcx factor, whose five temporaries hold
-        # 1/rows of a block each and are gone before the rows are built
-        n = special._BLOCK // (1 + len(kappas))
-        x = oracles.blocked_xs(0)[:n].copy()
-        body = _q_and_g.__wrapped__
-        body(x, kappas)  # anything allocated once, on a first call
-        tracemalloc.start()
-        try:
-            body(x, kappas)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * special._BLOCK * 8
-
-    def test_blocked_call_within_three_blocks(self, monkeypatch):
-        # on the calling thread alone, what a call on 4 blocks of points
-        # allocates beyond its output peaks as the body on one block does
-        x = np.resize(oracles.blocked_xs(0), 4 * special._BLOCK)
-        with oracles.block_workers(monkeypatch, 1):
-            _q_and_g(x, self.KAPPAS)  # anything allocated once, on a first call
-            tracemalloc.start()
-            try:
-                out = _q_and_g(x, self.KAPPAS)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peak - out.nbytes <= 3 * special._BLOCK * 8
 
 
 class TestBlockedPath:

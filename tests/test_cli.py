@@ -225,7 +225,7 @@ class TestTable:
 
     def test_one_pass_per_x_grid(self, monkeypatch):
         # Boyd and Chernoff depend on x alone: one call each for the default
-        # grid's ten kappas, and one _q_and_g call for Q's row and a row per
+        # grid's ten kappas, and one _q_and_g call for Q and a g row per
         # kappa, with no g_lower call beside it
         calls = [count_calls(monkeypatch, module, name) for module, name in [
             (qbound.cli, "make_record"), (bounds, "_q_and_g"), (bounds, "boyd_lower_q"),

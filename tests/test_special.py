@@ -403,9 +403,7 @@ class TestElementwiseGuard:
                 assert fn(np.empty(shape), *args).shape == shape, fn.__name__
 
     def test_scalar_result_is_a_python_float(self):
-        # boyd_lower's branch for x >= 2**512 builds 0-d arrays; a kappa
-        # tuple, _q_and_g's alone, gives an array of rows, Q's and one per
-        # kappa, a scalar x's too; g_lower takes one kappa, not a tuple
+        # boyd_lower's branch for x >= 2**512 builds 0-d arrays
         for x in (0.5, 1.4e154, 2.0**512, sys.float_info.max):
             for fn, takes_kappa in ELEMENTWISE:
                 args = (2.0,) if takes_kappa else ()
@@ -413,13 +411,6 @@ class TestElementwiseGuard:
                 for form in (v, np.float64(v), np.array(v)):
                     assert type(fn(form, *args)) is float, (fn.__name__, form)
                 assert fn(np.array([v]), *args).shape == (1,)
-            for form in (x, np.float64(x), np.array(x)):
-                rows = bounds._q_and_g(form, (2.0, 3.0))
-                assert type(rows) is np.ndarray and rows.shape == (3,)
-                want = [special.q(x), bounds.g_lower(x, 2.0), bounds.g_lower(x, 3.0)]
-                assert rows.tolist() == want
-                with pytest.raises(TypeError):
-                    bounds.g_lower(form, (2.0, 3.0))
 
     @pytest.mark.parametrize("x", [1e154, 1e300, sys.float_info.max])
     @pytest.mark.parametrize("kappa", [
@@ -756,21 +747,20 @@ class TestBlockThreads:
                     with pytest.raises(DomainError, match=f"{message}$"):
                         fn(x, *args)
 
-    @pytest.mark.parametrize("fn, args, rows, valid, wrong_sign, sign_message, under", [
-        (q, (), 1, 1.0, None, None, 38.0),
-        (mills_ratio, (), 1, 1.0, -1.0, "mills_ratio requires x >= 0", sys.float_info.max),
-        (h, (), 1, -1.0, 1.0, "h requires w <= 0", -800.0),
-        (bounds._q_and_g, ((1.5, 2.0, 3.0),), 4, 1.0, None, None, 38.0),
-    ], ids=["q", "mills_ratio", "h", "_q_and_g"])
-    def test_error_past_block_0_is_the_whole_arrays(self, fn, args, rows, valid, wrong_sign,
-                                                    sign_message, under, monkeypatch):
+    @pytest.mark.parametrize("fn, valid, wrong_sign, sign_message, under", [
+        (q, 1.0, None, None, 38.0),
+        (mills_ratio, 1.0, -1.0, "mills_ratio requires x >= 0", sys.float_info.max),
+        (h, -1.0, 1.0, "h requires w <= 0", -800.0),
+    ], ids=["q", "mills_ratio", "h"])
+    def test_error_past_block_0_is_the_whole_arrays(self, fn, valid, wrong_sign, sign_message,
+                                                    under, monkeypatch):
         # block 0 is valid, and block 1 and the last block hold the bad
         # values; block 1 is taken first, so on one thread it fails first,
         # in its check or in its body (exp's underflow, or mills_ratio's
         # last division).  The error is the whole array's all the same: its
         # first non-finite value, else the sign message, and for a valid x
         # the body's own error
-        block = special._BLOCK // rows
+        block = special._BLOCK
         name = fn.__wrapped__.__code__.co_varnames[0]
         cases = [
             ((math.inf, math.nan), DomainError, f"{name} must be finite, got inf$"),
@@ -791,7 +781,7 @@ class TestBlockThreads:
                     y[block + 5], y[-1] = in_block_1, in_last
                     with np.errstate(under="raise"):
                         with pytest.raises(error, match=message):
-                            fn(y, *args)
+                            fn(y)
 
     def test_threads_start_past_one_block(self, monkeypatch):
         # one block runs in the calling thread; one point more makes two

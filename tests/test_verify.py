@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from qbound import (
     verify_theorem,
     x1_point,
 )
-from qbound import verify
+from qbound import special, verify
 
 
 class TestEvaluationGrid:
@@ -214,9 +215,23 @@ class TestVerifyTheorem:
             (xs.size, [k.kappa for k in ks])) or real(xs, ks))
         grid = EvaluationGrid(x_count=101, kappas=(1.0, 1.5, 1.0 + 1e-10, 2.0, 10.0))
         report = verify_theorem(grid)
-        # one kernel call on the grid: Q's row and one g row per kappa
+        # one call on the grid: Q and one g row per kappa
         assert calls == [(101, [1.0, 1.5, 1.0 + 1e-10, 2.0, 10.0])]
         assert report.points_checked == 5 * 101
+
+    def test_peak_within_three_copies_of_g(self):
+        # Q runs in blocks; g, the violation and the Gaussian pass's
+        # temporaries each hold K*n floats, and the call peaks below three
+        kappas = (1.0, 1.0 + 1e-10, 1.5, 2.0, 10.0, 100.0)
+        grid = EvaluationGrid(x_count=3 * special._BLOCK, kappas=kappas)
+        verify_theorem(EvaluationGrid(x_count=11, kappas=kappas))  # one-time allocations
+        tracemalloc.start()
+        try:
+            verify_theorem(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(kappas) * grid.x_count * 8
 
     @pytest.mark.parametrize("keywords, weight_inflation", [
         ({"x_count": 201, "kappas": (2.0, 1.0 + 1e-10, 5.0)}, 1.0),  # near 1 between two

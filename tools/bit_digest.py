@@ -54,8 +54,8 @@ compare the lines.  Nine kinds of output are digested:
   type and message: lemma1 and lemma2 at REPORT_KAPPAS log-spaced
   kappa - 1 in [1e-12, 1e300], and theorem, run_all, derivative and
   chernoff on REPORT_GRIDS, whose kappas include 1, near-degenerate ones
-  (kappa - 1 <= 1e-9) and 1e200, a duplicated kappa, a grid whose kappa
-  rows run in blocks, a grid with no point x >= verify.FD_STEP, with a
+  (kappa - 1 <= 1e-9) and 1e200, a duplicated kappa, a grid with no
+  point x >= verify.FD_STEP, with a
   near-degenerate kappa among others (a usage error of the derivative
   suite), and two grids shaped like the select_certify workload's;
 - cli: stdout and exit code of CLI_COMMANDS, run in-process through
@@ -92,8 +92,7 @@ SWITCH_DRAWS = 4
 # an array runs in blocks; fixed here, so two trees see the same inputs
 SWITCH_SIZES = (4095, 4096, 65536, 65537)
 KAPPA_POINTS = 20001
-# one point past one block, and three blocks; _q_and_g's four rows run in
-# blocks of a quarter of special._BLOCK
+# one point past one block, and three blocks
 ERROR_SIZES = (65537, 3 * 65536)
 ERROR_KAPPAS = (2.0, 1e8)
 # the last kappa whose (kappa-1)*c is finite, and the next double
@@ -133,12 +132,11 @@ REPORT_GRIDS = (
     # two others: the derivative suite has no point to check
     {"x_min": 0.0, "x_max": 1e-6, "x_count": 101, "kappas": (2.0, 1.0 + 1e-10, 5.0)},
     {"x_min": 30.0, "x_max": 45.0, "x_count": 20001, "kappas": (1.0, 1.0 + 5e-10, 1e200)},
-    # the theorem suite's rows of the four kappas, the near-degenerate one
-    # too, run in blocks of special._BLOCK // 5 points (Q's row and four g
-    # rows)
+    # four kappas, a near-degenerate and a duplicated one among them, on a
+    # 40,001-point grid
     {"x_count": 40001, "kappas": (2.0, 1.0 + 1e-10, 2.0, 5.0)},
     # the select_certify workload's theorem and run_all grids: 201 points
-    # of [-x_max, x_max] and three kappas, one Q row and three g rows; at
+    # of [-x_max, x_max] and three kappas, Q and three g rows; at
     # x_max = 2.4e5, Q is subnormal or 0 on most of the grid
     {"x_min": -3.7, "x_max": 3.7, "x_count": 201, "kappas": _SELECT},
     {"x_min": -2.4e5, "x_max": 2.4e5, "x_count": 201, "kappas": _SELECT},
