@@ -113,8 +113,7 @@ def _q_and_g(x, ks):
     kappa bit for bit g_lower(x, kappa): one Gaussian pass over x against
     the kappa column, times the alpha column in place, each alpha and kappa
     a Python float from KappaParam, as in a g_lower call.  q checks x and
-    runs it in blocks.  The theorem suite and the CLI table make one call
-    per x grid.
+    runs it in blocks.  The theorem suite and the CLI table call it once.
     """
     ks = [as_kappa(v) for v in ks]
     qx = q(x)

@@ -418,7 +418,8 @@ def elementwise(sign=0):
     array is split: every body, and every helper it calls (_erfcx, _exp),
     runs once on the at most _BLOCK elements it is given.  The blocks run
     on _WORKERS threads (see _run_blocks); numpy releases the interpreter
-    lock inside each pass, so the threads overlap.  Smaller arrays and scalars never start a thread.
+    lock inside each pass, so the threads overlap.  Smaller arrays and
+    scalars never start a thread.
     """
     def decorate(fn):
         name = fn.__code__.co_varnames[0]
@@ -558,9 +559,9 @@ def gauss(x, a):
     the Gaussian factor of q and of every bound kernel, 0 without a warning
     where a*x*x overflows.  Where both are Python floats, the product is
     Python's, whose overflow to inf warns of nothing, and its exp np.exp's,
-    so the bits are those of a 1-point array.  Otherwise the product overflows quietly under
-    np.errstate, and its exp is _exp, which skips np.exp's underflow slow
-    path on large arrays with the same bits."""
+    so the bits are those of a 1-point array.  Otherwise the product
+    overflows quietly under np.errstate, and its exp is _exp, which skips
+    np.exp's underflow slow path on large arrays with the same bits."""
     if type(x) is float and type(a) is float:
         return np.exp(-0.5 * a * x * x)
     with np.errstate(over="ignore"):

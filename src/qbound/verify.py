@@ -158,8 +158,8 @@ def verify_theorem(
     row per kappa, in the grid's order, with lhs g and rhs Q, every kappa
     on the grid's x values.  One _q_and_g call gives Q, from q, and the g
     rows; the violation (g - Q)/Q is computed in place, with no other
-    temporary of g's size but a boolean mask.  Where Q is subnormal or 0, the check is
-    g <= Q + 2**-1073 instead.
+    temporary of g's size but a boolean mask.  Where Q is subnormal or 0,
+    the check is g <= Q + 2**-1073 instead.
 
     weight_inflation is a test hook that multiplies the bound's weight; the
     suite must detect a corrupted bound, not merely avoid crashing.
