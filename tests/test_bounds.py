@@ -161,6 +161,12 @@ class TestGLower:
             assert g_lower(np.array([x, 1.0]), kappa)[0] == 0.0
         assert g_lower(np.array([1e155, 1.0]), 2.0)[1] == g_lower(1.0, 2.0)
 
+    def test_one_kappa_not_a_tuple(self):
+        # a column of kappas is _q_and_g's alone
+        for x in (0.5, np.float64(0.5), np.array(0.5), np.array([0.5])):
+            with pytest.raises(TypeError):
+                g_lower(x, (2.0, 3.0))
+
 
 class TestTailWithoutWarnings:
     """Where x*x or (kappa-1)*x*x overflows, the kernels give the values

@@ -747,21 +747,23 @@ class TestBlockThreads:
                     with pytest.raises(DomainError, match=f"{message}$"):
                         fn(x, *args)
 
-    @pytest.mark.parametrize("fn, valid, wrong_sign, sign_message, under", [
-        (q, 1.0, None, None, 38.0),
-        (mills_ratio, 1.0, -1.0, "mills_ratio requires x >= 0", sys.float_info.max),
-        (h, -1.0, 1.0, "h requires w <= 0", -800.0),
-    ], ids=["q", "mills_ratio", "h"])
-    def test_error_past_block_0_is_the_whole_arrays(self, fn, valid, wrong_sign, sign_message,
-                                                    under, monkeypatch):
+    @pytest.mark.parametrize("fn, args, valid, wrong_sign, sign_message, under", [
+        (q, (), 1.0, None, None, 38.0),
+        (mills_ratio, (), 1.0, -1.0, "mills_ratio requires x >= 0", sys.float_info.max),
+        (h, (), -1.0, 1.0, "h requires w <= 0", -800.0),
+        (bounds._q_and_g, ((1.5, 2.0, 3.0),), 1.0, None, None, 38.0),
+    ], ids=["q", "mills_ratio", "h", "_q_and_g"])
+    def test_error_past_block_0_is_the_whole_arrays(self, fn, args, valid, wrong_sign,
+                                                    sign_message, under, monkeypatch):
         # block 0 is valid, and block 1 and the last block hold the bad
         # values; block 1 is taken first, so on one thread it fails first,
         # in its check or in its body (exp's underflow, or mills_ratio's
         # last division).  The error is the whole array's all the same: its
         # first non-finite value, else the sign message, and for a valid x
-        # the body's own error
+        # the body's own error.  _q_and_g's x is checked by q, before the
+        # g rows are built
         block = special._BLOCK
-        name = fn.__wrapped__.__code__.co_varnames[0]
+        name = getattr(fn, "__wrapped__", fn).__code__.co_varnames[0]
         cases = [
             ((math.inf, math.nan), DomainError, f"{name} must be finite, got inf$"),
             ((math.nan, -math.inf), DomainError, f"{name} must be finite, got nan$"),
@@ -781,7 +783,7 @@ class TestBlockThreads:
                     y[block + 5], y[-1] = in_block_1, in_last
                     with np.errstate(under="raise"):
                         with pytest.raises(error, match=message):
-                            fn(y)
+                            fn(y, *args)
 
     def test_threads_start_past_one_block(self, monkeypatch):
         # one block runs in the calling thread; one point more makes two

@@ -219,10 +219,14 @@ class TestVerifyTheorem:
         assert calls == [(101, [1.0, 1.5, 1.0 + 1e-10, 2.0, 10.0])]
         assert report.points_checked == 5 * 101
 
-    def test_peak_within_three_copies_of_g(self):
+    @pytest.mark.parametrize("kappas", [
+        (2.0, 1.0 + 1e-10, 5.0),  # three kappas, as in the select_certify workload's grids
+        (1.0, 1.0 + 1e-10, 1.5, 2.0, 10.0, 100.0),
+        (1.0, 1.0 + 1e-10, 1.5, 2.0, 3.0, 4.0, 5.0, 10.0, 100.0, 1e200),
+    ], ids=len)
+    def test_peak_within_three_copies_of_g(self, kappas):
         # Q runs in blocks; g, the violation and the Gaussian pass's
         # temporaries each hold K*n floats, and the call peaks below three
-        kappas = (1.0, 1.0 + 1e-10, 1.5, 2.0, 10.0, 100.0)
         grid = EvaluationGrid(x_count=3 * special._BLOCK, kappas=kappas)
         verify_theorem(EvaluationGrid(x_count=11, kappas=kappas))  # one-time allocations
         tracemalloc.start()
