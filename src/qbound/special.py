@@ -26,6 +26,19 @@ _SQRT2 = math.sqrt(2.0)
 #: z = -1/e, where the two real Lambert branches meet (W = -1).
 BRANCH_POINT = -math.exp(-1.0)
 
+#: 1/e + BRANCH_POINT: the low part of 1/e, which BRANCH_POINT rounds away.
+_INV_E_LO = -1.2428753672788363e-17
+
+#: mu_17, ..., mu_1 of W = -1 + sum of mu_k*p**k, both real branches' series
+#: about the branch point in p = +-sqrt(2*(e*z + 1)), rounded to doubles
+#: (Corless et al. 1996, eqs. 4.22-4.24; the tests rebuild them exactly).
+_W_SERIES = (0.00019438727605453933, -0.00029267722472962746, 0.0004424730618146209,
+             -0.0006720616311561362, 0.0010262633205076071, -0.0015769303446867841,
+             0.0024408779911439826, -0.0038112980348919993, 0.006014543252956118,
+             -0.009616892024299432, 0.01563563253233392, -0.02598471487360376,
+             0.044502314814814814, -0.07962962962962963, 0.1527777777777778,
+             -0.3333333333333333, 1.0)
+
 
 #: erfcx(z) = exp(z*z)*erfc(z) = y * P_j(t) for z >= 0, with y = 1/(1+z),
 #: j = min(floor(128*y), 127) and t = 2*(128*y - j) - 1 in [-1, 1].  Row j
@@ -305,6 +318,8 @@ _ERFCX_COEFFS = tuple(np.array(_ERFCX_PIECES).T.copy())
 #: 55 / 52 / 52 / 54 / 58 on one thread and 45 / 39 / 38 / 39 / 40 on two
 #: (median of 5 runs, 2-core AMD EPYC VM): the threads wait on the
 #: interpreter lock between numpy passes, more often the smaller the block.
+#: On a 2-CPU Intel Xeon VM, in 12 interleaved pairs against 65,536, 32,768
+#: ran +13% (0 pairs faster), 49,152 within 3% (7 and 2), 131,072 +4-5% (0-1).
 _BLOCK = 65536
 
 #: exp(y) is +0.0 for every y below this, -inf included: exp(-745.14) is
@@ -320,28 +335,24 @@ _MASK_MIN = 4096
 
 def _erfcx(w):
     """erfcx(z) = exp(z*z)*erfc(z) of a checked z >= 0, read as w = 1 + z,
-    the one form of z the formula uses: a Python float, NumPy scalar or
-    0-d array gives a Python float, an array gives an array, and w is never
-    written to.
+    the one form of z the formula uses: a float w, or a float array, the
+    two forms a kernel body passes, gives the same form; w is not written to.
 
     One formula covers every finite z: P_j(t)/w, with P_j from the table
-    above, which is y*P_j(t) with one rounding fewer.  128*y is taken as
-    128/w, the same bits as 128*(1/(1+z)).  Its callers form w in place in
-    a buffer of their own, so no array of z is kept beside it.  An array
-    runs in one pass, its temporaries updated in place; the kernels call it
-    on at most one _BLOCK of points (see elementwise), and at its peak a
-    kernel holds five block-sized arrays: w, t, j, the gather buffer and
-    the accumulator.  A scalar runs the same IEEE operations in the same
-    order in plain Python, so both paths give the same bits.  The array
-    path gathers the coefficients one row at a time, c6 first as Horner's
-    rule adds them, into one buffer of w's size, with ndarray.take in wrap
-    mode, which skips the bounds check that clip mode repeats: j is already
-    clipped to [0, 127], where wrap and clip pick the same entry.  The
-    method skips np.take's Python wrapper, ~0.5 us a call (README,
-    "Blocks").
+    above, which is y*P_j(t) with one rounding fewer; 128*y is taken as
+    128/w, the same bits as 128*(1/(1+z)).  A float runs the array's IEEE
+    operations in the same order in plain Python, so both give the same
+    bits.  Callers form w in place in a buffer of their own, on at most one
+    _BLOCK of points, and an array runs in one pass, its temporaries
+    updated in place: at its peak a kernel holds five block-sized arrays,
+    w, t, j, the gather buffer and the accumulator.  The coefficients are
+    gathered one row at a time, c6 first as Horner's rule adds them, into
+    one buffer, with ndarray.take in wrap mode: the method skips np.take's
+    Python wrapper (~0.5 us a call, README "Blocks"), and wrap mode the
+    bounds check that clip mode repeats, as j is already clipped to
+    [0, 127], where wrap and clip pick the same entry.
     """
-    if isinstance(w, float) or not np.ndim(w):
-        w = float(w)
+    if isinstance(w, float):
         u = 128.0 / w
         j = min(int(u), 127)
         t = 2.0 * (u - j) - 1.0
@@ -388,38 +399,31 @@ def elementwise(sign=0):
 
     x is checked to be finite and, for sign = +1 or -1, to satisfy
     sign*x >= 0; the messages name x after fn's first parameter (h requires
-    w <= 0).  A Python float, a NumPy scalar or a 0-d x reaches the kernel
-    as a Python float, whose + - * / are the IEEE operations numpy's loops
-    take, and whose numpy calls (np.exp, np.sqrt, ...) run the loops a 0-d
-    array would, so the bits are those of a 1-point array, without numpy's
-    scalar set-up.  It is checked with plain comparisons instead of array
-    reductions, which cost microseconds per call, and its result comes
-    back as a Python float.  Any other x reaches the kernel as a float
-    array, and the array result is returned.  An array is checked by its min
-    and max, which build no temporary; only an array that fails builds the
-    mask that names its first non-finite value.  So a grid is an array, even
-    a grid of one point (verify_chernoff()'s x = 0, eval's one-row table),
-    and a named point (a worst point, x1, x2) is a scalar.
+    w <= 0).  The body, and every helper it calls, sees one of two forms.
+    A Python float, a NumPy scalar or a 0-d x is checked by plain
+    comparisons and reaches the body as a Python float, whose + - * / are
+    the IEEE operations of numpy's loops and whose numpy calls run a 0-d
+    array's loops: the bits of a 1-point array, without array reductions or
+    numpy's scalar set-up; its result comes back as a Python float.  Any
+    other x reaches the body as a float array, checked by its min and max,
+    which build no temporary (only an array that fails builds the mask that
+    names its first non-finite value).  So a grid is an array, even of one
+    point (verify_chernoff()'s x = 0, eval's one-row table), and a named
+    point (a worst point, x1, x2) is a scalar.
 
-    An array of more than _BLOCK points runs the same kernel body on
-    consecutive _BLOCK-point slices of it, each result written into one
-    output of x's shape.  Each block is checked by the thread that runs it,
-    just before its body reads it, so the check runs on every CPU and
-    leaves the block in cache.  The error is still the whole array's:
-    where any block raises, x is checked whole before the error is
-    re-raised, so an invalid x raises its first non-finite value, else the
-    sign message, whichever block failed first, and a valid x its body's
-    own error.  Under a caller's np.errstate(...="warn"), valid blocks of
-    an invalid x may warn before its DomainError; numpy's default errstate
-    shows nothing.  A block's temporaries stay in cache, where a
-    whole-array body would allocate and page-fault several arrays of x's
-    size.  The body is elementwise, so each point gets the same operations,
-    and the same bits, as in one whole call.  This is the one place an
-    array is split: every body, and every helper it calls (_erfcx, _exp),
-    runs once on the at most _BLOCK elements it is given.  The blocks run
-    on _WORKERS threads (see _run_blocks); numpy releases the interpreter
-    lock inside each pass, so the threads overlap.  Smaller arrays and
-    scalars never start a thread.
+    This is the one place an array is split: one of more than _BLOCK points
+    runs the body on consecutive _BLOCK-point slices on _WORKERS threads
+    (see _run_blocks), each result written into one output of x's shape.
+    numpy releases the interpreter lock inside each pass, so the threads
+    overlap, and a block's temporaries stay in cache, where a whole-array
+    body would page-fault several arrays of x's size; each point gets the
+    bits of one whole call.  Each block is checked by the thread that runs
+    it, just before its body reads it.  Where any block raises, x is
+    checked whole before the error is re-raised, so an invalid x raises its
+    first non-finite value, else the sign message, whichever block failed
+    first, and a valid x its body's own error; under a caller's
+    np.errstate(...="warn"), valid blocks of an invalid x may warn first.
+    Smaller arrays and scalars start no thread.
     """
     def decorate(fn):
         name = fn.__code__.co_varnames[0]
@@ -437,9 +441,7 @@ def elementwise(sign=0):
 
         @functools.wraps(fn)
         def kernel(x, *args):
-            if isinstance(x, float):  # a Python float or a float64 scalar
-                x = float(x)
-            else:
+            if not isinstance(x, float):  # neither a Python float nor a float64
                 x = np.asarray(x, dtype=float)
                 if x.ndim:
                     if x.size <= _BLOCK:
@@ -451,7 +453,7 @@ def elementwise(sign=0):
                         check(x)  # an invalid x raises the whole array's error
                         raise
                     return out
-                x = float(x)
+            x = float(x)
             if not math.isfinite(x):
                 raise DomainError(f"{name} must be finite, got {x!r}")
             if sign and sign * x < 0.0:
@@ -476,15 +478,14 @@ def _run_blocks(fn, check, x, out, args):
     the flat arrays x and out, on min(_WORKERS, blocks) threads: the calling
     thread and threads started for this call alone.  Each thread takes the
     next block not yet taken, so a thread slowed by another process leaves
-    its share to the others.  Each runs under the caller's np.errstate, as a
-    new thread starts with numpy's defaults.  An error ends its thread's
-    run, and the others finish the blocks left.  Every thread is joined
-    before the call returns or raises, so none writes into out once it
-    has ended, and none outlives the call; then the first error is raised.
-    Each thread checks the block it has taken, so a block that fails its
-    check raises that block's DomainError here, and elementwise names the
-    whole array's; valid blocks run their body, and under a caller's
-    np.errstate(...="warn") may warn before it.
+    its share to the others, and runs under the caller's np.errstate, as a
+    new thread starts with numpy's defaults.  Each checks the block it has
+    taken, so a block that fails raises its own DomainError, which
+    elementwise replaces by the whole array's.  An error ends its thread's
+    run, and the others finish the blocks left (under a caller's
+    np.errstate(...="warn"), valid blocks may warn first).  Every thread is
+    joined before the call returns or raises, so none writes into out or
+    outlives the call; then the first error is raised.
     """
     starts = range(0, x.size, _BLOCK)
     blocks = iter(starts)
@@ -520,22 +521,22 @@ def _run_blocks(fn, check, x, out, args):
 
 
 def _exp(y):
-    """np.exp(y), bit for bit, for a float, NumPy scalar or array y.
+    """np.exp(y), bit for bit, for a float, NumPy scalar or array y, which
+    is never written to.
 
     np.exp takes a slow path on every SIMD vector that holds a lane that
     underflows: 4-7 ns a point where y < _EXP_ZERO, 9-11 ns on a random
     mix of such and normal points, against 1-1.5 ns in the normal range.
-    So where any point of an array of at least _MASK_MIN points underflows,
-    those lanes are clamped to _EXP_ZERO and zeroed by a mask, which exp
-    maps to 1 and the same mask back to 0, exp(y)'s exact value, at ~4 ns
-    a point whatever the mix.  Where every point underflows, as in almost
-    every block of gauss(x, a) once a is large, the result is zeros alone.
-    Where none does, np.exp alone: no benchmark workload gets there, but
-    on 1e6 points of [-10, 10] the mask would cost q 12% and g_lower(x, 2)
-    50%.  One count of the underflowing lanes tells the three apart; a nan
-    lane does not count, so it reaches np.exp.  Masked ufunc forms (where=,
-    copyto, putmask) are slower on a random mask than the slow path
-    itself, so none is used.  y is never written to.
+    So where some points of an array of at least _MASK_MIN underflow, those
+    lanes are clamped to _EXP_ZERO and zeroed by a mask, which exp maps to
+    1 and the same mask back to 0, exp(y)'s exact value, at ~4 ns a point
+    whatever the mix; masked ufunc forms (where=, copyto, putmask) are
+    slower on a random mask than the slow path itself.  Where every point
+    underflows, as in almost every block of gauss(x, a) once a is large,
+    the result is zeros alone.  Where none does, np.exp alone: on 1e6
+    points of [-10, 10] the mask would cost q 12% and g_lower(x, 2) 50%.
+    One count of the underflowing lanes tells the three apart; a nan lane
+    does not count, so it reaches np.exp.
     """
     if type(y) is not np.ndarray or y.size < _MASK_MIN:
         return np.exp(y)
@@ -557,12 +558,12 @@ def gauss(x, a):
     """exp(-a*x*x/2) of a checked x, a Python float or an array, and a
     coefficient a, a Python float or (bounds._q_and_g) a column of them:
     the Gaussian factor of q and of every bound kernel, 0 without a warning
-    where a*x*x overflows.  Where both are Python floats, the product is
-    Python's, whose overflow to inf warns of nothing, and its exp np.exp's,
-    so the bits are those of a 1-point array.  Otherwise the product
-    overflows quietly under np.errstate, and its exp is _exp, which skips
-    np.exp's underflow slow path on large arrays with the same bits."""
-    if type(x) is float and type(a) is float:
+    where a*x*x overflows.  Where x is a Python float, every caller's a is
+    one too, and the product is Python's, whose overflow to inf warns of
+    nothing, and its exp np.exp's: the bits of a 1-point array.  Otherwise
+    the product overflows quietly under np.errstate, and its exp is _exp,
+    which skips np.exp's underflow slow path on large arrays, same bits."""
+    if type(x) is float:
         return np.exp(-0.5 * a * x * x)
     with np.errstate(over="ignore"):
         return _exp(-0.5 * a * x * x)
@@ -579,8 +580,8 @@ def q(x):
     place, so q holds five block temporaries at its peak.  The Gaussian
     factor takes the signed x: (-0.5*x)*x has the same bits for x and -x.
     Q(x) is |tail - (x < 0)|, the bits of 1 - tail for x < 0 and of tail
-    elsewhere, -0.0 included, in two passes in place: a masked subtract is
-    slow on a large random-sign mask.
+    elsewhere, -0.0 included, in two passes, the subtract in place: a
+    masked subtract is slow on a large random-sign mask.
     """
     tail = abs(x)
     tail /= _SQRT2
@@ -589,8 +590,6 @@ def q(x):
     tail *= 0.5
     tail *= gauss(x, 1.0)
     tail -= x < 0.0
-    if type(tail) is np.ndarray:
-        return np.abs(tail, out=tail)
     return abs(tail)
 
 
@@ -663,18 +662,22 @@ def lambert_w(z: float, branch: LambertBranch = LambertBranch.PRINCIPAL) -> floa
     PRINCIPAL requires z >= -1/e and returns w >= -1; NEGATIVE requires
     -1/e <= z < 0 and returns w <= -1.
 
-    newton polishes a closed-form start: the series about the branch point,
-    log1p(z), or l1 - l2 + l2/l1 with l1 = log|z|, l2 = log|l1| (Corless et
-    al. 1996, "On the Lambert W function").  Each step is Halley's on
-    w*exp(w) - z, written in g = w - z/exp(w), the residual divided by
-    exp(w), which overflows nowhere (their eq. 5.9).  Only where exp(w) is
-    subnormal (w < -708, negative branch) is z/exp(w) out of range; there
-    the step is Newton's on the log form w + log(-w) - log(-z).
+    Where d = 2*(e*z + 1) < 0.04 (z - BRANCH_POINT < ~0.0074), w is the
+    series _W_SERIES in p = +-sqrt(d), whose next term is below 2**-54
+    there, with d = 2*e*((z - BRANCH_POINT) + _INV_E_LO), in which
+    z - BRANCH_POINT is exact.  Elsewhere newton polishes log1p(z), or
+    l1 - l2 + l2/l1 with l1 = log|z|, l2 = log|l1| (Corless et al. 1996,
+    "On the Lambert W function"), by Halley's steps on w*exp(w) - z in
+    g = w - z/exp(w), which overflows nowhere (their eq. 5.9), or where
+    exp(w) is subnormal (w < -708), Newton's on w + log(-w) - log(-z).  A
+    step rounds g to ~1 unit of |w| and divides it by 1 + w: it costs up
+    to 1/|1 + w| units, which the series, taken where |1 + w| < 0.19, spares.
 
     Against mpmath, w is within 2*max(1, 1/|1 + w|) units of 2**-53
-    relative over the whole double range of z on both branches: 2 units
-    away from the branch point, and 2 times W's condition number 1/|1 + w|
-    near it.  The residual |w*exp(w) - z| stays below
+    relative over the whole double range of z on both branches.  On 2,000
+    points of z - BRANCH_POINT log-spaced in [1e-16, 0.37], against 60
+    digits, the worst is 0.7 (principal) and 1.01 (negative) units in the
+    series and 4.7 past it.  The residual |w*exp(w) - z| stays below
     1e-14*max(|z|, 1e-300) on the samples of acceptance criterion 5.
     """
     z = float(z)
@@ -690,12 +693,14 @@ def lambert_w(z: float, branch: LambertBranch = LambertBranch.PRINCIPAL) -> floa
     if z == 0.0:
         return 0.0
 
-    # Square-root expansion around the branch point; d = p**2 = 2*(e*z + 1).
-    d = max(2.0 * (math.e * z + 1.0), 0.0)
+    d = 2.0 * math.e * ((z - BRANCH_POINT) + _INV_E_LO)
     if d < 0.04:
         p = math.sqrt(d) if principal else -math.sqrt(d)
-        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
-    elif principal and z < 3.0:
+        w = 0.0
+        for c in _W_SERIES:  # Horner's rule, mu_17 first
+            w = (w + c) * p
+        return w - 1.0
+    if principal and z < 3.0:
         w = math.log1p(z)
     else:
         l1 = math.log(abs(z))
@@ -709,13 +714,7 @@ def lambert_w(z: float, branch: LambertBranch = LambertBranch.PRINCIPAL) -> floa
         g, wp1 = w - z / ew, w + 1.0
         return 2.0 * g * wp1 / (2.0 * wp1 * wp1 - (w + 2.0) * g)
 
-    w = newton(step, w)
-    # Rounding may push the result a hair across the branch boundary.
-    if principal and w < -1.0:
-        w = -1.0
-    if not principal and w > -1.0:
-        w = -1.0
-    return w
+    return newton(step, w)
 
 
 __all__ = [

@@ -209,18 +209,6 @@ class TestLambertW:
             )
             assert lambert_w(z, branch) == pytest.approx(w, abs=1e-12)
 
-    @pytest.mark.parametrize("branch, past", [
-        (LambertBranch.PRINCIPAL, -math.inf),
-        (LambertBranch.NEGATIVE, math.inf),
-    ])
-    def test_a_root_past_the_branch_boundary_is_clamped(self, branch, past, monkeypatch):
-        # newton's root one ulp across w = -1 comes back as -1 on either branch
-        starts = []
-        monkeypatch.setattr(special, "newton",
-                            lambda step, w: starts.append(w) or math.nextafter(-1.0, past))
-        assert lambert_w(-0.36, branch) == -1.0
-        assert len(starts) == 1
-
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             lambert_w(-0.4)  # below -1/e, no real solution
@@ -274,6 +262,44 @@ class TestLambertW:
         zs = [1e6, sys.float_info.max]
         zs += np.exp(rng.uniform(math.log(1e6), math.log(sys.float_info.max), 1000)).tolist()
         assert self.worst_units(zs, LambertBranch.PRINCIPAL) <= 4.0
+
+    @pytest.mark.parametrize("branch, k, series_bound", [
+        (LambertBranch.PRINCIPAL, 0, 0.7),
+        (LambertBranch.NEGATIVE, -1, 1.01),
+    ])
+    def test_near_the_branch_point_against_mpmath(self, branch, k, series_bound):
+        # z - BRANCH_POINT log-spaced in [1e-16, 0.37]: the series where
+        # 2*(e*z + 1) < 0.04, Halley's steps past it, where |1 + w| > 0.18;
+        # the worst relative errors in units of 2**-53 (60 digits), as the
+        # docstring states them
+        mp = pytest.importorskip("mpmath")
+        series = steps = 0.0
+        with mp.workdps(60):
+            for z in (BRANCH_POINT + np.geomspace(1e-16, 0.37, 2000)).tolist():
+                if k == -1 and z >= 0.0:
+                    continue
+                w = lambert_w(z, branch)
+                assert w > -1.0 if k == 0 else w < -1.0
+                ref = mp.lambertw(mp.mpf(z), k).real
+                err = float(abs((mp.mpf(w) - ref) / ref)) * 2.0**53
+                if 2.0 * math.e * ((z - BRANCH_POINT) + special._INV_E_LO) < 0.04:
+                    series = max(series, err)
+                else:
+                    steps = max(steps, err)
+        assert series <= series_bound
+        assert steps <= 4.7
+
+    def test_series_coefficients_are_the_recurrences(self):
+        # Corless et al. 1996, eqs. 4.23-4.24, in exact rationals, each
+        # rounded once to a double
+        from fractions import Fraction
+        mu, alpha = [Fraction(-1), Fraction(1)], [Fraction(2), Fraction(-1)]
+        for j in range(2, 18):
+            alpha.append(sum((mu[i] * mu[j + 1 - i] for i in range(2, j)), Fraction(0)))
+            mu.append(Fraction(j - 1, j + 1) * (mu[j - 2] / 2 + alpha[j - 2] / 4)
+                      - alpha[j] / 2 - mu[j - 1] / (j + 1))
+        assert special._W_SERIES == tuple(float(m) for m in mu[17:0:-1])
+        assert mu[2:5] == [Fraction(-1, 3), Fraction(11, 72), Fraction(-43, 540)]
 
     def test_subnormal_z_on_both_branches(self):
         # each power of two below the smallest normal double, its neighbours
@@ -452,7 +478,6 @@ class TestErfcx:
             assert special._erfcx(1.0 + 0.0) == 1.0
             assert special._erfcx(1.0 + np.float64(0.0)) == 1.0
             assert special._erfcx(1.0 + np.zeros(3)).tolist() == [1.0, 1.0, 1.0]
-            assert special._erfcx(np.array(1.0 + 0.0)) == 1.0
 
     @pytest.mark.parametrize(
         "lo, hi", [(0.0, 0.5), (0.5, 4.0), (4.0, 50.0), (50.0, 1e300)]
@@ -524,6 +549,38 @@ class TestGauss:
             want = np.float64(special.gauss(np.float64(v), 1.0)).tobytes()
             assert np.float64(special.gauss(np.float64(-v), 1.0)).tobytes() == want
             assert np.float64(special.gauss(-v, 1.0)).tobytes() == want
+
+
+class TestTwoForms:
+    """Below elementwise there are two forms of x: a kernel body, and the
+    helpers it calls, see a Python float or a float ndarray, whatever the
+    caller passed."""
+
+    def test_helpers_see_a_float_or_an_array(self, monkeypatch):
+        seen = []
+
+        def recording(fn):
+            def wrapper(*args):
+                seen.extend(type(a) for a in args)  # block threads too
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(special, "_erfcx", recording(special._erfcx))
+        gauss = recording(special.gauss)
+        monkeypatch.setattr(special, "gauss", gauss)
+        monkeypatch.setattr(bounds, "gauss", gauss)  # bounds' own name for it
+        rng = np.random.default_rng(42)
+        wide = rng.uniform(0.0, 40.0, (2, special._BLOCK // 2 + 1))  # past one block
+        for fn, takes_kappa in ELEMENTWISE:
+            args = (2.0,) if takes_kappa else ()
+            sign = -1.0 if fn is special.h else 1.0
+            # the bulk, the tail, and past 2**512, where boyd_lower builds 0-d arrays
+            for v in (sign * 0.5, sign * 40.0, sign * 2.0**513):
+                for x in (v, np.float64(v), np.array(v), np.full(3, v), np.full((2, 3), v)):
+                    fn(x, *args)
+            fn(sign * wide[0], *args)
+            fn(sign * wide, *args)
+        assert set(seen) == {float, np.ndarray}
 
 
 class TestBlockedPath:
