@@ -318,8 +318,7 @@ _ERFCX_COEFFS = tuple(np.array(_ERFCX_PIECES).T.copy())
 #: 55 / 52 / 52 / 54 / 58 on one thread and 45 / 39 / 38 / 39 / 40 on two
 #: (median of 5 runs, 2-core AMD EPYC VM): the threads wait on the
 #: interpreter lock between numpy passes, more often the smaller the block.
-#: On a 2-CPU Intel Xeon VM, in 12 interleaved pairs against 65,536, 32,768
-#: ran +13% (0 pairs faster), 49,152 within 3% (7 and 2), 131,072 +4-5% (0-1).
+#: README "Blocks" has the figures of other hosts.
 _BLOCK = 65536
 
 #: exp(y) is +0.0 for every y below this, -inf included: exp(-745.14) is
@@ -399,7 +398,7 @@ def elementwise(sign=0):
 
     x is checked to be finite and, for sign = +1 or -1, to satisfy
     sign*x >= 0; the messages name x after fn's first parameter (h requires
-    w <= 0).  The body, and every helper it calls, sees one of two forms.
+    w <= 0).  The body, and _erfcx and gauss below it, see one of two forms.
     A Python float, a NumPy scalar or a 0-d x is checked by plain
     comparisons and reaches the body as a Python float, whose + - * / are
     the IEEE operations of numpy's loops and whose numpy calls run a 0-d
@@ -677,8 +676,8 @@ def lambert_w(z: float, branch: LambertBranch = LambertBranch.PRINCIPAL) -> floa
     relative over the whole double range of z on both branches.  On 2,000
     points of z - BRANCH_POINT log-spaced in [1e-16, 0.37], against 60
     digits, the worst is 0.7 (principal) and 1.01 (negative) units in the
-    series and 4.7 past it.  The residual |w*exp(w) - z| stays below
-    1e-14*max(|z|, 1e-300) on the samples of acceptance criterion 5.
+    series and 4.7 past it (pinned at 6).  The residual |w*exp(w) - z|
+    stays below 1e-14*max(|z|, 1e-300) on acceptance criterion 5's samples.
     """
     z = float(z)
     if not math.isfinite(z):
@@ -714,7 +713,8 @@ def lambert_w(z: float, branch: LambertBranch = LambertBranch.PRINCIPAL) -> floa
         g, wp1 = w - z / ew, w + 1.0
         return 2.0 * g * wp1 / (2.0 * wp1 * wp1 - (w + 2.0) * g)
 
-    return newton(step, w)
+    w = newton(step, w)  # rounding may carry a root a hair across -1
+    return max(w, -1.0) if principal else min(w, -1.0)
 
 
 __all__ = [
