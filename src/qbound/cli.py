@@ -178,9 +178,9 @@ def cmd_optimize(args, out) -> int:
             raise UsageError("pointwise mode requires --x")
         res = optimize.kappa_star(args.x)
     elif args.mode == "weight":
-        if args.kappa_single is None:
+        if args.kappa is None:
             raise UsageError("weight mode requires --kappa")
-        res = optimize.max_weight(args.kappa_single)
+        res = optimize.max_weight(args.kappa)
     else:  # interval
         if args.x_lo is None or args.x_hi is None:
             raise UsageError("interval mode requires --x-lo and --x-hi")
@@ -253,16 +253,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("suite", choices=verify.SUITE_NAMES + ("all",))
     add_grid_flags(p)
-    p.add_argument("--tolerance", type=float, default=verify.REL_TOL)
+    p.add_argument("--tolerance", type=float, default=verify.REL_TOL,
+                   help="the theorem suite's relative tolerance; the other suites keep "
+                   "their own")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("optimize", help="parameter-selection searches")
     p.add_argument("mode", choices=("pointwise", "weight", "interval"))
-    p.add_argument("--x", type=float, default=None)
-    p.add_argument("--kappa", dest="kappa_single", type=float, default=None)
-    p.add_argument("--x-lo", type=float, default=None)
-    p.add_argument("--x-hi", type=float, default=None)
+    p.add_argument("--x", type=float)
+    p.add_argument("--kappa", type=float)
+    p.add_argument("--x-lo", type=float)
+    p.add_argument("--x-hi", type=float)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_optimize)
 

@@ -207,12 +207,15 @@ def verify_lemma1(k) -> VerificationReport:
     return _merge("lemma1", xs, (k.kappa,), viol, lambda r, i: (lhs[i], 0.0), ENDPOINT_TOL)
 
 
-def verify_lemma2(k, x_hi: float | None = None, count: int = 10000) -> VerificationReport:
+def verify_lemma2(k, x_hi: float | None = None, count: int = 1) -> VerificationReport:
     """Check kappa*x*R(x) >= 1 on [x1, x_hi], plus the sufficient condition
     pi*kappa*x / ((pi-1)*x + sqrt(x**2 + 2*pi)) >= 1 on the same range, to
-    LEMMA2_TOL.  x_hi defaults to max(1000, 10*x1): 1000 unless x1 > 100,
-    where kappa - 1 is below ~1e-4.  One row: lhs is the smaller of the
-    two left sides, rhs 1."""
+    LEMMA2_TOL, at count log-spaced points.  Both left sides increase in x,
+    x*R(x) by Gordon's R(x) > x/(1 + x**2) and Boyd's form by its
+    derivative, so x1 decides [x1, inf): the default count of 1 checks x1
+    alone, whatever x_hi is.  x_hi defaults to max(1000, 10*x1): 1000
+    unless x1 > 100, where kappa - 1 is below ~1e-4.  One row: lhs is the
+    smaller of the two left sides, rhs 1."""
     k = as_kappa(k, "verify_lemma2")
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise UsageError(f"count must be >= 1 and an integer, got {count!r}")
@@ -295,13 +298,16 @@ def run_all(
     lemma1 and lemma2 run once per kappa, derivative once over all kappas.
     These three are undefined at kappa = 1: unless the kappas were given
     explicitly they skip it, otherwise it is a domain or usage error.
-    lemma1 checks x1, the pivot and x2 per kappa; lemma2 checks 2000 points
-    per kappa on [x1, max(1000, 10*x1)].  tolerance reaches the theorem
-    suite only.  chernoff runs on the grid only when it is the one suite
-    named, else at x = 0 alone.
+    lemma1 checks x1, the pivot and x2 per kappa; lemma2 checks x1 alone,
+    which decides it (verify_lemma2).  tolerance reaches the theorem suite
+    only, but a nan one is a UsageError whichever suites are named.
+    chernoff runs on the grid only when it is the one suite named, else at
+    x = 0 alone.
     names must name each suite at most once, and at least one; a name not
     in SUITE_NAMES, or a bare string, is a UsageError.
     """
+    if math.isnan(tolerance):
+        raise UsageError("the tolerance must not be nan")
     if isinstance(names, str):
         raise UsageError(f"names must be a sequence of suite names, got the string {names!r}")
     names = tuple(names)
@@ -320,7 +326,7 @@ def run_all(
     if "lemma1" in names:
         reports += [verify_lemma1(k) for k in kappas]
     if "lemma2" in names:
-        reports += [verify_lemma2(k, count=2000) for k in kappas]
+        reports += [verify_lemma2(k) for k in kappas]
     if "derivative" in names and kappas:
         reports.append(verify_derivative(dataclasses.replace(grid, kappas=kappas)))
     if "chernoff" in names:

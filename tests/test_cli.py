@@ -265,13 +265,15 @@ class TestVerifyCommand:
         assert "FAIL" in text
 
     def test_all_near_degenerate_kappa_passes(self):
-        # x1 = 3162.3 here: lemma 2's range reaches past it, to 10*x1
+        # x1 = 3162.3 here, and lemma 2 is checked there alone
         code, text = run_cli("verify", "all", "--kappa", "1.0000001")
         assert code == 0
         assert [line.split(":")[0] for line in text.splitlines()] == [
             f"PASS {suite}" for suite in qbound.verify.SUITE_NAMES
         ]
-        assert text.splitlines()[2].startswith("PASS lemma2: points=2000 ")
+        lemma2 = text.splitlines()[2]
+        assert lemma2.startswith("PASS lemma2: points=1 ")
+        assert f" at (x={qbound.x1_point(1.0000001):.17g}, kappa={1.0000001:.17g}) " in lemma2
 
     def test_all_kappa_next_to_one_decides_on_the_given_grid(self):
         # the theorem's worst point lies on the grid's 11 points, where Q
@@ -341,8 +343,9 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(text)[-1]["points_checked"] == 1
 
-    @pytest.mark.parametrize("suite", ["theorem", "all"])
+    @pytest.mark.parametrize("suite", qbound.verify.SUITE_NAMES + ("all",))
     def test_nan_tolerance_exits_2(self, suite, capsys):
+        # every suite selection, not only those that run the theorem suite
         code, text = run_cli("verify", suite, "--x-count", "11", "--tolerance", "nan")
         assert code == 2 and text == ""
         assert capsys.readouterr().err == "error: the tolerance must not be nan\n"
@@ -410,6 +413,13 @@ class TestOptimizeCommand:
         assert code == 2
         assert text == ""
         assert capsys.readouterr().err.startswith("error: fatal inconsistency")
+
+    def test_help_names_the_kappa_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--kappa KAPPA" in out and "KAPPA_SINGLE" not in out
 
     def test_interval_bad_lo_exits_2(self):
         code, _ = run_cli("optimize", "interval", "--x-lo", "0", "--x-hi", "2")

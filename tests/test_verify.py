@@ -536,7 +536,29 @@ class TestVerifyLemma2:
     def test_passes_without_warning_where_kappa_x_overflows(self, kappa, x_hi):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert verify_lemma2(kappa, x_hi=x_hi).passed
+            assert verify_lemma2(kappa, x_hi=x_hi, count=10_000).passed
+
+    def test_default_checks_x1_alone(self):
+        # x_hi alone does not sample: count decides the points
+        r = verify_lemma2(2.0, x_hi=50.0)
+        assert r == verify_lemma2(2.0)
+        assert r.points_checked == 1 and r.worst_point == (x1_point(2.0), 2.0)
+
+    X1_DECIDES = [k for k in DEFAULT_KAPPAS if k > 1.0] + [
+        1.0 + m for m in (1e-12, 1e-7, 1e12, 1e300)]
+
+    @pytest.mark.parametrize("kappa", X1_DECIDES)
+    def test_x1_decides(self, kappa):
+        # both left sides increase in x, so no sampled point is worse than x1
+        at_x1 = verify_lemma2(kappa)
+        sampled = verify_lemma2(kappa, count=10_000)
+        assert sampled.passed == at_x1.passed
+        assert sampled.worst_violation <= at_x1.worst_violation
+
+    def test_run_all_checks_x1(self):
+        kappas = tuple(self.X1_DECIDES)
+        reports = run_all(EvaluationGrid(kappas=kappas), names=["lemma2"])
+        assert list(map(repr, reports)) == [repr(verify_lemma2(k)) for k in kappas]
 
 
 class TestVerifyDerivative:

@@ -52,8 +52,10 @@ compare the lines.  Nine kinds of output are digested:
   and message;
 - reports: the repr of each verify suite's report, or an exception as its
   type and message: lemma1 and lemma2 at REPORT_KAPPAS log-spaced
-  kappa - 1 in [1e-12, 1e300], and theorem, run_all, derivative and
-  chernoff on REPORT_GRIDS, whose kappas include 1, near-degenerate ones
+  kappa - 1 in [1e-12, 1e300], lemma2 sampled at 10,000 points of its
+  default range (its default checks x1 alone, as run_all's lemma2
+  reports do), and theorem, run_all, derivative and chernoff on
+  REPORT_GRIDS, whose kappas include 1, near-degenerate ones
   (kappa - 1 <= 1e-9) and 1e200, a duplicated kappa, a grid with no
   point x >= verify.FD_STEP, with a
   near-degenerate kappa among others (a usage error of the derivative
@@ -353,11 +355,11 @@ def optimizers():
     _digest("interval_kappa", optimize.interval_kappa, pairs)
 
 
-def _report(fn, *args):
+def _report(fn, *args, **kwargs):
     """The repr of fn's report (a list of them for run_all), or of its
     exception's type and message."""
     try:
-        return repr(fn(*args))
+        return repr(fn(*args, **kwargs))
     except (ArithmeticError, ValueError) as exc:  # DomainError, UsageError
         return f"{type(exc).__name__}: {exc}"
 
@@ -371,7 +373,8 @@ def reports():
 
     lines = []
     for m in np.geomspace(1e-12, 1e300, REPORT_KAPPAS).tolist():
-        lines += [_report(verify.verify_lemma1, 1.0 + m), _report(verify.verify_lemma2, 1.0 + m)]
+        lines += [_report(verify.verify_lemma1, 1.0 + m),
+                  _report(verify.verify_lemma2, 1.0 + m, count=10_000)]
     for keywords in REPORT_GRIDS:
         grid = verify.EvaluationGrid(**keywords)
         above_1 = tuple(k for k in grid.kappas if k.kappa > 1.0)
