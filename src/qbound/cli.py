@@ -103,13 +103,12 @@ def _emit_records(table, fmt: str, out) -> None:
     out.write(after)
 
 
-def _grid_from_args(args, **defaults) -> verify.EvaluationGrid:
+def _grid_from_args(args) -> verify.EvaluationGrid:
     """The grid of the --x-* and --kappa flags that were given; the others
-    take the values in defaults, else EvaluationGrid's."""
+    take EvaluationGrid's defaults."""
     flags = {"x_min": args.x_min, "x_max": args.x_max, "x_count": args.x_count,
              "spacing": args.spacing, "kappas": args.kappa}
-    given = {f: v for f, v in flags.items() if v is not None}
-    return verify.EvaluationGrid(**{**defaults, **given})
+    return verify.EvaluationGrid(**{f: v for f, v in flags.items() if v is not None})
 
 
 def _print_report(r: verify.VerificationReport, out) -> None:
@@ -155,11 +154,9 @@ def cmd_table(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    # an explicit --kappa 1 is a domain error in the lemma suites (exit 2);
-    # chernoff alone is defined for x >= 0 only: its --x-min defaults to 0
-    alone = {"x_min": 0.0} if args.suite == "chernoff" else {}
+    # an explicit --kappa 1 is a domain error in the lemma suites (exit 2)
     reports = verify.run_all(
-        _grid_from_args(args, **alone),
+        _grid_from_args(args),
         names=verify.SUITE_NAMES if args.suite == "all" else (args.suite,),
         explicit=args.kappa is not None,
         tolerance=args.tolerance,
@@ -251,7 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("suite", choices=verify.SUITE_NAMES + ("all",))
+    p.add_argument("suite", choices=verify.SUITE_NAMES + ("all",),
+                   help="theorem and derivative run on the --x-* grid; lemma1, lemma2 and "
+                   "chernoff check the points that decide them")
     add_grid_flags(p)
     p.add_argument("--tolerance", type=float, default=verify.REL_TOL,
                    help="the theorem suite's relative tolerance; the other suites keep "

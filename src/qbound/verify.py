@@ -1,7 +1,7 @@
-"""Property-suite engine: certifies the bound inequality, the critical-point
-sign structure, the Mills-ratio relation, the derivative identity, and the
-Chernoff upper bound on configurable grids, emitting structured reports.
-"""
+"""Property suites, each emitting a structured report: the bound inequality
+and the derivative identity on configurable grids; lemma 1's sign pattern,
+lemma 2's Mills-ratio relation and the Chernoff bound at the points that
+decide them."""
 from __future__ import annotations
 
 import dataclasses
@@ -266,17 +266,12 @@ def _quotient(fn, xs: np.ndarray, h: float, *args) -> np.ndarray:
     return (both[:xs.size] - both[xs.size:]) / (2.0 * h)
 
 
-def verify_chernoff(grid: EvaluationGrid | None = None) -> VerificationReport:
-    """Check Q(x) <= 0.5*exp(-x**2/2)*(1 + REL_TOL) on the grid (x >= 0),
-    or without one at x = 0 alone: there the violation is exactly 0, and
-    R decreases, so it is the worst point of [0, inf).
-
-    The violation is Q/ch - 1 = R(x)/sqrt(pi/2) - 1, which stays finite
-    past x ~38.6, where Q and ch both underflow to 0.  The grid is an array,
-    x = 0 alone too; lhs Q and rhs ch are scalar calls at its worst point."""
-    if grid is not None and grid.x_min < 0.0:
-        raise UsageError("the Chernoff upper bound requires x >= 0")
-    xs = grid.xs() if grid is not None else np.zeros(1)
+def verify_chernoff() -> VerificationReport:
+    """Check Q(x) <= 0.5*exp(-x**2/2)*(1 + REL_TOL) at x = 0, which decides
+    it on [0, inf): the violation Q/ch - 1 = R(x)/sqrt(pi/2) - 1 is exactly
+    0 there, and R decreases (R' = x*R - 1 < 0, by Gordon's R(x) < 1/x).
+    x = 0 is a 1-point array; lhs Q and rhs ch are scalar calls at it."""
+    xs = np.zeros(1)
     viol = mills_ratio(xs) / SQRT_HALF_PI - 1.0
     return _merge("chernoff", xs, (math.nan,), viol,
                   lambda r, i: (q(xs[i]), chernoff_upper(xs[i])), REL_TOL)
@@ -299,10 +294,9 @@ def run_all(
     These three are undefined at kappa = 1: unless the kappas were given
     explicitly they skip it, otherwise it is a domain or usage error.
     lemma1 checks x1, the pivot and x2 per kappa; lemma2 checks x1 alone,
-    which decides it (verify_lemma2).  tolerance reaches the theorem suite
-    only, but a nan one is a UsageError whichever suites are named.
-    chernoff runs on the grid only when it is the one suite named, else at
-    x = 0 alone.
+    which decides it (verify_lemma2), and chernoff x = 0 alone
+    (verify_chernoff).  tolerance reaches the theorem suite only, but a nan
+    one is a UsageError whichever suites are named.
     names must name each suite at most once, and at least one; a name not
     in SUITE_NAMES, or a bare string, is a UsageError.
     """
@@ -330,7 +324,7 @@ def run_all(
     if "derivative" in names and kappas:
         reports.append(verify_derivative(dataclasses.replace(grid, kappas=kappas)))
     if "chernoff" in names:
-        reports.append(verify_chernoff(grid if len(names) == 1 else None))
+        reports.append(verify_chernoff())
     return reports
 
 

@@ -322,26 +322,25 @@ class TestVerifyCommand:
             r["worst_point"] = list(r["worst_point"])
         assert text == json.dumps(want, indent=2) + "\n"
 
-    def test_chernoff_alone_uses_the_given_grid(self):
-        code, text = run_cli(
-            "verify", "chernoff", "--x-min", "0", "--x-max", "5", "--x-count", "11",
-            "--format", "json",
-        )
+    def test_chernoff_checks_x_zero_alone(self):
+        # whatever --x-min is, a negative one too, and alone or with others
+        code, text = run_cli("verify", "chernoff", "--x-min", "-1", "--format", "json")
         assert code == 0
-        assert json.loads(text)[0]["points_checked"] == 11
-
-    def test_chernoff_alone_defaults_to_x_from_zero(self):
-        # without --x-min the grid is [0, --x-max]; a negative one is an error
-        code, text = run_cli("verify", "chernoff", "--kappa", "2", "--format", "json")
-        assert code == 0
-        report = json.loads(text)[0]
-        assert report["points_checked"] == 2001 and report["passed"]
-        assert run_cli("verify", "chernoff", "--x-min", "-1")[0] == 2
-        # verify all checks chernoff at x = 0 alone, not on the grid
+        [report] = json.loads(text)
+        assert report["passed"] and report["points_checked"] == 1
+        assert report["worst_point"][0] == 0.0
         code, text = run_cli("verify", "all", "--kappa", "2", "--x-count", "11",
                              "--format", "json")
         assert code == 0
-        assert json.loads(text)[-1]["points_checked"] == 1
+        assert json.loads(text)[-1] == report
+
+    @pytest.mark.parametrize("suite", ["lemma1", "lemma2", "chernoff"])
+    def test_named_point_suites_ignore_the_x_flags(self, suite):
+        # they check the points that decide them, not the --x-* grid, but
+        # the flags are still checked
+        grid = ("--x-min", "1", "--x-max", "40", "--x-count", "11")
+        assert run_cli("verify", suite, *grid) == run_cli("verify", suite)
+        assert run_cli("verify", suite, "--x-count", "1")[0] == 2
 
     @pytest.mark.parametrize("suite", qbound.verify.SUITE_NAMES + ("all",))
     def test_nan_tolerance_exits_2(self, suite, capsys):

@@ -96,7 +96,6 @@ class TestEvaluationGrid:
             assert xs.tolist() == [grid.x_min] + [big] * 4
             r = verify_theorem(grid)
             assert r.passed and r.points_checked == 5 * len(DEFAULT_KAPPAS)
-            assert verify_chernoff(grid).passed
 
     def test_spaced_equals_numpy_bit_for_bit(self):
         # verify._spaced against np.linspace and np.geomspace on 24,000
@@ -654,38 +653,41 @@ class TestVerifyChernoff:
         assert (r.points_checked, r.worst_violation, r.worst_point[0]) == (1, 0.0, 0.0)
         assert r.passed and r.worst_lhs == r.worst_rhs == 0.5
 
-    def test_equality_at_zero(self):
-        g = EvaluationGrid(x_min=0.0, x_max=1.0, x_count=11, kappas=(2.0,))
-        r = verify_chernoff(g)
-        assert r.passed
-
-    def test_rejects_negative_x(self):
-        with pytest.raises(UsageError):
+    def test_takes_no_grid(self):
+        # x = 0 decides [0, inf): there is no grid to give, nor a negative x
+        with pytest.raises(TypeError):
             verify_chernoff(EvaluationGrid(x_min=-1.0, x_max=1.0, kappas=(2.0,)))
 
-    @pytest.mark.parametrize("x_max, count", [(40.0, 2001), (1e300, 50)])
-    def test_passes_where_q_and_the_bound_underflow(self, x_max, count):
-        # past x ~38.6 both sides are 0; the violation Q/ch - 1 stays finite
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            r = verify_chernoff(EvaluationGrid(x_min=0.0, x_max=x_max, x_count=count))
-        assert r.passed and r.worst_violation == 0.0
-        assert r.worst_lhs == r.worst_rhs == 0.5
-
-
     @pytest.mark.parametrize("keywords", [
-        None,  # x = 0 alone
-        {"x_min": 0.0, "x_max": 40.0, "x_count": 2001},
+        {"x_min": 0.0, "x_max": 1.0, "x_count": 11, "kappas": (2.0,)},
+        {"x_min": 0.0, "x_max": 40.0, "x_count": 2001},  # Q and the bound underflow
+        {"x_min": 0.0, "x_max": 1e300, "x_count": 50},
         {"x_min": 30.0, "x_max": 45.0, "x_count": 20001},  # Q subnormal or 0
         {"x_min": 0.0, "x_max": 40.0, "x_count": 70001},  # blocked, masked exp
         {"x_min": 1.0, "x_max": 1e300, "x_count": 4001, "spacing": "log"},
         {"x_min": 2.5, "x_max": 7.5, "x_count": 1001},
+        # both ends next to the largest double, and the whole positive range
+        {"x_min": sys.float_info.max * (1 - 2**-50), "x_max": sys.float_info.max,
+         "x_count": 5, "spacing": "log"},
+        {"x_min": 5e-324, "x_max": sys.float_info.max, "x_count": 2001, "spacing": "log"},
     ])
-    def test_worst_point_sides_are_scalar_calls(self, keywords, monkeypatch):
-        # one scalar q and one scalar chernoff_upper call, on the grid's
+    def test_x_zero_decides(self, keywords, monkeypatch):
+        # R decreases, so no grid of x >= 0 has a worse point than x = 0: the
+        # grid's report, from the oracle, has its verdict and a violation no
+        # greater
+        want = verify_chernoff()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for workers in (1, 2):
+                with oracles.block_workers(monkeypatch, workers):
+                    r = oracles.chernoff_one_point(EvaluationGrid(**keywords))
+                assert r.passed == want.passed
+                assert r.worst_violation <= want.worst_violation
+
+    def test_worst_point_sides_are_scalar_calls(self, monkeypatch):
+        # one scalar q and one scalar chernoff_upper call, on x = 0's
         # float64 (a float), with the bits of the 1-point arrays they replace
-        grid = EvaluationGrid(**keywords) if keywords else None
-        want = repr(oracles.chernoff_one_point(grid))
+        want = repr(oracles.chernoff_one_point())
         calls = []
         for name in ("q", "chernoff_upper"):
             real = getattr(verify, name)
@@ -693,10 +695,8 @@ class TestVerifyChernoff:
                                 calls.append((name, isinstance(x, float))) or real(x))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for workers in (1, 2):
-                with oracles.block_workers(monkeypatch, workers):
-                    assert repr(verify_chernoff(grid)) == want
-        assert calls == [("q", True), ("chernoff_upper", True)] * 2
+            assert repr(verify_chernoff()) == want
+        assert calls == [("q", True), ("chernoff_upper", True)]
 
 
 class TestRunAll:
@@ -730,11 +730,10 @@ class TestRunAll:
     ])
     def test_rejects_bad_names(self, names, bad):
         # unchecked, these verified nothing, ran the suites named by substrings,
-        # or ran a repeated chernoff on its default grid
+        # or ran a repeated suite once
         with pytest.raises(UsageError, match=bad):
             run_all(EvaluationGrid(x_max=5.0, x_count=11), names=names)
 
     def test_one_suite_named_in_a_list(self):
         g = EvaluationGrid(x_min=0.0, x_max=40.0, x_count=101)
-        assert run_all(g, names=["chernoff"]) == [verify_chernoff(g)]
-        assert run_all(g, names=["chernoff"]) != [verify_chernoff()]
+        assert run_all(g, names=["chernoff"]) == [verify_chernoff()]

@@ -54,12 +54,12 @@ compare the lines.  Nine kinds of output are digested:
   type and message: lemma1 and lemma2 at REPORT_KAPPAS log-spaced
   kappa - 1 in [1e-12, 1e300], lemma2 sampled at 10,000 points of its
   default range (its default checks x1 alone, as run_all's lemma2
-  reports do), and theorem, run_all, derivative and chernoff on
-  REPORT_GRIDS, whose kappas include 1, near-degenerate ones
-  (kappa - 1 <= 1e-9) and 1e200, a duplicated kappa, a grid with no
-  point x >= verify.FD_STEP, with a
-  near-degenerate kappa among others (a usage error of the derivative
-  suite), and two grids shaped like the select_certify workload's;
+  reports do), chernoff once (it checks x = 0 alone), and theorem,
+  run_all and derivative on REPORT_GRIDS, whose kappas include 1,
+  near-degenerate ones (kappa - 1 <= 1e-9) and 1e200, a duplicated kappa,
+  a grid with no point x >= verify.FD_STEP, with a near-degenerate kappa
+  among others (a usage error of the derivative suite), and two grids
+  shaped like the select_certify workload's;
 - cli: stdout and exit code of CLI_COMMANDS, run in-process through
   qbound.cli.main (stderr is discarded).  The tables run in CSV and in
   JSON, whose NaN, Infinity and float spellings the table renderer writes
@@ -67,9 +67,8 @@ compare the lines.  Nine kinds of output are digested:
   negative x, rel_gap's tail form past x = 20, a Q of 0 and kappa 1e8.
   eval writes one record of the table, in text and in JSON: its JSON
   copies cover the NaN columns, the tail form and a Q of 0 too.
-  The chernoff suite's worst point, whose two sides are scalar calls, runs
-  on a 70,001-point grid of [0, 40], in blocks and with exp's underflowing
-  lanes masked, and on one of [37, 45], where Q is subnormal or 0; roots'
+  The chernoff commands give --x-* grids, which the suite does not
+  sample: it checks x = 0 alone, whose two sides are scalar calls; roots'
   residuals at x1 and x2, also scalar calls, run at kappa 2 and at the
   near-degenerate kappa 1.0000000001.
 
@@ -116,8 +115,7 @@ INTERVAL_ENDS = 121
 REPORT_KAPPAS = 101
 
 # EvaluationGrid keywords.  Kappa 1 makes the derivative suite a usage
-# error and a negative x_min the chernoff suite, so each grid also runs
-# those two suites without kappa 1 and on x >= 0.
+# error, so each grid also runs that suite without kappa 1.
 _KAPPAS = (1.0, 1.0 + 1e-10, 1.5, 2.0, 1e200)
 _DEGENERATE = (1.0 + 1e-12, 1.0 + 1e-10, 1.0 + 1e-9)
 _SELECT = (1.0 + 1e-3, 1e8, 1e250)
@@ -383,9 +381,8 @@ def reports():
             _report(verify.run_all, grid),
             _report(verify.verify_derivative, grid),
             _report(verify.verify_derivative, dataclasses.replace(grid, kappas=above_1)),
-            _report(verify.verify_chernoff, grid),
-            _report(verify.verify_chernoff, dataclasses.replace(grid, x_min=max(grid.x_min, 0.0))),
         ]
+    lines.append(_report(verify.verify_chernoff))
     errors = sum(not line.startswith(("VerificationReport(", "[")) for line in lines)
     digest = hashlib.sha256("\n".join(lines).encode())
     print(f"reports: {len(lines)} reports or errors, {errors} errors  {digest.hexdigest()}")
