@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import bounds, optimize, verify
-from .errors import QBoundError, UsageError
+from .errors import QBoundError
 
 CSV_FIELDS = ("x", "kappa", "q_ref", "g_lower", "boyd_lower_q", "chernoff_upper", "rel_gap")
 
@@ -154,11 +154,9 @@ def cmd_table(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    # an explicit --kappa 1 is a domain error in the lemma suites (exit 2)
     reports = verify.run_all(
         _grid_from_args(args),
         names=verify.SUITE_NAMES if args.suite == "all" else (args.suite,),
-        explicit=args.kappa is not None,
         tolerance=args.tolerance,
     )
     if args.format == "json":
@@ -170,17 +168,13 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_optimize(args, out) -> int:
+    """Run the optimizer of args.mode on its flags, each of which its mode's
+    parser requires (build_parser), and print the result's fields."""
     if args.mode == "pointwise":
-        if args.x is None:
-            raise UsageError("pointwise mode requires --x")
         res = optimize.kappa_star(args.x)
     elif args.mode == "weight":
-        if args.kappa is None:
-            raise UsageError("weight mode requires --kappa")
         res = optimize.max_weight(args.kappa)
     else:  # interval
-        if args.x_lo is None or args.x_hi is None:
-            raise UsageError("interval mode requires --x-lo and --x-hi")
         res = optimize.interval_kappa(args.x_lo, args.x_hi)
     _print_fields(dataclasses.asdict(res), args.format, out)
     return 0
@@ -259,13 +253,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("optimize", help="parameter-selection searches")
-    p.add_argument("mode", choices=("pointwise", "weight", "interval"))
-    p.add_argument("--x", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--x-lo", type=float)
-    p.add_argument("--x-hi", type=float)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_optimize)
+    modes = p.add_subparsers(dest="mode", required=True)
+    for mode, flags, text in (
+        ("pointwise", ("--x",), "tightest kappa at one x"),
+        ("weight", ("--kappa",), "largest valid weight at one kappa"),
+        ("interval", ("--x-lo", "--x-hi"), "kappa of least worst gap on [x_lo, x_hi]"),
+    ):
+        m = modes.add_parser(mode, help=text)
+        for flag in flags:
+            m.add_argument(flag, type=float, required=True)
+        m.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("roots", help="critical points x1, x2 for a kappa")
     p.add_argument("--kappa", type=float, required=True)

@@ -64,6 +64,8 @@ class EvaluationGrid:
         if self.spacing == "log" and self.x_min <= 0.0:
             raise UsageError("log spacing requires x_min > 0")
         object.__setattr__(self, "kappas", tuple(as_kappa(k) for k in self.kappas))
+        if not self.kappas:
+            raise UsageError("kappas must hold at least one kappa")
 
     def xs(self) -> np.ndarray:
         """The x_count points from x_min to x_max: np.linspace's, or for log
@@ -285,18 +287,17 @@ def run_all(
     grid: EvaluationGrid | None = None,
     *,
     names=SUITE_NAMES,
-    explicit: bool = False,
     tolerance: float = REL_TOL,
 ) -> list[VerificationReport]:
     """The suite registry: reports of the named suites, in SUITE_NAMES order.
 
     lemma1 and lemma2 run once per kappa, derivative once over all kappas.
-    These three are undefined at kappa = 1: unless the kappas were given
-    explicitly they skip it, otherwise it is a domain or usage error.
-    lemma1 checks x1, the pivot and x2 per kappa; lemma2 checks x1 alone,
-    which decides it (verify_lemma2), and chernoff x = 0 alone
-    (verify_chernoff).  tolerance reaches the theorem suite only, but a nan
-    one is a UsageError whichever suites are named.
+    These three are undefined at kappa = 1: they skip it where the grid
+    holds another kappa, and where every kappa is 1 each raises its own
+    domain or usage error.  lemma1 checks x1, the pivot and x2 per kappa;
+    lemma2 checks x1 alone, which decides it (verify_lemma2), and chernoff
+    x = 0 alone (verify_chernoff).  tolerance reaches the theorem suite
+    only, but a nan one is a UsageError whichever suites are named.
     names must name each suite at most once, and at least one; a name not
     in SUITE_NAMES, or a bare string, is a UsageError.
     """
@@ -313,7 +314,7 @@ def run_all(
         if names.count(name) > 1:
             raise UsageError(f"suite {name!r} is named twice")
     grid = grid or EvaluationGrid()
-    kappas = grid.kappas if explicit else tuple(k for k in grid.kappas if k.kappa > 1.0)
+    kappas = tuple(k for k in grid.kappas if k.kappa > 1.0) or grid.kappas
     reports = []
     if "theorem" in names:
         reports.append(verify_theorem(grid, tolerance))
@@ -321,7 +322,7 @@ def run_all(
         reports += [verify_lemma1(k) for k in kappas]
     if "lemma2" in names:
         reports += [verify_lemma2(k) for k in kappas]
-    if "derivative" in names and kappas:
+    if "derivative" in names:
         reports.append(verify_derivative(dataclasses.replace(grid, kappas=kappas)))
     if "chernoff" in names:
         reports.append(verify_chernoff())

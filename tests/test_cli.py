@@ -20,7 +20,6 @@ import oracles
 import qbound
 from qbound import bounds, q
 from qbound.cli import CSV_FIELDS, main, make_record
-from qbound.errors import UsageError
 
 # the environment of a child interpreter that imports this qbound: stdout
 # block-buffered, as it is where PYTHONUNBUFFERED is not set, so that a byte
@@ -307,6 +306,22 @@ class TestVerifyCommand:
         assert code == 2
         assert capsys.readouterr().err == "error: verify_lemma2 requires kappa > 1, got 1.0\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_kappa_one_beside_another_is_skipped(self, fmt):
+        # kappa 1 was an exit 2 when given, and skipped in the default sweep
+        code, text = run_cli("verify", "all", "--kappa", "1", "--kappa", "2", "--format", fmt)
+        assert code == 0
+        code, alone = run_cli("verify", "all", "--kappa", "2", "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            reports, want = json.loads(text), json.loads(alone)
+            assert reports[0]["points_checked"] == 4002
+            assert {r["worst_point"][1] for r in reports[1:4]} == {2.0}
+        else:
+            reports, want = text.splitlines(), alone.splitlines()
+            assert reports[0].startswith("PASS theorem: points=4002 ")
+        assert len(reports) == 5 and reports[1:] == want[1:]
+
     def test_lemma1_with_kappa_one_exits_2(self):
         # and every other suite that needs kappa > 1
         for suite in ("lemma1", "lemma2", "derivative", "all"):
@@ -415,7 +430,7 @@ class TestOptimizeCommand:
 
     def test_help_names_the_kappa_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["optimize", "--help"])
+            main(["optimize", "weight", "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "--kappa KAPPA" in out and "KAPPA_SINGLE" not in out
@@ -441,23 +456,52 @@ class TestOptimizeCommand:
         assert not any(line.startswith("message") for line in lines)
 
     MISSING_FLAG = [
-        (("pointwise",), "pointwise mode requires --x"),
-        (("weight",), "weight mode requires --kappa"),
-        (("interval", "--x-lo", "1"), "interval mode requires --x-lo and --x-hi"),
-        (("interval", "--x-hi", "2"), "interval mode requires --x-lo and --x-hi"),
+        (("pointwise",), "--x"),
+        (("weight",), "--kappa"),
+        (("interval", "--x-lo", "1"), "--x-hi"),
+        (("interval", "--x-hi", "2"), "--x-lo"),
     ]
 
-    @pytest.mark.parametrize("argv, err", MISSING_FLAG)
-    def test_missing_flag_exits_2(self, argv, err, capsys):
-        assert run_cli("optimize", *argv) == (2, "")
-        assert capsys.readouterr().err == f"error: {err}\n"
+    @staticmethod
+    def usage_error(argv, capsys) -> str:
+        """argparse's stderr for `qbound optimize *argv`, which must exit 2
+        with nothing on stdout."""
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", *argv], out=out)
+        assert (exc.value.code, out.getvalue()) == (2, "")
+        return capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv, err", MISSING_FLAG)
-    def test_missing_flag_is_a_usage_error(self, argv, err):
-        args = qbound.cli.build_parser().parse_args(["optimize", *argv])
-        with pytest.raises(UsageError) as info:
-            qbound.cli.cmd_optimize(args, io.StringIO())
-        assert str(info.value) == err
+    @pytest.mark.parametrize("argv, flag", MISSING_FLAG)
+    def test_missing_flag_exits_2(self, argv, flag, capsys):
+        err = self.usage_error(argv, capsys)
+        assert err.startswith(f"usage: qbound optimize {argv[0]} ")
+        assert err.endswith(f"error: the following arguments are required: {flag}\n")
+
+    # each mode's flags, a flag of each other mode, and argparse's error;
+    # interval reads --x as an abbreviation of its own two flags
+    OTHER_MODE_FLAG = [
+        (("pointwise", "--x", "1"), ("--kappa", "5"), "unrecognized arguments: --kappa 5"),
+        (("pointwise", "--x", "1"), ("--x-hi", "3"), "unrecognized arguments: --x-hi 3"),
+        (("weight", "--kappa", "2"), ("--x", "1"), "unrecognized arguments: --x 1"),
+        (("weight", "--kappa", "2"), ("--x-lo", "1"), "unrecognized arguments: --x-lo 1"),
+        (("interval", "--x-lo", "1", "--x-hi", "3"), ("--x", "2"),
+         "ambiguous option: --x could match --x-lo, --x-hi"),
+        (("interval", "--x-lo", "1", "--x-hi", "3"), ("--kappa", "2"),
+         "unrecognized arguments: --kappa 2"),
+    ]
+
+    @pytest.mark.parametrize("argv, other, message", OTHER_MODE_FLAG)
+    def test_flag_of_another_mode_exits_2(self, argv, other, message, capsys):
+        # it was ignored: `optimize pointwise --x 1 --kappa 5` printed kappa_star(1)
+        assert run_cli("optimize", *argv)[0] == 0
+        assert self.usage_error([*argv, *other], capsys).endswith(f" error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [("--x", "1", "pointwise"), ("--kappa", "2", "weight"),
+                                      ("--format", "json", "weight", "--kappa", "2")])
+    def test_flag_before_the_mode_exits_2(self, argv, capsys):
+        err = self.usage_error(argv, capsys)
+        assert err.startswith("usage: qbound optimize ")
 
     def test_interval_whose_span_underflows(self):
         # (x_hi - x_lo)*(x_hi + x_lo) is 0 here; both ends' kappa_star is the ceiling

@@ -48,6 +48,12 @@ class TestEvaluationGrid:
         with pytest.raises(UsageError):
             EvaluationGrid(spacing="cubic")
 
+    def test_no_kappa_is_a_usage_error(self):
+        # unchecked, run_all's kappa suites checked nothing and said nothing
+        for kappas in ((), []):
+            with pytest.raises(UsageError, match="kappas must hold at least one kappa"):
+                EvaluationGrid(kappas=kappas)
+
     def test_non_integer_count_is_a_usage_error(self):
         # np.linspace would raise TypeError only when xs() is called
         for count in (2.5, 3.0, math.nan):
@@ -733,6 +739,30 @@ class TestRunAll:
         # or ran a repeated suite once
         with pytest.raises(UsageError, match=bad):
             run_all(EvaluationGrid(x_max=5.0, x_count=11), names=names)
+
+    def test_kappa_one_is_skipped_beside_another_kappa(self):
+        # kappa 1 adds a row to the theorem's grid and nothing else
+        one_and_two = run_all(EvaluationGrid(kappas=(1.0, 2.0)))
+        assert one_and_two[0].points_checked == 2 * 2001
+        assert one_and_two[1:] == run_all(EvaluationGrid(kappas=(2.0,)))[1:]
+        assert [r.suite for r in one_and_two] == [
+            "theorem", "lemma1", "lemma2", "derivative", "chernoff"]
+
+    @pytest.mark.parametrize("name, error, message", [
+        ("lemma1", DomainError, "verify_lemma1 requires kappa > 1, got 1.0"),
+        ("lemma2", DomainError, "verify_lemma2 requires kappa > 1, got 1.0"),
+        ("derivative", UsageError, "verify_derivative requires kappa entries > 1"),
+    ])
+    def test_kappa_one_alone_is_each_suites_error(self, name, error, message):
+        # skipped, such a grid gave no report for the suite and no error
+        for kappas in ((1.0,), (1.0, 1.0)):
+            with pytest.raises(error) as info:
+                run_all(EvaluationGrid(x_count=11, kappas=kappas), names=[name])
+            assert str(info.value) == message
+
+    def test_no_explicit_switch(self):
+        with pytest.raises(TypeError):
+            run_all(explicit=True)
 
     def test_one_suite_named_in_a_list(self):
         g = EvaluationGrid(x_min=0.0, x_max=40.0, x_count=101)
