@@ -156,7 +156,7 @@ def cmd_table(args, out) -> int:
 def cmd_verify(args, out) -> int:
     reports = verify.run_all(
         _grid_from_args(args),
-        names=verify.SUITE_NAMES if args.suite == "all" else (args.suite,),
+        names=verify.PROOF_SUITES if args.suite == "all" else (args.suite,),
         tolerance=args.tolerance,
     )
     if args.format == "json":
@@ -243,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("suite", choices=verify.SUITE_NAMES + ("all",),
-                   help="theorem and derivative run on the --x-* grid; lemma1, lemma2 and "
-                   "chernoff check the points that decide them")
+                   help="all is theorem, lemma1 and lemma2; theorem and derivative run on "
+                   "the --x-* grid, the others check the points that decide them")
     add_grid_flags(p)
     p.add_argument("--tolerance", type=float, default=verify.REL_TOL,
                    help="the theorem suite's relative tolerance; the other suites keep "

@@ -407,8 +407,8 @@ def elementwise(sign=0):
     other x reaches the body as a float array, checked by its min and max,
     which build no temporary (only an array that fails builds the mask that
     names its first non-finite value).  So a grid is an array, even of one
-    point (verify_chernoff()'s x = 0, eval's one-row table), and a named
-    point (a worst point, x1, x2) is a scalar.
+    point (eval's one-row table), and a named point (a worst point, x1, x2)
+    is a scalar.
 
     This is the one place an array is split: one of more than _BLOCK points
     runs the body on consecutive _BLOCK-point slices on _WORKERS threads

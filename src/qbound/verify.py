@@ -1,7 +1,7 @@
-"""Property suites, each emitting a structured report: the bound inequality
-and the derivative identity on configurable grids; lemma 1's sign pattern,
-lemma 2's Mills-ratio relation and the Chernoff bound at the points that
-decide them."""
+"""Property suites, each emitting a structured report.  run_all's default
+is the paper's claims: the bound inequality on configurable grids, lemma
+1's sign pattern and lemma 2's Mills-ratio relation at the points that
+decide them; the derivative identity and the Chernoff bound run by name."""
 from __future__ import annotations
 
 import dataclasses
@@ -272,24 +272,25 @@ def verify_chernoff() -> VerificationReport:
     """Check Q(x) <= 0.5*exp(-x**2/2)*(1 + REL_TOL) at x = 0, which decides
     it on [0, inf): the violation Q/ch - 1 = R(x)/sqrt(pi/2) - 1 is exactly
     0 there, and R decreases (R' = x*R - 1 < 0, by Gordon's R(x) < 1/x).
-    x = 0 is a 1-point array; lhs Q and rhs ch are scalar calls at it."""
-    xs = np.zeros(1)
-    viol = mills_ratio(xs) / SQRT_HALF_PI - 1.0
-    return _merge("chernoff", xs, (math.nan,), viol,
-                  lambda r, i: (q(xs[i]), chernoff_upper(xs[i])), REL_TOL)
+    R, lhs Q and rhs ch are scalar calls at x = 0, one point of _merge."""
+    viol = mills_ratio(0.0) / SQRT_HALF_PI - 1.0
+    return _merge("chernoff", (0.0,), (math.nan,), np.array([viol]),
+                  lambda r, i: (q(0.0), chernoff_upper(0.0)), REL_TOL)
 
 
-#: Every suite, in the order run_all and `qbound verify all` report them.
-SUITE_NAMES = ("theorem", "lemma1", "lemma2", "derivative", "chernoff")
+#: The paper's claims (run_all's default), then every suite in report order.
+PROOF_SUITES = ("theorem", "lemma1", "lemma2")
+SUITE_NAMES = PROOF_SUITES + ("derivative", "chernoff")
 
 
 def run_all(
     grid: EvaluationGrid | None = None,
     *,
-    names=SUITE_NAMES,
+    names=PROOF_SUITES,
     tolerance: float = REL_TOL,
 ) -> list[VerificationReport]:
-    """The suite registry: reports of the named suites, in SUITE_NAMES order.
+    """The suite registry: reports of the named suites, in SUITE_NAMES order;
+    by default PROOF_SUITES, the paper's claims; the other two run by name.
 
     lemma1 and lemma2 run once per kappa, derivative once over all kappas.
     These three are undefined at kappa = 1: they skip it where the grid

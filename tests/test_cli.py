@@ -268,7 +268,7 @@ class TestVerifyCommand:
         code, text = run_cli("verify", "all", "--kappa", "1.0000001")
         assert code == 0
         assert [line.split(":")[0] for line in text.splitlines()] == [
-            f"PASS {suite}" for suite in qbound.verify.SUITE_NAMES
+            f"PASS {suite}" for suite in qbound.verify.PROOF_SUITES
         ]
         lemma2 = text.splitlines()[2]
         assert lemma2.startswith("PASS lemma2: points=1 ")
@@ -291,7 +291,24 @@ class TestVerifyCommand:
         code, text = run_cli("verify", "all")
         assert code == 0
         assert [line.split(":")[0].split()[1] for line in text.splitlines()] == (
-            ["theorem"] + ["lemma1"] * 9 + ["lemma2"] * 9 + ["derivative", "chernoff"])
+            ["theorem"] + ["lemma1"] * 9 + ["lemma2"] * 9)
+
+    def test_all_below_the_derivative_step_passes(self):
+        # no x >= FD_STEP: the derivative suite, which has no point to check
+        # there, is not part of `all`, and the paper's claims hold
+        code, text = run_cli("verify", "all", "--x-min", "0", "--x-max", "1e-6", "--kappa", "2")
+        assert code == 0
+        assert [line.split(":")[0] for line in text.splitlines()] == [
+            "PASS theorem", "PASS lemma1", "PASS lemma2"]
+
+    @pytest.mark.parametrize("suite", ["derivative", "chernoff"])
+    def test_other_suites_run_by_name(self, suite):
+        # outside `all`, each still runs when named, with run_all's report
+        code, text = run_cli("verify", suite)
+        assert code == 0
+        [report] = qbound.run_all(names=[suite])
+        assert text.startswith(f"PASS {suite}: points={report.points_checked} ")
+        assert text.count("\n") == 1
 
     def test_derivative_step_scales_with_kappa(self):
         # r varies on the scale 1/sqrt(kappa - 1) ~ 8e-4 here, so a step of
@@ -316,11 +333,11 @@ class TestVerifyCommand:
         if fmt == "json":
             reports, want = json.loads(text), json.loads(alone)
             assert reports[0]["points_checked"] == 4002
-            assert {r["worst_point"][1] for r in reports[1:4]} == {2.0}
+            assert {r["worst_point"][1] for r in reports[1:]} == {2.0}
         else:
             reports, want = text.splitlines(), alone.splitlines()
             assert reports[0].startswith("PASS theorem: points=4002 ")
-        assert len(reports) == 5 and reports[1:] == want[1:]
+        assert len(reports) == 3 and reports[1:] == want[1:]
 
     def test_lemma1_with_kappa_one_exits_2(self):
         # and every other suite that needs kappa > 1
@@ -338,16 +355,15 @@ class TestVerifyCommand:
         assert text == json.dumps(want, indent=2) + "\n"
 
     def test_chernoff_checks_x_zero_alone(self):
-        # whatever --x-min is, a negative one too, and alone or with others
+        # whatever --x-min is, a negative one too, and whatever the grid
         code, text = run_cli("verify", "chernoff", "--x-min", "-1", "--format", "json")
         assert code == 0
         [report] = json.loads(text)
         assert report["passed"] and report["points_checked"] == 1
         assert report["worst_point"][0] == 0.0
-        code, text = run_cli("verify", "all", "--kappa", "2", "--x-count", "11",
-                             "--format", "json")
-        assert code == 0
-        assert json.loads(text)[-1] == report
+        grid = qbound.EvaluationGrid(x_count=11, kappas=(2.0,))
+        [want] = qbound.run_all(grid, names=["chernoff"])
+        assert json.loads(json.dumps(dataclasses.asdict(want))) == report
 
     @pytest.mark.parametrize("suite", ["lemma1", "lemma2", "chernoff"])
     def test_named_point_suites_ignore_the_x_flags(self, suite):

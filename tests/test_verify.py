@@ -649,13 +649,13 @@ class TestVerifyDerivative:
 
 class TestVerifyChernoff:
     def test_default_passes(self, monkeypatch):
-        # at x = 0 alone: R/sqrt(pi/2) - 1 is exactly 0 there, and R decreases
+        # at x = 0 alone, one scalar R call on the float 0.0: R/sqrt(pi/2) - 1
+        # is exactly 0 there, and R decreases
         calls = []
         real = verify.mills_ratio
-        monkeypatch.setattr(verify, "mills_ratio",
-                            lambda xs: calls.append(xs.tolist()) or real(xs))
+        monkeypatch.setattr(verify, "mills_ratio", lambda x: calls.append(x) or real(x))
         r = verify_chernoff()
-        assert calls == [[0.0]]
+        assert calls == [0.0] and type(calls[0]) is float
         assert (r.points_checked, r.worst_violation, r.worst_point[0]) == (1, 0.0, 0.0)
         assert r.passed and r.worst_lhs == r.worst_rhs == 0.5
 
@@ -691,8 +691,8 @@ class TestVerifyChernoff:
                 assert r.worst_violation <= want.worst_violation
 
     def test_worst_point_sides_are_scalar_calls(self, monkeypatch):
-        # one scalar q and one scalar chernoff_upper call, on x = 0's
-        # float64 (a float), with the bits of the 1-point arrays they replace
+        # one scalar q and one scalar chernoff_upper call, on the float 0.0,
+        # with the bits of the 1-point arrays they replace
         want = repr(oracles.chernoff_one_point())
         calls = []
         for name in ("q", "chernoff_upper"):
@@ -712,8 +712,16 @@ class TestRunAll:
 
     def test_default_suites_in_order(self):
         # a literal, not SUITE_NAMES: a suite dropped from the default shows
-        assert [r.suite for r in run_all()] == (
-            ["theorem"] + ["lemma1"] * 9 + ["lemma2"] * 9 + ["derivative", "chernoff"])
+        assert [r.suite for r in run_all()] == ["theorem"] + ["lemma1"] * 9 + ["lemma2"] * 9
+
+    def test_every_suite_by_name(self):
+        # derivative and chernoff check no claim of the paper: they run when
+        # named, after the default's reports, which they leave as they are
+        g = EvaluationGrid()
+        reports = run_all(g, names=verify.SUITE_NAMES)
+        assert [r.suite for r in reports[19:]] == ["derivative", "chernoff"]
+        assert reports[:19] == run_all(g)
+        assert all(r.passed for r in reports)
 
     def test_reports_reproducible(self):
         a = run_all()
@@ -745,8 +753,7 @@ class TestRunAll:
         one_and_two = run_all(EvaluationGrid(kappas=(1.0, 2.0)))
         assert one_and_two[0].points_checked == 2 * 2001
         assert one_and_two[1:] == run_all(EvaluationGrid(kappas=(2.0,)))[1:]
-        assert [r.suite for r in one_and_two] == [
-            "theorem", "lemma1", "lemma2", "derivative", "chernoff"]
+        assert [r.suite for r in one_and_two] == ["theorem", "lemma1", "lemma2"]
 
     @pytest.mark.parametrize("name, error, message", [
         ("lemma1", DomainError, "verify_lemma1 requires kappa > 1, got 1.0"),

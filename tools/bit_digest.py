@@ -55,11 +55,11 @@ compare the lines.  Nine kinds of output are digested:
   kappa - 1 in [1e-12, 1e300], lemma2 sampled at 10,000 points of its
   default range (its default checks x1 alone, as run_all's lemma2
   reports do), chernoff once (it checks x = 0 alone), and theorem,
-  run_all and derivative on REPORT_GRIDS, whose kappas include 1,
-  near-degenerate ones (kappa - 1 <= 1e-9) and 1e200, a duplicated kappa,
-  a grid with no point x >= verify.FD_STEP, with a near-degenerate kappa
-  among others (a usage error of the derivative suite), and two grids
-  shaped like the select_certify workload's;
+  run_all of every suite and derivative on REPORT_GRIDS, whose kappas
+  include 1, near-degenerate ones (kappa - 1 <= 1e-9) and 1e200, a
+  duplicated kappa, a grid with no point x >= verify.FD_STEP, with a
+  near-degenerate kappa among others (a usage error of the derivative
+  suite), and two grids shaped like the select_certify workload's;
 - cli: stdout and exit code of CLI_COMMANDS, run in-process through
   qbound.cli.main (stderr is discarded).  The tables run in CSV and in
   JSON, whose NaN, Infinity and float spellings the table renderer writes
@@ -378,7 +378,7 @@ def reports():
         above_1 = tuple(k for k in grid.kappas if k.kappa > 1.0)
         lines += [
             _report(verify.verify_theorem, grid),
-            _report(verify.run_all, grid),
+            _report(verify.run_all, grid, names=verify.SUITE_NAMES),
             _report(verify.verify_derivative, grid),
             _report(verify.verify_derivative, dataclasses.replace(grid, kappas=above_1)),
         ]
