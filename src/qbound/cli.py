@@ -154,11 +154,8 @@ def cmd_table(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    reports = verify.run_all(
-        _grid_from_args(args),
-        names=verify.PROOF_SUITES if args.suite == "all" else (args.suite,),
-        tolerance=args.tolerance,
-    )
+    names = verify.PROOF_SUITES if args.suite == "all" else (args.suite,)
+    reports = verify.run_all(_grid_from_args(args), names=names)
     if args.format == "json":
         _print_fields([dataclasses.asdict(r) for r in reports], "json", out)
     else:
@@ -246,9 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="all is theorem, lemma1 and lemma2; theorem and derivative run on "
                    "the --x-* grid, the others check the points that decide them")
     add_grid_flags(p)
-    p.add_argument("--tolerance", type=float, default=verify.REL_TOL,
-                   help="the theorem suite's relative tolerance; the other suites keep "
-                   "their own")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)
 

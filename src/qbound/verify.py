@@ -63,6 +63,8 @@ class EvaluationGrid:
             raise UsageError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
         if self.spacing == "log" and self.x_min <= 0.0:
             raise UsageError("log spacing requires x_min > 0")
+        if isinstance(self.kappas, (str, bytes)) or not np.iterable(self.kappas):
+            raise UsageError(f"kappas must be a sequence of kappas, got {self.kappas!r}")
         object.__setattr__(self, "kappas", tuple(as_kappa(k) for k in self.kappas))
         if not self.kappas:
             raise UsageError("kappas must hold at least one kappa")
@@ -151,12 +153,9 @@ def _merge(suite: str, xs, kappas, viol: np.ndarray, sides, tolerance: float) ->
                               bool(v <= tolerance), float(lhs), float(rhs))
 
 
-def verify_theorem(
-    grid: EvaluationGrid | None = None,
-    tolerance: float = REL_TOL,
-    weight_inflation: float = 1.0,
-) -> VerificationReport:
-    """Check g(x, kappa) <= Q(x) * (1 + tolerance) over the whole grid: one
+def verify_theorem(grid: EvaluationGrid | None = None, *,
+                   weight_inflation: float = 1.0) -> VerificationReport:
+    """Check g(x, kappa) <= Q(x) * (1 + REL_TOL) over the whole grid: one
     row per kappa, in the grid's order, with lhs g and rhs Q, every kappa
     on the grid's x values.  One _q_and_g call gives Q, from q, and the g
     rows; the violation (g - Q)/Q is computed in place, with no other
@@ -166,8 +165,6 @@ def verify_theorem(
     weight_inflation is a test hook that multiplies the bound's weight; the
     suite must detect a corrupted bound, not merely avoid crashing.
     """
-    if math.isnan(tolerance):
-        raise UsageError("the tolerance must not be nan")
     grid = grid or EvaluationGrid()
     xs = grid.xs()
     qs, gs = _q_and_g(xs, grid.kappas)
@@ -187,7 +184,7 @@ def verify_theorem(
     else:
         viol /= qs
     return _merge("theorem", xs, [k.kappa for k in grid.kappas], viol,
-                  lambda r, i: (gs[r, i], qs[i]), tolerance)
+                  lambda r, i: (gs[r, i], qs[i]), REL_TOL)
 
 
 def verify_lemma1(k) -> VerificationReport:
@@ -215,9 +212,10 @@ def verify_lemma2(k, x_hi: float | None = None, count: int = 1) -> VerificationR
     LEMMA2_TOL, at count log-spaced points.  Both left sides increase in x,
     x*R(x) by Gordon's R(x) > x/(1 + x**2) and Boyd's form by its
     derivative, so x1 decides [x1, inf): the default count of 1 checks x1
-    alone, whatever x_hi is.  x_hi defaults to max(1000, 10*x1): 1000
-    unless x1 > 100, where kappa - 1 is below ~1e-4.  One row: lhs is the
-    smaller of the two left sides, rhs 1."""
+    alone.  x_hi is checked in every call, finite and above x1, and sampled
+    only where count > 1.  x_hi defaults to max(1000, 10*x1): 1000 unless
+    x1 > 100, where kappa - 1 is below ~1e-4.  One row: lhs is the smaller
+    of the two left sides, rhs 1."""
     k = as_kappa(k, "verify_lemma2")
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise UsageError(f"count must be >= 1 and an integer, got {count!r}")
@@ -245,19 +243,17 @@ def verify_derivative(grid: EvaluationGrid | None = None) -> VerificationReport:
     both sides' points; R's quotient is one mills_ratio call.  A grid with
     no x >= FD_STEP is a UsageError."""
     grid = grid or EvaluationGrid()
-    for k in grid.kappas:
-        if k.kappa <= 1.0:
-            raise UsageError("verify_derivative requires kappa entries > 1")
+    ks = [as_kappa(k, "verify_derivative") for k in grid.kappas]
     xs = grid.xs()
     xs = xs[xs >= FD_STEP]  # f is defined for x >= 0 only
-    ident = np.empty((len(grid.kappas), xs.size))
+    ident = np.empty((len(ks), xs.size))
     fd = np.empty_like(ident)
-    for r, k in enumerate(grid.kappas):
+    for r, k in enumerate(ks):
         ident[r] = df_dx_identity(xs, k)
         fd[r] = _quotient(r_scaled, xs, FD_STEP * min(1.0, 1.0 / math.sqrt(k.kappa_minus_1)), k)
     fd -= _quotient(mills_ratio, xs, FD_STEP)
     err = np.abs(ident - fd) / np.maximum(1.0, np.abs(ident))
-    return _merge("derivative", xs, [k.kappa for k in grid.kappas], err,
+    return _merge("derivative", xs, [k.kappa for k in ks], err,
                   lambda r, i: (ident[r, i], fd[r, i]), FD_TOL)
 
 
@@ -283,27 +279,20 @@ PROOF_SUITES = ("theorem", "lemma1", "lemma2")
 SUITE_NAMES = PROOF_SUITES + ("derivative", "chernoff")
 
 
-def run_all(
-    grid: EvaluationGrid | None = None,
-    *,
-    names=PROOF_SUITES,
-    tolerance: float = REL_TOL,
-) -> list[VerificationReport]:
+def run_all(grid: EvaluationGrid | None = None, *, names=PROOF_SUITES) -> list[VerificationReport]:
     """The suite registry: reports of the named suites, in SUITE_NAMES order;
     by default PROOF_SUITES, the paper's claims; the other two run by name.
 
     lemma1 and lemma2 run once per kappa, derivative once over all kappas.
     These three are undefined at kappa = 1: they skip it where the grid
     holds another kappa, and where every kappa is 1 each raises its own
-    domain or usage error.  lemma1 checks x1, the pivot and x2 per kappa;
-    lemma2 checks x1 alone, which decides it (verify_lemma2), and chernoff
-    x = 0 alone (verify_chernoff).  tolerance reaches the theorem suite
-    only, but a nan one is a UsageError whichever suites are named.
-    names must name each suite at most once, and at least one; a name not
-    in SUITE_NAMES, or a bare string, is a UsageError.
+    domain error.  lemma1 checks x1, the pivot and x2 per kappa; lemma2
+    checks x1 alone, which decides it (verify_lemma2), and chernoff x = 0
+    alone (verify_chernoff).  Each suite checks against its own module
+    constant, its report's tolerance.  names must name each suite at most
+    once, and at least one; a name not in SUITE_NAMES, or a bare string, is
+    a UsageError.
     """
-    if math.isnan(tolerance):
-        raise UsageError("the tolerance must not be nan")
     if isinstance(names, str):
         raise UsageError(f"names must be a sequence of suite names, got the string {names!r}")
     names = tuple(names)
@@ -318,7 +307,7 @@ def run_all(
     kappas = tuple(k for k in grid.kappas if k.kappa > 1.0) or grid.kappas
     reports = []
     if "theorem" in names:
-        reports.append(verify_theorem(grid, tolerance))
+        reports.append(verify_theorem(grid))
     if "lemma1" in names:
         reports += [verify_lemma1(k) for k in kappas]
     if "lemma2" in names:

@@ -204,7 +204,7 @@ def merge_by_hand(suite, xs, kappas, rows, sides, tolerance):
                               v <= tolerance, float(lhs), float(rhs))
 
 
-def theorem_per_kappa(grid, tolerance=1e-13, weight_inflation=1.0):
+def theorem_per_kappa(grid, weight_inflation=1.0):
     """The theorem suite's report from one loop over the grid's kappas: one
     q, one single-kappa g_lower call and one violation array per kappa, on
     the grid's x values.  Where Q is subnormal or 0 the violation is inf if
@@ -221,7 +221,7 @@ def theorem_per_kappa(grid, tolerance=1e-13, weight_inflation=1.0):
         rows.append(viol)
         gss.append(gs)
     return merge_by_hand("theorem", xs, [k.kappa for k in grid.kappas], rows,
-                         lambda r, i: (gss[r][i], qs[i]), tolerance)
+                         lambda r, i: (gss[r][i], qs[i]), 1e-13)
 
 
 def derivative_per_kappa(grid):

@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, deterministic output, CSV/JSON schema."""
 import atexit
+import contextlib
 import csv
 import dataclasses
 import io
@@ -15,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import qbound
@@ -375,10 +378,15 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("suite", qbound.verify.SUITE_NAMES + ("all",))
     def test_nan_tolerance_exits_2(self, suite, capsys):
-        # every suite selection, not only those that run the theorem suite
-        code, text = run_cli("verify", suite, "--x-count", "11", "--tolerance", "nan")
-        assert code == 2 and text == ""
-        assert capsys.readouterr().err == "error: the tolerance must not be nan\n"
+        # each suite checks at its own constant: --tolerance, nan or not, is
+        # argparse's usage error for every suite selection, not ignored
+        for tolerance in ("nan", "1e-9"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("verify", suite, "--x-count", "11", "--tolerance", tolerance)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: qbound") and "unrecognized arguments: --tolerance" in err
+            assert "Traceback" not in err
 
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -539,8 +547,7 @@ class TestNegativeValues:
         ("eval", "--x", "1", "--kappa", "-2e0"),
         ("table", "--x-min", "-1e1", "--x-max", "1", "--x-count", "3", "--kappa", "2"),
         ("table", "--x-min", "-2e1", "--x-max", "-1E1", "--x-count", "3"),
-        ("verify", "theorem", "--x-min", "-1.5e1", "--x-count", "11", "--kappa", "2",
-         "--tolerance", "-1e-300"),
+        ("verify", "theorem", "--x-min", "-1.5e1", "--x-count", "11", "--kappa", "2"),
         ("optimize", "pointwise", "--x", "-1e-1"),
         ("optimize", "interval", "--x-lo", "-1e-1", "--x-hi", "1"),
         ("optimize", "weight", "--kappa", "-2e0"),
@@ -602,6 +609,81 @@ class TestNegativeValues:
         code, text = run_cli(*self.ARGVS[3])
         assert code == 0
         assert text.splitlines()[1].startswith("-10,2,")
+
+
+# x by sign and binary exponent over the whole double range, with the ends
+X_ARGS = st.one_of(
+    st.builds(lambda sign, m, e: sign * math.ldexp(m, e), st.sampled_from((-1.0, 1.0)),
+              st.floats(min_value=1.0, max_value=2.0, exclude_max=True),
+              st.integers(min_value=-1074, max_value=1023)),
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max)),
+).map(repr)
+# kappa 1, its next double and 1 + 10**U(-17, 6), below x2's lost digits
+KAPPA_ARGS = st.one_of(
+    st.sampled_from((1.0, 1.0 + 2.0**-52)),
+    st.floats(min_value=-17.0, max_value=6.0).map(lambda e: 1.0 + 10.0**e),
+).map(repr)
+
+
+@st.composite
+def cli_argvs(draw):
+    """One argv of eval, table, verify (any suite selection), an optimize
+    mode or roots, with drawn x and kappa values; one in ten ends in
+    --tolerance, which no command takes."""
+    command = draw(st.sampled_from(("eval", "table", "verify", "pointwise", "weight",
+                                    "interval", "roots")))
+    fmt = ("--format", draw(st.sampled_from(("csv", "json") if command == "table"
+                                            else ("text", "json"))))
+    if command in ("table", "verify"):
+        lo, hi = sorted(draw(st.lists(X_ARGS, min_size=2, max_size=2)), key=float)
+        kappas = draw(st.lists(KAPPA_ARGS, min_size=1, max_size=3))
+        argv = [command, "--x-min", lo, "--x-max", hi,
+                "--x-count", str(draw(st.integers(min_value=2, max_value=40))),
+                "--spacing", draw(st.sampled_from(("linear", "log")))]
+        argv += [a for k in kappas for a in ("--kappa", k)]
+        if command == "verify":
+            argv.insert(1, draw(st.sampled_from(qbound.verify.SUITE_NAMES + ("all",))))
+    elif command == "eval":
+        argv = ["eval", "--x", draw(X_ARGS), "--kappa", draw(KAPPA_ARGS)]
+    elif command == "pointwise":
+        argv = ["optimize", "pointwise", "--x", draw(X_ARGS)]
+    elif command == "weight":
+        argv = ["optimize", "weight", "--kappa", draw(KAPPA_ARGS)]
+    elif command == "interval":
+        lo, hi = sorted(draw(st.lists(X_ARGS, min_size=2, max_size=2)), key=float)
+        argv = ["optimize", "interval", "--x-lo", lo, "--x-hi", hi]
+    else:
+        argv = ["roots", "--kappa", draw(KAPPA_ARGS)]
+    argv += fmt
+    if draw(st.integers(min_value=0, max_value=9)) == 4:  # not an end, which draws favour
+        argv += ["--tolerance", "1e-9"]
+    return argv
+
+
+class TestDomainContract:
+    """Every command on any double x and any kappa up to 1 + 1e6 exits 0,
+    or 2 with argparse's usage or one `error:` line, and no traceback or
+    warning: a verify suite never fails there (exit 1)."""
+
+    @given(cli_argvs())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_exit_0_or_a_usage_or_domain_error(self, argv):
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            try:
+                code, usage = main(argv, out=io.StringIO()), False
+            except SystemExit as exc:
+                code, usage = exc.code, True
+        err = err.getvalue()
+        assert code in (0, 2), (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
+        if usage:
+            assert err.startswith("usage: qbound"), (argv, err)
+        elif code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        else:
+            assert err == "", (argv, err)
 
 
 class TestImportCost:

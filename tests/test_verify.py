@@ -54,6 +54,15 @@ class TestEvaluationGrid:
             with pytest.raises(UsageError, match="kappas must hold at least one kappa"):
                 EvaluationGrid(kappas=kappas)
 
+    def test_kappas_not_a_sequence_is_a_usage_error(self):
+        # "25" was iterated one character at a time, kappas 2 and 5
+        for kappas in ("25", 2.0, np.float64(2.0)):
+            with pytest.raises(UsageError, match="kappas must be a sequence of kappas, got"):
+                EvaluationGrid(kappas=kappas)
+        want = EvaluationGrid(kappas=(2.0, 5.0)).kappas
+        for kappas in (np.array([2.0, 5.0]), [2.0, 5.0], (k for k in (2.0, 5.0))):
+            assert EvaluationGrid(kappas=kappas).kappas == want
+
     def test_non_integer_count_is_a_usage_error(self):
         # np.linspace would raise TypeError only when xs() is called
         for count in (2.5, 3.0, math.nan):
@@ -193,18 +202,15 @@ class TestVerifyTheorem:
         assert not r.passed
         assert r.worst_violation > r.tolerance
 
-    def test_nan_tolerance_is_a_usage_error(self, monkeypatch):
-        # a nan tolerance would fail every report, whatever its margin
-        monkeypatch.setattr(verify, "q", None)  # no kernel runs
-        with pytest.raises(UsageError, match="tolerance must not be nan"):
-            verify_theorem(tolerance=math.nan)
-        with pytest.raises(UsageError, match="tolerance must not be nan"):
-            run_all(tolerance=math.nan)
-
-    @pytest.mark.parametrize("tolerance", [math.inf, -1e-300])
-    def test_infinite_and_negative_tolerances_accepted(self, tolerance):
-        r = verify_theorem(EvaluationGrid(x_count=11), tolerance=tolerance)
-        assert r.tolerance == tolerance and r.passed
+    def test_takes_no_tolerance(self):
+        # each suite checks at its own constant; positional, 1e-9 would
+        # have been taken for a weight inflation
+        g = EvaluationGrid(x_count=11)
+        with pytest.raises(TypeError, match="positional argument"):
+            verify_theorem(g, 1e-9)
+        for fn in (verify_theorem, run_all):
+            with pytest.raises(TypeError, match="unexpected keyword argument 'tolerance'"):
+                fn(g, tolerance=1e-9)
 
     def test_report_independent_of_kappa_order(self):
         # at kappa = 1e200, (kappa-1)*c overflows inside alpha_coeff
@@ -633,7 +639,7 @@ class TestVerifyDerivative:
                     assert outcome(verify_derivative) == want
 
     def test_rejects_kappa_one(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(DomainError, match=r"^verify_derivative requires kappa > 1, got 1\.0$"):
             verify_derivative(EvaluationGrid(kappas=(1.0, 2.0)))
 
     @pytest.mark.parametrize("x_min, x_max, kappas", [
@@ -723,6 +729,15 @@ class TestRunAll:
         assert reports[:19] == run_all(g)
         assert all(r.passed for r in reports)
 
+    def test_each_suite_reports_its_own_tolerance(self):
+        g = EvaluationGrid(x_max=5.0, x_count=11, kappas=(2.0, 3.0))
+        want = {"theorem": verify.REL_TOL, "lemma1": verify.ENDPOINT_TOL,
+                "lemma2": verify.LEMMA2_TOL, "derivative": verify.FD_TOL,
+                "chernoff": verify.REL_TOL}
+        reports = run_all(g, names=verify.SUITE_NAMES)
+        assert len(reports) == 7
+        assert all(r.tolerance == want[r.suite] for r in reports), reports
+
     def test_reports_reproducible(self):
         a = run_all()
         b = run_all()
@@ -758,10 +773,11 @@ class TestRunAll:
     @pytest.mark.parametrize("name, error, message", [
         ("lemma1", DomainError, "verify_lemma1 requires kappa > 1, got 1.0"),
         ("lemma2", DomainError, "verify_lemma2 requires kappa > 1, got 1.0"),
-        ("derivative", UsageError, "verify_derivative requires kappa entries > 1"),
+        ("derivative", DomainError, "verify_derivative requires kappa > 1, got 1.0"),
     ])
     def test_kappa_one_alone_is_each_suites_error(self, name, error, message):
-        # skipped, such a grid gave no report for the suite and no error
+        # skipped, such a grid gave no report for the suite and no error;
+        # each suite's kappa > 1 is as_kappa's one rule
         for kappas in ((1.0,), (1.0, 1.0)):
             with pytest.raises(error) as info:
                 run_all(EvaluationGrid(x_count=11, kappas=kappas), names=[name])

@@ -114,7 +114,7 @@ STAR_GRID_POINTS = 4001
 INTERVAL_ENDS = 121
 REPORT_KAPPAS = 101
 
-# EvaluationGrid keywords.  Kappa 1 makes the derivative suite a usage
+# EvaluationGrid keywords.  Kappa 1 makes the derivative suite a domain
 # error, so each grid also runs that suite without kappa 1.
 _KAPPAS = (1.0, 1.0 + 1e-10, 1.5, 2.0, 1e200)
 _DEGENERATE = (1.0 + 1e-12, 1.0 + 1e-10, 1.0 + 1e-9)
