@@ -154,7 +154,7 @@ def cmd_table(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    names = verify.PROOF_SUITES if args.suite == "all" else (args.suite,)
+    names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
     reports = verify.run_all(_grid_from_args(args), names=names)
     if args.format == "json":
         _print_fields([dataclasses.asdict(r) for r in reports], "json", out)
@@ -240,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("suite", choices=verify.SUITE_NAMES + ("all",),
-                   help="all is theorem, lemma1 and lemma2; theorem and derivative run on "
-                   "the --x-* grid, the others check the points that decide them")
+                   help="theorem runs on the --x-* grid, the lemmas check the points "
+                   "that decide them")
     add_grid_flags(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, UsageError
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
@@ -659,7 +659,7 @@ def lambert_w(z: float, branch: LambertBranch = LambertBranch.PRINCIPAL) -> floa
     """Real Lambert W: the solution w of w * exp(w) = z on the given branch.
 
     PRINCIPAL requires z >= -1/e and returns w >= -1; NEGATIVE requires
-    -1/e <= z < 0 and returns w <= -1.
+    -1/e <= z < 0 and returns w <= -1.  Any other branch is a UsageError.
 
     Where d = 2*(e*z + 1) < 0.04 (z - BRANCH_POINT < ~0.0074), w is the
     series _W_SERIES in p = +-sqrt(d), whose next term is below 2**-54
@@ -679,6 +679,8 @@ def lambert_w(z: float, branch: LambertBranch = LambertBranch.PRINCIPAL) -> floa
     series and 4.7 past it (pinned at 6).  The residual |w*exp(w) - z|
     stays below 1e-14*max(|z|, 1e-300) on acceptance criterion 5's samples.
     """
+    if not isinstance(branch, LambertBranch):
+        raise UsageError(f"branch must be a LambertBranch, got {branch!r}")
     z = float(z)
     if not math.isfinite(z):
         raise DomainError(f"z must be finite, got {z!r}")

@@ -1,10 +1,10 @@
-"""Property suites, each emitting a structured report.  run_all's default
+"""Property suites, each emitting a structured report.  run_all's registry
 is the paper's claims: the bound inequality on configurable grids, lemma
 1's sign pattern and lemma 2's Mills-ratio relation at the points that
-decide them; the derivative identity and the Chernoff bound run by name."""
+decide them.  verify_derivative and verify_chernoff are kernel checks
+outside it."""
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
 from dataclasses import dataclass
@@ -31,7 +31,7 @@ DEFAULT_KAPPAS = (1.0, 1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0, 100.0)
 
 #: Default tolerances: relative for inequalities, absolute for endpoint
 #: equalities, lemma 2's, and the finite-difference matching tolerance;
-#: FD_STEP is the derivative suite's finite-difference step.
+#: FD_STEP is verify_derivative's finite-difference step.
 REL_TOL = 1e-13
 ENDPOINT_TOL = 1e-10
 LEMMA2_TOL = 1e-12
@@ -274,26 +274,24 @@ def verify_chernoff() -> VerificationReport:
                   lambda r, i: (q(0.0), chernoff_upper(0.0)), REL_TOL)
 
 
-#: The paper's claims (run_all's default), then every suite in report order.
-PROOF_SUITES = ("theorem", "lemma1", "lemma2")
-SUITE_NAMES = PROOF_SUITES + ("derivative", "chernoff")
+#: The suite registry, in report order: the paper's theorem and its two lemmas.
+SUITE_NAMES = ("theorem", "lemma1", "lemma2")
 
 
-def run_all(grid: EvaluationGrid | None = None, *, names=PROOF_SUITES) -> list[VerificationReport]:
-    """The suite registry: reports of the named suites, in SUITE_NAMES order;
-    by default PROOF_SUITES, the paper's claims; the other two run by name.
+def run_all(grid: EvaluationGrid | None = None, *, names=SUITE_NAMES) -> list[VerificationReport]:
+    """The suite registry: reports of the named suites, in SUITE_NAMES order,
+    by default all three of the paper's claims.  verify_derivative and
+    verify_chernoff check the kernels, not a claim, and are not in it.
 
-    lemma1 and lemma2 run once per kappa, derivative once over all kappas.
-    These three are undefined at kappa = 1: they skip it where the grid
-    holds another kappa, and where every kappa is 1 each raises its own
-    domain error.  lemma1 checks x1, the pivot and x2 per kappa; lemma2
-    checks x1 alone, which decides it (verify_lemma2), and chernoff x = 0
-    alone (verify_chernoff).  Each suite checks against its own module
-    constant, its report's tolerance.  names must name each suite at most
-    once, and at least one; a name not in SUITE_NAMES, or a bare string, is
-    a UsageError.
+    lemma1 and lemma2 run once per kappa and are undefined at kappa = 1:
+    they skip it where the grid holds another kappa, and where every kappa
+    is 1 each raises its own domain error.  lemma1 checks x1, the pivot and
+    x2 per kappa; lemma2 checks x1 alone, which decides it (verify_lemma2).
+    Each suite checks against its own module constant, its report's
+    tolerance.  names must name each suite at most once, and at least one;
+    a name not in SUITE_NAMES, or a bare string or bytes, is a UsageError.
     """
-    if isinstance(names, str):
+    if isinstance(names, (str, bytes)):
         raise UsageError(f"names must be a sequence of suite names, got the string {names!r}")
     names = tuple(names)
     if not names:
@@ -312,10 +310,6 @@ def run_all(grid: EvaluationGrid | None = None, *, names=PROOF_SUITES) -> list[V
         reports += [verify_lemma1(k) for k in kappas]
     if "lemma2" in names:
         reports += [verify_lemma2(k) for k in kappas]
-    if "derivative" in names:
-        reports.append(verify_derivative(dataclasses.replace(grid, kappas=kappas)))
-    if "chernoff" in names:
-        reports.append(verify_chernoff())
     return reports
 
 

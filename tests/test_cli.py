@@ -126,7 +126,7 @@ class TestJsonWriter:
         ("optimize", "weight", "--kappa", "2"),
         ("optimize", "interval", "--x-lo", "1", "--x-hi", "3"),
         ("roots", "--kappa", "2"),
-        ("verify", "chernoff", "--x-max", "40"),
+        ("verify", "theorem", "--x-max", "40"),
         ("verify", "all", "--x-count", "101"),
         ("table", "--x-min", "-1", "--x-max", "40", "--x-count", "11",
          "--kappa", "1", "--kappa", "2"),
@@ -271,7 +271,7 @@ class TestVerifyCommand:
         code, text = run_cli("verify", "all", "--kappa", "1.0000001")
         assert code == 0
         assert [line.split(":")[0] for line in text.splitlines()] == [
-            f"PASS {suite}" for suite in qbound.verify.PROOF_SUITES
+            f"PASS {suite}" for suite in qbound.verify.SUITE_NAMES
         ]
         lemma2 = text.splitlines()[2]
         assert lemma2.startswith("PASS lemma2: points=1 ")
@@ -297,29 +297,24 @@ class TestVerifyCommand:
             ["theorem"] + ["lemma1"] * 9 + ["lemma2"] * 9)
 
     def test_all_below_the_derivative_step_passes(self):
-        # no x >= FD_STEP: the derivative suite, which has no point to check
-        # there, is not part of `all`, and the paper's claims hold
+        # no x >= FD_STEP, where verify_derivative has no point to check: `all`
+        # runs the paper's claims alone, and they hold
         code, text = run_cli("verify", "all", "--x-min", "0", "--x-max", "1e-6", "--kappa", "2")
         assert code == 0
         assert [line.split(":")[0] for line in text.splitlines()] == [
             "PASS theorem", "PASS lemma1", "PASS lemma2"]
 
     @pytest.mark.parametrize("suite", ["derivative", "chernoff"])
-    def test_other_suites_run_by_name(self, suite):
-        # outside `all`, each still runs when named, with run_all's report
-        code, text = run_cli("verify", suite)
-        assert code == 0
-        [report] = qbound.run_all(names=[suite])
-        assert text.startswith(f"PASS {suite}: points={report.points_checked} ")
-        assert text.count("\n") == 1
-
-    def test_derivative_step_scales_with_kappa(self):
-        # r varies on the scale 1/sqrt(kappa - 1) ~ 8e-4 here, so a step of
-        # 1e-5 in x would leave a difference-quotient error of ~7e-4
-        code, text = run_cli("verify", "derivative", "--kappa", "1551070.2964298625",
-                             "--x-min", "-0.0538", "--x-max", "0.0538", "--x-count", "201")
-        assert code == 0
-        assert text.startswith("PASS derivative: points=100 ")
+    def test_kernel_checks_are_not_suites(self, suite, capsys):
+        # verify_derivative and verify_chernoff check the kernels, not a claim
+        # of the paper: the library runs them, the CLI does not
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify", suite)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: qbound verify") and f"invalid choice: '{suite}'" in err
+        assert "Traceback" not in err
 
     def test_lemma2_with_kappa_one_names_the_suite(self, capsys):
         code, _ = run_cli("verify", "lemma2", "--kappa", "1")
@@ -344,7 +339,7 @@ class TestVerifyCommand:
 
     def test_lemma1_with_kappa_one_exits_2(self):
         # and every other suite that needs kappa > 1
-        for suite in ("lemma1", "lemma2", "derivative", "all"):
+        for suite in ("lemma1", "lemma2", "all"):
             code, _ = run_cli("verify", suite, "--kappa", "1")
             assert code == 2, suite
 
@@ -357,18 +352,7 @@ class TestVerifyCommand:
             r["worst_point"] = list(r["worst_point"])
         assert text == json.dumps(want, indent=2) + "\n"
 
-    def test_chernoff_checks_x_zero_alone(self):
-        # whatever --x-min is, a negative one too, and whatever the grid
-        code, text = run_cli("verify", "chernoff", "--x-min", "-1", "--format", "json")
-        assert code == 0
-        [report] = json.loads(text)
-        assert report["passed"] and report["points_checked"] == 1
-        assert report["worst_point"][0] == 0.0
-        grid = qbound.EvaluationGrid(x_count=11, kappas=(2.0,))
-        [want] = qbound.run_all(grid, names=["chernoff"])
-        assert json.loads(json.dumps(dataclasses.asdict(want))) == report
-
-    @pytest.mark.parametrize("suite", ["lemma1", "lemma2", "chernoff"])
+    @pytest.mark.parametrize("suite", ["lemma1", "lemma2"])
     def test_named_point_suites_ignore_the_x_flags(self, suite):
         # they check the points that decide them, not the --x-* grid, but
         # the flags are still checked
@@ -401,14 +385,6 @@ class TestVerifyCommand:
         reports = json.loads(text)
         assert reports[0]["suite"] == "theorem"
         assert reports[0]["passed"] is True
-
-    @pytest.mark.parametrize("argv", [("--x-max", "40"), ("--x-max", "1e300", "--x-count", "50")])
-    def test_chernoff_passes_where_q_underflows(self, argv):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, text = run_cli("verify", "chernoff", *argv)
-        assert code == 0
-        assert text.startswith("PASS chernoff: ") and "worst_violation=0 " in text
 
     @pytest.mark.parametrize("command", [("table",), ("verify", "theorem")])
     def test_grid_span_that_overflows_exits_2(self, command, capsys):

@@ -22,6 +22,7 @@ from qbound import (
     BRANCH_POINT,
     DomainError,
     LambertBranch,
+    UsageError,
     h,
     lambert_w,
     mills_ratio,
@@ -228,6 +229,17 @@ class TestLambertW:
             lambert_w(0.5, LambertBranch.NEGATIVE)
         with pytest.raises(DomainError):
             lambert_w(math.nan)
+
+    @pytest.mark.parametrize("branch", ["principal", "negative", None, 0])
+    def test_branch_not_a_member_is_a_usage_error(self, branch):
+        # unchecked, each took the negative branch: W_-1(-0.1) for W_0(-0.1),
+        # and a negative-branch domain error at z = 1
+        for z in (-0.1, 1.0):
+            with pytest.raises(UsageError) as info:
+                lambert_w(z, branch)
+            assert str(info.value) == f"branch must be a LambertBranch, got {branch!r}"
+        assert lambert_w(-0.1) == lambert_w(-0.1, LambertBranch.PRINCIPAL) == -0.11183255915896297
+        assert lambert_w(-0.1, LambertBranch.NEGATIVE) == -3.577152063957297
 
     @given(st.floats(min_value=-5.0, max_value=-1e-3))
     @settings(max_examples=300, deadline=None)

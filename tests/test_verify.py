@@ -638,6 +638,14 @@ class TestVerifyDerivative:
                 with oracles.block_workers(monkeypatch, workers):
                     assert outcome(verify_derivative) == want
 
+    def test_step_scales_with_kappa(self):
+        # r varies on the scale 1/sqrt(kappa - 1) ~ 8e-4 here, so a step of
+        # 1e-5 in x would leave a difference-quotient error of ~7e-4
+        g = EvaluationGrid(x_min=-0.0538, x_max=0.0538, x_count=201,
+                           kappas=(1551070.2964298625,))
+        r = verify_derivative(g)
+        assert r.passed and r.points_checked == 100
+
     def test_rejects_kappa_one(self):
         with pytest.raises(DomainError, match=r"^verify_derivative requires kappa > 1, got 1\.0$"):
             verify_derivative(EvaluationGrid(kappas=(1.0, 2.0)))
@@ -721,22 +729,30 @@ class TestRunAll:
         assert [r.suite for r in run_all()] == ["theorem"] + ["lemma1"] * 9 + ["lemma2"] * 9
 
     def test_every_suite_by_name(self):
-        # derivative and chernoff check no claim of the paper: they run when
-        # named, after the default's reports, which they leave as they are
+        # the registry is the paper's three claims, all run by default; the
+        # derivative and Chernoff checks test the kernels, not a claim, and
+        # are no suite of it
         g = EvaluationGrid()
+        assert verify.SUITE_NAMES == ("theorem", "lemma1", "lemma2")
+        assert not hasattr(verify, "PROOF_SUITES")
         reports = run_all(g, names=verify.SUITE_NAMES)
-        assert [r.suite for r in reports[19:]] == ["derivative", "chernoff"]
-        assert reports[:19] == run_all(g)
+        assert reports == run_all(g)
         assert all(r.passed for r in reports)
+        for name in ("derivative", "chernoff"):
+            with pytest.raises(UsageError, match=rf"^unknown suite '{name}'; the suites are "
+                               r"theorem, lemma1, lemma2$"):
+                run_all(g, names=[name])
 
     def test_each_suite_reports_its_own_tolerance(self):
         g = EvaluationGrid(x_max=5.0, x_count=11, kappas=(2.0, 3.0))
         want = {"theorem": verify.REL_TOL, "lemma1": verify.ENDPOINT_TOL,
-                "lemma2": verify.LEMMA2_TOL, "derivative": verify.FD_TOL,
-                "chernoff": verify.REL_TOL}
+                "lemma2": verify.LEMMA2_TOL}
         reports = run_all(g, names=verify.SUITE_NAMES)
-        assert len(reports) == 7
+        assert len(reports) == 5
         assert all(r.tolerance == want[r.suite] for r in reports), reports
+        # the two kernel checks outside the registry keep theirs
+        assert verify_derivative(g).tolerance == verify.FD_TOL
+        assert verify_chernoff().tolerance == verify.REL_TOL
 
     def test_reports_reproducible(self):
         a = run_all()
@@ -752,14 +768,15 @@ class TestRunAll:
         ((), "at least one suite"),
         ([], "at least one suite"),
         ("theorem", "the string 'theorem'"),
+        (b"theorem", "the string b'theorem'"),
         (("theorm",), "unknown suite 'theorm'"),
         (("theorem", "Lemma1"), "unknown suite 'Lemma1'"),
-        (("chernoff", "chernoff"), "suite 'chernoff' is named twice"),
+        (("lemma1", "lemma1"), "suite 'lemma1' is named twice"),
         (("theorem", "lemma1", "theorem"), "suite 'theorem' is named twice"),
     ])
     def test_rejects_bad_names(self, names, bad):
-        # unchecked, these verified nothing, ran the suites named by substrings,
-        # or ran a repeated suite once
+        # unchecked, these verified nothing, ran the suites named by substrings
+        # (bytes: "unknown suite 116"), or ran a repeated suite once
         with pytest.raises(UsageError, match=bad):
             run_all(EvaluationGrid(x_max=5.0, x_count=11), names=names)
 
@@ -773,7 +790,6 @@ class TestRunAll:
     @pytest.mark.parametrize("name, error, message", [
         ("lemma1", DomainError, "verify_lemma1 requires kappa > 1, got 1.0"),
         ("lemma2", DomainError, "verify_lemma2 requires kappa > 1, got 1.0"),
-        ("derivative", DomainError, "verify_derivative requires kappa > 1, got 1.0"),
     ])
     def test_kappa_one_alone_is_each_suites_error(self, name, error, message):
         # skipped, such a grid gave no report for the suite and no error;
@@ -789,4 +805,5 @@ class TestRunAll:
 
     def test_one_suite_named_in_a_list(self):
         g = EvaluationGrid(x_min=0.0, x_max=40.0, x_count=101)
-        assert run_all(g, names=["chernoff"]) == [verify_chernoff()]
+        want = [verify_lemma2(k) for k in DEFAULT_KAPPAS if k > 1.0]
+        assert run_all(g, names=["lemma2"]) == want

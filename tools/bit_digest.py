@@ -54,12 +54,13 @@ compare the lines.  Nine kinds of output are digested:
   type and message: lemma1 and lemma2 at REPORT_KAPPAS log-spaced
   kappa - 1 in [1e-12, 1e300], lemma2 sampled at 10,000 points of its
   default range (its default checks x1 alone, as run_all's lemma2
-  reports do), chernoff once (it checks x = 0 alone), and theorem,
-  run_all of every suite and derivative on REPORT_GRIDS, whose kappas
-  include 1, near-degenerate ones (kappa - 1 <= 1e-9) and 1e200, a
-  duplicated kappa, a grid with no point x >= verify.FD_STEP, with a
-  near-degenerate kappa among others (a usage error of the derivative
-  suite), and two grids shaped like the select_certify workload's;
+  reports do), verify_chernoff once (it checks x = 0 alone), and theorem,
+  run_all of the registry's three suites and verify_derivative on
+  REPORT_GRIDS, whose kappas include 1, near-degenerate ones (kappa - 1
+  <= 1e-9) and 1e200, a duplicated kappa, a grid with no point x >=
+  verify.FD_STEP, with a near-degenerate kappa among others (a usage
+  error of verify_derivative), and two grids shaped like the
+  select_certify workload's;
 - cli: stdout and exit code of CLI_COMMANDS, run in-process through
   qbound.cli.main (stderr is discarded).  The tables run in CSV and in
   JSON, whose NaN, Infinity and float spellings the table renderer writes
@@ -67,9 +68,7 @@ compare the lines.  Nine kinds of output are digested:
   negative x, rel_gap's tail form past x = 20, a Q of 0 and kappa 1e8.
   eval writes one record of the table, in text and in JSON: its JSON
   copies cover the NaN columns, the tail form and a Q of 0 too.
-  The chernoff commands give --x-* grids, which the suite does not
-  sample: it checks x = 0 alone, whose two sides are scalar calls; roots'
-  residuals at x1 and x2, also scalar calls, run at kappa 2 and at the
+  roots' residuals at x1 and x2, scalar calls, run at kappa 2 and at the
   near-degenerate kappa 1.0000000001.
 
 The digests depend on the platform's exp and log, so they compare trees
@@ -114,8 +113,8 @@ STAR_GRID_POINTS = 4001
 INTERVAL_ENDS = 121
 REPORT_KAPPAS = 101
 
-# EvaluationGrid keywords.  Kappa 1 makes the derivative suite a domain
-# error, so each grid also runs that suite without kappa 1.
+# EvaluationGrid keywords.  Kappa 1 makes verify_derivative a domain
+# error, so each grid also runs it without kappa 1.
 _KAPPAS = (1.0, 1.0 + 1e-10, 1.5, 2.0, 1e200)
 _DEGENERATE = (1.0 + 1e-12, 1.0 + 1e-10, 1.0 + 1e-9)
 _SELECT = (1.0 + 1e-3, 1e8, 1e250)
@@ -155,11 +154,6 @@ CLI_COMMANDS = (
     "verify all",
     "verify all --format json",
     "verify all --x-count 20001",
-    "verify chernoff --x-max 40",
-    "verify chernoff --x-max 40 --format json",
-    "verify chernoff --x-min 1 --x-max 1e300 --x-count 4001 --spacing log",
-    "verify chernoff --x-max 40 --x-count 70001",
-    "verify chernoff --x-min 37 --x-max 45 --x-count 70001 --format json",
     "verify lemma1 --kappa 1e8",
     "verify lemma1 --kappa 1.000000000001 --kappa 3 --kappa 1e15 --format json",
     "verify theorem --x-count 40001",
