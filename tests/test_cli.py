@@ -316,6 +316,14 @@ class TestVerifyCommand:
         assert err.startswith("usage: qbound verify") and f"invalid choice: '{suite}'" in err
         assert "Traceback" not in err
 
+    def test_help_lists_the_three_claims_and_all(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: qbound verify ") and "{theorem,lemma1,lemma2,all}" in out
+        assert "derivative" not in out and "chernoff" not in out
+
     def test_lemma2_with_kappa_one_names_the_suite(self, capsys):
         code, _ = run_cli("verify", "lemma2", "--kappa", "1")
         assert code == 2

@@ -650,6 +650,13 @@ class TestVerifyDerivative:
         with pytest.raises(DomainError, match=r"^verify_derivative requires kappa > 1, got 1\.0$"):
             verify_derivative(EvaluationGrid(kappas=(1.0, 2.0)))
 
+    @pytest.mark.parametrize("kappas", [(1.0,), (1.0, 1.0)])
+    def test_kappa_one_alone_is_its_error(self, kappas):
+        # no kappa to skip to: as_kappa's one rule, the same error as above
+        with pytest.raises(DomainError) as info:
+            verify_derivative(EvaluationGrid(x_count=11, kappas=kappas))
+        assert str(info.value) == "verify_derivative requires kappa > 1, got 1.0"
+
     @pytest.mark.parametrize("x_min, x_max, kappas", [
         (-10.0, 0.0, (2.0,)),
         (0.0, 1e-6, (2.0, 1.0 + 1e-10, 5.0)),  # a kappa near 1 keeps the grid too
