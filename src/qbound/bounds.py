@@ -13,14 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .special import SQRT_2PI, SQRT_HALF_PI, elementwise, gauss, h, mills_ratio, newton, q
+from .special import SQRT_2PI, SQRT_HALF_PI, _exp, elementwise, gauss, mills_ratio, newton, q
 
 _PI = math.pi
 _ROUNDING = -(2.0**-50)  # 4 ulps of 1: rel_gap is at most 3 ulps below 0 where tight
 
-# Unguarded bodies for checked x, bound once: a tracer may swap the globals.
+# The unguarded body for checked x, bound once: a tracer may swap the globals.
 _mills = mills_ratio.__wrapped__
-_h = h.__wrapped__
 
 
 @dataclass(frozen=True)
@@ -213,7 +212,8 @@ def critical_points(k) -> CriticalPoints:
 
 @elementwise(sign=1)
 def crossing_condition(x, k):
-    """Signed residual of the crossing relation: h(x**2*(1-kappa)) - h(w1).
+    """Signed residual of the crossing relation: h(x**2*(1-kappa)) - h(w1),
+    h(w) = w*exp(w), the relation whose two preimages lambert_w returns.
 
     Nonpositive exactly on [x1, x2], zero exactly at x1 and x2.
     """
@@ -225,7 +225,7 @@ def crossing_condition(x, k):
         w = np.maximum((1.0 - k.kappa) * x * x, -sys.float_info.max)
     # h(w1) = -a*exp(-a) with a = -w1 = 2/c, in a form finite at every kappa
     a = (2.0 / _PI) / (k.kappa_minus_1 + 2.0 / _PI)
-    return _h(w) + a * math.exp(-a)
+    return w * _exp(w) + a * math.exp(-a)
 
 
 #: The double below the largest: kappa*(_KX_MAX/kappa) rounds to a finite value.

@@ -1,6 +1,6 @@
 """Special-function kernels: Gaussian tail probability and scaled Mills
-ratio, both from a native scaled complementary error function erfcx, the
-helper h(w) = w*exp(w), and both real branches of the Lambert W function.
+ratio, both from a native scaled complementary error function erfcx, and
+both real branches of the Lambert W function.
 
 Everything here is pure and deterministic; array arguments are supported
 elementwise wherever the operation is naturally vectorizable.
@@ -396,19 +396,18 @@ class QValue:
 def elementwise(sign=0):
     """Decorator for a kernel fn(x, *args) that is evaluated elementwise in x.
 
-    x is checked to be finite and, for sign = +1 or -1, to satisfy
-    sign*x >= 0; the messages name x after fn's first parameter (h requires
-    w <= 0).  The body, and _erfcx and gauss below it, see one of two forms.
-    A Python float, a NumPy scalar or a 0-d x is checked by plain
-    comparisons and reaches the body as a Python float, whose + - * / are
-    the IEEE operations of numpy's loops and whose numpy calls run a 0-d
-    array's loops: the bits of a 1-point array, without array reductions or
-    numpy's scalar set-up; its result comes back as a Python float.  Any
-    other x reaches the body as a float array, checked by its min and max,
-    which build no temporary (only an array that fails builds the mask that
-    names its first non-finite value).  So a grid is an array, even of one
-    point (eval's one-row table), and a named point (a worst point, x1, x2)
-    is a scalar.
+    x is checked to be finite and, for sign = 1, to satisfy x >= 0; the
+    messages name x after fn's first parameter.  The body, and _erfcx and
+    gauss below it, see one of two forms.  A Python float, a NumPy scalar or
+    a 0-d x is checked by plain comparisons and reaches the body as a Python
+    float, whose + - * / are the IEEE operations of numpy's loops and whose
+    numpy calls run a 0-d array's loops: the bits of a 1-point array,
+    without array reductions or numpy's scalar set-up; its result comes back
+    as a Python float.  Any other x reaches the body as a float array,
+    checked by its min and max, which build no temporary (only an array that
+    fails builds the mask that names its first non-finite value).  So a grid
+    is an array, even of one point (eval's one-row table), and a named point
+    (a worst point, x1, x2) is a scalar.
 
     This is the one place an array is split: one of more than _BLOCK points
     runs the body on consecutive _BLOCK-point slices on _WORKERS threads
@@ -426,7 +425,7 @@ def elementwise(sign=0):
     """
     def decorate(fn):
         name = fn.__code__.co_varnames[0]
-        bound = f"{fn.__name__} requires {name} {'>=' if sign > 0 else '<='} 0"
+        bound = f"{fn.__name__} requires {name} >= 0"
 
         def check(x):
             # nan propagates through both; -0.0 and an empty x pass
@@ -434,7 +433,7 @@ def elementwise(sign=0):
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 bad = float(x[~np.isfinite(x)].flat[0])
                 raise DomainError(f"{name} must be finite, got {bad!r}")
-            if min(sign * lo, sign * hi) < 0.0:
+            if sign and lo < 0.0:
                 raise DomainError(bound)
             return x
 
@@ -455,7 +454,7 @@ def elementwise(sign=0):
             x = float(x)
             if not math.isfinite(x):
                 raise DomainError(f"{name} must be finite, got {x!r}")
-            if sign and sign * x < 0.0:
+            if sign and x < 0.0:
                 raise DomainError(bound)
             return float(fn(x, *args))
 
@@ -628,16 +627,6 @@ def mills_ratio(x):
     return SQRT_HALF_PI * _erfcx(w)
 
 
-@elementwise(sign=-1)
-def h(w):
-    """h(w) = w * exp(w) for w <= 0.
-
-    Strictly decreasing on (-inf, -1), strictly increasing on (-1, 0), with
-    unique minimum h(-1) = -1/e and h -> 0 at both ends.
-    """
-    return w * _exp(w)
-
-
 def newton(step, x: float) -> float:
     """Iterate x -= step(x) from the start x: the one root-polishing loop,
     which x2_point and lambert_w share.
@@ -726,6 +715,5 @@ __all__ = [
     "q",
     "q_ref",
     "mills_ratio",
-    "h",
     "lambert_w",
 ]

@@ -91,7 +91,7 @@ def _spaced(a: float, b: float, n: int, log: bool = False) -> np.ndarray:
     within ~1e-13, relative, of it), its power rounds past it, to inf, as
     geomspace's does; the powers are clipped to the ends' range, so that
     point is the upper end, and every grid of finite ends has finite
-    points.
+    points.  An n that arange does not lay out is a UsageError.
     """
     if log:
         if n == 1:
@@ -99,6 +99,8 @@ def _spaced(a: float, b: float, n: int, log: bool = False) -> np.ndarray:
         ends = (a, b)
         a, b = float(np.log10(a)), float(np.log10(b))
     xs = np.arange(n, dtype=float)
+    if xs.size != n:  # empty for n from 2**63 - 512 to 2**63 + 1024
+        raise UsageError(f"cannot lay out {n} points in an array")
     xs[-1] = 0.0
     step = (b - a) / (n - 1)
     if step == 0.0:

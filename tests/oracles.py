@@ -126,9 +126,9 @@ def blocked_xs(sign: int, seed: int = 11) -> np.ndarray:
     """3 blocks and at least 7 points of the array kernels' block size,
     rounded up to a multiple of 11 so that it reshapes to 11 rows, shuffled:
     -0.0 and 0, bulk values, x where Q is subnormal ([37.5, 38.6]), x in
-    [700, 760], where h(-x) crosses exp's underflow, the tail past it, and
-    x past 2**512, where x*x overflows.  sign = 0 gives random signs, -1
-    all values <= 0, +1 all values >= 0."""
+    [700, 760], where exp(-x) crosses its underflow, the tail past it, and
+    x past 2**512, where x*x overflows.  sign = 0 gives random signs, +1
+    all values >= 0."""
     from qbound import special
 
     rng = np.random.default_rng(seed)
@@ -137,15 +137,13 @@ def blocked_xs(sign: int, seed: int = 11) -> np.ndarray:
     pools = [
         rng.uniform(0.0, 10.0, n),
         rng.uniform(37.5, 38.6, n),
-        rng.uniform(700.0, 760.0, n),  # h's w = -x across exp's underflow
+        rng.uniform(700.0, 760.0, n),  # exp(-x) across its underflow
         10.0 ** rng.uniform(1.0, 8.0, n),
         10.0 ** rng.uniform(154.0, 300.0, n),
     ]
     draw = np.stack(pools)[rng.integers(0, len(pools), n), np.arange(n)]
     x = np.concatenate([fixed, draw[fixed.size:]])
     rng.shuffle(x)
-    if sign < 0:
-        return -np.abs(x)
     if sign == 0:
         x *= np.where(rng.random(n) < 0.5, -1.0, 1.0)
     return x

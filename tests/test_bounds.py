@@ -351,7 +351,10 @@ class TestCriticalPoints:
         assert x2_point(2.0) == pytest.approx(1.4324906895398995, abs=1e-12)
 
     def test_ordering_and_lambert_preimages(self):
-        for kappa in KAPPA_GRID:
+        # and the ends of the kappa range: at 1 + 2**-52, x1 and the pivot
+        # are closest (67108863.999999985 against 67108864); past ~5.7e15,
+        # x2 may be a DomainError
+        for kappa in KAPPA_GRID + (1.0 + 2.0**-52, 1.0 + 1e-12, 1e6, 1e12, 5e15):
             cp = critical_points(kappa)
             assert 0.0 < cp.x1 < cp.pivot < cp.x2
             assert cp.w2 < -1.0 < cp.w1 < 0.0

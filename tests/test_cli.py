@@ -413,6 +413,16 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("command", [("table",), ("verify", "theorem")])
+    @pytest.mark.parametrize("count", ["9223372036854775807", "9223372036854775808"])
+    def test_count_numpy_lays_out_as_empty_exits_2(self, command, count, capsys):
+        # np.arange gives an empty array for counts next to 2**63, where the
+        # grid's last-point write raised IndexError, a traceback and exit 1
+        code, text = run_cli(*command, "--x-count", count)
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
 
 class TestOptimizeCommand:
     def test_pointwise(self):

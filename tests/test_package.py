@@ -37,7 +37,6 @@ PUBLIC = [
     "df_dx_identity",
     "f_diff",
     "g_lower",
-    "h",
     "interval_kappa",
     "kappa_star",
     "lambert_w",
@@ -96,7 +95,7 @@ KAPPAS = st.one_of(
 )
 # every kernel behind special.elementwise, and whether it takes a kappa
 KERNELS = (
-    (qbound.q, False), (qbound.mills_ratio, False), (qbound.h, False),
+    (qbound.q, False), (qbound.mills_ratio, False),
     (qbound.g_lower, True), (qbound.r_scaled, True), (qbound.f_diff, True),
     (qbound.bounds.rel_gap, True), (qbound.crossing_condition, True),
     (qbound.lemma1_relation, True), (qbound.df_dx_identity, True),

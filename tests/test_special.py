@@ -23,7 +23,6 @@ from qbound import (
     DomainError,
     LambertBranch,
     UsageError,
-    h,
     lambert_w,
     mills_ratio,
     q,
@@ -37,7 +36,6 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 ELEMENTWISE = [
     (special.q, False),
     (special.mills_ratio, False),
-    (special.h, False),
     (bounds.g_lower, True),
     (bounds.r_scaled, True),
     (bounds.f_diff, True),
@@ -159,26 +157,6 @@ class TestMillsRatio:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             mills_ratio(-0.1)
-
-
-class TestH:
-    def test_endpoints(self):
-        assert h(0.0) == 0.0
-        assert h(-1.0) == pytest.approx(-math.exp(-1.0), rel=1e-15)
-        assert h(-3.0) == pytest.approx(-3.0 * math.exp(-3.0), rel=1e-15)
-
-    def test_minimum_and_monotonicity(self):
-        ws = np.linspace(-30.0, 0.0, 10000)
-        vals = h(ws)
-        left = ws < -1.0
-        right = ws > -1.0
-        assert np.all(np.diff(vals[left]) < 0.0)
-        assert np.all(np.diff(vals[right]) > 0.0)
-        assert np.min(vals) >= -math.exp(-1.0)
-
-    def test_rejects_positive(self):
-        with pytest.raises(DomainError):
-            h(0.5)
 
 
 class TestLambertW:
@@ -369,9 +347,9 @@ def _tail_examples(test):
 
 
 # Each composite kernel with its defining expression in the public kernels.
-# crossing_condition(0, kappa) = h(0) - h(w1) = -h(w1).  Its w is
-# (1 - kappa)*x*x: x*x alone goes subnormal first (at x = 1e-160 and
-# kappa = 1e200, x*x*(1 - kappa) is 1.1e-5 off, relative).
+# crossing_condition(0, kappa) = h(0) - h(w1) = -h(w1), h(w) = w*exp(w).
+# Its w is (1 - kappa)*x*x: x*x alone goes subnormal first (at x = 1e-160
+# and kappa = 1e200, x*x*(1 - kappa) is 1.1e-5 off, relative).
 COMPOSITES = [
     (bounds.f_diff, lambda x, k: bounds.r_scaled(x, k) - special.mills_ratio(x)),
     (bounds.lemma1_relation, lambda x, k: k * x * bounds.r_scaled(x, k) - 1.0),
@@ -381,7 +359,7 @@ COMPOSITES = [
     ),
     (
         bounds.crossing_condition,
-        lambda x, k: special.h((1.0 - k) * x * x) + bounds.crossing_condition(0.0, k),
+        lambda x, k: (w := (1.0 - k) * x * x) * np.exp(w) + bounds.crossing_condition(0.0, k),
     ),
 ]
 
@@ -422,7 +400,7 @@ class TestElementwiseGuard:
                 if not isinstance(got, bytes):
                     continue
                 if fn is bounds.crossing_condition and not math.isfinite((1.0 - kappa) * x * x):
-                    continue  # h is defined for finite w only
+                    continue  # w*exp(w) is nan at w = -inf
                 if fn in WITHOUT_KXR and math.isinf(kappa * x):
                     # the definition's kappa*x*r is inf*0, yet r is exactly
                     # +0 there: compare with the definition less that term
@@ -440,7 +418,7 @@ class TestElementwiseGuard:
                 fn(np.array(x), *args)
 
     def test_signed_zeros_pass_every_kernel(self):
-        # -0.0 >= 0 for the sign=+1 kernels, and +0.0 <= 0 for h
+        # -0.0 >= 0 for the sign=1 kernels
         x = np.array([-0.0, 0.0, -0.0])
         for fn, takes_kappa in ELEMENTWISE:
             args = (2.0,) if takes_kappa else ()
@@ -458,10 +436,9 @@ class TestElementwiseGuard:
         for x in (0.5, 1.4e154, 2.0**512, sys.float_info.max):
             for fn, takes_kappa in ELEMENTWISE:
                 args = (2.0,) if takes_kappa else ()
-                v = -x if fn is special.h else x
-                for form in (v, np.float64(v), np.array(v)):
+                for form in (x, np.float64(x), np.array(x)):
                     assert type(fn(form, *args)) is float, (fn.__name__, form)
-                assert fn(np.array([v]), *args).shape == (1,)
+                assert fn(np.array([x]), *args).shape == (1,)
 
     @pytest.mark.parametrize("x", [1e154, 1e300, sys.float_info.max])
     @pytest.mark.parametrize("kappa", [
@@ -598,13 +575,12 @@ class TestTwoForms:
         wide = rng.uniform(0.0, 40.0, (2, special._BLOCK // 2 + 1))  # past one block
         for fn, takes_kappa in ELEMENTWISE:
             args = (2.0,) if takes_kappa else ()
-            sign = -1.0 if fn is special.h else 1.0
             # the bulk, the tail, and past 2**512, where boyd_lower builds 0-d arrays
-            for v in (sign * 0.5, sign * 40.0, sign * 2.0**513):
+            for v in (0.5, 40.0, 2.0**513):
                 for x in (v, np.float64(v), np.array(v), np.full(3, v), np.full((2, 3), v)):
                     fn(x, *args)
-            fn(sign * wide[0], *args)
-            fn(sign * wide, *args)
+            fn(wide[0], *args)
+            fn(wide, *args)
         assert set(seen) == {float, np.ndarray}
 
 
@@ -613,10 +589,9 @@ class TestBlockedPath:
     with np.exp's underflowing lanes masked: the same bytes as the kernel
     on chunks of at most one block, and the same shape as the input."""
 
-    @pytest.mark.parametrize("fn", [special.q, special.mills_ratio, special.h],
-                             ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("fn", [special.q, special.mills_ratio], ids=lambda fn: fn.__name__)
     def test_blocked_equals_chunked(self, fn, monkeypatch):
-        x = oracles.blocked_xs({special.q: 0, special.h: -1}.get(fn, 1))
+        x = oracles.blocked_xs(0 if fn is special.q else 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             want = oracles.chunked(fn, x).tobytes()
@@ -634,7 +609,7 @@ class TestBlockedPath:
         # on the calling thread alone, what a kernel allocates beyond its
         # output peaks at 8 block-sized arrays at most: _erfcx gathers its
         # coefficients into one of them, where a (7, n) gather took seven
-        x = np.resize(oracles.blocked_xs(-1 if fn is special.h else 1), 4 * special._BLOCK)
+        x = np.resize(oracles.blocked_xs(1), 4 * special._BLOCK)
         args = (2.0,) if takes_kappa else ()
         with oracles.block_workers(monkeypatch, 1):
             fn(x, *args)  # anything allocated once, on a first call
@@ -832,9 +807,8 @@ class TestBlockThreads:
     @pytest.mark.parametrize("fn, args, valid, wrong_sign, sign_message, under", [
         (q, (), 1.0, None, None, 38.0),
         (mills_ratio, (), 1.0, -1.0, "mills_ratio requires x >= 0", sys.float_info.max),
-        (h, (), -1.0, 1.0, "h requires w <= 0", -800.0),
         (bounds._q_and_g, ((1.5, 2.0, 3.0),), 1.0, None, None, 38.0),
-    ], ids=["q", "mills_ratio", "h", "_q_and_g"])
+    ], ids=["q", "mills_ratio", "_q_and_g"])
     def test_error_past_block_0_is_the_whole_arrays(self, fn, args, valid, wrong_sign,
                                                     sign_message, under, monkeypatch):
         # block 0 is valid, and block 1 and the last block hold the bad

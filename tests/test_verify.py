@@ -70,6 +70,22 @@ class TestEvaluationGrid:
                 EvaluationGrid(x_count=count)
         assert EvaluationGrid(x_count=np.int64(3)).xs().size == 3
 
+    @pytest.mark.parametrize("count", [2**63 + d for d in (-513, -512, -1, 0, 1024, 1025)])
+    def test_count_arange_lays_out_as_empty_is_a_usage_error(self, count):
+        # np.arange(count, dtype=float) is empty, not an error, for counts
+        # from 2**63 - 512 to 2**63 + 1024 (numpy 2.4), and xs[-1] = 0.0
+        # raised IndexError.  Elsewhere numpy's own error stands.  Each
+        # probe allocates nothing: arange returns empty or raises at once
+        try:
+            assert np.arange(count, dtype=float).size == 0
+            want, message = UsageError, f"^cannot lay out {count} points in an array$"
+        except (ValueError, OverflowError) as exc:
+            want, message = type(exc), None
+        with pytest.raises(want, match=message):
+            EvaluationGrid(x_count=count).xs()
+        with pytest.raises(want, match=message):
+            verify_lemma2(2.0, count=count)
+
     def test_span_that_overflows_is_a_usage_error(self):
         # np.linspace would give nan: x_max - x_min is inf
         with warnings.catch_warnings():

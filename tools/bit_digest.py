@@ -20,7 +20,7 @@ compare the lines.  Nine kinds of output are digested:
 - sizes: the same ten kernels on the first SWITCH_DRAWS batches of the
   arrays kind, cut to each of SWITCH_SIZES points, for each seed: arrays
   on both sides of the kernels' size switches;
-- scalars: every kernel behind special.elementwise (SCALAR_KERNELS) on
+- scalars: the 12 kernels behind special.elementwise (SCALAR_KERNELS) on
   SCALAR_DRAWS seeded signed x over the whole double range, plus +-0,
   5e-324, 2**512 and the largest double, per seed; each x given as a
   Python float, a NumPy float64 and a 0-d array, and each kernel that takes
@@ -102,7 +102,7 @@ SCALAR_DRAWS = 400
 SCALAR_KAPPAS = 11
 # every kernel behind special.elementwise, by module, and whether it takes a kappa
 SCALAR_KERNELS = (
-    ("special", "q", False), ("special", "mills_ratio", False), ("special", "h", False),
+    ("special", "q", False), ("special", "mills_ratio", False),
     ("bounds", "g_lower", True), ("bounds", "r_scaled", True), ("bounds", "f_diff", True),
     ("bounds", "rel_gap", True), ("bounds", "crossing_condition", True),
     ("bounds", "lemma1_relation", True), ("bounds", "df_dx_identity", True),
