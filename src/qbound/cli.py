@@ -104,10 +104,10 @@ def _emit_records(table, fmt: str, out) -> None:
 
 
 def _grid_from_args(args) -> verify.EvaluationGrid:
-    """The grid of the --x-* and --kappa flags that were given; the others
-    take EvaluationGrid's defaults."""
-    flags = {"x_min": args.x_min, "x_max": args.x_max, "x_count": args.x_count,
-             "spacing": args.spacing, "kappas": args.kappa}
+    """The grid of the given --x-* and --kappa flags, with EvaluationGrid's
+    defaults for the others, and for those a verify.KAPPA_SUITES parser lacks."""
+    flags = {f: getattr(args, f, None) for f in ("x_min", "x_max", "x_count", "spacing")}
+    flags["kappas"] = args.kappa
     return verify.EvaluationGrid(**{f: v for f, v in flags.items() if v is not None})
 
 
@@ -216,12 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_grid_flags(p):
-        # an omitted flag (None) takes the EvaluationGrid default
-        p.add_argument("--x-min", type=float)
-        p.add_argument("--x-max", type=float)
-        p.add_argument("--x-count", type=int)
-        p.add_argument("--spacing", choices=("linear", "log"))
+    def add_grid_flags(p, x=True):
+        # an omitted flag (None) takes the EvaluationGrid default; x=False: --kappa alone
+        if x:
+            p.add_argument("--x-min", type=float)
+            p.add_argument("--x-max", type=float)
+            p.add_argument("--x-count", type=int)
+            p.add_argument("--spacing", choices=("linear", "log"))
         p.add_argument(
             "--kappa", type=float, action="append",
             help="kappa value (repeatable); defaults to the standard sweep",
@@ -239,12 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("suite", choices=verify.SUITE_NAMES + ("all",),
-                   help="theorem runs on the --x-* grid, the lemmas check the points "
-                   "that decide them")
-    add_grid_flags(p)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)
+    suites = p.add_subparsers(dest="suite", required=True)
+    for suite, text in (("theorem", "the bound inequality on the --x-* grid"),
+                        ("lemma1", "lemma 1's signs at x1, the pivot and x2 per kappa"),
+                        ("lemma2", "lemma 2 at x1 per kappa"), ("all", "all three claims")):
+        s = suites.add_parser(suite, help=text)
+        add_grid_flags(s, x=suite not in verify.KAPPA_SUITES)
+        s.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("optimize", help="parameter-selection searches")
     p.set_defaults(func=cmd_optimize)

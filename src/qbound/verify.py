@@ -277,7 +277,9 @@ def verify_chernoff() -> VerificationReport:
 
 
 #: The suite registry, in report order: the paper's theorem and its two lemmas.
+#: KAPPA_SUITES read only the grid's kappas, at the points that decide them.
 SUITE_NAMES = ("theorem", "lemma1", "lemma2")
+KAPPA_SUITES = ("lemma1", "lemma2")
 
 
 def run_all(grid: EvaluationGrid | None = None, *, names=SUITE_NAMES) -> list[VerificationReport]:

@@ -323,6 +323,23 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert out.startswith("usage: qbound verify ") and "{theorem,lemma1,lemma2,all}" in out
         assert "derivative" not in out and "chernoff" not in out
+        # one subcommand line per suite, each with its help
+        listed = [line.split()[0] for line in out.splitlines() if line.startswith("    ")]
+        assert listed == ["theorem", "lemma1", "lemma2", "all"], out
+
+    @pytest.mark.parametrize("suite, x_flags", [("theorem", True), ("all", True),
+                                                ("lemma1", False), ("lemma2", False)])
+    def test_suite_help_lists_the_x_flags_where_the_suite_takes_them(self, suite, x_flags,
+                                                                     capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", suite, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: qbound verify {suite} [-h] ")
+        assert "--kappa KAPPA" in out and "--format {text,json}" in out
+        for flag in ("--x-min X_MIN", "--x-max X_MAX", "--x-count X_COUNT",
+                     "--spacing {linear,log}"):
+            assert (flag in out) is x_flags, (flag, out)
 
     def test_lemma2_with_kappa_one_names_the_suite(self, capsys):
         code, _ = run_cli("verify", "lemma2", "--kappa", "1")
@@ -361,20 +378,32 @@ class TestVerifyCommand:
         assert text == json.dumps(want, indent=2) + "\n"
 
     @pytest.mark.parametrize("suite", ["lemma1", "lemma2"])
-    def test_named_point_suites_ignore_the_x_flags(self, suite):
-        # they check the points that decide them, not the --x-* grid, but
-        # the flags are still checked
-        grid = ("--x-min", "1", "--x-max", "40", "--x-count", "11")
-        assert run_cli("verify", suite, *grid) == run_cli("verify", suite)
-        assert run_cli("verify", suite, "--x-count", "1")[0] == 2
+    def test_named_point_suites_reject_the_x_flags(self, suite, capsys):
+        # they check the points that decide them, not an --x-* grid: each
+        # --x-* flag is argparse's usage error, as a flag of another optimize
+        # mode is, and the requests without one keep their bytes
+        for flag, value in (("--x-min", "1"), ("--x-max", "40"), ("--x-count", "11"),
+                            ("--spacing", "log")):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("verify", suite, flag, value)
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("usage: qbound [-h]")
+            assert f"unrecognized arguments: {flag} {value}" in err and "Traceback" not in err
+        for kappas in ((), ("--kappa", "2")):
+            code, text = run_cli("verify", suite, *kappas)
+            _, every = run_cli("verify", "all", *kappas)
+            assert code == 0 and text.splitlines() == [
+                line for line in every.splitlines() if line.startswith(f"PASS {suite}: ")]
 
     @pytest.mark.parametrize("suite", qbound.verify.SUITE_NAMES + ("all",))
     def test_nan_tolerance_exits_2(self, suite, capsys):
         # each suite checks at its own constant: --tolerance, nan or not, is
         # argparse's usage error for every suite selection, not ignored
+        grid = ("--x-count", "11") if suite in ("theorem", "all") else ()
         for tolerance in ("nan", "1e-9"):
             with pytest.raises(SystemExit) as exc:
-                run_cli("verify", suite, "--x-count", "11", "--tolerance", tolerance)
+                run_cli("verify", suite, *grid, "--tolerance", tolerance)
             assert exc.value.code == 2
             err = capsys.readouterr().err
             assert err.startswith("usage: qbound") and "unrecognized arguments: --tolerance" in err
@@ -623,7 +652,8 @@ KAPPA_ARGS = st.one_of(
 def cli_argvs(draw):
     """One argv of eval, table, verify (any suite selection), an optimize
     mode or roots, with drawn x and kappa values; one in ten ends in
-    --tolerance, which no command takes."""
+    --tolerance, which no command takes.  A lemma suite gets the --x-*
+    flags, which it does not take, in some of its draws."""
     command = draw(st.sampled_from(("eval", "table", "verify", "pointwise", "weight",
                                     "interval", "roots")))
     fmt = ("--format", draw(st.sampled_from(("csv", "json") if command == "table"
@@ -634,9 +664,12 @@ def cli_argvs(draw):
         argv = [command, "--x-min", lo, "--x-max", hi,
                 "--x-count", str(draw(st.integers(min_value=2, max_value=40))),
                 "--spacing", draw(st.sampled_from(("linear", "log")))]
-        argv += [a for k in kappas for a in ("--kappa", k)]
         if command == "verify":
-            argv.insert(1, draw(st.sampled_from(qbound.verify.SUITE_NAMES + ("all",))))
+            suite = draw(st.sampled_from(qbound.verify.SUITE_NAMES + ("all",)))
+            if suite in ("lemma1", "lemma2") and not draw(st.booleans()):
+                argv = argv[:1]
+            argv.insert(1, suite)
+        argv += [a for k in kappas for a in ("--kappa", k)]
     elif command == "eval":
         argv = ["eval", "--x", draw(X_ARGS), "--kappa", draw(KAPPA_ARGS)]
     elif command == "pointwise":
@@ -657,7 +690,8 @@ def cli_argvs(draw):
 class TestDomainContract:
     """Every command on any double x and any kappa up to 1 + 1e6 exits 0,
     or 2 with argparse's usage or one `error:` line, and no traceback or
-    warning: a verify suite never fails there (exit 1)."""
+    warning: a verify suite never fails there (exit 1).  An --x-* flag on a
+    lemma suite is always argparse's usage error."""
 
     @given(cli_argvs())
     @settings(max_examples=400, deadline=None, derandomize=True)
@@ -672,6 +706,9 @@ class TestDomainContract:
         err = err.getvalue()
         assert code in (0, 2), (argv, code, err)
         assert "Traceback" not in err, (argv, err)
+        if argv[1] in ("lemma1", "lemma2") and "--x-min" in argv:
+            assert usage and code == 2, (argv, code, err)
+            assert "unrecognized arguments: --x-min " in err, (argv, err)
         if usage:
             assert err.startswith("usage: qbound"), (argv, err)
         elif code == 2:

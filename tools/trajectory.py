@@ -17,14 +17,16 @@ every run's record (the JSON line bench/run.py prints last) with its seed
 and, per workload, a summary over all its pairs, and with more than one
 seed one per seed as well: each side's failed and attempted operations
 summed over its runs and the number of its runs that read correct, and
-per end-to-end metric of BENCHMARK.json both sides' medians and quartiles
-and the change's wins: the pairs in which this checkout reads better than
-PARENT_DIR.  It also holds both commits, the Python and numpy
-that ran the children, and the CPU count and affinity; each side's commit
-is given with its src digest and whether its src differs from that commit,
-so an uncommitted change is not read as its parent.  The file is
-rewritten after every pair, so an interrupted call keeps the pairs it
-finished.  This tool changes nothing under bench/ and is no part of the
+per end-to-end metric of BENCHMARK.json both sides' medians and quartiles,
+the change's wins: the pairs in which this checkout reads better than
+PARENT_DIR, and a verdict: "better" or "worse" only when at least 10
+pairs, 9 in 10 of them, and a median that moved by more than the parent's
+quartile spread agree, "unresolved" otherwise.  It also holds both
+commits, the Python and numpy that ran the children, and the CPU count
+and affinity; each side's commit is given with its src digest and whether
+its src differs from that commit, so an uncommitted change is not read as
+its parent.  The file is rewritten after every pair, so an interrupted
+call keeps the pairs it finished.  This tool changes nothing under bench/ and is no part of the
 tests.
 """
 from __future__ import annotations
@@ -42,6 +44,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SECONDS = 22
+#: the fewest pairs a verdict other than "unresolved" needs
+MIN_PAIRS = 10
 
 
 def run_once(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
@@ -66,10 +70,27 @@ def commit(tree: Path, prov: dict) -> dict:
             "dirty": bool(proc.stdout.strip()) if proc.returncode == 0 else None}
 
 
+def verdict(row: dict, losses: int) -> str:
+    """A metric row's verdict: "better" (or "worse") where the change reads
+    better (or worse) in at least 9 in 10 of at least MIN_PAIRS pairs and
+    its median differs from the parent's, in that direction, by more than
+    the parent's quartile spread; "unresolved" otherwise."""
+    pairs, parent = row["pairs"], row["parent"]
+    delta = row["change"]["median"] - parent["median"]
+    if pairs < MIN_PAIRS or abs(delta) <= parent["q3"] - parent["q1"]:
+        return "unresolved"
+    gain = delta < 0 if row["better"] == "lower" else delta > 0
+    if gain and 10 * row["wins"] >= 9 * pairs:
+        return "better"
+    if not gain and 10 * losses >= 9 * pairs:
+        return "worse"
+    return "unresolved"
+
+
 def summarize(runs: list, metrics: list) -> dict:
     """Each side's failed and attempted operations and correct runs, and
-    per end-to-end metric each side's median and quartiles and the pairs in
-    which the change reads better than the parent."""
+    per end-to-end metric each side's median and quartiles, the pairs in
+    which the change reads better than the parent, and the verdict."""
     ops = {side: {"failed": sum(r[side]["failed"] for r in runs),
                   "attempted": sum(r[side]["attempted"] for r in runs),
                   "correct_runs": sum(r[side]["correct"] is True for r in runs),
@@ -84,9 +105,10 @@ def summarize(runs: list, metrics: list) -> dict:
         for side, v in values.items():
             q1, _, q3 = statistics.quantiles(v, n=4) if len(v) > 1 else (v[0],) * 3
             row[side] = {"median": statistics.median(v), "q1": q1, "q3": q3}
-        row["wins"] = sum((c < p) if lower else (c > p)
-                          for p, c in zip(values["parent"], values["change"]))
+        pairs = list(zip(values["parent"], values["change"]))
+        row["wins"] = sum((c < p) if lower else (c > p) for p, c in pairs)
         row["pairs"] = len(runs)
+        row["verdict"] = verdict(row, sum((c > p) if lower else (c < p) for p, c in pairs))
         out[name] = row
     return {"operations": ops, "metrics": out}
 
@@ -151,7 +173,7 @@ def main(argv=None) -> int:
             for name, row in summary["metrics"].items():
                 print(f"{label} {name}: parent {row['parent']['median']:.6g} "
                       f"-> change {row['change']['median']:.6g} {row['unit']}, "
-                      f"better in {row['wins']} of {row['pairs']}")
+                      f"better in {row['wins']} of {row['pairs']}: {row['verdict']}")
     return 0
 
 
