@@ -13,7 +13,6 @@ import math
 import os
 import sys
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -385,14 +384,6 @@ class LambertBranch(enum.Enum):
     NEGATIVE = "negative"
 
 
-@dataclass(frozen=True)
-class QValue:
-    """A Gaussian tail probability together with a relative-accuracy bound."""
-
-    value: float
-    accuracy: float
-
-
 def elementwise(sign=0):
     """Decorator for a kernel fn(x, *args) that is evaluated elementwise in x.
 
@@ -571,15 +562,20 @@ def gauss(x, a):
 def q(x):
     """Gaussian tail probability Q(x) = P(Z > x), elementwise.
 
-    Evaluated through the scaled complementary error function so the result
-    keeps full relative accuracy far into the tail (down to the underflow
-    threshold near x ~ 38.49): tail = Q(|x|) = 0.5*erfcx(|x|/sqrt(2)) *
-    exp(-x*x/2), the erfcx factor first, its w = 1 + |x|/sqrt(2) formed in
+    tail = Q(|x|) = 0.5*erfcx(|x|/sqrt(2)) * exp(-x*x/2), so nothing
+    overflows: the erfcx factor first, its w = 1 + |x|/sqrt(2) formed in
     place, so q holds five block temporaries at its peak.  The Gaussian
     factor takes the signed x: (-0.5*x)*x has the same bits for x and -x.
     Q(x) is |tail - (x < 0)|, the bits of 1 - tail for x < 0 and of tail
     elsewhere, -0.0 included, in two passes, the subtract in place: a
     masked subtract is slow on a large random-sign mask.
+
+    Relative error: at most max(1e-14, (t*t/2 + 16)*2**-53), t = max(x, 0).
+    Rounding x*x costs up to x*x/2 units of 2**-53 in exp(-x*x/2), past
+    1e-14 once x > ~12; the other roundings sum to ~8.5 of the 16 allowed
+    (x/sqrt(2) ~1.5, _erfcx's gated 4, np.exp's 2, the product's 1; against
+    mpmath, at most 3 beyond x*x/2 on [-38, 37.5]).  A subnormal Q
+    (x > ~37.5) keeps only its spacing, ulp(Q)/Q; from x ~38.49 Q is 0.
     """
     tail = abs(x)
     tail /= _SQRT2
@@ -589,28 +585,6 @@ def q(x):
     tail *= gauss(x, 1.0)
     tail -= x < 0.0
     return abs(tail)
-
-
-def q_ref(x: float) -> QValue:
-    """Reference evaluation of Q(x) with an explicit accuracy tag.
-
-    The accuracy field is a bound on the relative error, from q's error
-    budget in units of 2**-53.  For x > 0, rounding x*x costs up to x*x/2
-    of them in exp(-x*x/2), more than 1e-14 once x > ~12.  The other
-    roundings sum to ~8.5: z = x/sqrt(2) ~1.5, _erfcx's gated error 4,
-    np.exp's 2 and the product's 1 (against mpmath, at most 3 beyond x*x/2
-    on [-38, 37.5]); the tag allows 16 for them.  So it is
-    max(1e-14, (x*x/2 + 16)*2**-53), degrading to the representable
-    precision once the result falls into the subnormal range.
-    """
-    x = float(x)
-    value = q(x)
-    if value <= 0.0:
-        acc = math.inf
-    else:
-        t = max(x, 0.0)
-        acc = max(1e-14, (0.5 * t * t + 16.0) * 2.0**-53, math.ulp(value) / value)
-    return QValue(value=value, accuracy=acc)
 
 
 @elementwise(sign=1)
@@ -711,9 +685,7 @@ def lambert_w(z: float, branch: LambertBranch = LambertBranch.PRINCIPAL) -> floa
 __all__ = [
     "BRANCH_POINT",
     "LambertBranch",
-    "QValue",
     "q",
-    "q_ref",
     "mills_ratio",
     "lambert_w",
 ]

@@ -35,6 +35,14 @@ def q_quad(x: float) -> float:
     return val * math.exp(-0.5 * x * x) / SQRT_2PI
 
 
+def q_budget(x: float, v: float) -> float:
+    """The relative error q's docstring allows its value v > 0 at x:
+    max(1e-14, (t*t/2 + 16)*2**-53, ulp(v)/v), t = max(x, 0); the last
+    term is a subnormal v's own spacing."""
+    t = max(x, 0.0)
+    return max(1e-14, (0.5 * t * t + 16.0) * 2.0**-53, math.ulp(v) / v)
+
+
 def mills_quad(x: float) -> float:
     """Scaled Mills ratio by quadrature: sqrt(2*pi)*Q(x)*exp(x**2/2)."""
     val, _ = quad(

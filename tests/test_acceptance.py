@@ -129,7 +129,7 @@ def test_criterion_06_oracle_agreement():
         worst = max(worst, abs(q(x) - qq) / qq)
     anchor = abs(q(1.0) - 0.1586552539)
     ok = worst <= 1e-13 and anchor <= 1e-10
-    _report(6, "q_ref vs adaptive quadrature + Q(1) anchor", ok,
+    _report(6, "Q vs adaptive quadrature + Q(1) anchor", ok,
             f"worst rel={worst:.3e}, anchor diff={anchor:.3e}")
 
 

@@ -32,7 +32,7 @@ from qbound import (
     x1_point,
     x2_point,
 )
-from qbound import special
+from qbound import special, verify
 from qbound.bounds import _q_and_g, rel_gap
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -499,6 +499,13 @@ class TestLemma2:
             lhs = math.pi * kappa * x1
             rhs = (math.pi - 1.0) * x1 + math.sqrt(x1 * x1 + 2.0 * math.pi)
             assert lhs == pytest.approx(rhs, rel=1e-14)
+        # so kappa*x1*boyd_lower(x1) = 1, to 2 units of 2**-52 (2.5 at
+        # kappa ~1.73e308), from the first kappa above 1 to the largest
+        kappas = np.append(1.0 + verify._spaced(2.0**-52, sys.float_info.max, 20001, log=True),
+                           sys.float_info.max)
+        units = [abs(k * x1_point(k) * boyd_lower(x1_point(k)) - 1.0) / 2.0**-52
+                 for k in kappas.tolist()]
+        assert max(units) <= 3.0
 
     def test_boyd_condition_sharp_below_x1(self):
         x = x1_point(2.0) * (1.0 - 1e-6)

@@ -25,7 +25,6 @@ PUBLIC = [
     "LambertBranch",
     "OptimizationResult",
     "QBoundError",
-    "QValue",
     "UsageError",
     "VerificationReport",
     "alpha_coeff",
@@ -44,7 +43,6 @@ PUBLIC = [
     "max_weight",
     "mills_ratio",
     "q",
-    "q_ref",
     "r_scaled",
     "run_all",
     "verify_chernoff",

@@ -26,7 +26,6 @@ from qbound import (
     lambert_w,
     mills_ratio,
     q,
-    q_ref,
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -62,14 +61,14 @@ def _outcome(fn, x, args, one):
     return value, sorted({w.category.__name__ for w in caught})
 
 
-class TestQRef:
+class TestQ:
     def test_at_zero(self):
-        assert q_ref(0.0).value == 0.5
+        assert q(0.0) == 0.5
 
     def test_anchor_from_quadrature(self):
         # frozen from the quadrature oracle over the density
-        assert q_ref(1.0).value == pytest.approx(0.15865525393145707, rel=1e-14)
-        assert q_ref(1.0).value == pytest.approx(oracles.q_quad(1.0), rel=1e-13)
+        assert q(1.0) == pytest.approx(0.15865525393145707, rel=1e-14)
+        assert q(1.0) == pytest.approx(oracles.q_quad(1.0), rel=1e-13)
 
     def test_complement(self):
         for x in np.linspace(0.0, 8.0, 161):
@@ -82,41 +81,44 @@ class TestQRef:
         vals = q(xs)
         assert np.all(np.diff(vals) < 0.0)
 
-    def test_accuracy_tag(self):
-        v = q_ref(3.0)
-        assert 0.0 < v.value < 1.0
-        assert v.accuracy <= 1e-14 + 1e-20
+    def test_budget_in_the_bulk_is_its_floor(self):
+        v = q(3.0)
+        assert 0.0 < v < 1.0
+        assert oracles.q_budget(3.0, v) <= 1e-14 + 1e-20
 
-    def test_accuracy_tag_holds_against_mpmath(self):
+    def test_budget_holds_against_mpmath(self):
         # rounding x*x in exp(-x*x/2) alone costs up to x*x/2 units of
-        # 2**-53 (5.7e-14 at x = 32.4), past a fixed 1e-14 tag
+        # 2**-53 (5.7e-14 at x = 32.4), past a fixed 1e-14 budget
         mp = pytest.importorskip("mpmath")
         rng = np.random.default_rng(20261018)
         xs = np.concatenate([[-38.0, 0.0, 32.4, 37.5], rng.uniform(-38.0, 37.5, 2000)])
         with mp.workdps(40):
             for x in xs:
-                got = q_ref(float(x))
+                got = q(float(x))
                 want = mp.erfc(mp.mpf(float(x)) / mp.sqrt(2)) / 2
-                err = float(abs((mp.mpf(got.value) - want) / want))
-                assert err <= got.accuracy, x
+                err = float(abs((mp.mpf(got) - want) / want))
+                assert err <= oracles.q_budget(float(x), got), x
 
     @pytest.mark.parametrize("x", [38.5, 40.0, 1e300])
     def test_past_underflow(self, x):
         # Q is 0 from x ~38.49: no relative accuracy is left
-        v = q_ref(x)
-        assert (v.value, v.accuracy) == (0.0, math.inf)
+        assert q(x) == 0.0
 
-    def test_subnormal_accuracy_is_at_least_its_spacing(self):
-        v = q_ref(38.0)
-        assert 0.0 < v.value < sys.float_info.min
-        assert v.value == pytest.approx(2.885e-316, rel=1e-3)
-        assert math.ulp(v.value) / v.value <= v.accuracy < math.inf
+    def test_subnormal_budget_is_its_spacing(self):
+        mp = pytest.importorskip("mpmath")
+        v = q(38.0)
+        assert 0.0 < v < sys.float_info.min
+        assert v == pytest.approx(2.885e-316, rel=1e-3)
+        assert oracles.q_budget(38.0, v) == math.ulp(v) / v
+        with mp.workdps(40):
+            want = mp.erfc(mp.mpf(38.0) / mp.sqrt(2)) / 2
+            assert float(abs((mp.mpf(v) - want) / want)) <= math.ulp(v) / v
 
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
-            q_ref(math.nan)
+            q(math.nan)
         with pytest.raises(DomainError):
-            q_ref(math.inf)
+            q(math.inf)
 
     def test_consistency_with_mills(self):
         # sqrt(2*pi)*Q(x)*exp(x^2/2) == R(x), below the overflow threshold

@@ -57,7 +57,7 @@ RANGES = [(0.0, 0.5), (0.5, 4.0), (4.0, 50.0), (50.0, 1e300)]
 GATE_POINTS = 100_000
 GATE_SEED = 20261018
 #: The table's largest relative error, in units of 2**-53, that the gate
-#: accepts: the error that q_ref's accuracy budget allows for _erfcx.
+#: accepts: the error that q's stated error budget allows for _erfcx.
 ERROR_BOUND = 4.0
 
 
