@@ -154,8 +154,8 @@ def cmd_table(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)
-    reports = verify.run_all(_grid_from_args(args), names=names)
+    grid = _grid_from_args(args)
+    reports = verify.run_all(grid) if args.suite == "all" else verify.SUITES[args.suite](grid)
     if args.format == "json":
         _print_fields([dataclasses.asdict(r) for r in reports], "json", out)
     else:
@@ -242,10 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites")
     p.set_defaults(func=cmd_verify)
     suites = p.add_subparsers(dest="suite", required=True)
-    for suite, text in (("theorem", "the bound inequality on the --x-* grid"),
-                        ("lemma1", "lemma 1's signs at x1, the pivot and x2 per kappa"),
-                        ("lemma2", "lemma 2 at x1 per kappa"), ("all", "all three claims")):
-        s = suites.add_parser(suite, help=text)
+    helps = {"theorem": "the bound inequality on the --x-* grid",
+             "lemma1": "lemma 1's signs at x1, the pivot and x2 per kappa",
+             "lemma2": "lemma 2 at x1 per kappa", "all": "all three claims"}
+    for suite in (*verify.SUITES, "all"):  # the registry's order
+        s = suites.add_parser(suite, help=helps[suite])
         add_grid_flags(s, x=suite not in verify.KAPPA_SUITES)
         s.add_argument("--format", choices=("text", "json"), default="text")
 

@@ -1,8 +1,8 @@
-"""Property suites, each emitting a structured report.  run_all's registry
-is the paper's claims: the bound inequality on configurable grids, lemma
-1's sign pattern and lemma 2's Mills-ratio relation at the points that
-decide them.  verify_derivative and verify_chernoff are kernel checks
-outside it."""
+"""Property suites, each emitting a structured report.  SUITES, the suite
+registry, maps each of the paper's claims to its runner: the bound
+inequality on configurable grids, lemma 1's sign pattern and lemma 2's
+Mills-ratio relation at the points that decide them.  run_all runs them
+all; verify_derivative and verify_chernoff are kernel checks outside it."""
 from __future__ import annotations
 
 import math
@@ -276,45 +276,35 @@ def verify_chernoff() -> VerificationReport:
                   lambda r, i: (q(0.0), chernoff_upper(0.0)), REL_TOL)
 
 
-#: The suite registry, in report order: the paper's theorem and its two lemmas.
-#: KAPPA_SUITES read only the grid's kappas, at the points that decide them.
-SUITE_NAMES = ("theorem", "lemma1", "lemma2")
+def _per_kappa(suite, grid: EvaluationGrid) -> list[VerificationReport]:
+    """suite's report at each kappa of grid but 1, where lemma 1 and lemma 2
+    are undefined; where every kappa is 1, suite raises its own DomainError
+    on it."""
+    return [suite(k) for k in tuple(k for k in grid.kappas if k.kappa > 1.0) or grid.kappas]
+
+
+#: The suite registry, in report order: the paper's theorem and its two
+#: lemmas, each a function from a grid to its reports.  Each looks its
+#: verify_* function up here when called, so a wrapper set on this module
+#: counts its calls.  KAPPA_SUITES read only the grid's kappas, at the
+#: points that decide them.
+SUITES = {
+    "theorem": lambda grid: [verify_theorem(grid)],
+    "lemma1": lambda grid: _per_kappa(verify_lemma1, grid),
+    "lemma2": lambda grid: _per_kappa(verify_lemma2, grid),
+}
 KAPPA_SUITES = ("lemma1", "lemma2")
 
 
-def run_all(grid: EvaluationGrid | None = None, *, names=SUITE_NAMES) -> list[VerificationReport]:
-    """The suite registry: reports of the named suites, in SUITE_NAMES order,
-    by default all three of the paper's claims.  verify_derivative and
-    verify_chernoff check the kernels, not a claim, and are not in it.
-
-    lemma1 and lemma2 run once per kappa and are undefined at kappa = 1:
-    they skip it where the grid holds another kappa, and where every kappa
-    is 1 each raises its own domain error.  lemma1 checks x1, the pivot and
-    x2 per kappa; lemma2 checks x1 alone, which decides it (verify_lemma2).
-    Each suite checks against its own module constant, its report's
-    tolerance.  names must name each suite at most once, and at least one;
-    a name not in SUITE_NAMES, or a bare string or bytes, is a UsageError.
-    """
-    if isinstance(names, (str, bytes)):
-        raise UsageError(f"names must be a sequence of suite names, got the string {names!r}")
-    names = tuple(names)
-    if not names:
-        raise UsageError("names must name at least one suite")
-    for name in names:
-        if name not in SUITE_NAMES:
-            raise UsageError(f"unknown suite {name!r}; the suites are {', '.join(SUITE_NAMES)}")
-        if names.count(name) > 1:
-            raise UsageError(f"suite {name!r} is named twice")
+def run_all(grid: EvaluationGrid | None = None) -> list[VerificationReport]:
+    """The reports of every suite of SUITES, in its order: the theorem on the
+    grid, then lemma1 and lemma2 per kappa, each against its own module
+    constant, its report's tolerance.  lemma1 checks x1, the pivot and x2;
+    lemma2 checks x1 alone, which decides it (verify_lemma2).  One suite
+    runs as SUITES[name](grid).  verify_derivative and verify_chernoff
+    check the kernels, not a claim, and are not in it."""
     grid = grid or EvaluationGrid()
-    kappas = tuple(k for k in grid.kappas if k.kappa > 1.0) or grid.kappas
-    reports = []
-    if "theorem" in names:
-        reports.append(verify_theorem(grid))
-    if "lemma1" in names:
-        reports += [verify_lemma1(k) for k in kappas]
-    if "lemma2" in names:
-        reports += [verify_lemma2(k) for k in kappas]
-    return reports
+    return [r for suite in SUITES.values() for r in suite(grid)]
 
 
 __all__ = [

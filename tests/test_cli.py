@@ -271,7 +271,7 @@ class TestVerifyCommand:
         code, text = run_cli("verify", "all", "--kappa", "1.0000001")
         assert code == 0
         assert [line.split(":")[0] for line in text.splitlines()] == [
-            f"PASS {suite}" for suite in qbound.verify.SUITE_NAMES
+            f"PASS {suite}" for suite in qbound.verify.SUITES
         ]
         lemma2 = text.splitlines()[2]
         assert lemma2.startswith("PASS lemma2: points=1 ")
@@ -290,7 +290,7 @@ class TestVerifyCommand:
         assert theorem["worst_lhs"] > 0.0 and theorem["worst_rhs"] > 0.0
 
     def test_all_default_suites_in_order(self):
-        # a literal, not SUITE_NAMES: a suite dropped from the default shows
+        # a literal, not SUITES: a suite dropped from the registry shows
         code, text = run_cli("verify", "all")
         assert code == 0
         assert [line.split(":")[0].split()[1] for line in text.splitlines()] == (
@@ -326,6 +326,7 @@ class TestVerifyCommand:
         # one subcommand line per suite, each with its help
         listed = [line.split()[0] for line in out.splitlines() if line.startswith("    ")]
         assert listed == ["theorem", "lemma1", "lemma2", "all"], out
+        assert listed == [*qbound.verify.SUITES, "all"]  # the registry's order
 
     @pytest.mark.parametrize("suite, x_flags", [("theorem", True), ("all", True),
                                                 ("lemma1", False), ("lemma2", False)])
@@ -377,6 +378,17 @@ class TestVerifyCommand:
             r["worst_point"] = list(r["worst_point"])
         assert text == json.dumps(want, indent=2) + "\n"
 
+    @pytest.mark.parametrize("suite", qbound.verify.SUITES)
+    def test_each_suite_matches_its_registry_entry(self, suite):
+        # `qbound verify SUITE` prints the reports of verify.SUITES[SUITE]
+        code, text = run_cli("verify", suite, "--format", "json")
+        assert code == 0
+        reports = qbound.verify.SUITES[suite](qbound.EvaluationGrid())
+        want = [dataclasses.asdict(r) for r in reports]
+        for r in want:
+            r["worst_point"] = list(r["worst_point"])
+        assert text == json.dumps(want, indent=2) + "\n"
+
     @pytest.mark.parametrize("suite", ["lemma1", "lemma2"])
     def test_named_point_suites_reject_the_x_flags(self, suite, capsys):
         # they check the points that decide them, not an --x-* grid: each
@@ -396,7 +408,7 @@ class TestVerifyCommand:
             assert code == 0 and text.splitlines() == [
                 line for line in every.splitlines() if line.startswith(f"PASS {suite}: ")]
 
-    @pytest.mark.parametrize("suite", qbound.verify.SUITE_NAMES + ("all",))
+    @pytest.mark.parametrize("suite", (*qbound.verify.SUITES, "all"))
     def test_nan_tolerance_exits_2(self, suite, capsys):
         # each suite checks at its own constant: --tolerance, nan or not, is
         # argparse's usage error for every suite selection, not ignored
@@ -665,7 +677,7 @@ def cli_argvs(draw):
                 "--x-count", str(draw(st.integers(min_value=2, max_value=40))),
                 "--spacing", draw(st.sampled_from(("linear", "log")))]
         if command == "verify":
-            suite = draw(st.sampled_from(qbound.verify.SUITE_NAMES + ("all",)))
+            suite = draw(st.sampled_from((*qbound.verify.SUITES, "all")))
             if suite in ("lemma1", "lemma2") and not draw(st.booleans()):
                 argv = argv[:1]
             argv.insert(1, suite)

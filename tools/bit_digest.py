@@ -372,7 +372,7 @@ def reports():
         above_1 = tuple(k for k in grid.kappas if k.kappa > 1.0)
         lines += [
             _report(verify.verify_theorem, grid),
-            _report(verify.run_all, grid, names=verify.SUITE_NAMES),
+            _report(verify.run_all, grid),
             _report(verify.verify_derivative, grid),
             _report(verify.verify_derivative, dataclasses.replace(grid, kappas=above_1)),
         ]
