@@ -316,6 +316,18 @@ class TestVerifyCommand:
         assert err.startswith("usage: qbound verify") and f"invalid choice: '{suite}'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("suite", ["theorm", "Lemma1", "lemma", ""])
+    def test_misnamed_suite_is_a_usage_error(self, suite, capsys):
+        # a misspelt, miscased, partial or empty name runs no suite: argparse
+        # refuses it and lists the registry's suites, in its order, and all
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify", suite)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        choices = ", ".join(f"'{s}'" for s in (*qbound.verify.SUITES, "all"))
+        assert err.endswith(f"invalid choice: '{suite}' (choose from {choices})\n"), err
+
     def test_help_lists_the_three_claims_and_all(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--help"])

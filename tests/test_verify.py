@@ -759,6 +759,7 @@ class TestRunAll:
         g = EvaluationGrid()
         assert tuple(verify.SUITES) == ("theorem", "lemma1", "lemma2")
         assert not hasattr(verify, "PROOF_SUITES") and not hasattr(verify, "SUITE_NAMES")
+        assert "derivative" not in verify.SUITES and "chernoff" not in verify.SUITES
         reports = [r for name in ("theorem", "lemma1", "lemma2") for r in verify.SUITES[name](g)]
         assert reports == run_all(g)
         assert all(r.passed for r in reports)
