@@ -112,8 +112,14 @@ class TestEval:
         [row] = TestTable.scalar_rows([float(x)], [2.0])
         assert run_cli("eval", "--x", x, "--kappa", "2") == (
             0, "".join(f"{name} = {row[name]:.17g}\n" for name in CSV_FIELDS))
-        assert run_cli("eval", "--x", x, "--kappa", "2", "--format", "json") == (
-            0, json.dumps([row], indent=2) + "\n")
+        code, record = run_cli("eval", "--x", x, "--kappa", "2", "--format", "json")
+        assert (code, record) == (0, json.dumps([row], indent=2) + "\n")
+        # and it is the first record of a table from x: compared as text,
+        # since the nan fields of x = -3 are unequal as floats
+        code, table = run_cli("table", "--x-min", x, "--x-max", repr(float(x) + 1.0),
+                              "--x-count", "2", "--kappa", "2", "--format", "json")
+        assert code == 0
+        assert json.dumps(json.loads(table)[0]) == json.dumps(json.loads(record)[0])
 
 
 class TestJsonWriter:
@@ -233,9 +239,14 @@ class TestTable:
             (qbound.cli, "make_record"), (bounds, "_q_and_g"), (bounds, "boyd_lower_q"),
             (bounds, "chernoff_upper"), (bounds, "g_lower"),
         ]]
-        assert run_cli("table")[0] == 0
+        code, text = run_cli("table")
+        assert code == 0
         assert [len(c) for c in calls] == [1, 1, 1, 1, 0]
         assert [k.kappa for k in calls[1][0][1]] == list(qbound.verify.DEFAULT_KAPPAS)
+        # the default grid's CSV: the header, then 2,001 x by 10 kappas
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] == list(CSV_FIELDS)
+        assert len(rows) == 1 + 20010 and all(len(r) == 7 for r in rows[1:])
 
     def test_record_holds_each_field_once(self):
         # each field in its own shape, no (n, K, 7) block: the peak stays
@@ -295,6 +306,16 @@ class TestVerifyCommand:
         assert code == 0
         assert [line.split(":")[0].split()[1] for line in text.splitlines()] == (
             ["theorem"] + ["lemma1"] * 9 + ["lemma2"] * 9)
+        # as JSON too, each report passed at its suite's own tolerance;
+        # lemma 2 is checked at x1 alone, which decides it
+        code, text = run_cli("verify", "all", "--format", "json")
+        assert code == 0
+        reports = json.loads(text)
+        assert len(reports) == 19 and all(r["passed"] for r in reports)
+        assert [r["points_checked"] for r in reports if r["suite"] == "lemma2"] == [1] * 9
+        tolerances = {"theorem": qbound.verify.REL_TOL, "lemma1": qbound.verify.ENDPOINT_TOL,
+                      "lemma2": qbound.verify.LEMMA2_TOL}
+        assert [r["tolerance"] for r in reports] == [tolerances[r["suite"]] for r in reports]
 
     def test_all_below_the_derivative_step_passes(self):
         # no x >= FD_STEP, where verify_derivative has no point to check: `all`
@@ -871,6 +892,7 @@ class TestRun:
     CASES = [
         (("eval", "--x", "1", "--kappa", "2"), 0),
         (("eval", "--x", "1", "--kappa", "2", "--format", "json"), 0),
+        (("table",), 0),  # 2 MB of CSV
         (("table", "--format", "json"), 0),  # 4.3 MB
         (("verify", "all"), 0),
         (("roots", "--kappa", "1"), 2),  # one error: line

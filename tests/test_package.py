@@ -6,6 +6,7 @@ import importlib
 import math
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +78,15 @@ def test_module_names_resolve_to_their_own_objects(name):
 def test_each_name_has_one_module():
     owners = [n for m in MODULES for n in importlib.import_module(f"qbound.{m}").__all__]
     assert sorted(owners) == PUBLIC
+
+
+def test_console_script_runs_cli_run():
+    # the installed `qbound` is cli.run, the entry point that
+    # tests/test_cli.py::TestRun runs as `python -m qbound.cli`; read as
+    # text, since Python 3.10 has no tomllib
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.strip() == 'qbound = "qbound.cli:run"'
 
 
 # x by sign and binary exponent over the whole double range, with the ends
